@@ -4,7 +4,7 @@
 PY ?= python
 PP := PYTHONPATH=src:.$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-slow test-all lint bench-fleet sweep example-fleet example-faults examples doctest
+.PHONY: test test-slow test-all lint bench bench-fleet sweep example-fleet example-faults examples doctest
 
 ## tier-1: the fast suite (slow-marked fleet stress tests are skipped)
 test:
@@ -27,6 +27,10 @@ lint:
 	else \
 		echo "ruff not installed (pip install ruff); skipping lint"; \
 	fi
+
+## the study benchmark: all four workloads x 5 rounds, full result in bench-result.json
+bench:
+	$(PY) -m bench run --out bench-result.json
 
 ## regenerate BENCH_fleet.json (scenarios/sec vs sequential baseline)
 bench-fleet:

@@ -143,11 +143,9 @@ def _execute_study(
             return 2
         # The same completeness rule run_grid applies, so the banner
         # and what actually re-executes cannot disagree.
-        done = sum(
-            1 for s in specs
-            if store.load_complete_result(s, require_trace=config.store.keep_traces)
-            is not None
-        )
+        done = len(store.load_complete_results(
+            specs, require_trace=config.store.keep_traces
+        ))
         print(f"{prog}: resuming from {out_dir}: {done}/{len(specs)} "
               "scenarios already complete")
 

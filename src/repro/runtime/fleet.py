@@ -50,7 +50,7 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     wait,
 )
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -154,7 +154,9 @@ class ScenarioResult:
         free-form ``info`` stats becomes ``null`` — either way the
         record stays valid for strict JSON parsers, not just Python's.
         """
-        record = asdict(self)
+        # Field by field, not dataclasses.asdict: asdict deep-copies the
+        # whole spec only for it to be replaced by its canonical form.
+        record = {f.name: getattr(self, f.name) for f in fields(self)}
         record["spec"] = self.spec.canonical()
         record["info"] = json_safe(self.info) or {}
         for f in _NONFINITE_FIELDS:
@@ -975,22 +977,30 @@ def run_grid(
 
     # Lookup order: the resume store first (it is this sweep's own
     # history), then the cross-study cache.  Both apply the one
-    # completeness rule (load_complete_result), so a keep_traces run
-    # never accepts a traceless cached row.
-    cache_done: set[str] = cache_store.completed() if cache_store is not None else set()
+    # completeness rule (load_complete_results), so a keep_traces run
+    # never accepts a traceless cached row.  Each is one bulk read,
+    # shard by shard, so every batch file decodes once whatever order
+    # the specs come in.
+    hashes = [spec.content_hash for spec in specs]
+    resumed: dict[str, ScenarioResult] = {}
+    if resume_store is not None:
+        resumed = resume_store.load_complete_results(specs, require_trace=keep_traces)
+    cache_done: set[str] = set()
+    cached: dict[str, ScenarioResult] = {}
+    if cache_store is not None:
+        cache_done = cache_store.completed()
+        cached = cache_store.load_complete_results(
+            [s for s, h in zip(specs, hashes) if h in cache_done and h not in resumed],
+            require_trace=keep_traces,
+        )
     slots: dict[int, ScenarioResult] = {}
     to_run: list[tuple[int, ScenarioSpec]] = []
-    for idx, spec in enumerate(specs):
-        h = spec.content_hash
-        loaded = None
-        if resume_store is not None:
-            loaded = resume_store.load_complete_result(spec, require_trace=keep_traces)
-            if loaded is not None and resume_store is not sweep:
-                loaded = _adopt_row(resume_store, sweep, loaded)
-        if loaded is None and cache_store is not None and h in cache_done:
-            loaded = cache_store.load_complete_result(spec, require_trace=keep_traces)
-            if loaded is not None:
-                loaded = _adopt_row(cache_store, sweep, loaded)
+    for idx, (spec, h) in enumerate(zip(specs, hashes)):
+        loaded = resumed.get(h)
+        if loaded is not None and resume_store is not sweep:
+            loaded = _adopt_row(resume_store, sweep, loaded)
+        if loaded is None and h in cached:
+            loaded = _adopt_row(cache_store, sweep, cached[h])
         if loaded is None:
             to_run.append((idx, spec))
             continue

@@ -39,8 +39,17 @@ carries the irregular remainder (key, canonical spec, ``info``,
 nothing — logs are complete rows, and readers overlay logs over
 batches — so kill/resume stays bit-identical.
 
-Aggregation is *streaming*: :meth:`digest` folds the digest columns of
-one shard's batches at a time (never materializing
+Reads go *shard by shard*: every bulk reader visits shard prefixes in
+sorted order and decodes each of a shard's batch npz files and
+sidecars at most once, plus one log-directory listing (logs overlay
+batches).  No decoded batch is cached between calls: a fixed-size
+batch cache thrashes once a shard holds more batches than it does,
+and row-at-a-time reads in manifest order (random by prefix) hit
+exactly that — resuming a merged 3000-row store (two batches per
+shard) that way decoded its 32 batch files about 1500 times.  The
+resume lookup :meth:`load_complete_results` is the bulk reader
+``run_grid`` uses.  :meth:`digest` folds the digest columns
+of one shard's batches at a time (never materializing
 :class:`~repro.runtime.fleet.ScenarioResult` objects, never reading
 sidecars), :meth:`iter_rows` yields lightweight :class:`RowView` rows
 in global hash order one shard at a time, and :meth:`fleet_view`
@@ -76,7 +85,6 @@ import json
 import os
 import pathlib
 import shutil
-from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -108,13 +116,6 @@ _MERGE_LOG = "merge_log.json"
 DEFAULT_PREFIX_LEN = 1
 #: Log rows per shard before they are sealed into a columnar batch.
 DEFAULT_BATCH_ROWS = 256
-#: Decoded batches kept hot (LRU) for random access.
-_BATCH_CACHE_SIZE = 16
-#: Total decoded rows the LRU may pin.  Batch sizes vary wildly (a
-#: merge adopts whole shards as single batches), so the cache trims on
-#: rows, not entries — streaming aggregates stay O(one shard's working
-#: set) however the rows are batched.
-_BATCH_CACHE_ROWS = 4096
 
 #: ScenarioResult fields that are functions of the spec alone (for
 #: deterministic backends) — wall-clock fields are excluded.
@@ -134,6 +135,12 @@ _OPTIONAL_FIELDS = ("final_error", "sim_time", "time_to_tol")
 #: reconstruct ``info`` from the sidecar, and batches written before
 #: these columns existed load unchanged.
 _FAULT_FIELDS = ("fault_crashes", "fault_drops", "fault_limp_episodes")
+
+#: Batch members a row document is rebuilt from.
+_DOC_COLUMNS = (
+    "iterations", "converged", "final_residual", "wall_time",
+    *_OPTIONAL_FIELDS, *(f + "_none" for f in _OPTIONAL_FIELDS),
+)
 
 
 def digest_rows(pairs: "Iterable[tuple[str, ScenarioResult]]") -> str:
@@ -448,10 +455,8 @@ class SweepStore:
         # computed once and maintained by write_result/merge instead of
         # re-scanning the directory/index per call.
         self._completed: "set[str] | None" = None
-        # hash -> (batch path, row index) per shard, for random access.
-        self._shard_maps: "dict[str, dict[str, tuple[pathlib.Path, int]]]" = {}
-        # LRU of decoded batches: path -> [columns dict, sidecar rows].
-        self._batch_cache: "OrderedDict[pathlib.Path, list]" = OrderedDict()
+        # hash -> batch path per shard, for random access.
+        self._shard_maps: "dict[str, dict[str, pathlib.Path]]" = {}
         # Unsealed log-row counts per shard prefix.
         self._pending: "dict[str, int]" = {}
 
@@ -480,7 +485,6 @@ class SweepStore:
         """Drop in-memory indexes (after out-of-band directory changes)."""
         self._completed = None
         self._shard_maps.clear()
-        self._batch_cache.clear()
         self._pending.clear()
 
     # -- paths ---------------------------------------------------------
@@ -796,7 +800,6 @@ class SweepStore:
             json.dumps({"rows": meta_rows}, allow_nan=False),
         )
         _atomic_savez(npz, arrays)
-        self._batch_cache.pop(npz, None)
         self._shard_maps.pop(prefix, None)
         return npz
 
@@ -810,104 +813,87 @@ class SweepStore:
         if self._completed is not None:
             self._completed.update(docs)
 
-    # -- batch decoding (LRU-cached) -----------------------------------
-    def _batch_entry(self, path: pathlib.Path) -> list:
-        entry = self._batch_cache.get(path)
-        if entry is None:
-            entry = [None, None]
-            self._batch_cache[path] = entry
-            while len(self._batch_cache) > _BATCH_CACHE_SIZE:
-                self._batch_cache.popitem(last=False)
-        else:
-            self._batch_cache.move_to_end(path)
-        return entry
-
-    def _batch_cols(self, path: pathlib.Path) -> "dict[str, np.ndarray]":
-        entry = self._batch_entry(path)
-        if entry[0] is None:
-            with np.load(path) as z:
-                entry[0] = {k: z[k] for k in z.files}
-            self._trim_batch_cache()
-        return entry[0]
-
-    def _batch_meta(self, path: pathlib.Path) -> "list[dict[str, Any]]":
-        entry = self._batch_entry(path)
-        if entry[1] is None:
-            entry[1] = json.loads(path.with_suffix(".json").read_text())["rows"]
-            self._trim_batch_cache()
-        return entry[1]
+    # -- batch decoding (one read per file, nothing cached) -------------
+    @staticmethod
+    def _batch_sidecar(path: pathlib.Path) -> "list[dict[str, Any]]":
+        return json.loads(path.with_suffix(".json").read_text())["rows"]
 
     @staticmethod
-    def _entry_rows(entry: list) -> int:
-        if entry[0] is not None:
-            return len(entry[0]["hash"])
-        if entry[1] is not None:
-            return len(entry[1])
-        return 0
-
-    def _trim_batch_cache(self) -> None:
-        """Evict oldest batches past the row budget (keep the newest)."""
-        total = sum(self._entry_rows(e) for e in self._batch_cache.values())
-        while total > _BATCH_CACHE_ROWS and len(self._batch_cache) > 1:
-            _, evicted = self._batch_cache.popitem(last=False)
-            total -= self._entry_rows(evicted)
-
-    def _batch_hashes(self, path: pathlib.Path) -> "list[str]":
-        entry = self._batch_cache.get(path)
-        if entry is not None and entry[0] is not None:
-            return [h.decode() for h in entry[0]["hash"]]
+    def _batch_hashes(path: pathlib.Path) -> "list[str]":
         # Only the hash member decompresses (npz members load lazily).
         with np.load(path) as z:
             return [h.decode() for h in z["hash"]]
 
-    def _shard_map(
-        self, prefix: str
-    ) -> "dict[str, tuple[pathlib.Path, int]]":
+    def _shard_map(self, prefix: str) -> "dict[str, pathlib.Path]":
         m = self._shard_maps.get(prefix)
         if m is None:
             m = {}
             for bp in self._batch_paths(prefix):
-                for i, h in enumerate(self._batch_hashes(bp)):
-                    m[h] = (bp, i)
+                for h in self._batch_hashes(bp):
+                    m[h] = bp
             self._shard_maps[prefix] = m
         return m
 
-    def _doc_from_batch(self, path: pathlib.Path, i: int) -> "dict[str, Any]":
-        """Reconstruct the row document batch row ``i`` was packed from."""
+    def _batch_docs(
+        self, path: pathlib.Path, wanted: "set[str] | None" = None
+    ) -> "dict[str, dict[str, Any]]":
+        """The row documents batch ``path`` was packed from.
+
+        Only rows in ``wanted`` (every row when ``None``) are rebuilt.
+        The npz opens once and the sidecar parses at most once; a batch
+        holding none of the wanted rows costs one hash-member read.
+        """
         from repro.runtime.fleet import _encode_nonfinite
 
-        cols = self._batch_cols(path)
-        meta = self._batch_meta(path)[i]
-        doc: "dict[str, Any]" = {
-            "key": meta["key"],
-            "spec": meta["spec"],
-            "iterations": int(cols["iterations"][i]),
-            "converged": bool(cols["converged"][i]),
-            "final_residual": _encode_nonfinite(float(cols["final_residual"][i])),
-            "wall_time": float(cols["wall_time"][i]),
-            "error": None,
-            "info": meta["info"],
-            "trace_path": meta["trace_path"],
-        }
-        for f in _OPTIONAL_FIELDS:
-            doc[f] = (
-                None if cols[f + "_none"][i]
-                else _encode_nonfinite(float(cols[f][i]))
-            )
-        return doc
+        with np.load(path) as z:
+            hashes = [h.decode() for h in z["hash"]]
+            rows = [i for i, h in enumerate(hashes)
+                    if wanted is None or h in wanted]
+            if not rows:
+                return {}
+            cols = {f: z[f].tolist() for f in _DOC_COLUMNS}
+        meta = self._batch_sidecar(path)
+        docs: "dict[str, dict[str, Any]]" = {}
+        for i in rows:
+            doc: "dict[str, Any]" = {
+                "key": meta[i]["key"],
+                "spec": meta[i]["spec"],
+                "iterations": cols["iterations"][i],
+                "converged": cols["converged"][i],
+                "final_residual": _encode_nonfinite(cols["final_residual"][i]),
+                "wall_time": cols["wall_time"][i],
+                "error": None,
+                "info": meta[i]["info"],
+                "trace_path": meta[i]["trace_path"],
+            }
+            for f in _OPTIONAL_FIELDS:
+                doc[f] = (
+                    None if cols[f + "_none"][i]
+                    else _encode_nonfinite(cols[f][i])
+                )
+            docs[hashes[i]] = doc
+        return docs
 
-    def _log_docs(self, prefix: str) -> "dict[str, dict[str, Any]]":
+    def _log_docs(
+        self, prefix: str, wanted: "set[str] | None" = None
+    ) -> "dict[str, dict[str, Any]]":
         return {
             p.stem: json.loads(p.read_text()) for p in self._log_paths(prefix)
+            if wanted is None or p.stem in wanted
         }
 
-    def _shard_docs(self, prefix: str) -> "dict[str, dict[str, Any]]":
-        """All of one shard's row documents (logs overlay batches)."""
+    def _shard_docs(
+        self, prefix: str, wanted: "set[str] | None" = None
+    ) -> "dict[str, dict[str, Any]]":
+        """One shard's row documents, logs overlaying batches.
+
+        Restricted to ``wanted`` when given.  Each batch file and
+        sidecar is read at most once, plus one log-directory listing.
+        """
         docs: "dict[str, dict[str, Any]]" = {}
         for bp in self._batch_paths(prefix):
-            for i, h in enumerate(self._batch_hashes(bp)):
-                docs[h] = self._doc_from_batch(bp, i)
-        docs.update(self._log_docs(prefix))
+            docs.update(self._batch_docs(bp, wanted))
+        docs.update(self._log_docs(prefix, wanted))
         return docs
 
     # -- row loading ---------------------------------------------------
@@ -932,35 +918,52 @@ class SweepStore:
         log = self._log_path(content_hash)
         if log.is_file():
             return json.loads(log.read_text())
-        entry = self._shard_map(self._prefix(content_hash)).get(content_hash)
-        if entry is None:
+        bp = self._shard_map(self._prefix(content_hash)).get(content_hash)
+        if bp is None:
             return None
-        return self._doc_from_batch(*entry)
+        return self._batch_docs(bp, {content_hash})[content_hash]
+
+    def load_complete_results(
+        self, specs: "Iterable[ScenarioSpec]", *, require_trace: bool = False
+    ) -> "dict[str, ScenarioResult]":
+        """The *complete* persisted rows of ``specs``, by content hash.
+
+        This is THE completeness rule — ``run_grid``'s resume and cache
+        lookups and the CLI's "N/M already complete" banner all call
+        it, so they cannot drift apart.  Without ``require_trace`` a
+        persisted row is complete.  With it, a row is additionally
+        required to account for its trace: ``trace_path`` unset means
+        the row predates trace-keeping (re-run to record one); a
+        set-but-empty ``trace_path`` means the run kept traces and the
+        backend legitimately produced none (complete — re-running could
+        never help); a non-empty ``trace_path`` must have its file
+        present.
+
+        One bulk read: shards are visited in sorted prefix order and
+        each batch file is decoded at most once, whatever order (or
+        duplicates) ``specs`` comes in.
+        """
+        from repro.runtime.fleet import ScenarioResult
+
+        out: "dict[str, ScenarioResult]" = {}
+        for h, doc in self.iter_row_docs({s.content_hash for s in specs}):
+            row = ScenarioResult.from_json_dict(doc)
+            if require_trace and (
+                row.trace_path is None
+                or (row.trace_path and not self.has_trace(h))  # dangling
+            ):
+                continue
+            out[h] = row
+        return out
 
     def load_complete_result(
         self, spec: "ScenarioSpec", *, require_trace: bool = False
     ) -> "ScenarioResult | None":
-        """The persisted row for ``spec`` iff it counts as *complete*.
-
-        This is THE completeness rule — ``run_grid``'s resume loop and
-        the CLI's "N/M already complete" banner both call it, so they
-        cannot drift apart.  Without ``require_trace`` a persisted row
-        is complete.  With it, a row is additionally required to
-        account for its trace: ``trace_path`` unset means the row
-        predates trace-keeping (re-run to record one); a set-but-empty
-        ``trace_path`` means the run kept traces and the backend
-        legitimately produced none (complete — re-running could never
-        help); a non-empty ``trace_path`` must have its file present.
-        """
-        row = self.load_result(spec)
-        if row is None:
-            return None
-        if require_trace:
-            if row.trace_path is None:
-                return None
-            if row.trace_path and not self.has_trace(spec.content_hash):
-                return None  # dangling reference
-        return row
+        """The persisted row for ``spec`` iff it counts as *complete*
+        (see :meth:`load_complete_results`, whose rule this applies)."""
+        return self.load_complete_results(
+            [spec], require_trace=require_trace
+        ).get(spec.content_hash)
 
     def discard_result(self, content_hash: str) -> None:
         """Remove one persisted row (both layouts; missing rows no-op).
@@ -982,20 +985,15 @@ class SweepStore:
                 if prefix in self._pending and self._pending[prefix] > 0:
                     self._pending[prefix] -= 1
             else:
-                entry = self._shard_map(prefix).get(content_hash)
-                if entry is None:
+                bp = self._shard_map(prefix).get(content_hash)
+                if bp is None:
                     if self._completed is not None:
                         self._completed.discard(content_hash)
                     return
-                bp, _ = entry
-                rest = {
-                    h: self._doc_from_batch(bp, i)
-                    for i, h in enumerate(self._batch_hashes(bp))
-                    if h != content_hash
-                }
+                rest = self._batch_docs(bp)
+                rest.pop(content_hash, None)
                 bp.unlink(missing_ok=True)
                 bp.with_suffix(".json").unlink(missing_ok=True)
-                self._batch_cache.pop(bp, None)
                 self._shard_maps.pop(prefix, None)
                 if rest:
                     self._write_batch(prefix, sorted(rest.items()))
@@ -1037,7 +1035,8 @@ class SweepStore:
         Scope defaults to the manifest (falling back to every row on
         manifest-less stores).  Packed stores stream one shard at a
         time — sorted prefixes of sorted in-prefix hashes *is* the
-        global hash order, so peak memory is one shard's documents.
+        global hash order, so peak memory is one shard's documents,
+        and each batch file is decoded at most once.
         """
         scope = self._scope(hashes)
         if self.layout == "flat":
@@ -1048,7 +1047,7 @@ class SweepStore:
             return
         by_prefix = self._scope_by_prefix(scope)
         for prefix in sorted(by_prefix):
-            docs = self._shard_docs(prefix)
+            docs = self._shard_docs(prefix, scope)
             for h in by_prefix[prefix]:
                 doc = docs.get(h)
                 if doc is not None:
@@ -1076,12 +1075,10 @@ class SweepStore:
         for prefix, wanted in sorted(self._scope_by_prefix(scope).items()):
             walls: "dict[str, float]" = {}
             for bp in self._batch_paths(prefix):
-                cols = self._batch_cols(bp)
-                hs = cols["hash"]
-                wt = cols["wall_time"]
-                for i in range(len(hs)):
-                    walls[hs[i].decode()] = float(wt[i])
-            for h, doc in self._log_docs(prefix).items():
+                with np.load(bp) as z:
+                    for h, w in zip(z["hash"], z["wall_time"].tolist()):
+                        walls[h.decode()] = w
+            for h, doc in self._log_docs(prefix, scope).items():
                 walls[h] = float(doc.get("wall_time", 0.0))
             for h in wanted:
                 if h in walls:
@@ -1311,7 +1308,7 @@ class SweepStore:
         dst = d / bp.name
         traced = [h for h in bhashes if h in src_traced]
         if traced:
-            meta = [dict(m) for m in source._batch_meta(bp)]
+            meta = self._batch_sidecar(bp)
             traced_set = set(traced)
             self.traces_dir.mkdir(parents=True, exist_ok=True)
             for i, h in enumerate(bhashes):
@@ -1325,7 +1322,6 @@ class SweepStore:
         else:
             _atomic_copy(bp.with_suffix(".json"), dst.with_suffix(".json"))
         _atomic_copy(bp, dst)
-        self._batch_cache.pop(dst, None)
         self._shard_maps.pop(prefix, None)
         if self._completed is not None:
             self._completed.update(bhashes)
@@ -1467,17 +1463,14 @@ class SweepStore:
         """
         blobs: "dict[str, bytes]" = {}
         for bp in self._batch_paths(prefix):
-            entry = self._batch_cache.get(bp)
-            if entry is not None and entry[0] is not None:
-                cols = entry[0]
-                hs = cols["hash"]
-                dj = cols.get("digest_json")
-            else:
-                with np.load(bp) as z:
-                    hs = z["hash"]
-                    dj = z["digest_json"] if "digest_json" in z.files else None
+            with np.load(bp) as z:
+                hs = z["hash"]
+                if "digest_json" in z.files:
+                    dj = z["digest_json"]
+                else:
+                    dj = None
+                    cols = {k: z[k] for k in z.files}
             if dj is None:
-                cols = self._batch_cols(bp)
                 for i in range(len(hs)):
                     blobs[hs[i].decode()] = json.dumps(
                         self._payload_from_cols(cols, i),

@@ -9,16 +9,19 @@ of accumulating in the fleet.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
+import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import repro.runtime.fleet as fleet_mod
+import repro.runtime.sweep_store as store_mod
 from repro.runtime.fleet import FleetResult, run_grid, run_scenario
-from repro.runtime.sweep_store import SweepStore
+from repro.runtime.sweep_store import SweepStore, digest_rows
 from repro.scenarios.spec import ScenarioGrid, ScenarioSpec
 
 
@@ -351,6 +354,84 @@ class TestResume:
             store.load_complete_result(s, require_trace=True) is None
             for s in specs
         )
+
+        # The bulk read (run_grid, CLI banner) agrees with the per-spec
+        # rule on every layout and trace state, for missing rows and
+        # duplicated input specs too.
+        specs = list(_grid(n_seeds=3).expand())
+        rows = [run_scenario(s) for s in specs[:4]]  # specs[4:] stay missing
+        query = specs + specs[:2]
+
+        def fill(store, traced=True):
+            for row, state in zip(rows, ("none", "empty", "dangling", "present")):
+                h = row.content_hash
+                path = {"none": None, "empty": ""}.get(state, str(store.trace_path(h)))
+                if state == "present":
+                    store.trace_path(h).write_bytes(b"")
+                store.write_result(dataclasses.replace(
+                    row, trace_path=path if traced else None))
+            return store
+
+        logs = fill(SweepStore(tmp_path / "logs", batch_rows=1000))
+        sealed = fill(SweepStore(tmp_path / "sealed"))
+        sealed.flush()
+        # Sealed rows all say "never traced"; the log rows written over
+        # them carry the real trace states and must win.
+        overlay = fill(SweepStore(tmp_path / "overlay", batch_rows=1000), traced=False)
+        overlay.flush()
+        fill(overlay)
+        flat = fill(SweepStore(tmp_path / "flat", layout="flat"))
+        expected = {
+            False: {r.content_hash for r in rows},
+            True: {rows[1].content_hash, rows[3].content_hash},  # "", present
+        }
+        for name, st in [("logs", logs), ("sealed", sealed),
+                         ("overlay", overlay), ("flat", flat)]:
+            for require_trace in (False, True):
+                bulk = st.load_complete_results(query, require_trace=require_trace)
+                assert set(bulk) == expected[require_trace], (name, require_trace)
+                for s in query:
+                    one = st.load_complete_result(s, require_trace=require_trace)
+                    if s.content_hash in bulk:
+                        assert one.to_json_dict() == bulk[s.content_hash].to_json_dict()
+                    else:
+                        assert one is None, (name, require_trace, s.key)
+
+    def test_resume_decodes_each_batch_once(self, tmp_path, count_runs, monkeypatch):
+        """Regression: a merged store with more batches in one shard
+        than a fixed-size batch cache holds, resumed in manifest order
+        (random by batch), must still open each batch file only once."""
+        grid = _grid(n_seeds=40)  # 80 scenarios
+        specs = list(grid.expand())
+        runs = []
+        for i in range(2):
+            shard = SweepStore(tmp_path / f"shard{i}", batch_rows=4, prefix_len=0)
+            runs.append((shard, run_grid(grid.shard(2, i), store=shard, executor="serial")))
+        merged = SweepStore(tmp_path / "merged", batch_rows=4, prefix_len=0)
+        merged.merge(*(shard for shard, _ in runs))
+        batches = {p.name for p in (tmp_path / "merged" / "shards").glob("batch-*.npz")}
+        assert len(batches) == 20  # 2 shards x 40 rows / 4 rows per batch
+        run_digest = digest_rows(
+            (r.content_hash, r) for _, fleet in runs for r in fleet.results
+        )
+        count_runs.clear()
+
+        opened: "collections.Counter[str]" = collections.Counter()
+        real_load = np.load
+
+        def counting_load(file, *args, **kwargs):
+            opened[pathlib.Path(file).name] += 1
+            return real_load(file, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(store_mod.np, "load", counting_load)
+            resumed = run_grid(specs, store=merged, resume=True, executor="serial")
+
+        assert count_runs == []
+        assert set(opened) == batches
+        assert max(opened.values()) == 1, opened.most_common(3)
+        assert [r.key for r in resumed.results] == [s.key for s in specs]
+        assert resumed.digest() == run_digest == merged.digest()
 
     def test_partial_rows_beat_stale_fleet_json(self, tmp_path, count_runs):
         """A new manifest invalidates the previous run's aggregate."""
