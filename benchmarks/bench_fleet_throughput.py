@@ -55,9 +55,7 @@ per-scenario setup, measured by the batch engine's own cumulative
 counter under the serial executor.  The acceptance bar is >= 8x
 scenarios/sec over per-task dispatch on the numpy path (the trajectory
 target is >= 10x) — again with equal digests, since batching is
-bit-identical per scenario.  When numba is installed and ``REPRO_JIT``
-is set the compiled kernel raises the batched row further; the
-recorded ``jit`` status says which path produced the numbers.
+bit-identical per scenario.
 
 The fault-injection layer adds the **fault_overhead** section: the
 fault-free workload measured twice (the layer's only cost on fault-free
@@ -140,14 +138,6 @@ def run_throughput():
     results_layer = run_results_layer()
     dispatch = run_dispatch()
     return baseline, fleet, fleet_serial, results_layer, dispatch
-
-
-def _jit_status():
-    """Which inner-loop path produced the batched numbers (for the record)."""
-    from repro.runtime.simulator.kernels import jit_status, resolve_kernel
-
-    resolve_kernel()  # resolve under the ambient REPRO_JIT setting
-    return jit_status()
 
 
 def run_dispatch():
@@ -512,7 +502,6 @@ def test_fleet_throughput(benchmark):
             "batched_vs_per_task_speedup": batched_speedup,
             "batched_vs_chunked_speedup": batched_vs_chunked,
             "construction_overhead": construction_overhead,
-            "jit": _jit_status(),
         },
         "store_scaling": store_scaling,
         "fault_overhead": fault_overhead,

@@ -188,7 +188,6 @@ def _cmd_list_axes() -> int:
         "dispatch: --chunk-size auto|N (cost-balanced pool chunks), "
         "batched lockstep execution of homogeneous chunks (default; "
         "--no-batch for one solo call per scenario), "
-        "--jit / REPRO_JIT=1 (compiled batched inner loop, numpy fallback), "
         "--cache DIR / REPRO_SWEEP_CACHE (cross-study result cache), "
         "study run --shard i/k + store merge (multi-host sweeps)"
     )
@@ -235,7 +234,6 @@ def _sweep_config(args: argparse.Namespace):
             max_workers=args.workers,
             chunk_size=args.chunk_size,
             batch=not args.no_batch,
-            jit=True if args.jit else None,
             cache_dir=args.cache,
         ),
     )
@@ -300,7 +298,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
                 args.out, keep_traces=True if args.keep_traces else None
             )
         overrides = (args.executor, args.workers, args.chunk_size, args.cache)
-        if any(v is not None for v in overrides) or args.no_batch or args.jit:
+        if any(v is not None for v in overrides) or args.no_batch:
             config = dataclasses.replace(
                 config,
                 execution=ExecutionSpec(
@@ -314,7 +312,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
                         else config.execution.chunk_size
                     ),
                     batch=False if args.no_batch else config.execution.batch,
-                    jit=True if args.jit else config.execution.jit,
                     cache_dir=(
                         args.cache if args.cache is not None
                         else config.execution.cache_dir
@@ -531,12 +528,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="disable batched lockstep execution of homogeneous "
                             "chunks (run one solo call per scenario; results "
                             "are bit-identical either way)")
-    sweep.add_argument("--jit", action="store_true",
-                       help="run the batched engine's inner loop through the "
-                            "compiled numba kernel (auto-disabled with the "
-                            "numpy fallback when numba is missing or its "
-                            "bit-identity probe fails; results are "
-                            "bit-identical either way)")
     sweep.add_argument("--cache", default=None, metavar="DIR",
                        help="cross-study result cache: completed scenarios are "
                             "looked up there by content hash before executing "
@@ -596,10 +587,6 @@ def main(argv: list[str] | None = None) -> int:
     study.add_argument("--no-batch", action="store_true",
                        help="override the config to disable batched lockstep "
                             "execution (one solo call per scenario)")
-    study.add_argument("--jit", action="store_true",
-                       help="override the config to run the batched engine "
-                            "through the compiled numba kernel (numpy fallback "
-                            "when unavailable; bit-identical either way)")
     study.add_argument("--shard", type=_shard, default=None, metavar="i/k",
                        help="run only shard i of k (1-based, e.g. 2/4): a "
                             "content-hash-stable, seed-preserving slice of the "

@@ -324,11 +324,7 @@ class ExecutionSpec:
     ``1``: per-task dispatch).  ``batch`` routes homogeneous spec
     groups inside each chunk through the scenario-batched lockstep
     engine (on by default; ``False`` restores one solo call per
-    scenario).  ``jit`` opts the batched engine into the compiled numba
-    kernel (``None`` defers to the ``REPRO_JIT`` environment variable;
-    the kernel auto-disables, reason recorded, when numba is absent or
-    its bit-identity probe fails).  ``cache_dir`` names the cross-study
-    result cache
+    scenario).  ``cache_dir`` names the cross-study result cache
     consulted by content hash before any scenario executes (``None``
     defers to the ``REPRO_SWEEP_CACHE`` environment variable at run
     time).  All of these change only *how fast* results arrive, never
@@ -341,7 +337,6 @@ class ExecutionSpec:
     max_workers: int | None = None
     chunk_size: int | str = "auto"
     batch: bool = True
-    jit: bool | None = None
     cache_dir: str | None = None
 
     def __post_init__(self) -> None:
@@ -356,8 +351,6 @@ class ExecutionSpec:
         _check_chunk_size(self.chunk_size)
         if not isinstance(self.batch, bool):
             raise ValueError(f"batch must be a bool, got {self.batch!r}")
-        if self.jit is not None and not isinstance(self.jit, bool):
-            raise ValueError(f"jit must be a bool or None, got {self.jit!r}")
         if self.cache_dir is not None:
             object.__setattr__(self, "cache_dir", str(self.cache_dir))
 
@@ -369,8 +362,6 @@ class ExecutionSpec:
             doc["chunk_size"] = int(self.chunk_size)
         if not self.batch:
             doc["batch"] = False
-        if self.jit is not None:
-            doc["jit"] = self.jit  # tri-state: omitted means "env decides"
         if self.cache_dir is not None:
             doc["cache_dir"] = self.cache_dir  # TOML has no null: omit when unset
         return doc
@@ -379,6 +370,23 @@ class ExecutionSpec:
 # ----------------------------------------------------------------------
 # The study config
 # ----------------------------------------------------------------------
+
+def _section(cls: type, value: Any, name: str) -> Any:
+    """A section given as a mapping -> a ``cls`` instance (else unchanged).
+
+    Keys are checked against the dataclass fields first: a misspelled
+    key in a hand-written study file fails as a did-you-mean
+    ``ValueError`` naming the section, not as a constructor
+    ``TypeError``.
+    """
+    if not isinstance(value, Mapping):
+        return value
+    known = [f.name for f in fields(cls)]
+    for key in value:
+        if key not in known:
+            raise ValueError(unknown_name_message(f"{name} key", str(key), known))
+    return cls(**value)
+
 
 def _coerce_axis(items: Any, ref_cls: type[ComponentRef]) -> tuple[ComponentRef, ...]:
     if isinstance(items, (str, Mapping)) or (
@@ -428,20 +436,18 @@ class StudyConfig:
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
             raise ValueError(f"study name must be a nonempty string, got {self.name!r}")
-        if isinstance(self.solver, Mapping):
-            object.__setattr__(self, "solver", SolverRef(**self.solver))
+        object.__setattr__(self, "solver", _section(SolverRef, self.solver, "solver"))
         object.__setattr__(self, "problems", _coerce_axis(self.problems, ProblemRef))
         object.__setattr__(self, "steerings", _coerce_axis(self.steerings, SteeringRef))
         object.__setattr__(self, "delays", _coerce_axis(self.delays, DelayRef))
         object.__setattr__(self, "machines", _coerce_axis(self.machines, MachineRef))
         object.__setattr__(self, "faults", _coerce_axis(self.faults, FaultRef))
         object.__setattr__(self, "topologies", _coerce_axis(self.topologies, TopologyRef))
-        if isinstance(self.store, Mapping):
-            object.__setattr__(self, "store", StoreSpec(**self.store))
-        if isinstance(self.report, Mapping):
-            object.__setattr__(self, "report", ReportSpec(**self.report))
-        if isinstance(self.execution, Mapping):
-            object.__setattr__(self, "execution", ExecutionSpec(**self.execution))
+        object.__setattr__(self, "store", _section(StoreSpec, self.store, "store"))
+        object.__setattr__(self, "report", _section(ReportSpec, self.report, "report"))
+        object.__setattr__(
+            self, "execution", _section(ExecutionSpec, self.execution, "execution")
+        )
         if self.n_seeds < 1:
             raise ValueError(f"n_seeds must be >= 1, got {self.n_seeds}")
 
@@ -521,9 +527,10 @@ class StudyConfig:
     def from_dict(cls, doc: Mapping[str, Any]) -> "StudyConfig":
         """Rebuild a validated config from :meth:`to_dict` output.
 
-        Unknown top-level keys raise with a did-you-mean suggestion —
-        a misspelled key in a hand-written study file must not be
-        silently ignored.
+        Unknown keys — top-level or inside a ``solver``/``store``/
+        ``report``/``execution`` section — raise ``ValueError`` with a
+        did-you-mean suggestion: a misspelled key in a hand-written
+        study file must not be silently ignored.
         """
         doc = dict(doc)
         version = doc.pop("format_version", cls.FORMAT_VERSION)
@@ -532,13 +539,7 @@ class StudyConfig:
                 f"study file format_version {version} is newer than this "
                 f"library understands ({cls.FORMAT_VERSION})"
             )
-        known = {f.name for f in fields(cls)}
-        for key in doc:
-            if key not in known:
-                raise ValueError(
-                    unknown_name_message("study config key", key, sorted(known))
-                )
-        return cls(**doc)
+        return _section(cls, doc, "study config")
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"

@@ -254,7 +254,6 @@ class Study:
         max_workers: "int | None" = None,
         chunk_size: "int | str | None" = None,
         batch: "bool | None" = None,
-        jit: "bool | None" = None,
         cache: Any = None,
         shard: "tuple[int, int] | None" = None,
     ) -> "StudyResult":
@@ -277,11 +276,7 @@ class Study:
         ``batch`` overrides ``execution.batch``: homogeneous spec
         groups run through the scenario-batched lockstep engine by
         default — a pure throughput change, bit-identical results —
-        and ``False`` restores one solo call per scenario.  ``jit``
-        overrides ``execution.jit``: ``True`` opts the batched engine
-        into the compiled numba kernel (auto-disabled when numba is
-        absent or its bit-identity probe fails), ``None`` defers to
-        the config and then the ``REPRO_JIT`` environment variable.
+        and ``False`` restores one solo call per scenario.
         """
         cfg = self.config
         out = str(out) if out is not None else cfg.store.out
@@ -291,7 +286,6 @@ class Study:
         workers = max_workers if max_workers is not None else cfg.execution.max_workers
         chunks = chunk_size if chunk_size is not None else cfg.execution.chunk_size
         do_batch = cfg.execution.batch if batch is None else bool(batch)
-        do_jit = cfg.execution.jit if jit is None else bool(jit)
         if cache is None:
             cache = cfg.execution.cache_dir
 
@@ -316,7 +310,6 @@ class Study:
             max_workers=workers,
             chunk_size=chunks,
             batch=do_batch,
-            jit=do_jit,
         )
         return StudyResult(config=cfg, fleet=fleet, store=store)
 
@@ -489,7 +482,6 @@ def sweep(
     max_workers: "int | None" = None,
     chunk_size: "int | str" = "auto",
     batch: bool = True,
-    jit: "bool | None" = None,
     cache: "str | pathlib.Path | None" = None,
 ) -> StudyResult:
     """Build a :class:`StudyConfig` from keywords and run it.
@@ -536,7 +528,6 @@ def sweep(
             max_workers=max_workers,
             chunk_size=chunk_size,
             batch=batch,
-            jit=jit,
             cache_dir=None if cache is None else str(cache),
         ),
     )

@@ -40,7 +40,6 @@ from repro.core.termination import (
 )
 from repro.core.trace import (
     IterationTrace,
-    TraceBuilder,
     TraceHandle,
     TraceStore,
     load_trace,
@@ -63,7 +62,6 @@ __all__ = [
     "PartialUpdateModel",
     "TerminationReport",
     "TheoremOneReport",
-    "TraceBuilder",
     "TraceHandle",
     "TraceReplayDelays",
     "TraceReplaySteering",

@@ -15,8 +15,7 @@ per-iteration counts, series columns) that every engine emits into,
 one iteration at a time.  Chunks are frozen once full — optionally
 spilled to disk, so trace length no longer bounds sweep size by RAM —
 and the whole store round-trips through a single ``.npz`` file via
-:meth:`TraceStore.save` / :meth:`TraceStore.load`.  ``TraceBuilder``
-is the historical name of the store and remains an alias.
+:meth:`TraceStore.save` / :meth:`TraceStore.load`.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from repro.utils.serialization import json_safe
 
 __all__ = [
     "IterationTrace",
-    "TraceBuilder",
     "TraceHandle",
     "TraceStore",
     "resolve_sink",
@@ -574,10 +572,6 @@ class TraceStore:
         store._flushed_res = int(chunk["residuals"].size)
         store._flushed_time = int(chunk["times"].size)
         return store
-
-
-#: Historical name of the trace sink; every engine still accepts it.
-TraceBuilder = TraceStore
 
 
 def resolve_sink(

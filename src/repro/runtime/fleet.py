@@ -660,7 +660,6 @@ def _run_chunk(
     runner: Callable[[ScenarioSpec], ScenarioResult],
     specs: "list[ScenarioSpec]",
     batch: bool = False,
-    jit: "bool | None" = None,
 ) -> "list[ScenarioResult]":
     """Execute one dispatch chunk inside a worker (top-level: picklable).
 
@@ -670,13 +669,12 @@ def _run_chunk(
     through one lockstep batched call instead of ``len(specs)`` solo
     calls; everything unbatchable, and any batch that fails mid-flight,
     still goes through ``runner`` one spec at a time.  Results are
-    bit-identical either way.  ``jit`` forwards the compiled-kernel
-    switch (``None``: defer to ``REPRO_JIT``).
+    bit-identical either way.
     """
     if batch and len(specs) > 1:
         from repro.runtime.simulator.batched import run_scenario_batch
 
-        return run_scenario_batch(specs, solo=runner, jit=jit)
+        return run_scenario_batch(specs, solo=runner)
     return [runner(spec) for spec in specs]
 
 
@@ -688,7 +686,6 @@ def _execute_specs(
     on_result: Callable[[ScenarioResult], None] | None = None,
     chunk_size: "int | str" = "auto",
     batch: bool = False,
-    jit: "bool | None" = None,
 ) -> "dict[int, ScenarioResult]":
     """Run ``(index, spec)`` pairs, invoking ``on_result`` as each finishes.
 
@@ -707,7 +704,7 @@ def _execute_specs(
         if batch and len(indexed) > 1:
             for chunk in _pack_chunks(indexed, chunk_size, workers):
                 for (idx, _), r in zip(
-                    chunk, _run_chunk(runner, [spec for _, spec in chunk], True, jit)
+                    chunk, _run_chunk(runner, [spec for _, spec in chunk], True)
                 ):
                     out[idx] = r
                     if on_result is not None:
@@ -723,9 +720,7 @@ def _execute_specs(
     chunks = _pack_chunks(indexed, chunk_size, workers)
     with pool_cls(max_workers=workers, initializer=_worker_init) as pool:
         pending = {
-            pool.submit(
-                _run_chunk, runner, [spec for _, spec in chunk], batch, jit
-            ): chunk
+            pool.submit(_run_chunk, runner, [spec for _, spec in chunk], batch): chunk
             for chunk in chunks
         }
         while pending:
@@ -746,7 +741,6 @@ def run_fleet(
     max_workers: int | None = None,
     chunk_size: "int | str" = "auto",
     batch: bool = True,
-    jit: "bool | None" = None,
 ) -> FleetResult:
     """Execute a batch of scenarios and aggregate into a :class:`FleetResult`.
 
@@ -772,13 +766,6 @@ def run_fleet(
         call per scenario.  On (default), this changes throughput only:
         batched results are bit-identical per scenario, and anything
         the batched engine cannot take falls back to solo execution.
-    jit:
-        Compiled-kernel switch for the batched engine (see
-        :mod:`repro.runtime.simulator.kernels`).  ``None`` (default)
-        defers to the ``REPRO_JIT`` environment variable; ``True``
-        requests the numba kernel (auto-disabled, with the reason
-        recorded, when numba is missing or the bit-identity probe
-        fails); ``False`` pins the numpy path.
 
     The per-scenario results keep submission order regardless of
     completion order.  For persistent/resumable sweeps use
@@ -792,7 +779,7 @@ def run_fleet(
     t0 = time.perf_counter()
     slots = _execute_specs(
         list(enumerate(specs)), run_scenario, chosen, workers,
-        chunk_size=chunk_size, batch=batch, jit=jit,
+        chunk_size=chunk_size, batch=batch,
     )
     return FleetResult(
         results=tuple(slots[i] for i in range(len(specs))),
@@ -865,7 +852,6 @@ def run_grid(
     max_workers: int | None = None,
     chunk_size: "int | str" = "auto",
     batch: bool = True,
-    jit: "bool | None" = None,
 ) -> FleetResult:
     """Execute a scenario grid with per-scenario persistence and resume.
 
@@ -923,9 +909,6 @@ def run_grid(
         by ``keep_traces`` — the batched engine summarizes scalars and
         records no traces, and a trace-keeping sweep must get a trace
         file per row.
-    jit:
-        Compiled-kernel switch for the batched engine (see
-        :func:`run_fleet`); ``None`` defers to ``REPRO_JIT``.
 
     Returns the same :class:`FleetResult` a plain :func:`run_fleet`
     would have produced, with ``trace_path``/``info`` populated.
@@ -1052,7 +1035,7 @@ def run_grid(
     slots.update(
         _execute_specs(
             to_run, runner, chosen, workers, on_result,
-            chunk_size=chunk_size, batch=batch and not keep_traces, jit=jit,
+            chunk_size=chunk_size, batch=batch and not keep_traces,
         )
     )
 

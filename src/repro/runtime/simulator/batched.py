@@ -32,11 +32,7 @@ Phase 2 pushes the remaining per-scenario floor out of the batch path:
   log/power delay-growth families join the shared-model fast path, and
   ``lockstep_plan`` admits per-processor constant durations with a
   common period (e.g. the ``lockstep-tiered`` archetype) instead of one
-  all-equal duration;
-* **compiled kernel** — an optional numba implementation of the fused
-  gather-update-residual loop (:mod:`repro.runtime.simulator.kernels`),
-  behind ``REPRO_JIT`` / ``ExecutionSpec.jit``, probe-verified for
-  bit-identity at resolve time and auto-disabled when numba is absent.
+  all-equal duration.
 
 Three invariants make the results *bit-identical* to solo runs:
 
@@ -214,7 +210,6 @@ def run_scenario_batch(
     specs: Sequence[ScenarioSpec],
     *,
     solo: "Callable[[ScenarioSpec], Any] | None" = None,
-    jit: "bool | None" = None,
 ) -> "list[Any]":
     """Execute a chunk of specs, batching homogeneous groups in lockstep.
 
@@ -222,11 +217,7 @@ def run_scenario_batch(
     scenario) to ``[solo(s) for s in specs]`` — groups of fewer than
     two batchable specs, ineligible specs, and any group whose batch
     raises run through ``solo`` (default
-    :func:`~repro.runtime.fleet.run_scenario`).  ``jit`` forwards the
-    compiled-kernel switch (``None`` defers to ``REPRO_JIT``; the
-    kernel only engages when numba is present and the resolve-time
-    bit-identity probe passes — see
-    :mod:`repro.runtime.simulator.kernels`).  This is the unit the
+    :func:`~repro.runtime.fleet.run_scenario`).  This is the unit the
     fleet's chunk dispatch routes through one worker task.
     """
     if solo is None:
@@ -239,7 +230,7 @@ def run_scenario_batch(
         if len(group) >= 2 and batchable(group[0]):
             try:
                 if group[0].kind == "engine":
-                    results = _run_engine_batch(group, jit=jit)
+                    results = _run_engine_batch(group)
                 else:
                     results = _run_lockstep_batch(group)
             except Exception:  # noqa: BLE001 - solo is the behavioural oracle
@@ -453,9 +444,7 @@ def _summaries(
 # Engine-kind batches: Definition 1 in lockstep over j
 # ----------------------------------------------------------------------
 
-def _run_engine_batch(
-    specs: Sequence[ScenarioSpec], jit: "bool | None" = None
-) -> "list[Any]":
+def _run_engine_batch(specs: Sequence[ScenarioSpec]) -> "list[Any]":
     """Run one homogeneous group of ``exact``-backend engine scenarios.
 
     Replicates :meth:`AsyncIterationEngine.run` (with the fleet's
@@ -465,16 +454,8 @@ def _run_engine_batch(
     iterate at label ``m`` *is* every component's most recent value at
     or before ``m``, so one fancy gather reproduces
     ``VectorHistory.assemble`` exactly.
-
-    When the compiled kernel is active (``jit``) and the group is
-    kernel-shaped — shared deterministic steering, scalar blocks,
-    :class:`AffineOperator` stack, plain residual — the whole window
-    loop runs fused in :mod:`~repro.runtime.simulator.kernels`;
-    otherwise the numpy loop below executes unchanged.
     """
     from repro.delays.base import DelayModel
-    from repro.operators.base import FixedPointOperator
-    from repro.operators.linear import AffineOperator
     from repro.scenarios import registry
 
     global _construction_seconds
@@ -552,38 +533,6 @@ def _run_engine_batch(
     residual_of = _build_residual(ops, batched_norm)
     _construction_seconds += time.perf_counter() - t0
 
-    # Compiled-kernel eligibility: the kernel reproduces exactly the
-    # shared-steering scalar-block AffineOperator loop (probe-verified
-    # bit-identity); everything else keeps the numpy path.
-    kern = None
-    if jit is not False:
-        from repro.runtime.simulator.kernels import resolve_kernel
-
-        kern = resolve_kernel(jit)
-    plain_residual = all(
-        type(op).residual is FixedPointOperator.residual for op in ops
-    )
-    use_kernel = (
-        kern is not None
-        and shared_steering
-        and (shared_delays or batch_labels)
-        and block.is_scalar
-        and all(type(op) is AffineOperator for op in ops)
-        and (tol == 0.0 or (plain_residual and batched_norm is not None))
-    )
-    act_flat = act_off = None
-    if use_kernel:
-        sets = []
-        off = [0]
-        for j in range(1, J + 1):
-            S = steerings[0].active_set(j)
-            if len(S) == 0:
-                raise RuntimeError(f"steering produced empty S_{j}")
-            sets.append(np.asarray(S, dtype=np.int64))
-            off.append(off[-1] + len(S))
-        act_flat = np.concatenate(sets)
-        act_off = np.asarray(off, dtype=np.int64)
-
     # Window the batch so the (J+1, B, dim) history slab stays bounded.
     window = max(2, int(_MAX_BATCH_BYTES // ((J + 1) * dim * 8)))
 
@@ -598,103 +547,73 @@ def _run_engine_batch(
         iterations = np.full(wB, 0, dtype=np.int64)
         converged = np.zeros(wB, dtype=bool)
         x_final = np.zeros((wB, dim))
+        flatH = H.reshape(-1)
+        live = list(range(wB))
+        j_done = 0
 
-        if use_kernel:
-            # Labels precompute consumes each stochastic model's stream
-            # in solo per-j order; draws past a row's freeze point are
-            # simply discarded with the model, as in a solo early stop.
-            labels_elem = np.empty((J, wB, dim), dtype=np.int64)
-            for j in range(1, J + 1):
-                if shared_delays:
-                    labels_elem[j - 1] = delay_models[w0].labels(j)[comp_map][None, :]
-                else:
-                    d = np.stack(
-                        [delay_models[w0 + k].raw_delays(j) for k in range(wB)]
-                    ).astype(np.int64, copy=False)
-                    if d.shape[1] != n or np.any(d < 0):
-                        raise RuntimeError("raw_delays contract violation")
-                    labels_elem[j - 1] = np.clip((j - 1) - d, 0, j - 1)[:, comp_map]
-            A_stack = np.stack([ops[w0 + k].A for k in range(wB)])
-            b_stack = np.stack([ops[w0 + k].b for k in range(wB)])
-            W = (
-                batched_norm._weights[w0: w0 + wB]
-                if batched_norm is not None
-                else np.ones((wB, dim))
-            )
-            kern(
-                H, A_stack, b_stack, act_flat, act_off, labels_elem,
-                float(tol), W, iterations, converged, x_final,
-            )
-        else:
-            flatH = H.reshape(-1)
-            live = list(range(wB))
-            final_res = np.zeros(wB)
-            j_done = 0
+        for j in range(1, J + 1):
+            j_done = j
+            live_arr = np.asarray(live, dtype=np.intp)
+            # Labels l_i(j): shared when the model is a pure function
+            # of j, stepped on each scenario's own stream otherwise.
+            if shared_delays:
+                lab = delay_models[w0 + live[0]].labels(j)
+                elem_lab = lab[comp_map][None, :]
+            elif batch_labels:
+                d = np.stack(
+                    [delay_models[w0 + b].raw_delays(j) for b in live]
+                ).astype(np.int64, copy=False)
+                if d.shape[1] != n or np.any(d < 0):
+                    raise RuntimeError("raw_delays contract violation")
+                elem_lab = np.clip((j - 1) - d, 0, j - 1)[:, comp_map]
+            else:
+                lab_mat = np.stack(
+                    [delay_models[w0 + b].labels(j) for b in live]
+                )
+                elem_lab = lab_mat[:, comp_map]
+            gather = (elem_lab * wB + live_arr[:, None]) * dim + elem_range
+            delayed = flatH[gather.reshape(-1)].reshape(len(live), dim)
 
-            for j in range(1, J + 1):
-                j_done = j
-                live_arr = np.asarray(live, dtype=np.intp)
-                # Labels l_i(j): shared when the model is a pure function
-                # of j, stepped on each scenario's own stream otherwise.
-                if shared_delays:
-                    lab = delay_models[w0 + live[0]].labels(j)
-                    elem_lab = lab[comp_map][None, :]
-                elif batch_labels:
-                    d = np.stack(
-                        [delay_models[w0 + b].raw_delays(j) for b in live]
-                    ).astype(np.int64, copy=False)
-                    if d.shape[1] != n or np.any(d < 0):
-                        raise RuntimeError("raw_delays contract violation")
-                    elem_lab = np.clip((j - 1) - d, 0, j - 1)[:, comp_map]
-                else:
-                    lab_mat = np.stack(
-                        [delay_models[w0 + b].labels(j) for b in live]
-                    )
-                    elem_lab = lab_mat[:, comp_map]
-                gather = (elem_lab * wB + live_arr[:, None]) * dim + elem_range
-                delayed = flatH[gather.reshape(-1)].reshape(len(live), dim)
-
-                H[j] = H[j - 1]
-                if shared_steering:
-                    S = steerings[w0 + live[0]].active_set(j)
+            H[j] = H[j - 1]
+            if shared_steering:
+                S = steerings[w0 + live[0]].active_set(j)
+                if len(S) == 0:
+                    raise RuntimeError(f"steering produced empty S_{j}")
+                for k, b in enumerate(live):
+                    row = delayed[k]
+                    hb = H[j, b]
+                    for i in S:
+                        hb[slices[i]] = ops[w0 + b].apply_block(row, i)
+            else:
+                for k, b in enumerate(live):
+                    S = steerings[w0 + b].active_set(j)
                     if len(S) == 0:
                         raise RuntimeError(f"steering produced empty S_{j}")
-                    for k, b in enumerate(live):
-                        row = delayed[k]
-                        hb = H[j, b]
-                        for i in S:
-                            hb[slices[i]] = ops[w0 + b].apply_block(row, i)
-                else:
-                    for k, b in enumerate(live):
-                        S = steerings[w0 + b].active_set(j)
-                        if len(S) == 0:
-                            raise RuntimeError(f"steering produced empty S_{j}")
-                        row = delayed[k]
-                        hb = H[j, b]
-                        for i in S:
-                            hb[slices[i]] = ops[w0 + b].apply_block(row, i)
+                    row = delayed[k]
+                    hb = H[j, b]
+                    for i in S:
+                        hb[slices[i]] = ops[w0 + b].apply_block(row, i)
 
-                if tol > 0.0:
-                    # residual_every = 1 (the exact backend's fleet default):
-                    # the stopping test sees a fresh residual every j.
-                    res = residual_of(H[j, live_arr], live_arr + w0)
-                    frozen = []
-                    for k, b in enumerate(live):
-                        if res[k] < tol:
-                            converged[b] = True
-                            iterations[b] = j
-                            x_final[b] = H[j, b]
-                            final_res[b] = res[k]
-                            frozen.append(b)
-                    if frozen:
-                        live = [b for b in live if b not in set(frozen)]
-                        if not live:
-                            break
+            if tol > 0.0:
+                # residual_every = 1 (the exact backend's fleet default):
+                # the stopping test sees a fresh residual every j.
+                res = residual_of(H[j, live_arr], live_arr + w0)
+                frozen = []
+                for k, b in enumerate(live):
+                    if res[k] < tol:
+                        converged[b] = True
+                        iterations[b] = j
+                        x_final[b] = H[j, b]
+                        frozen.append(b)
+                if frozen:
+                    live = [b for b in live if b not in set(frozen)]
+                    if not live:
+                        break
 
-            if live:
-                live_arr = np.asarray(live, dtype=np.intp)
-                iterations[live_arr] = j_done
-                x_final[live_arr] = H[j_done, live_arr]
+        if live:
+            live_arr = np.asarray(live, dtype=np.intp)
+            iterations[live_arr] = j_done
+            x_final[live_arr] = H[j_done, live_arr]
 
         # Solo recomputes the residual at the final iterate even when
         # the loop already measured it (same call, same bits).

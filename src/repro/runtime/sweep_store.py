@@ -1458,50 +1458,15 @@ class SweepStore:
         Batches carry the bytes precomputed in their ``digest_json``
         member, so the hot path reads exactly two npz members per batch
         (hash + blob) and touches neither the sidecar nor the value
-        columns; batches written before the column existed fall back to
-        re-serializing from the value columns.
+        columns.
         """
         blobs: "dict[str, bytes]" = {}
         for bp in self._batch_paths(prefix):
             with np.load(bp) as z:
-                hs = z["hash"]
-                if "digest_json" in z.files:
-                    dj = z["digest_json"]
-                else:
-                    dj = None
-                    cols = {k: z[k] for k in z.files}
-            if dj is None:
-                for i in range(len(hs)):
-                    blobs[hs[i].decode()] = json.dumps(
-                        self._payload_from_cols(cols, i),
-                        sort_keys=True, allow_nan=False,
-                    ).encode()
-            else:
-                for h, blob in zip(hs, dj):
+                for h, blob in zip(z["hash"], z["digest_json"]):
                     blobs[h.decode()] = bytes(blob)
         for h, doc in self._log_docs(prefix).items():
             blobs[h] = json.dumps(
                 _payload_from_doc(doc), sort_keys=True, allow_nan=False
             ).encode()
         return blobs
-
-    @staticmethod
-    def _payload_from_cols(
-        cols: "dict[str, np.ndarray]", i: int
-    ) -> "dict[str, Any]":
-        """Digest payload of batch row ``i`` from its value columns."""
-        from repro.runtime.fleet import _encode_nonfinite
-
-        payload = {
-            "iterations": int(cols["iterations"][i]),
-            "converged": bool(cols["converged"][i]),
-            "final_residual": _encode_nonfinite(
-                float(cols["final_residual"][i])
-            ),
-        }
-        for f in _OPTIONAL_FIELDS:
-            payload[f] = (
-                None if cols[f + "_none"][i]
-                else _encode_nonfinite(float(cols[f][i]))
-            )
-        return payload

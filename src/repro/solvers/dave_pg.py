@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.trace import TraceBuilder
+from repro.core.trace import TraceStore
 from repro.problems.base import CompositeProblem
 from repro.problems.least_squares import LeastSquaresProblem
 from repro.problems.logistic import LogisticProblem
@@ -138,7 +138,7 @@ class DAvePGBackend(ExecutionBackend):
         for m in range(n_workers):
             z += alpha[m] * contributions[m]
 
-        builder = TraceBuilder(n_workers)
+        builder = TraceStore(n_workers)
         builder.record_initial(residual=problem.prox_gradient_residual(x_hat0, gamma))
         converged = False
         it = 0

@@ -19,7 +19,6 @@ from repro.utils.norms import (
     weighted_max_norm,
 )
 from repro.utils.rng import as_generator, spawn_generators
-from repro.utils.timing import Stopwatch
 from repro.utils.validation import (
     check_finite_array,
     check_positive,
@@ -31,7 +30,6 @@ from repro.utils.validation import (
 __all__ = [
     "BlockSpec",
     "WeightedMaxNorm",
-    "Stopwatch",
     "as_generator",
     "block_abs_max",
     "block_euclidean_norms",

@@ -136,6 +136,22 @@ class TestSpecsValidation:
         with pytest.raises(ValueError, match="did you mean 'n_seeds'"):
             StudyConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("section,key", [
+        ("solver", "max_iteration"),
+        ("store", "outt"),
+        ("report", "metric"),
+        ("execution", "chunk_sise"),
+    ])
+    def test_unknown_section_key_names_it(self, section, key):
+        doc = {"problems": ["jacobi"], section: {key: 4}}
+        with pytest.raises(ValueError, match=f"unknown {section} key '{key}'"):
+            StudyConfig.from_dict(doc)
+
+    def test_execution_spec_fields(self):
+        assert [f.name for f in dataclasses.fields(ExecutionSpec)] == [
+            "executor", "max_workers", "chunk_size", "batch", "cache_dir",
+        ]
+
     def test_newer_format_version_rejected(self):
         doc = _config().to_dict()
         doc["format_version"] = 99

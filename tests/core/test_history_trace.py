@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.history import VectorHistory
-from repro.core.trace import IterationTrace, TraceBuilder
+from repro.core.trace import IterationTrace, TraceStore
 from repro.utils.norms import BlockSpec
 
 
@@ -84,8 +84,10 @@ class TestVectorHistory:
 
 
 class TestTraceBuilder:
+    """Building an :class:`IterationTrace` by recording into a TraceStore."""
+
     def test_build_roundtrip(self):
-        b = TraceBuilder(2)
+        b = TraceStore(2)
         b.record_initial(error=1.0, residual=2.0)
         b.record((0,), np.array([0, 0]), error=0.5, residual=1.0, time=1.0)
         b.record((1,), np.array([1, 0]), error=0.25, residual=0.5, time=2.0)
@@ -96,7 +98,7 @@ class TestTraceBuilder:
         assert t.active_sets == ((0,), (1,))
 
     def test_no_series_when_not_recorded(self):
-        b = TraceBuilder(1)
+        b = TraceStore(1)
         b.record((0,), np.array([0]))
         t = b.build()
         assert t.errors is None
@@ -104,18 +106,18 @@ class TestTraceBuilder:
         assert t.times is None
 
     def test_empty_active_set_rejected(self):
-        b = TraceBuilder(1)
+        b = TraceStore(1)
         with pytest.raises(ValueError):
             b.record((), np.array([0]))
 
     def test_record_initial_after_record_rejected(self):
-        b = TraceBuilder(1)
+        b = TraceStore(1)
         b.record((0,), np.array([0]))
         with pytest.raises(RuntimeError):
             b.record_initial(error=1.0)
 
     def test_inconsistent_series_rejected(self):
-        b = TraceBuilder(1)
+        b = TraceStore(1)
         b.record_initial(error=1.0)
         b.record((0,), np.array([0]))  # no error recorded
         with pytest.raises(RuntimeError, match="series"):

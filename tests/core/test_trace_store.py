@@ -282,12 +282,7 @@ class TestBackendTraceOptions:
 
 
 class TestBuilderCompat:
-    """TraceBuilder (the alias) keeps its historical error behavior."""
-
-    def test_alias(self):
-        from repro.core.trace import TraceBuilder
-
-        assert TraceBuilder is TraceStore
+    """TraceStore keeps the historical builder error behavior."""
 
     def test_record_initial_after_flush_rejected(self):
         store = TraceStore(1, chunk_size=1)

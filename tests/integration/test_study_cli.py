@@ -82,6 +82,19 @@ class TestStudyRun:
         assert main(["study", "run", str(path)]) == 2
         assert "did you mean 'n_seeds'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,line,message", [
+        ("execution", "chunk_sise = 4", "did you mean 'chunk_size'"),
+        ("store", "keep_trace = true", "did you mean 'keep_traces'"),
+        ("report", "group = []", "unknown report key 'group'"),
+        ("solver", "max_iteration = 5", "did you mean 'max_iterations'"),
+    ])
+    def test_unknown_section_key_exits_2(self, tmp_path, capsys, section,
+                                         line, message):
+        path = tmp_path / "typo.toml"
+        path.write_text(f'[{section}]\n{line}\n\n[[problems]]\nname = "jacobi"\n')
+        assert main(["study", "run", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestStudyResumeReport:
     def test_kill_and_resume_reproduces_digest(self, study_file, capsys):

@@ -145,6 +145,34 @@ class TestEngineBatchBitIdentity:
         assert_identical([run_scenario(s) for s in specs],
                          run_scenario_batch(specs))
 
+    @pytest.mark.parametrize("steering,delays,params,tol", [
+        ("cyclic", "constant", {"delay": 2}, 1e-8),
+        ("even-odd", "uniform", {"bound": 3}, 0.0),
+        ("all", "uniform", {"bound": 2}, 1e-8),
+    ])
+    def test_long_runs_shared_steering(self, steering, delays, params, tol):
+        specs = engine_specs(steering=steering, delays=delays, tol=tol,
+                             max_iterations=120, **params)
+        calls = []
+        batch = run_scenario_batch(specs, solo=_spy_solo(calls))
+        assert not calls, f"fell back to solo for {calls}"
+        assert_identical([run_scenario(s) for s in specs], batch)
+
+    def test_forward_backward_operators(self):
+        # ridge builds ForwardBackward operators, not an AffineOperator
+        # stack: the operator analysis and norms take their generic paths.
+        specs = [
+            ScenarioSpec(problem="ridge",
+                         problem_params={"n_samples": 10, "n_features": 5},
+                         steering="cyclic", delays="zero",
+                         max_iterations=30, tol=1e-6, seed=40 + k)
+            for k in range(3)
+        ]
+        calls = []
+        batch = run_scenario_batch(specs, solo=_spy_solo(calls))
+        assert not calls, f"fell back to solo for {calls}"
+        assert_identical([run_scenario(s) for s in specs], batch)
+
 
 class TestLockstepBatchBitIdentity:
     @pytest.mark.parametrize("backend", ["vectorized", "reference",
@@ -418,52 +446,3 @@ class TestBuildBatchGolden:
         from repro.scenarios.registry import build_batch
 
         assert build_batch([]) == []
-
-
-class TestJitIntegration:
-    """The compiled-kernel hook, exercised with the interpreted twin
-    pinned in place of a numba build (so the test runs without wheels)."""
-
-    @pytest.fixture()
-    def pinned_kernel(self, monkeypatch):
-        from repro.runtime.simulator import kernels
-
-        monkeypatch.setattr(kernels, "_resolved",
-                            (kernels._engine_kernel_py,))
-        return kernels
-
-    @pytest.mark.parametrize("steering,delays,params,tol", [
-        ("cyclic", "constant", {"delay": 2}, 1e-8),
-        ("even-odd", "uniform", {"bound": 3}, 0.0),
-        ("all", "uniform", {"bound": 2}, 1e-8),
-    ])
-    def test_kernel_path_bit_identical(self, pinned_kernel, steering,
-                                       delays, params, tol):
-        specs = engine_specs(steering=steering, delays=delays, tol=tol,
-                             max_iterations=120, **params)
-        assert_identical([run_scenario(s) for s in specs],
-                         run_scenario_batch(specs, jit=True))
-
-    def test_ineligible_operator_uses_numpy_path(self, pinned_kernel):
-        # ForwardBackward operators are outside the kernel's shape; the
-        # jit flag must not change their results (numpy path runs).
-        specs = [
-            ScenarioSpec(problem="ridge",
-                         problem_params={"n_samples": 10, "n_features": 5},
-                         steering="cyclic", delays="zero",
-                         max_iterations=30, tol=1e-6, seed=40 + k)
-            for k in range(3)
-        ]
-        assert_identical([run_scenario(s) for s in specs],
-                         run_scenario_batch(specs, jit=True))
-
-    def test_jit_false_pins_numpy_path(self, monkeypatch):
-        from repro.runtime.simulator import kernels
-
-        def boom(*a, **k):  # the kernel must never be consulted
-            raise AssertionError("resolve_kernel called with jit=False")
-
-        monkeypatch.setattr(kernels, "resolve_kernel", boom)
-        specs = engine_specs(count=3, bound=2)
-        assert_identical([run_scenario(s) for s in specs],
-                         run_scenario_batch(specs, jit=False))

@@ -1,14 +1,11 @@
-"""Tests for RNG helpers and the stopwatch."""
+"""Tests for the RNG helpers."""
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 import pytest
 
 from repro.utils.rng import as_generator, spawn_generators
-from repro.utils.timing import Stopwatch
 
 
 class TestAsGenerator:
@@ -61,45 +58,3 @@ class TestSpawnGenerators:
         five = [g.random() for g in spawn_generators(5, 5)]
         assert three == five[:3]
 
-
-class TestStopwatch:
-    def test_context_manager_accumulates(self):
-        sw = Stopwatch()
-        with sw:
-            time.sleep(0.01)
-        assert sw.elapsed >= 0.005
-        first = sw.elapsed
-        with sw:
-            time.sleep(0.01)
-        assert sw.elapsed > first
-
-    def test_double_start_raises(self):
-        sw = Stopwatch().start()
-        with pytest.raises(RuntimeError):
-            sw.start()
-        sw.stop()
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop()
-
-    def test_reset(self):
-        sw = Stopwatch()
-        with sw:
-            pass
-        sw.reset()
-        assert sw.elapsed == 0.0
-
-    def test_reset_while_running_raises(self):
-        sw = Stopwatch().start()
-        with pytest.raises(RuntimeError):
-            sw.reset()
-        sw.stop()
-
-    def test_running_flag(self):
-        sw = Stopwatch()
-        assert not sw.running
-        sw.start()
-        assert sw.running
-        sw.stop()
-        assert not sw.running
