@@ -11,6 +11,11 @@ object being computed.  The engine only ever needs
 plus, for analysis, optional knowledge of a fixed point and of a
 contraction factor in a weighted max norm.  :class:`FixedPointOperator`
 is the ABC capturing that contract.
+
+Scenario batches evaluate a group of same-shape operators on a
+``(B', dim)`` array of rows at once through :meth:`FixedPointOperator.stack`
+(see :class:`OperatorStack`); every row stays bit-identical to the
+solo call.
 """
 
 from __future__ import annotations
@@ -23,7 +28,51 @@ import numpy as np
 from repro.utils.norms import BlockSpec, WeightedMaxNorm
 from repro.utils.validation import check_vector
 
-__all__ = ["FixedPointOperator", "ComposedOperator", "DampedOperator"]
+__all__ = [
+    "FixedPointOperator",
+    "ComposedOperator",
+    "DampedOperator",
+    "OperatorStack",
+    "RowStack",
+    "matvec_rows",
+    "stack_operators",
+]
+
+
+def matvec_rows(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Row ``k`` of the result is ``M[k] @ X[k]``, bit for bit.
+
+    One stacked ``np.matmul`` of ``(B', m, d)`` with ``(B', d, 1)``:
+    numpy calls the same BLAS gemv (a dot when ``m == 1``) per stack
+    item, with the same operands and strides, as the solo 2-D @ 1-D
+    product.  ``einsum`` or one GEMM over concatenated rows would
+    reorder the sums, so neither is ever used here.
+    """
+    return np.matmul(M, np.ascontiguousarray(X)[:, :, None])[:, :, 0]
+
+
+class RowStack:
+    """Per-row operands of a stacked twin, gathered once per live set.
+
+    ``rows`` are sorted, distinct indices into the group, so
+    ``len(rows) == B`` means every row: such calls use the stacks as
+    built, and a shrinking live set is gathered once and reused until
+    it changes.
+    """
+
+    def __init__(self, *stacks: np.ndarray) -> None:
+        self._full = stacks
+        self._key: bytes | None = None
+        self._sel = stacks
+
+    def take(self, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        if len(rows) == len(self._full[0]):
+            return self._full
+        key = rows.tobytes()
+        if key != self._key:
+            self._key = key
+            self._sel = tuple(a[rows] for a in self._full)
+        return self._sel
 
 
 class FixedPointOperator(abc.ABC):
@@ -58,6 +107,16 @@ class FixedPointOperator(abc.ABC):
         override when a component can be computed independently.
         """
         return self.apply(x)[self._block_spec.slice(i)]
+
+    @classmethod
+    def stack(cls, ops: Sequence["FixedPointOperator"]) -> "OperatorStack":
+        """Stacked twin of :meth:`apply`/:meth:`apply_block` for ``ops``.
+
+        ``ops`` are same-shape instances of exactly this class.  Families
+        with a vectorized twin override this; the default is the row
+        loop of :class:`OperatorStack`.
+        """
+        return OperatorStack(ops)
 
     def apply_blocks(self, x: np.ndarray, blocks: Sequence[int]) -> np.ndarray:
         """Evaluate several components at once, concatenated in block order.
@@ -110,6 +169,43 @@ class FixedPointOperator(abc.ABC):
         """Fixed-point residual ``||F(x) - x||_u`` in :meth:`norm`."""
         x = check_vector(x, "x", dim=self._dim)
         return self.norm()(self.apply(x) - x)
+
+
+class OperatorStack:
+    """A group of same-shape operators evaluated on stacked rows.
+
+    ``X`` is a C-contiguous ``(B', dim)`` array of rows and ``rows`` are
+    their sorted, distinct indices into ``ops``; row ``k`` of every
+    result is bit-identical to the solo call of ``ops[rows[k]]`` on
+    ``X[k]``.  This generic twin is that row loop; vectorized twins
+    subclass it and override :meth:`apply` and :meth:`apply_block`.
+    """
+
+    def __init__(self, ops: Sequence[FixedPointOperator]) -> None:
+        self.ops = list(ops)
+
+    def apply(self, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return np.stack([self.ops[b].apply(x) for b, x in zip(rows, X)])
+
+    def apply_block(self, X: np.ndarray, i: int, rows: np.ndarray) -> np.ndarray:
+        return np.stack([self.ops[b].apply_block(x, i) for b, x in zip(rows, X)])
+
+    def residual(self, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return np.array(
+            [self.ops[b].residual(x) for b, x in zip(rows, X)], dtype=np.float64
+        )
+
+
+def stack_operators(ops: Sequence[FixedPointOperator]) -> OperatorStack:
+    """The stacked twin of a same-shape operator group.
+
+    Mixed classes get the generic row loop; otherwise the class's own
+    :meth:`FixedPointOperator.stack` decides.
+    """
+    cls = type(ops[0])
+    if any(type(op) is not cls for op in ops):
+        return OperatorStack(ops)
+    return cls.stack(ops)
 
 
 class ComposedOperator(FixedPointOperator):

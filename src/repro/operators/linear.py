@@ -12,9 +12,11 @@ convergence.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from repro.operators.base import FixedPointOperator
+from repro.operators.base import FixedPointOperator, OperatorStack, RowStack, matvec_rows
 from repro.utils.norms import BlockSpec, WeightedMaxNorm
 from repro.utils.validation import check_finite_array, check_vector
 
@@ -73,6 +75,15 @@ class AffineOperator(FixedPointOperator):
     def apply_block(self, x: np.ndarray, i: int) -> np.ndarray:
         sl = self.block_spec.slice(i)
         return self.A[sl, :] @ x + self.b[sl]
+
+    @classmethod
+    def stack(cls, ops: "Sequence[FixedPointOperator]") -> OperatorStack:
+        """Vectorized twin of :meth:`apply`/:meth:`apply_block` (see :class:`_AffineStack`)."""
+        if cls is not AffineOperator or any(
+            op.block_spec != ops[0].block_spec for op in ops
+        ):
+            return super().stack(ops)
+        return _AffineStack(ops)
 
     # -- analysis -----------------------------------------------------
     def spectral_radius_abs(self) -> float:
@@ -224,6 +235,26 @@ class AffineOperator(FixedPointOperator):
                 # One singular system poisons the whole gufunc call;
                 # let each operator fall back to its own lazy solve.
                 pass
+
+
+class _AffineStack(OperatorStack):
+    """``A[sl] @ x + b[sl]`` for every row: one stacked matvec per call."""
+
+    def __init__(self, ops: "Sequence[AffineOperator]") -> None:
+        super().__init__(ops)
+        self._slices = list(ops[0].block_spec.slices())
+        self._operands = RowStack(
+            np.stack([op.A for op in ops]), np.stack([op.b for op in ops])
+        )
+
+    def apply(self, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        A, b = self._operands.take(rows)
+        return matvec_rows(A, X) + b
+
+    def apply_block(self, X: np.ndarray, i: int, rows: np.ndarray) -> np.ndarray:
+        A, b = self._operands.take(rows)
+        sl = self._slices[i]
+        return matvec_rows(A[:, sl, :], X) + b[:, sl]
 
 
 def _split_diag(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -16,13 +16,18 @@ Two orderings appear in the literature and both are provided:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
-from repro.operators.base import FixedPointOperator
+from repro.operators.base import FixedPointOperator, OperatorStack, RowStack
 from repro.operators.gradient import gradient_contraction_factor
-from repro.operators.proximal import Regularizer, ZeroRegularizer
+from repro.operators.proximal import (
+    L1Regularizer,
+    Regularizer,
+    ZeroRegularizer,
+    soft_threshold,
+)
 from repro.utils.norms import BlockSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -137,5 +142,59 @@ class ForwardBackwardOperator(_CompositeOperatorBase):
             return x[sl] - self.gamma * self.problem.smooth.gradient_block(x, sl)
         return self.apply(x)[self.block_spec.slice(i)]
 
+    @classmethod
+    def stack(cls, ops: "Sequence[FixedPointOperator]") -> OperatorStack:
+        """Vectorized twin when the smooth part has one and ``g`` is zero or L1."""
+        head = ops[0]
+        reg_type = type(head.regularizer)
+        smooth_type = type(head.problem.smooth)
+        if (
+            cls is ForwardBackwardOperator
+            and reg_type in (ZeroRegularizer, L1Regularizer)
+            and all(
+                type(op.regularizer) is reg_type
+                and type(op.problem.smooth) is smooth_type
+                and op.block_spec == head.block_spec
+                for op in ops
+            )
+        ):
+            smooth = smooth_type.stack([op.problem.smooth for op in ops])
+            if smooth is not None:
+                return _ForwardBackwardStack(ops, smooth)
+        return super().stack(ops)
+
     def fixed_point(self) -> np.ndarray | None:
         return self.problem.solution()
+
+
+class _ForwardBackwardStack(OperatorStack):
+    """Stacked forward step, then the zero or soft-threshold prox, per row.
+
+    ``gamma`` and the L1 threshold ``lam * gamma`` ride as per-row
+    columns; the gradient comes from the smooth part's stacked twin.
+    """
+
+    def __init__(self, ops: "Sequence[ForwardBackwardOperator]", smooth: Any) -> None:
+        super().__init__(ops)
+        self._smooth = smooth
+        self._slices = list(ops[0].block_spec.slices())
+        self._l1 = type(ops[0].regularizer) is L1Regularizer
+        self._operands = RowStack(
+            np.array([[op.gamma] for op in ops]),
+            np.array([[op.regularizer.lam * op.gamma if self._l1 else 0.0] for op in ops]),
+        )
+
+    def apply(self, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        gamma, t = self._operands.take(rows)
+        Y = X - gamma * self._smooth.gradient(X, rows)
+        return soft_threshold(Y, t) if self._l1 else Y
+
+    def apply_block(self, X: np.ndarray, i: int, rows: np.ndarray) -> np.ndarray:
+        gamma, t = self._operands.take(rows)
+        sl = self._slices[i]
+        if not self._l1:
+            return X[:, sl] - gamma * self._smooth.gradient_block(X, sl, rows)
+        # The solo prox slices a full forward step; the elementwise tail
+        # may run on the block alone, the gradient may not.
+        G = self._smooth.gradient(X, rows)
+        return soft_threshold(X[:, sl] - gamma * G[:, sl], t)

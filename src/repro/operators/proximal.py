@@ -31,7 +31,17 @@ __all__ = [
     "BoxConstraint",
     "NonNegativeConstraint",
     "GroupLassoRegularizer",
+    "soft_threshold",
 ]
+
+
+def soft_threshold(x: np.ndarray, t: "float | np.ndarray") -> np.ndarray:
+    """``sign(x) * max(|x| - t, 0)``, elementwise.
+
+    ``t`` may be a scalar or broadcast per row (a ``(B', 1)`` column for
+    stacked rows); each element takes the same operations either way.
+    """
+    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 
 class Regularizer(abc.ABC):
@@ -75,8 +85,7 @@ class L1Regularizer(Regularizer):
 
     def prox(self, x: np.ndarray, gamma: float) -> np.ndarray:
         check_nonnegative(gamma, "gamma")
-        t = self.lam * gamma
-        return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+        return soft_threshold(x, self.lam * gamma)
 
 
 class L2Regularizer(Regularizer):
@@ -125,8 +134,7 @@ class ElasticNetRegularizer(Regularizer):
 
     def prox(self, x: np.ndarray, gamma: float) -> np.ndarray:
         check_nonnegative(gamma, "gamma")
-        soft = np.sign(x) * np.maximum(np.abs(x) - self.lam1 * gamma, 0.0)
-        return soft / (1.0 + self.lam2 * gamma)
+        return soft_threshold(x, self.lam1 * gamma) / (1.0 + self.lam2 * gamma)
 
 
 class BoxConstraint(Regularizer):

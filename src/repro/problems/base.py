@@ -12,6 +12,7 @@ reference solution by FISTA for error reporting.
 from __future__ import annotations
 
 import abc
+from typing import Any
 
 import numpy as np
 
@@ -49,6 +50,18 @@ class SmoothProblem(abc.ABC):
         with a partial evaluation (cost proportional to the block).
         """
         return self.gradient(x)[sl]
+
+    @classmethod
+    def stack(cls, problems: "list[SmoothProblem]") -> "Any | None":
+        """Vectorized twin of :meth:`gradient`/:meth:`gradient_block`.
+
+        ``problems`` are same-shape instances of exactly this class; the
+        twin offers ``gradient(X, rows)`` and ``gradient_block(X, sl,
+        rows)`` on ``(B', dim)`` rows, bit-identical per row to the solo
+        calls (see :class:`~repro.operators.base.OperatorStack`).
+        ``None`` when the family has none.
+        """
+        return None
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         """Dense Hessian at ``x``; optional (Newton operators need it)."""

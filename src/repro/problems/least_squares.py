@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.operators.base import RowStack, matvec_rows
 from repro.operators.proximal import ElasticNetRegularizer, L1Regularizer, ZeroRegularizer
 from repro.problems.base import CompositeProblem, SmoothProblem
 from repro.problems.datasets import RegressionData
@@ -100,6 +101,14 @@ class LeastSquaresProblem(SmoothProblem):
         x = np.asarray(x, dtype=np.float64)
         return self._gram[sl, :] @ x - self._Ytz[sl] + self.l2 * x[sl]
 
+    @classmethod
+    def stack(cls, problems: "list[SmoothProblem]") -> "_LeastSquaresStack | None":
+        if cls is not LeastSquaresProblem or any(
+            p._gram.shape != problems[0]._gram.shape for p in problems
+        ):
+            return None
+        return _LeastSquaresStack(problems)
+
     def hessian(self, x: np.ndarray) -> np.ndarray:
         return self._gram + self.l2 * np.eye(self.dim)
 
@@ -107,6 +116,25 @@ class LeastSquaresProblem(SmoothProblem):
         if self._sol is None:
             self._sol = np.linalg.solve(self.hessian(np.zeros(self.dim)), self._Ytz)
         return self._sol.copy()
+
+
+class _LeastSquaresStack:
+    """Row-stacked ``gram @ x - Ytz + l2 * x``: one stacked matvec per call."""
+
+    def __init__(self, problems: "list[LeastSquaresProblem]") -> None:
+        self._operands = RowStack(
+            np.stack([p._gram for p in problems]),
+            np.stack([p._Ytz for p in problems]),
+            np.array([[p.l2] for p in problems]),
+        )
+
+    def gradient(self, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        gram, Ytz, l2 = self._operands.take(rows)
+        return matvec_rows(gram, X) - Ytz + l2 * X
+
+    def gradient_block(self, X: np.ndarray, sl: slice, rows: np.ndarray) -> np.ndarray:
+        gram, Ytz, l2 = self._operands.take(rows)
+        return matvec_rows(gram[:, sl, :], X) - Ytz[:, sl] + l2 * X[:, sl]
 
 
 def batch_least_squares(

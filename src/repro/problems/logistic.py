@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.operators.base import RowStack, matvec_rows
 from repro.operators.proximal import L1Regularizer, ZeroRegularizer
 from repro.problems.base import CompositeProblem, SmoothProblem
 from repro.problems.datasets import ClassificationData
@@ -75,14 +76,7 @@ class LogisticProblem(SmoothProblem):
 
     def _sigmoid_neg_margins(self, x: np.ndarray) -> np.ndarray:
         """``sigma(-margins) = 1/(1 + exp(margins))`` stably."""
-        margins = self._A @ np.asarray(x, dtype=np.float64)
-        out = np.empty_like(margins)
-        pos = margins >= 0
-        e = np.exp(-margins[pos])
-        out[pos] = e / (1.0 + e)
-        e2 = np.exp(margins[~pos])
-        out[~pos] = 1.0 / (1.0 + e2)
-        return out
+        return _sigmoid_neg(self._A @ np.asarray(x, dtype=np.float64))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -93,6 +87,14 @@ class LogisticProblem(SmoothProblem):
         x = np.asarray(x, dtype=np.float64)
         s = self._sigmoid_neg_margins(x)
         return -(self._A[:, sl].T @ s) / self._A.shape[0] + self.l2 * x[sl]
+
+    @classmethod
+    def stack(cls, problems: "list[SmoothProblem]") -> "_LogisticStack | None":
+        if cls is not LogisticProblem or any(
+            p._A.shape != problems[0]._A.shape for p in problems
+        ):
+            return None
+        return _LogisticStack(problems)
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         s = self._sigmoid_neg_margins(x)
@@ -105,6 +107,43 @@ class LogisticProblem(SmoothProblem):
         pred = np.sign(features @ np.asarray(x, dtype=np.float64))
         pred[pred == 0] = 1.0
         return float(np.mean(pred == labels))
+
+
+def _sigmoid_neg(margins: np.ndarray) -> np.ndarray:
+    """Elementwise ``1/(1 + exp(margins))``, masked by sign for stability.
+
+    Shape-agnostic: the solo gradient passes one margin vector, the
+    stacked twin a ``(B', m)`` array; each element takes the same
+    masked ``exp`` either way.
+    """
+    out = np.empty_like(margins)
+    pos = margins >= 0
+    e = np.exp(-margins[pos])
+    out[pos] = e / (1.0 + e)
+    e2 = np.exp(margins[~pos])
+    out[~pos] = 1.0 / (1.0 + e2)
+    return out
+
+
+class _LogisticStack:
+    """Row-stacked logistic gradients: stacked matvecs around one masked exp."""
+
+    def __init__(self, problems: "list[LogisticProblem]") -> None:
+        self._m = problems[0]._A.shape[0]
+        self._operands = RowStack(
+            np.stack([p._A for p in problems]),
+            np.array([[p.l2] for p in problems]),
+        )
+
+    def gradient(self, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        A, l2 = self._operands.take(rows)
+        s = _sigmoid_neg(matvec_rows(A, X))
+        return -matvec_rows(A.transpose(0, 2, 1), s) / self._m + l2 * X
+
+    def gradient_block(self, X: np.ndarray, sl: slice, rows: np.ndarray) -> np.ndarray:
+        A, l2 = self._operands.take(rows)
+        s = _sigmoid_neg(matvec_rows(A, X))
+        return -matvec_rows(A[:, :, sl].transpose(0, 2, 1), s) / self._m + l2 * X[:, sl]
 
 
 def batch_logistic(

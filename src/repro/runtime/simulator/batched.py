@@ -45,11 +45,22 @@ Three invariants make the results *bit-identical* to solo runs:
    Deterministic models (cyclic/block/even-odd steering, zero/constant/
    log-growth/power delays) are evaluated once per iteration and shared
    across the batch.
-2. **No cross-scenario arithmetic** — matvecs
-   (``apply_block``/``apply``) stay per-scenario calls (batched GEMM is
-   not bit-equal to N GEMVs); only element gathers/scatters and
-   max-based norms — which are exact under any regrouping — vectorize
-   across the batch.
+2. **No cross-scenario arithmetic** — every float a scenario sees comes
+   from its own operands in the solo order.  Updates and residuals go
+   through one stacked interface,
+   :func:`~repro.operators.base.stack_operators`, whose
+   ``apply``/``apply_block`` take all live rows at once.  Per-scenario
+   matvecs may run as one stacked ``np.matmul`` (numpy calls the same
+   gemv per stack item as the solo call); never as ``einsum`` or one
+   GEMM over concatenated rows, which reorder the sums, and no
+   reduction ever crosses scenarios.  Elementwise steps take per-row
+   parameter columns.  Vectorized twins exist for
+   :class:`~repro.operators.linear.AffineOperator` (jacobi, tridiagonal)
+   and :class:`~repro.operators.prox_gradient.ForwardBackwardOperator`
+   over least-squares or logistic smooth parts with the zero or L1 prox
+   (ridge, lasso, logistic); every other family runs a row loop of solo
+   calls.  Element gathers/scatters and max-based norms are exact under
+   any regrouping and vectorize freely.
 3. **Divergence masking** — a scenario that terminates (tolerance
    reached, budget exhausted) freezes: its final state is snapshotted
    and it stops consuming its streams, exactly where the solo loop
@@ -70,6 +81,8 @@ import time
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
+
+from repro.operators.base import FixedPointOperator, OperatorStack, stack_operators
 
 if TYPE_CHECKING:  # registry -> simulator package -> here: keep lazy
     from repro.scenarios.spec import ScenarioSpec
@@ -138,7 +151,7 @@ def construction_seconds() -> float:
 
 
 def _spawn_seeds(spec: ScenarioSpec, count: int) -> "list[Any]":
-    """First ``count`` of the spec's five child seeds, skipping the rest.
+    """First ``count`` of the spec's seven child seeds, skipping the rest.
 
     ``SeedSequence.spawn(k)`` children are prefix-stable: child ``i``
     is keyed by ``spawn_key == (i,)`` regardless of ``k``, so spawning
@@ -359,32 +372,23 @@ class _BatchedNorm:
         return (A / W).max(axis=1)
 
 
-def _build_residual(ops: "Sequence[Any]", batched_norm: "_BatchedNorm | None"):
-    """Per-scenario residual evaluator, vectorizing the norm when exact.
+def _build_residual(stack: OperatorStack, batched_norm: "_BatchedNorm | None"):
+    """Residual evaluator over stacked rows, vectorizing the norm when exact.
 
     When the operator type keeps the base-class residual definition
     (``||F(x) - x||_u``) and the norm batches, residuals for many rows
-    evaluate as per-scenario ``apply`` calls (matvecs stay solo) plus
-    one batched norm.  Otherwise every row is a plain
-    ``op.residual(x)`` call — always bit-identical, just slower.
+    are one stacked ``apply`` plus one batched norm.  Otherwise every
+    row is a plain ``op.residual(x)`` call — always bit-identical, just
+    slower.
     """
-    from repro.operators.base import FixedPointOperator
-
     plain = all(
-        type(op).residual is FixedPointOperator.residual for op in ops
+        type(op).residual is FixedPointOperator.residual for op in stack.ops
     )
     if plain and batched_norm is not None:
         def residuals(X: np.ndarray, rows: np.ndarray) -> np.ndarray:
-            V = np.empty_like(X)
-            for k, b in enumerate(rows):
-                V[k] = ops[b].apply(X[k]) - X[k]
-            return batched_norm(V, rows)
-    else:
-        def residuals(X: np.ndarray, rows: np.ndarray) -> np.ndarray:
-            return np.array(
-                [ops[b].residual(X[k]) for k, b in enumerate(rows)], dtype=np.float64
-            )
-    return residuals
+            return batched_norm(stack.apply(X, rows) - X, rows)
+        return residuals
+    return stack.residual
 
 
 def _summaries(
@@ -530,7 +534,8 @@ def _run_engine_batch(specs: Sequence[ScenarioSpec]) -> "list[Any]":
     _precompute_analysis(ops)
     refs = [op.fixed_point() for op in ops]
     batched_norm = _BatchedNorm.build_from_ops(ops)
-    residual_of = _build_residual(ops, batched_norm)
+    stack = stack_operators(ops)
+    residual_of = _build_residual(stack, batched_norm)
     _construction_seconds += time.perf_counter() - t0
 
     # Window the batch so the (J+1, B, dim) history slab stays bounded.
@@ -548,77 +553,77 @@ def _run_engine_batch(specs: Sequence[ScenarioSpec]) -> "list[Any]":
         converged = np.zeros(wB, dtype=bool)
         x_final = np.zeros((wB, dim))
         flatH = H.reshape(-1)
-        live = list(range(wB))
+        live = np.arange(wB, dtype=np.intp)  # window rows still running
         j_done = 0
 
         for j in range(1, J + 1):
             j_done = j
-            live_arr = np.asarray(live, dtype=np.intp)
+            rows = live + w0  # their indices into the group
+            sel = slice(None) if len(live) == wB else live
             # Labels l_i(j): shared when the model is a pure function
             # of j, stepped on each scenario's own stream otherwise.
             if shared_delays:
-                lab = delay_models[w0 + live[0]].labels(j)
+                lab = delay_models[rows[0]].labels(j)
                 elem_lab = lab[comp_map][None, :]
             elif batch_labels:
                 d = np.stack(
-                    [delay_models[w0 + b].raw_delays(j) for b in live]
+                    [delay_models[b].raw_delays(j) for b in rows.tolist()]
                 ).astype(np.int64, copy=False)
-                if d.shape[1] != n or np.any(d < 0):
+                if d.shape[1] != n or (d < 0).any():
                     raise RuntimeError("raw_delays contract violation")
-                elem_lab = np.clip((j - 1) - d, 0, j - 1)[:, comp_map]
+                # d >= 0, so clipping (j - 1) - d to [0, j - 1] only
+                # needs the lower bound.
+                elem_lab = np.maximum((j - 1) - d, 0)[:, comp_map]
             else:
                 lab_mat = np.stack(
-                    [delay_models[w0 + b].labels(j) for b in live]
+                    [delay_models[b].labels(j) for b in rows.tolist()]
                 )
                 elem_lab = lab_mat[:, comp_map]
-            gather = (elem_lab * wB + live_arr[:, None]) * dim + elem_range
+            gather = (elem_lab * wB + live[:, None]) * dim + elem_range
             delayed = flatH[gather.reshape(-1)].reshape(len(live), dim)
 
-            H[j] = H[j - 1]
+            # Every block of S_j reads the same delayed rows, so each
+            # block is one stacked call over the rows that update it.
+            Hj = H[j]
+            Hj[...] = H[j - 1]
             if shared_steering:
-                S = steerings[w0 + live[0]].active_set(j)
+                S = steerings[rows[0]].active_set(j)
                 if len(S) == 0:
                     raise RuntimeError(f"steering produced empty S_{j}")
-                for k, b in enumerate(live):
-                    row = delayed[k]
-                    hb = H[j, b]
-                    for i in S:
-                        hb[slices[i]] = ops[w0 + b].apply_block(row, i)
+                for i in S:
+                    Hj[sel, slices[i]] = stack.apply_block(delayed, i, rows)
             else:
-                for k, b in enumerate(live):
-                    S = steerings[w0 + b].active_set(j)
+                member = np.zeros((len(live), n), dtype=bool)
+                for k, b in enumerate(rows.tolist()):
+                    S = steerings[b].active_set(j)
                     if len(S) == 0:
                         raise RuntimeError(f"steering produced empty S_{j}")
-                    row = delayed[k]
-                    hb = H[j, b]
-                    for i in S:
-                        hb[slices[i]] = ops[w0 + b].apply_block(row, i)
+                    member[k, list(S)] = True
+                for i in np.flatnonzero(member.any(axis=0)).tolist():
+                    sub = np.flatnonzero(member[:, i])
+                    Hj[live[sub], slices[i]] = stack.apply_block(
+                        delayed[sub], i, rows[sub]
+                    )
 
             if tol > 0.0:
                 # residual_every = 1 (the exact backend's fleet default):
                 # the stopping test sees a fresh residual every j.
-                res = residual_of(H[j, live_arr], live_arr + w0)
-                frozen = []
-                for k, b in enumerate(live):
-                    if res[k] < tol:
-                        converged[b] = True
-                        iterations[b] = j
-                        x_final[b] = H[j, b]
-                        frozen.append(b)
-                if frozen:
-                    live = [b for b in live if b not in set(frozen)]
-                    if not live:
+                done = residual_of(Hj[sel], rows) < tol
+                if done.any():
+                    stop = live[done]
+                    converged[stop] = True
+                    iterations[stop] = j
+                    x_final[stop] = Hj[stop]
+                    live = live[~done]
+                    if not len(live):
                         break
 
-        if live:
-            live_arr = np.asarray(live, dtype=np.intp)
-            iterations[live_arr] = j_done
-            x_final[live_arr] = H[j_done, live_arr]
+        iterations[live] = j_done
+        x_final[live] = H[j_done, live]
 
         # Solo recomputes the residual at the final iterate even when
         # the loop already measured it (same call, same bits).
-        all_rows = np.arange(wB, dtype=np.intp)
-        final_res = residual_of(x_final, all_rows + w0)
+        final_res = residual_of(x_final, np.arange(wB, dtype=np.intp) + w0)
 
         X_parts.append(x_final)
         it_parts.append(iterations)
@@ -851,8 +856,9 @@ def _run_lockstep_batch(specs: Sequence[ScenarioSpec]) -> "list[Any]":
 
     Executes the value-free schedule from :func:`_lockstep_schedule`
     over ``(P, B, dim)`` state: snapshots and deliveries are batched
-    scatters, commits run each live scenario's Gauss-Seidel
-    ``apply_block`` phase on its snapshot row.  Residual cadence
+    scatters, and a commit runs the processor's Gauss-Seidel phase as
+    one stacked ``apply_block`` per component over every live snapshot
+    row.  Residual cadence
     (every ``10`` commits or at the budget), convergence-carry
     semantics, message counts and the residual/time series feeding
     ``time_to_tol`` all follow ``DistributedSimulator.run`` with the
@@ -918,10 +924,18 @@ def _run_lockstep_batch(specs: Sequence[ScenarioSpec]) -> "list[Any]":
     own_elems = [
         np.concatenate([elem_idx[c] for c in comps]) for comps in plan.components
     ]
+    # Each processor's elements as a slice when contiguous (the usual
+    # case), so the all-live scatters below are plain slicing.
+    own = [
+        slice(int(oe[0]), int(oe[-1]) + 1)
+        if np.array_equal(oe, np.arange(oe[0], oe[0] + oe.size)) else oe
+        for oe in own_elems
+    ]
     _precompute_analysis(ops_list)
     refs = [op.fixed_point() for op in ops_list]
     batched_norm = _BatchedNorm.build_from_ops(ops_list)
-    residual_of = _build_residual(ops_list, batched_norm)
+    stack = stack_operators(ops_list)
+    residual_of = _build_residual(stack, batched_norm)
     all_rows = np.arange(B, dtype=np.intp)
     _construction_seconds += time.perf_counter() - t0
 
@@ -943,66 +957,74 @@ def _run_lockstep_batch(specs: Sequence[ScenarioSpec]) -> "list[Any]":
     messages_sent = np.zeros(B, dtype=np.int64)
 
     # The event loop computes the initial residual unconditionally; it
-    # seeds the carried stopping value and the trace's residual series.
+    # seeds the carried stopping value and the trace's residual series,
+    # which then gains the carried value at every commit.
     last_res = residual_of(global_x, all_rows) if tol > 0.0 else None
-    res_series: "list[list[float]] | None" = None
-    time_series: "list[list[float]] | None" = None
-    if tol > 0.0:
-        res_series = [[float(last_res[b])] for b in range(B)]
-        time_series = [[] for _ in range(B)]
+    res0 = None if last_res is None else last_res.copy()
+    res_hist: list[np.ndarray] = []
+    time_hist: list[float] = []
 
-    live = list(range(B))
-    live_arr = np.asarray(live, dtype=np.intp)
+    # ``sel`` picks the live rows: a full slice until the first
+    # scenario stops, then the live index array.  ``pairs[p]`` picks
+    # (live rows) x (processor p's elements); both are rebuilt only
+    # when the live set changes.
+    live = all_rows
+    sel: "slice | np.ndarray" = slice(None)
+    pairs: list[Any] = [(sel, o) for o in own]
     for op in schedule:
-        if not live:
-            break
         code, a, b_, j, end_t = op
         if code == _OP_SNAP:
-            S[a][live_arr] = V[a][live_arr]
+            S[a][sel] = V[a][sel]
             continue
         if code == _OP_DELIVER:
-            oe = own_elems[b_]
-            V[a][np.ix_(live_arr, oe)] = payloads[b_][live_arr]
+            V[a][pairs[b_]] = payloads[b_][sel]
             continue
         pid = a
-        oe = own_elems[pid]
-        for b in live:
-            snap = S[pid][b]
-            for comp in plan.components[pid]:
-                # Gauss-Seidel within the phase, as in the event loop.
-                snap[slices[comp]] = ops_list[b].apply_block(snap, comp)
-        committed = S[pid][np.ix_(live_arr, oe)]
-        payloads[pid][live_arr] = committed
-        V[pid][np.ix_(live_arr, oe)] = committed
-        global_x[np.ix_(live_arr, oe)] = committed
-        messages_sent[live_arr] += msgs_per_commit[pid]
+        # Gauss-Seidel within the phase, as in the event loop, for all
+        # live rows at once.  A frozen row's snapshot is never read
+        # again, so a partial live set may update a gathered copy.
+        snap = S[pid] if len(live) == B else S[pid][live]
+        for comp in plan.components[pid]:
+            snap[:, slices[comp]] = stack.apply_block(snap, comp, live)
+        committed = snap[:, own[pid]]
+        payloads[pid][sel] = committed
+        V[pid][pairs[pid]] = committed
+        global_x[pairs[pid]] = committed
+        messages_sent[sel] += msgs_per_commit[pid]
 
-        if tol > 0.0 and (j % _SIM_RESIDUAL_EVERY == 0 or j >= max_iterations):
-            last_res[live_arr] = residual_of(global_x[live_arr], live_arr)
-        frozen: list[int] = []
-        for b in live:
-            if tol > 0.0:
-                res_series[b].append(float(last_res[b]))
-                time_series[b].append(end_t)
-            if tol > 0.0 and last_res[b] < tol:
-                converged[b] = True
-            elif j < max_iterations:
-                continue
-            iterations[b] = j
-            x_final[b] = global_x[b]
-            final_time[b] = end_t
-            frozen.append(b)
-        if frozen:
-            dead = set(frozen)
-            live = [b for b in live if b not in dead]
-            live_arr = np.asarray(live, dtype=np.intp)
+        stop = None
+        if tol > 0.0:
+            if j % _SIM_RESIDUAL_EVERY == 0 or j >= max_iterations:
+                last_res[sel] = residual_of(global_x[sel], live)
+            res_hist.append(last_res.copy())
+            time_hist.append(end_t)
+            stop = last_res[live] < tol
+            converged[live[stop]] = True
+        if j >= max_iterations:
+            stop = np.ones(len(live), dtype=bool)
+        if stop is not None and stop.any():
+            done = live[stop]
+            iterations[done] = j
+            x_final[done] = global_x[done]
+            final_time[done] = end_t
+            live = live[~stop]
+            if not len(live):
+                break
+            sel = live
+            pairs = [
+                (live, o) if isinstance(o, slice) else np.ix_(live, o) for o in own
+            ]
 
     final_res = residual_of(x_final, all_rows)
     ttt: list[Any] = [None] * B
     if tol > 0.0:
+        # A scenario's series runs up to the commit at which it stopped.
+        R = np.array(res_hist)
+        T = np.array(time_hist)
         for b in range(B):
+            k = int(iterations[b])
             ttt[b] = time_to_tolerance(
-                np.asarray(res_series[b]), np.asarray(time_series[b]), tol
+                np.concatenate(([res0[b]], R[:k, b])), T[:k], tol
             )
     info = [
         {

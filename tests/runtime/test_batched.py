@@ -49,6 +49,21 @@ def engine_specs(steering="cyclic", delays="uniform", tol=1e-6, n=6,
     ]
 
 
+#: The machine-learning families with stacked forward-backward twins.
+ML_FAMILIES = ["ridge", "lasso", "logistic"]
+
+
+def ml_specs(problem, steering="cyclic", delays="zero", tol=1e-6,
+             max_iterations=30, count=3, **delay_params):
+    return [
+        ScenarioSpec(problem=problem,
+                     problem_params={"n_samples": 10, "n_features": 5},
+                     steering=steering, delays=delays, delay_params=delay_params,
+                     max_iterations=max_iterations, tol=tol, seed=40 + k)
+        for k in range(count)
+    ]
+
+
 def sim_specs(backend="vectorized", machine="lockstep", machine_params=None,
               tol=1e-6, n=6, max_iterations=40, count=4, seed0=300):
     return [
@@ -158,16 +173,34 @@ class TestEngineBatchBitIdentity:
         assert not calls, f"fell back to solo for {calls}"
         assert_identical([run_scenario(s) for s in specs], batch)
 
-    def test_forward_backward_operators(self):
-        # ridge builds ForwardBackward operators, not an AffineOperator
-        # stack: the operator analysis and norms take their generic paths.
-        specs = [
-            ScenarioSpec(problem="ridge",
-                         problem_params={"n_samples": 10, "n_features": 5},
-                         steering="cyclic", delays="zero",
-                         max_iterations=30, tol=1e-6, seed=40 + k)
-            for k in range(3)
-        ]
+    @pytest.mark.parametrize("problem", ML_FAMILIES)
+    def test_forward_backward_operators(self, problem):
+        # The prox-gradient families build ForwardBackward operators, not
+        # an AffineOperator stack: their own stacked twins run the
+        # updates and residuals, and analysis and norms take the generic
+        # paths.
+        specs = ml_specs(problem)
+        calls = []
+        batch = run_scenario_batch(specs, solo=_spy_solo(calls))
+        assert not calls, f"fell back to solo for {calls}"
+        assert_identical([run_scenario(s) for s in specs], batch)
+
+    @pytest.mark.parametrize("problem", ML_FAMILIES)
+    def test_forward_backward_divergence_masking(self, problem):
+        # Rows stop at different j, so the twins see live-row subsets.
+        specs = ml_specs(problem, delays="uniform", bound=2, tol=1e-3,
+                         max_iterations=300, count=6)
+        calls = []
+        batch = run_scenario_batch(specs, solo=_spy_solo(calls))
+        assert not calls, f"fell back to solo for {calls}"
+        assert len({r.iterations for r in batch}) > 1
+        assert any(r.converged for r in batch)
+        assert_identical([run_scenario(s) for s in specs], batch)
+
+    @pytest.mark.parametrize("problem", ML_FAMILIES)
+    def test_forward_backward_random_subset_steering(self, problem):
+        # Per-scenario active sets: each block runs on its own row subset.
+        specs = ml_specs(problem, steering="random-subset", count=4)
         calls = []
         batch = run_scenario_batch(specs, solo=_spy_solo(calls))
         assert not calls, f"fell back to solo for {calls}"
@@ -201,6 +234,28 @@ class TestLockstepBatchBitIdentity:
         specs = sim_specs(tol=tol, max_iterations=max_iterations)
         assert_identical([run_scenario(s) for s in specs],
                          run_scenario_batch(specs))
+
+    @pytest.mark.parametrize("tol,max_iterations", [(0.0, 60), (1e-3, 400)])
+    def test_lasso(self, tol, max_iterations):
+        # Soft-threshold prox over a full forward step, Gauss-Seidel over
+        # each processor's components; tol > 0 stops rows at different
+        # commits.
+        specs = [
+            ScenarioSpec(
+                problem="lasso",
+                problem_params={"n_samples": 20, "n_features": 8},
+                kind="simulator", machine="lockstep",
+                machine_params={"n_processors": 4}, backend="vectorized",
+                max_iterations=max_iterations, tol=tol, seed=300 + k,
+            )
+            for k in range(4)
+        ]
+        calls = []
+        batch = run_scenario_batch(specs, solo=_spy_solo(calls))
+        assert not calls, f"fell back to solo for {calls}"
+        if tol > 0.0:
+            assert len({r.iterations for r in batch}) > 1
+        assert_identical([run_scenario(s) for s in specs], batch)
 
     def test_message_stats_match_event_loop(self):
         specs = sim_specs(count=2)

@@ -27,7 +27,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.delays.admissibility import check_admissibility
@@ -157,6 +157,9 @@ class TestFaultAdmissibility:
         limp_factor=st.floats(1.0, 6.0),
         seed=st.integers(0, 2**31 - 1),
     )
+    # In 120 iterations the limping processor 0 never completed a phase
+    # here, so components 0 and 1 were never updated.
+    @example(crash_rate=0.08, drop_prob=0.0, limp_factor=4.0, seed=578814825)
     def test_trace_admissible_under_chaos(self, crash_rate, drop_prob,
                                           limp_factor, seed):
         faults = ChaosFault(
@@ -164,7 +167,11 @@ class TestFaultAdmissibility:
             limp_factor=limp_factor, drop_prob=drop_prob, extra_mean=0.3,
             seed=seed,
         )
-        res = _run(DistributedSimulator, faults, max_iterations=120)
+        # The horizon must let the straggler finish a phase despite
+        # crashes: at the worst corner (crash_rate 0.08, limp_factor 6)
+        # processor 0 missed every phase in 7.7% of 300 random seeds at
+        # 120 iterations, 0.2% of 2000 at 240, and 0 of 3000 at 480.
+        res = _run(DistributedSimulator, faults, max_iterations=480)
         t = res.trace
         report = check_admissibility(t.active_sets, t.labels, t.labels.shape[1])
         assert report.condition_a
