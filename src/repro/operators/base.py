@@ -35,7 +35,6 @@ __all__ = [
     "OperatorStack",
     "RowStack",
     "matvec_rows",
-    "stack_operators",
 ]
 
 
@@ -52,27 +51,20 @@ def matvec_rows(M: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 class RowStack:
-    """Per-row operands of a stacked twin, gathered once per live set.
+    """Per-row operands of a stacked twin.
 
     ``rows`` are sorted, distinct indices into the group, so
     ``len(rows) == B`` means every row: such calls use the stacks as
-    built, and a shrinking live set is gathered once and reused until
-    it changes.
+    built, and a smaller live set gathers its rows.
     """
 
     def __init__(self, *stacks: np.ndarray) -> None:
         self._full = stacks
-        self._key: bytes | None = None
-        self._sel = stacks
 
     def take(self, rows: np.ndarray) -> tuple[np.ndarray, ...]:
         if len(rows) == len(self._full[0]):
             return self._full
-        key = rows.tobytes()
-        if key != self._key:
-            self._key = key
-            self._sel = tuple(a[rows] for a in self._full)
-        return self._sel
+        return tuple(a[rows] for a in self._full)
 
 
 class FixedPointOperator(abc.ABC):
@@ -194,19 +186,6 @@ class OperatorStack:
         return np.array(
             [self.ops[b].residual(x) for b, x in zip(rows, X)], dtype=np.float64
         )
-
-
-def stack_operators(ops: Sequence[FixedPointOperator]) -> OperatorStack:
-    """The stacked twin of a same-shape operator group.
-
-    Mixed classes get the generic row loop; otherwise the class's own
-    :meth:`FixedPointOperator.stack` decides.
-    """
-    cls = type(ops[0])
-    if any(type(op) is not cls for op in ops):
-        return OperatorStack(ops)
-    return cls.stack(ops)
-
 
 class ComposedOperator(FixedPointOperator):
     """Composition ``F = outer ∘ inner`` of two conforming operators.

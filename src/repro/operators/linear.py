@@ -80,7 +80,7 @@ class AffineOperator(FixedPointOperator):
     def stack(cls, ops: "Sequence[FixedPointOperator]") -> OperatorStack:
         """Vectorized twin of :meth:`apply`/:meth:`apply_block` (see :class:`_AffineStack`)."""
         if cls is not AffineOperator or any(
-            op.block_spec != ops[0].block_spec for op in ops
+            type(op) is not cls or op.block_spec != ops[0].block_spec for op in ops
         ):
             return super().stack(ops)
         return _AffineStack(ops)

@@ -152,7 +152,8 @@ class ForwardBackwardOperator(_CompositeOperatorBase):
             cls is ForwardBackwardOperator
             and reg_type in (ZeroRegularizer, L1Regularizer)
             and all(
-                type(op.regularizer) is reg_type
+                type(op) is cls
+                and type(op.regularizer) is reg_type
                 and type(op.problem.smooth) is smooth_type
                 and op.block_spec == head.block_spec
                 for op in ops

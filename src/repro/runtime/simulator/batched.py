@@ -48,7 +48,7 @@ Three invariants make the results *bit-identical* to solo runs:
 2. **No cross-scenario arithmetic** — every float a scenario sees comes
    from its own operands in the solo order.  Updates and residuals go
    through one stacked interface,
-   :func:`~repro.operators.base.stack_operators`, whose
+   :meth:`~repro.operators.base.FixedPointOperator.stack`, whose
    ``apply``/``apply_block`` take all live rows at once.  Per-scenario
    matvecs may run as one stacked ``np.matmul`` (numpy calls the same
    gemv per stack item as the solo call); never as ``einsum`` or one
@@ -82,7 +82,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
-from repro.operators.base import FixedPointOperator, OperatorStack, stack_operators
+from repro.operators.base import FixedPointOperator, OperatorStack
 
 if TYPE_CHECKING:  # registry -> simulator package -> here: keep lazy
     from repro.scenarios.spec import ScenarioSpec
@@ -534,7 +534,7 @@ def _run_engine_batch(specs: Sequence[ScenarioSpec]) -> "list[Any]":
     _precompute_analysis(ops)
     refs = [op.fixed_point() for op in ops]
     batched_norm = _BatchedNorm.build_from_ops(ops)
-    stack = stack_operators(ops)
+    stack = type(ops[0]).stack(ops)
     residual_of = _build_residual(stack, batched_norm)
     _construction_seconds += time.perf_counter() - t0
 
@@ -934,7 +934,7 @@ def _run_lockstep_batch(specs: Sequence[ScenarioSpec]) -> "list[Any]":
     _precompute_analysis(ops_list)
     refs = [op.fixed_point() for op in ops_list]
     batched_norm = _BatchedNorm.build_from_ops(ops_list)
-    stack = stack_operators(ops_list)
+    stack = type(ops_list[0]).stack(ops_list)
     residual_of = _build_residual(stack, batched_norm)
     all_rows = np.arange(B, dtype=np.intp)
     _construction_seconds += time.perf_counter() - t0

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.operators.base import OperatorStack, matvec_rows, stack_operators
+from repro.operators.base import OperatorStack, matvec_rows
 from repro.problems.logistic import _sigmoid_neg
 from repro.scenarios.registry import build_batch
 from repro.scenarios.spec import ScenarioSpec
@@ -98,15 +98,19 @@ class TestMaskedExpOverRows:
             assert np.array_equal(S[b], _sigmoid_neg(_solo(M[b]))), b
 
 
-def _ops(problem: str, params: dict, count: int = B) -> list:
+def _ops(problem: str, params: dict) -> list:
     specs = [
         ScenarioSpec(problem=problem, problem_params=params, seed=70 + k)
-        for k in range(count)
+        for k in range(B)
     ]
     ops = build_batch(specs)
     if ops is None:
         ops = [s.build_problem() for s in specs]
     return ops
+
+
+def _stack(ops: list):
+    return type(ops[0]).stack(ops)
 
 
 _ML = {"n_samples": 20, "n_features": 6}
@@ -122,22 +126,18 @@ FAMILIES = [
 class TestStackDispatch:
     @pytest.mark.parametrize("problem,params", FAMILIES)
     def test_family_gets_its_vectorized_twin(self, problem, params):
-        stack = stack_operators(_ops(problem, params))
+        stack = _stack(_ops(problem, params))
         assert type(stack) is not OperatorStack, problem
 
     def test_family_without_twin_gets_the_row_loop(self):
-        stack = stack_operators(_ops("quadratic", {"n": 6}))
+        stack = _stack(_ops("quadratic", {"n": 6}))
         assert type(stack) is OperatorStack
-
-    def test_mixed_classes_get_the_row_loop(self):
-        ops = _ops("jacobi", {"n": 6}, 2) + _ops("quadratic", {"n": 6}, 2)
-        assert type(stack_operators(ops)) is OperatorStack
 
     @pytest.mark.parametrize("problem,params", FAMILIES + [("quadratic", {"n": 6})])
     @pytest.mark.parametrize("rows", [None, [0, 2, 3]], ids=["all", "subset"])
     def test_twin_matches_solo_calls(self, problem, params, rows):
         ops = _ops(problem, params)
-        stack = stack_operators(ops)
+        stack = _stack(ops)
         rows = np.arange(B) if rows is None else np.asarray(rows)
         X = _rng().standard_normal((len(rows), ops[0].dim))
         full = stack.apply(X, rows)
