@@ -370,13 +370,19 @@ def _cmd_study(args: argparse.Namespace) -> int:
 def _cmd_store(args: argparse.Namespace) -> int:
     from repro.runtime.sweep_store import SweepStore
 
-    if args.store_verb == "merge":
-        try:
+    # Opening is where a store can be refused: missing, an unreadable
+    # manifest, or a legacy flat store whose packing did not verify.
+    try:
+        if args.store_verb == "merge":
             shards = [SweepStore(p, create=False) for p in args.shards]
-        except FileNotFoundError as exc:
-            print(f"store: {exc}", file=sys.stderr)
-            return 2
-        merged = SweepStore(args.out).merge(*shards)
+            merged = SweepStore(args.out)
+        else:
+            store = SweepStore(args.store_dir, create=False)
+    except (FileNotFoundError, ValueError, RuntimeError) as exc:
+        print(f"store: {exc}", file=sys.stderr)
+        return 2
+    if args.store_verb == "merge":
+        merged.merge(*shards)
         hashes = merged.manifest_hashes()
         done = len(merged.completed() & set(hashes))
         digest = merged.digest()
@@ -399,11 +405,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
         print(f"store: determinism digest {digest}")
         return 0
     if args.store_verb == "digest":
-        try:
-            store = SweepStore(args.store_dir, create=False)
-        except FileNotFoundError as exc:
-            print(f"store: {exc}", file=sys.stderr)
-            return 2
         if args.json:
             try:
                 scenarios = len(store.manifest_hashes())
@@ -411,7 +412,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
                 scenarios = None
             print(json.dumps({
                 "store": str(args.store_dir),
-                "layout": store.layout,
+                "layout": "packed",
                 "digest": store.digest(),
                 "rows": len(store.completed()),
                 "scenarios": scenarios,
@@ -420,31 +421,23 @@ def _cmd_store(args: argparse.Namespace) -> int:
         print(store.digest())
         return 0
     if args.store_verb == "migrate":
-        try:
-            store = SweepStore(args.store_dir, create=False)
-        except FileNotFoundError as exc:
-            print(f"store: {exc}", file=sys.stderr)
-            return 2
-        layout_before = store.layout
-        before = store.digest()
-        try:
-            after = store.migrate()
-        except RuntimeError as exc:
-            print(f"store: {exc}", file=sys.stderr)
-            return 2
+        # The open above already packed a flat store in place, after
+        # verifying its digest; migrated_digest is that flat digest.
+        migrated = store.migrated_digest is not None
+        after = store.digest()
         rows = len(store.completed())
         if args.json:
             print(json.dumps({
                 "store": str(args.store_dir),
-                "layout_before": layout_before,
-                "layout": store.layout,
+                "layout_before": "flat" if migrated else "packed",
+                "layout": "packed",
                 "rows": rows,
-                "digest_before": before,
+                "digest_before": store.migrated_digest or after,
                 "digest": after,
-                "migrated": layout_before != store.layout,
+                "migrated": migrated,
             }, indent=2))
             return 0
-        if layout_before == "packed":
+        if not migrated:
             print(f"store: {args.store_dir} is already packed ({rows} rows)")
         else:
             print(
@@ -610,8 +603,9 @@ def main(argv: list[str] | None = None) -> int:
             "per-host stores of a sharded study into one store whose "
             "determinism digest is bit-identical to a single-host run; "
             "`digest` prints a store's digest for cross-host comparison; "
-            "`migrate` upgrades a flat legacy store to the packed "
-            "columnar layout in place (digest-preserving)."
+            "`migrate` packs a legacy flat store in place and reports "
+            "the verified digest.  Any command that opens a flat store "
+            "packs it the same way first."
         ),
     )
     store_sub = store.add_subparsers(dest="store_verb", required=True)
@@ -633,7 +627,7 @@ def main(argv: list[str] | None = None) -> int:
     digest.add_argument("--json", action="store_true",
                         help="print digest plus layout/row counts as JSON")
     migrate = store_sub.add_parser(
-        "migrate", help="upgrade a flat legacy store to the packed layout"
+        "migrate", help="pack a legacy flat store in place (digest-verified)"
     )
     migrate.add_argument("store_dir", metavar="DIR", help="sweep store directory")
     migrate.add_argument("--json", action="store_true",

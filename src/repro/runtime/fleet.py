@@ -862,11 +862,13 @@ def run_grid(
         specs.
     store:
         A :class:`~repro.runtime.sweep_store.SweepStore` or directory
-        path.  When given, the manifest is written up front and one
-        ``results/<content_hash>.json`` row lands *as each scenario
+        path.  When given, the manifest is written up front and each
+        scenario's row lands in its shard's append log *as the scenario
         finishes* (plus ``traces/<content_hash>.npz`` with
         ``keep_traces``), so a killed sweep loses at most the scenarios
-        in flight.  ``None`` degrades to a plain in-memory fleet run.
+        in flight; logged rows are sealed into columnar batches as they
+        accumulate and once more at the end of the sweep.  ``None``
+        degrades to a plain in-memory fleet run.
     resume:
         A store (or path) holding a previous, possibly partial, run of
         the same scenarios.  Completed scenarios — recognized by
@@ -1043,7 +1045,7 @@ def run_grid(
     # the sweep is done — readers work either way, but sealed stores
     # digest/merge at full columnar speed.
     for store in (sweep, cache_store):
-        if store is not None and hasattr(store, "flush"):
+        if store is not None:
             store.flush()
 
     fleet = FleetResult(

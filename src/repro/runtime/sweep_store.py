@@ -1,12 +1,12 @@
 """Content-addressed on-disk results of one scenario sweep.
 
 A :class:`SweepStore` is a plain directory the fleet runner streams
-into — the durable half of the results layer.  Stores come in two
-layouts sharing one API and one digest algorithm:
+into — the durable half of the results layer.  It has one layout
+(manifest format_version 2), sharded and columnar so it scales to
+millions of rows:
 
 .. code-block:: text
 
-    packed (default, format_version 2 — scales to millions of rows)
     <root>/
       manifest.json              # {format_version, layout, prefix_len, prefixes}
       shards/<pp>/manifest.json  # the shard's scenario entries (+ global index)
@@ -18,26 +18,20 @@ layouts sharing one API and one digest algorithm:
       fleet.json                 # the aggregate FleetResult document
       merge_log.json             # fingerprints of source units already merged
 
-    flat (legacy, format_version 1 — read/written forever, migratable)
-    <root>/
-      manifest.json              # scenario hashes + canonical specs, in order
-      results/<hash>.json        # one summary row per completed scenario
-      traces/<hash>.npz ; tmp/ ; fleet.json
-
 Every row is keyed by the scenario's canonical
 :attr:`~repro.scenarios.spec.ScenarioSpec.content_hash`, so the store
 is *content-addressed*: a resumed sweep (or a different grid that
 happens to share scenarios) recognizes completed work by identity, not
-by position.  In the packed layout rows first land as one atomic
-append-log file each (``shards/<pp>/log/<hash>.json`` — exactly the
-legacy row document), and a shard's log is *sealed* into a columnar
-batch once it reaches ``batch_rows`` entries: the npz holds the
-summary columns (hash, iterations, converged, residual/error/times
-with None-masks, wall_time) in content-hash order and the JSON sidecar
-carries the irregular remainder (key, canonical spec, ``info``,
-``trace_path``).  Killing a sweep between log write and seal loses
-nothing — logs are complete rows, and readers overlay logs over
-batches — so kill/resume stays bit-identical.
+by position.  Rows first land as one atomic append-log file each
+(``shards/<pp>/log/<hash>.json`` — the row's JSON document), and a
+shard's log is *sealed* into a columnar batch once it reaches
+``batch_rows`` entries: the npz holds the summary columns (hash,
+iterations, converged, residual/error/times with None-masks,
+wall_time) in content-hash order and the JSON sidecar carries the
+irregular remainder (key, canonical spec, ``info``, ``trace_path``).
+Killing a sweep between log write and seal loses nothing — logs are
+complete rows, and readers overlay logs over batches — so kill/resume
+stays bit-identical.
 
 Reads go *shard by shard*: every bulk reader visits shard prefixes in
 sorted order and decodes each of a shard's batch npz files and
@@ -57,10 +51,12 @@ wraps the store in a lazy :class:`StoreFleetView` whose report-facing
 surface (``group_medians``, ``scenario_count``, ``wall_time``,
 ``digest``) never holds the full row set in memory.
 
-Digest preservation: the packed digest is byte-identical to the flat
-one because every value round-trips exactly — float64 summary columns
-restore the same doubles the JSON documents carried (npz is lossless
-and ``json.dumps`` of a given double is deterministic), the non-finite
+Digest preservation: the digest is :func:`digest_rows` over the rows'
+JSON documents, so it is byte-identical to the digest of the retired
+flat layout (format v1, one ``results/<hash>.json`` per row) — every
+value round-trips exactly: float64 summary columns restore the same
+doubles the JSON documents carried (npz is lossless and
+``json.dumps`` of a given double is deterministic), the non-finite
 string sentinels (``"NaN"``/``"Infinity"``/``"-Infinity"``) decode and
 re-encode to themselves, and ``None`` optional fields are preserved
 through explicit mask columns.
@@ -73,9 +69,12 @@ unit is fingerprinted (its completed hashes + trace markers) into
 ``merge_log.json``, so re-merging an unchanged shard skips it without
 reading a single row.  Any store doubles as the cross-study result
 cache ``run_grid(cache=...)`` consults before executing a scenario.
-Legacy flat stores upgrade in place via :meth:`migrate`
-(``python -m repro store migrate``), with a digest-equality check and
-rollback on mismatch.
+
+Legacy flat stores are read in exactly one place: every open packs a
+flat directory in place first (:meth:`SweepStore._migrate_flat`),
+checking the packed digest against the flat one and rolling back on
+mismatch, so resume, cache, merge and reporting only ever see packed
+stores.
 """
 
 from __future__ import annotations
@@ -380,21 +379,18 @@ class _RowIterable:
 class SweepStore:
     """Directory-backed, content-addressed persistence of a sweep."""
 
-    #: Current (packed) manifest format; flat stores keep writing v1.
+    #: The manifest format every store is read and written in.
     FORMAT_VERSION = 2
-    FLAT_FORMAT_VERSION = 1
 
     def __init__(
         self,
         root: "str | os.PathLike[str]",
         *,
         create: bool = True,
-        layout: "str | None" = None,
         batch_rows: "int | None" = None,
         prefix_len: "int | None" = None,
     ) -> None:
         self.root = pathlib.Path(root)
-        self.results_dir = self.root / "results"
         self.shards_dir = self.root / "shards"
         self.traces_dir = self.root / "traces"
         self.tmp_dir = self.root / "tmp"
@@ -404,44 +400,8 @@ class SweepStore:
         self.prefix_len = (
             DEFAULT_PREFIX_LEN if prefix_len is None else int(prefix_len)
         )
-        if layout not in (None, "flat", "packed"):
-            raise ValueError(f"unknown store layout {layout!r}")
-        detected = self._detect_layout()
-        # An existing store's on-disk layout always wins; the kwarg
-        # only chooses the format of a brand-new directory.
-        self.layout = detected if detected is not None else (layout or "packed")
-        if self.layout == "packed" and (self.root / _MANIFEST).is_file():
-            # Shard addressing must match how the store was written,
-            # whatever this instance was constructed with.
-            try:
-                header = json.loads((self.root / _MANIFEST).read_text())
-                self.prefix_len = int(header.get("prefix_len", self.prefix_len))
-            except (ValueError, TypeError, json.JSONDecodeError):
-                pass
-        elif (
-            self.layout == "packed"
-            and prefix_len is None
-            and self.shards_dir.is_dir()
-        ):
-            # Manifest-less packed directories (result caches) carry no
-            # header; infer the addressing from the shard directories
-            # themselves so a cache written under one default re-opens
-            # correctly under another.
-            for p in self.shards_dir.iterdir():
-                name = p.name
-                if p.is_dir() and name and all(
-                    c in "0123456789abcdef" for c in name
-                ):
-                    self.prefix_len = len(name)
-                    break
-        if create:
-            self.traces_dir.mkdir(parents=True, exist_ok=True)
-            self.tmp_dir.mkdir(parents=True, exist_ok=True)
-            if self.layout == "flat":
-                self.results_dir.mkdir(parents=True, exist_ok=True)
-            else:
-                self.shards_dir.mkdir(parents=True, exist_ok=True)
-        elif not (self.root / _MANIFEST).is_file():
+        header = self._read_header()
+        if header is None and not create:
             # An existing-but-unrelated directory is as wrong as a
             # missing one: opening it as a store would silently re-run
             # a whole sweep (and scatter store files into it).  The
@@ -459,25 +419,124 @@ class SweepStore:
         self._shard_maps: "dict[str, dict[str, pathlib.Path]]" = {}
         # Unsealed log-row counts per shard prefix.
         self._pending: "dict[str, int]" = {}
+        #: The flat digest this open verified while packing a legacy
+        #: flat directory in place (see :meth:`_migrate_flat`); ``None``
+        #: when the store was already packed, or is new.
+        self.migrated_digest = self._migrate_flat(header)
+        if header is not None and self.migrated_digest is None:
+            # Shard addressing must match how the store was written,
+            # whatever this instance was constructed with.
+            self.prefix_len = int(header.get("prefix_len", self.prefix_len))
+        elif header is None and prefix_len is None and self.shards_dir.is_dir():
+            # Manifest-less directories (result caches) carry no
+            # header; infer the addressing from the shard directories
+            # themselves so a cache written under one default re-opens
+            # correctly under another.
+            for p in self.shards_dir.iterdir():
+                name = p.name
+                if p.is_dir() and name and all(
+                    c in "0123456789abcdef" for c in name
+                ):
+                    self.prefix_len = len(name)
+                    break
+        if create:
+            for d in (self.traces_dir, self.tmp_dir, self.shards_dir):
+                d.mkdir(parents=True, exist_ok=True)
 
-    def _detect_layout(self) -> "str | None":
-        manifest = self.root / _MANIFEST
-        if manifest.is_file():
-            try:
-                version = int(json.loads(manifest.read_text()).get(
-                    "format_version", self.FLAT_FORMAT_VERSION))
-            except (ValueError, TypeError, json.JSONDecodeError):
-                version = self.FLAT_FORMAT_VERSION
-            return "packed" if version >= 2 else "flat"
-        if self.results_dir.is_dir():
-            return "flat"
-        if self.shards_dir.is_dir():
-            return "packed"
-        return None
+    def _read_header(self) -> "dict[str, Any] | None":
+        """The top-level manifest document, or ``None`` when absent.
+
+        An unreadable or non-object manifest raises ``ValueError``
+        naming the file, before anything on disk changes: guessing a
+        format for it would reopen a packed store as flat legacy rows
+        (a resume would re-run everything, and a migration's rollback
+        would delete its batches).
+        """
+        path = self.root / _MANIFEST
+        if not path.is_file():
+            return None
+        try:
+            header = json.loads(path.read_text())
+            if not isinstance(header, dict):
+                raise TypeError("not a JSON object")
+            header["format_version"] = int(header.get("format_version", 1))
+        except (ValueError, TypeError) as exc:
+            raise ValueError(
+                f"unreadable store manifest {path}: {exc}"
+            ) from None
+        return header
+
+    def _migrate_flat(self, header: "dict[str, Any] | None") -> "str | None":
+        """Pack a legacy flat store in place; its verified digest, else ``None``.
+
+        The one reader of the retired flat layout (format v1: one
+        ``results/<hash>.json`` row document per completed scenario
+        beside a v1 manifest of hashes and canonical specs).  A
+        directory is flat when its manifest has ``format_version``
+        missing or below 2, or when it has no manifest but has a
+        ``results/`` directory; a v2 store is never touched.
+
+        Every row file is packed into per-shard batches, and the packed
+        digest is checked against the flat one — :func:`digest_rows`
+        over each row in manifest scope, exactly as the flat layout
+        computed it.  Only then does the v2 manifest replace the v1
+        one (the commit point) and ``results/`` go.  A mismatch, or a
+        failure at any write before the commit, removes ``shards/`` and
+        re-raises with the flat store untouched; a ``shards/`` found in
+        a flat store can only be debris of a killed migration, so it is
+        discarded before packing starts.  Rows, traces, ``fleet.json``
+        and the digest stay the same.
+
+        The step must not race a process that is still writing the
+        flat store (``store migrate`` never could either): rows landing
+        after they were read would be deleted with ``results/``.
+        """
+        from repro.runtime.fleet import ScenarioResult
+
+        results = self.root / "results"
+        if header is None and not results.is_dir():
+            return None
+        if header is not None and header["format_version"] >= 2:
+            return None
+        docs = {
+            p.stem: json.loads(p.read_text()) for p in results.glob("*.json")
+        }
+        entries = None if header is None else header.get("scenarios", [])
+        scope = set(docs)
+        if entries is not None:
+            scope &= {e["hash"] for e in entries}
+        flat = digest_rows(
+            (h, ScenarioResult.from_json_dict(docs[h])) for h in scope
+        )
+        by_prefix: "dict[str, dict[str, dict[str, Any]]]" = {}
+        for h, doc in docs.items():
+            by_prefix.setdefault(self._prefix(h), {})[h] = doc
+        shutil.rmtree(self.shards_dir, ignore_errors=True)
+        try:
+            for prefix in sorted(by_prefix):
+                self._append_batch(prefix, by_prefix[prefix])
+            packed = self.digest(scope)
+            if packed != flat:
+                raise RuntimeError(
+                    f"store migration digest mismatch at {self.root}: "
+                    f"flat {flat} != packed {packed}"
+                )
+            if entries is not None:
+                self._write_manifest_entries(entries)
+        except BaseException:
+            shutil.rmtree(self.shards_dir, ignore_errors=True)
+            raise
+        if results.is_dir():
+            # Renamed before deletion: a kill mid-delete must not leave
+            # a partial results/ that would re-pack as the whole store.
+            trash = self.root / "results.packed"
+            os.replace(results, trash)
+            shutil.rmtree(trash, ignore_errors=True)
+        return flat
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<SweepStore root={str(self.root)!r} layout={self.layout} "
+            f"<SweepStore root={str(self.root)!r} "
             f"completed={len(self.completed())}>"
         )
 
@@ -488,16 +547,6 @@ class SweepStore:
         self._pending.clear()
 
     # -- paths ---------------------------------------------------------
-    def result_path(self, content_hash: str) -> pathlib.Path:
-        """The flat layout's per-row file (undefined on packed stores)."""
-        if self.layout != "flat":
-            raise ValueError(
-                "result_path() is only defined on flat stores; packed rows "
-                "live in columnar batches — use load_result_by_hash()/"
-                "discard_result()"
-            )
-        return self.results_dir / f"{content_hash}.json"
-
     def trace_path(self, content_hash: str) -> pathlib.Path:
         return self.traces_dir / f"{content_hash}.npz"
 
@@ -539,10 +588,10 @@ class SweepStore:
         The manifest freezes submission order, which is what makes the
         store self-describing: :meth:`fleet_result` and :meth:`digest`
         iterate scenarios in manifest order, so their output matches
-        the live fleet's regardless of completion interleaving.  On
-        packed stores the entries are sharded by content-hash prefix
-        (one index file per shard plus a small top-level header), so
-        scoped reads never parse the whole scenario list at once.
+        the live fleet's regardless of completion interleaving.  The
+        entries are sharded by content-hash prefix (one index file per
+        shard plus a small top-level header), so scoped reads never
+        parse the whole scenario list at once.
         """
         entries = [
             {"hash": s.content_hash, "key": s.key, "spec": s.canonical()}
@@ -562,14 +611,6 @@ class SweepStore:
         self, entries: "list[dict[str, Any]]"
     ) -> pathlib.Path:
         path = self.root / _MANIFEST
-        if self.layout == "flat":
-            doc = {
-                "format_version": self.FLAT_FORMAT_VERSION,
-                "scenario_count": len(entries),
-                "scenarios": entries,
-            }
-            _atomic_write(path, json.dumps(doc, indent=2))
-            return path
         by_prefix: "dict[str, list[dict[str, Any]]]" = {}
         for index, entry in enumerate(entries):
             shard_entry = {"index": index, "hash": entry["hash"],
@@ -601,7 +642,7 @@ class SweepStore:
         return path
 
     def _manifest_entries(self) -> "list[dict[str, Any]]":
-        """Packed manifest entries in submission order (with ``index``)."""
+        """Manifest entries in submission order (with ``index``)."""
         header = json.loads((self.root / _MANIFEST).read_text())
         entries: "list[dict[str, Any]]" = []
         for prefix in header.get("prefixes", []):
@@ -614,13 +655,10 @@ class SweepStore:
     def read_manifest(self) -> "dict[str, Any]":
         """The manifest document (raises when the store has none).
 
-        Packed stores reconstruct the legacy shape — ``scenario_count``
-        plus ``scenarios`` in submission order — from the sharded index
-        files, so manifest consumers (merge, tests, tooling) read both
-        layouts identically.
+        Reconstructs the whole-sweep shape — ``scenario_count`` plus
+        ``scenarios`` in submission order — from the sharded index
+        files, for manifest consumers (merge, tests, tooling).
         """
-        if self.layout == "flat":
-            return json.loads((self.root / _MANIFEST).read_text())
         header = json.loads((self.root / _MANIFEST).read_text())
         scenarios = [
             {"hash": e["hash"], "key": e["key"], "spec": e["spec"]}
@@ -628,7 +666,6 @@ class SweepStore:
         ]
         return {
             "format_version": header.get("format_version", self.FORMAT_VERSION),
-            "layout": "packed",
             "prefix_len": header.get("prefix_len", self.prefix_len),
             "scenario_count": header.get("scenario_count", len(scenarios)),
             "scenarios": scenarios,
@@ -636,58 +673,36 @@ class SweepStore:
 
     def manifest_hashes(self) -> "list[str]":
         """Scenario content hashes in submission order."""
-        if self.layout == "flat":
-            return [s["hash"] for s in self.read_manifest()["scenarios"]]
         return [e["hash"] for e in self._manifest_entries()]
 
     # -- per-scenario rows ---------------------------------------------
     def completed(self) -> "set[str]":
         """Content hashes that already have a persisted summary row.
 
-        Computed once (from the row files / batch indexes) and then
+        Computed once (from the batch indexes and log listings) and then
         maintained in memory by :meth:`write_result`, :meth:`merge` and
         :meth:`discard_result`; callers receive a copy, so mutating the
         returned set never corrupts the cache.
         """
         if self._completed is None:
-            if self.layout == "flat":
-                if self.results_dir.is_dir():
-                    self._completed = {
-                        p.stem for p in self.results_dir.glob("*.json")
-                    }
-                else:
-                    self._completed = set()
-            else:
-                comp: "set[str]" = set()
-                for prefix in self._shard_prefixes():
-                    for bp in self._batch_paths(prefix):
-                        comp.update(self._batch_hashes(bp))
-                    for lp in self._log_paths(prefix):
-                        comp.add(lp.stem)
-                self._completed = comp
+            comp: "set[str]" = set()
+            for prefix in self._shard_prefixes():
+                for bp in self._batch_paths(prefix):
+                    comp.update(self._batch_hashes(bp))
+                for lp in self._log_paths(prefix):
+                    comp.add(lp.stem)
+            self._completed = comp
         return set(self._completed)
 
     def write_result(self, result: "ScenarioResult") -> pathlib.Path:
         """Atomically persist one scenario's summary row.
 
         Failed scenarios (``result.error`` set) are *not* persisted as
-        completed work — a resumed sweep retries them.  Packed stores
-        append the row to the shard's log (the same JSON document the
-        flat layout writes) and seal the log into a columnar batch once
-        it reaches ``batch_rows`` entries.
+        completed work — a resumed sweep retries them.  The row lands
+        in the shard's log as its JSON document, and the log is sealed
+        into a columnar batch once it reaches ``batch_rows`` entries.
         """
         h = result.content_hash
-        if self.layout == "flat":
-            path = self.result_path(h)
-            if result.error is not None:
-                return path
-            _atomic_write(
-                path,
-                json.dumps(result.to_json_dict(), indent=2, allow_nan=False),
-            )
-            if self._completed is not None:
-                self._completed.add(h)
-            return path
         path = self._log_path(h)
         if result.error is not None:
             return path
@@ -709,12 +724,10 @@ class SweepStore:
     def flush(self) -> None:
         """Seal every shard's outstanding log rows into batches.
 
-        A no-op on flat stores.  Not required for correctness (readers
-        overlay logs over batches), only for read efficiency — the
-        fleet runner calls it once at end of sweep.
+        Not required for correctness (readers overlay logs over
+        batches), only for read efficiency — the fleet runner calls it
+        once at end of sweep.
         """
-        if self.layout != "packed":
-            return
         for prefix in self._shard_prefixes():
             if self._log_paths(prefix):
                 self._seal_prefix(prefix)
@@ -910,11 +923,6 @@ class SweepStore:
         return ScenarioResult.from_json_dict(doc)
 
     def _load_doc(self, content_hash: str) -> "dict[str, Any] | None":
-        if self.layout == "flat":
-            path = self.result_path(content_hash)
-            if not path.is_file():
-                return None
-            return json.loads(path.read_text())
         log = self._log_path(content_hash)
         if log.is_file():
             return json.loads(log.read_text())
@@ -966,37 +974,34 @@ class SweepStore:
         ).get(spec.content_hash)
 
     def discard_result(self, content_hash: str) -> None:
-        """Remove one persisted row (both layouts; missing rows no-op).
+        """Remove one persisted row (missing rows no-op).
 
         The kill-simulation counterpart of :meth:`write_result`: tests
-        and tooling drop a row to force its re-execution.  On packed
-        stores a logged row unlinks directly; a sealed row rewrites its
-        batch without it (new fingerprint name, old pair removed).
-        Merge fingerprints are invalidated — the store's content no
-        longer matches what they certified.
+        and tooling drop a row to force its re-execution.  A logged row
+        unlinks directly; a sealed row rewrites its batch without it
+        (new fingerprint name, old pair removed).  Merge fingerprints
+        are invalidated — the store's content no longer matches what
+        they certified.
         """
-        if self.layout == "flat":
-            self.result_path(content_hash).unlink(missing_ok=True)
+        prefix = self._prefix(content_hash)
+        log = self._log_path(content_hash)
+        if log.is_file():
+            log.unlink()
+            if prefix in self._pending and self._pending[prefix] > 0:
+                self._pending[prefix] -= 1
         else:
-            prefix = self._prefix(content_hash)
-            log = self._log_path(content_hash)
-            if log.is_file():
-                log.unlink()
-                if prefix in self._pending and self._pending[prefix] > 0:
-                    self._pending[prefix] -= 1
-            else:
-                bp = self._shard_map(prefix).get(content_hash)
-                if bp is None:
-                    if self._completed is not None:
-                        self._completed.discard(content_hash)
-                    return
-                rest = self._batch_docs(bp)
-                rest.pop(content_hash, None)
-                bp.unlink(missing_ok=True)
-                bp.with_suffix(".json").unlink(missing_ok=True)
-                self._shard_maps.pop(prefix, None)
-                if rest:
-                    self._write_batch(prefix, sorted(rest.items()))
+            bp = self._shard_map(prefix).get(content_hash)
+            if bp is None:
+                if self._completed is not None:
+                    self._completed.discard(content_hash)
+                return
+            rest = self._batch_docs(bp)
+            rest.pop(content_hash, None)
+            bp.unlink(missing_ok=True)
+            bp.with_suffix(".json").unlink(missing_ok=True)
+            self._shard_maps.pop(prefix, None)
+            if rest:
+                self._write_batch(prefix, sorted(rest.items()))
         if self._completed is not None:
             self._completed.discard(content_hash)
         (self.root / _MERGE_LOG).unlink(missing_ok=True)
@@ -1033,18 +1038,12 @@ class SweepStore:
         """Yield ``(content_hash, row document)`` in global hash order.
 
         Scope defaults to the manifest (falling back to every row on
-        manifest-less stores).  Packed stores stream one shard at a
-        time — sorted prefixes of sorted in-prefix hashes *is* the
-        global hash order, so peak memory is one shard's documents,
-        and each batch file is decoded at most once.
+        manifest-less stores).  Rows stream one shard at a time —
+        sorted prefixes of sorted in-prefix hashes *is* the global hash
+        order, so peak memory is one shard's documents, and each batch
+        file is decoded at most once.
         """
         scope = self._scope(hashes)
-        if self.layout == "flat":
-            for h in sorted(scope):
-                path = self.result_path(h)
-                if path.is_file():
-                    yield h, json.loads(path.read_text())
-            return
         by_prefix = self._scope_by_prefix(scope)
         for prefix in sorted(by_prefix):
             docs = self._shard_docs(prefix, scope)
@@ -1067,11 +1066,6 @@ class SweepStore:
         scope = self._scope(hashes)
         n = 0
         wall = 0.0
-        if self.layout == "flat":
-            for _, doc in self.iter_row_docs(scope):
-                n += 1
-                wall += float(doc.get("wall_time", 0.0))
-            return n, wall
         for prefix, wanted in sorted(self._scope_by_prefix(scope).items()):
             walls: "dict[str, float]" = {}
             for bp in self._batch_paths(prefix):
@@ -1141,16 +1135,16 @@ class SweepStore:
         merged store's :meth:`digest` is bit-identical to a single-host
         run of the whole grid (row digests are content-addressed and
         hash-ordered, so neither shard assignment nor merge order can
-        leak into the certificate).
+        leak into the certificate).  Legacy flat sources are packed in
+        place when opened (see :meth:`_migrate_flat`).
 
         Every shard's manifest entries are unioned in order (this
         store's own manifest first, when it has one; duplicate content
         hashes keep their first occurrence), completed rows and traces
         are copied in, and copied rows are re-pointed at this store's
         trace files so the merged store is self-contained.  Merging is
-        idempotent and incremental — and on packed destinations
-        O(changed): each source unit (one source shard prefix, or a
-        whole flat source) is fingerprinted over its completed hashes
+        idempotent, incremental and O(changed): each source unit (one
+        source shard prefix) is fingerprinted over its completed hashes
         plus trace markers, fingerprints of fully-merged units persist
         in ``merge_log.json`` (written only after the merged manifest,
         so a killed merge re-scans and completes idempotently), and a
@@ -1160,9 +1154,6 @@ class SweepStore:
             s if isinstance(s, SweepStore) else SweepStore(s, create=False)
             for s in stores
         ]
-        if self.layout == "flat":
-            return self._merge_flat(opened)
-
         scenarios: "list[dict[str, Any]]" = []
         seen: "set[str]" = set()
         if (self.root / _MANIFEST).is_file():
@@ -1194,7 +1185,7 @@ class SweepStore:
                 # the same fingerprint name (both are pure functions of
                 # the hash set), so the batch files transfer wholesale
                 # — no row decode, no re-encode, no re-fingerprint.
-                if shard.layout != "flat" and shard.prefix_len == self.prefix_len:
+                if shard.prefix_len == self.prefix_len:
                     for bp in shard._batch_paths(unit_prefix):
                         bhashes = shard._batch_hashes(bp)
                         if not all(h in missing for h in bhashes):
@@ -1205,7 +1196,7 @@ class SweepStore:
                     missing = unit_hashes - done
                     if not missing:
                         continue
-                docs = shard._unit_docs(unit_prefix, missing)
+                docs = shard._shard_docs(unit_prefix, missing)
                 adopted: "dict[str, dict[str, Any]]" = {}
                 for h in missing:
                     doc = docs.get(h)
@@ -1231,39 +1222,13 @@ class SweepStore:
         self._write_merge_log(merged_fps | live_fps)
         return self
 
-    def _merge_flat(self, opened: "list[SweepStore]") -> "SweepStore":
-        """Legacy row-by-row merge for flat destinations."""
-        from repro.runtime.fleet import _adopt_row
-
-        scenarios: "list[dict[str, Any]]" = []
-        seen: "set[str]" = set()
-        if (self.root / _MANIFEST).is_file():
-            scenarios = list(self.read_manifest()["scenarios"])
-            seen = {s["hash"] for s in scenarios}
-        for shard in opened:
-            for entry in shard.read_manifest()["scenarios"]:
-                if entry["hash"] not in seen:
-                    seen.add(entry["hash"])
-                    scenarios.append(entry)
-            done = self.completed()
-            for h in shard.manifest_hashes():
-                if h in done:
-                    continue
-                row = shard.load_result_by_hash(h)
-                if row is not None:
-                    _adopt_row(shard, self, row)
-        self._write_manifest_entries(scenarios)
-        (self.root / _FLEET).unlink(missing_ok=True)
-        return self
-
     def _merge_units(
         self, manifest_set: "set[str]"
     ) -> "list[tuple[str, str, set[str]]]":
         """This store's mergeable units: ``(prefix, fingerprint, hashes)``.
 
-        A unit is one shard prefix's completed-and-in-manifest hashes
-        (the whole store, as prefix ``""``, for flat sources).  The
-        fingerprint covers the hash set *and* per-hash trace presence,
+        A unit is one shard prefix's completed-and-in-manifest hashes.
+        The fingerprint covers the hash set *and* per-hash trace presence,
         so a source that later gains rows — or traces for existing
         rows — fingerprints differently and gets re-merged.
         """
@@ -1272,14 +1237,11 @@ class SweepStore:
             {p.stem for p in self.traces_dir.glob("*.npz")}
             if self.traces_dir.is_dir() else set()
         )
-        if self.layout == "flat":
-            groups = {"": sorted(present)} if present else {}
-        else:
-            groups = {}
-            for h in present:
-                groups.setdefault(self._prefix(h), []).append(h)
-            for hs in groups.values():
-                hs.sort()
+        groups: "dict[str, list[str]]" = {}
+        for h in present:
+            groups.setdefault(self._prefix(h), []).append(h)
+        for hs in groups.values():
+            hs.sort()
         units = []
         for prefix in sorted(groups):
             hs = groups[prefix]
@@ -1326,19 +1288,6 @@ class SweepStore:
         if self._completed is not None:
             self._completed.update(bhashes)
 
-    def _unit_docs(
-        self, prefix: str, hashes: "set[str]"
-    ) -> "dict[str, dict[str, Any]]":
-        """Row documents backing one merge unit of this (source) store."""
-        if self.layout == "flat":
-            docs = {}
-            for h in hashes:
-                path = self.result_path(h)
-                if path.is_file():
-                    docs[h] = json.loads(path.read_text())
-            return docs
-        return self._shard_docs(prefix)
-
     def _read_merge_log(self) -> "set[str]":
         path = self.root / _MERGE_LOG
         if not path.is_file():
@@ -1354,60 +1303,6 @@ class SweepStore:
             json.dumps({"format_version": 1, "merged": sorted(fps)}),
         )
 
-    # -- migration -----------------------------------------------------
-    def migrate(self) -> str:
-        """Upgrade a flat legacy store to the packed layout in place.
-
-        Packs every completed row into per-shard batches, re-shards the
-        manifest, verifies the packed digest equals the flat one byte
-        for byte, and only then removes the flat ``results/`` tree.  On
-        any digest mismatch the packed files are rolled back and the
-        store is left flat and untouched.  Returns the (unchanged)
-        digest; already-packed stores return it immediately.
-        """
-        if self.layout == "packed":
-            return self.digest()
-        before = self.digest()
-        manifest_path = self.root / _MANIFEST
-        old_manifest = (
-            manifest_path.read_text() if manifest_path.is_file() else None
-        )
-        entries = (
-            list(self.read_manifest()["scenarios"])
-            if old_manifest is not None else None
-        )
-        by_prefix: "dict[str, dict[str, dict[str, Any]]]" = {}
-        for h in self.completed():
-            doc = self._load_doc(h)
-            if doc is not None:
-                by_prefix.setdefault(self._prefix(h), {})[h] = doc
-        self.layout = "packed"
-        self.invalidate_caches()
-        try:
-            for prefix in sorted(by_prefix):
-                self._append_batch(prefix, by_prefix[prefix])
-            if entries is not None:
-                self._write_manifest_entries(entries)
-            else:
-                self.shards_dir.mkdir(parents=True, exist_ok=True)
-            self.invalidate_caches()
-            after = self.digest()
-            if after != before:
-                raise RuntimeError(
-                    f"store migration digest mismatch at {self.root}: "
-                    f"flat {before} != packed {after}"
-                )
-        except BaseException:
-            shutil.rmtree(self.shards_dir, ignore_errors=True)
-            if old_manifest is not None:
-                _atomic_write(manifest_path, old_manifest)
-            self.layout = "flat"
-            self.invalidate_caches()
-            raise
-        shutil.rmtree(self.results_dir, ignore_errors=True)
-        self.invalidate_caches()
-        return after
-
     # -- determinism ---------------------------------------------------
     #: Shared with FleetResult.digest (see module-level DIGEST_FIELDS).
     DIGEST_FIELDS = DIGEST_FIELDS
@@ -1416,29 +1311,17 @@ class SweepStore:
         """SHA-256 over the deterministic fields of completed rows.
 
         Two stores that ran the same scenarios — in one shot, or killed
-        and resumed, serially or on any executor, flat or packed —
-        produce the same digest; it is the cheap equality check the
-        resume tests and the benchmark harness pin.  The default scope
+        and resumed, serially or on any executor — produce the same
+        digest; it is the cheap equality check the resume tests and the
+        benchmark harness pin.  The default scope
         is the manifest's scenario list (falling back to every row on
         manifest-less stores), so rows left behind by a *different*
         grid that reused the directory don't pollute the certificate.
         The algorithm is :func:`digest_rows`, shared with
-        :meth:`~repro.runtime.fleet.FleetResult.digest`; packed stores
-        fold it streaming over batch digest columns (one shard at a
-        time, no sidecar reads, no ScenarioResult objects).
+        :meth:`~repro.runtime.fleet.FleetResult.digest`, folded
+        streaming over batch digest columns (one shard at a time, no
+        sidecar reads, no ScenarioResult objects).
         """
-        if self.layout == "flat":
-            if hashes is None:
-                try:
-                    hashes = self.manifest_hashes()
-                except FileNotFoundError:
-                    hashes = self.completed()
-            rows = []
-            for ch in hashes:
-                row = self.load_result_by_hash(ch)
-                if row is not None:
-                    rows.append((ch, row))
-            return digest_rows(rows)
         acc = hashlib.sha256()
         by_prefix = self._scope_by_prefix(self._scope(hashes))
         for prefix in sorted(by_prefix):

@@ -8,6 +8,9 @@ Makefile's ``test-slow`` target).
 
 from __future__ import annotations
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -84,3 +87,32 @@ def quadratic_problem():
 @pytest.fixture
 def flow_network():
     return random_flow_network(12, arc_density=0.25, seed=8)
+
+
+@pytest.fixture
+def write_flat_store():
+    """Writer of legacy flat (format v1) sweep stores, by hand.
+
+    ``write_flat_store(root, rows)`` lays out the retired flat layout
+    as plain files: a v1 ``manifest.json`` listing every row's spec and
+    one ``results/<hash>.json`` row document per row, byte for byte as
+    the flat ``SweepStore`` wrote them.  Returns ``root`` as a path.
+    """
+    def write(root, rows):
+        root = pathlib.Path(root)
+        (root / "results").mkdir(parents=True, exist_ok=True)
+        entries = [
+            {"hash": r.spec.content_hash, "key": r.spec.key,
+             "spec": r.spec.canonical()}
+            for r in rows
+        ]
+        manifest = {"format_version": 1, "scenario_count": len(entries),
+                    "scenarios": entries}
+        (root / "manifest.json").write_text(json.dumps(manifest, indent=2))
+        for r in rows:
+            (root / "results" / f"{r.content_hash}.json").write_text(
+                json.dumps(r.to_json_dict(), indent=2, allow_nan=False)
+            )
+        return root
+
+    return write

@@ -1,28 +1,32 @@
 """Packed columnar SweepStore: digest preservation, sealing, O(changed) merge.
 
 The acceptance contract of the million-row store refactor: a packed
-store's digest is byte-identical to the same rows in the flat legacy
-layout (pinned by a golden constant computed with the pre-refactor
+store's digest is byte-identical to the same rows in the retired flat
+layout (pinned by a golden constant computed with the flat-layout
 code), kill/resume and shard-merge keep certifying bit-identically,
-merge edge cases at batch boundaries behave (overlap, killed partial
-merge, flat-legacy sources), and ``store migrate`` upgrades flat
-stores in place without changing their digest.
+and merge edge cases at batch boundaries behave (overlap, killed
+partial merge, flat-legacy sources).  Flat stores survive only as
+input: they are written by hand (the ``write_flat_store`` fixture),
+and opening one packs it in place without changing its digest — a
+crash at any write of that migration leaves the flat store intact.
 """
 
 from __future__ import annotations
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
 from repro.__main__ import main
-from repro.runtime.fleet import FleetResult, ScenarioResult, run_grid
+from repro.runtime.fleet import ScenarioResult, run_grid
 from repro.runtime.sweep_store import SweepStore, digest_rows
 from repro.scenarios.spec import ScenarioGrid, ScenarioSpec
 
-#: digest_rows over ``_synth_rows(20)`` computed with the pre-refactor
-#: flat-layout code — the byte-identity anchor for the packed layout.
+#: digest_rows over ``_synth_rows(20)`` computed with the flat-layout
+#: code — the byte-identity anchor, reached today by opening a
+#: ``write_flat_store`` fixture of those rows.
 GOLDEN_DIGEST = "82c73a80abf4940868a869386fdb8025d7e19cadb4fce1e3f37fe3dc8925d60c"
 
 
@@ -53,6 +57,14 @@ def _fill(store: SweepStore, rows: "list[ScenarioResult]") -> SweepStore:
     return store
 
 
+def _tree(root: pathlib.Path) -> "dict[str, bytes]":
+    """Every file under ``root`` with its bytes (directories as ``b""``)."""
+    return {
+        str(p.relative_to(root)): p.read_bytes() if p.is_file() else b""
+        for p in root.rglob("*")
+    }
+
+
 def _grid(n_seeds: int = 2, **overrides) -> ScenarioGrid:
     defaults = dict(
         problems=(("jacobi", {"n": 8}),),
@@ -73,16 +85,17 @@ class TestDigestPreservation:
             [(r.content_hash, r) for r in rows]
         ) == GOLDEN_DIGEST
 
-    def test_flat_store_matches_golden(self, tmp_path):
-        store = _fill(SweepStore(tmp_path / "flat", layout="flat"),
-                      _synth_rows(20))
-        assert store.layout == "flat"
+    def test_flat_store_matches_golden(self, tmp_path, write_flat_store):
+        root = write_flat_store(tmp_path / "flat", _synth_rows(20))
+        store = SweepStore(root, create=False)
+        # The open packed the flat rows, verifying the flat digest.
+        assert store.migrated_digest == GOLDEN_DIGEST
         assert store.digest() == GOLDEN_DIGEST
+        assert not (root / "results").exists()
 
     def test_packed_store_matches_golden_sealed_and_unsealed(self, tmp_path):
         rows = _synth_rows(20)
         store = _fill(SweepStore(tmp_path / "p"), rows)
-        assert store.layout == "packed"
         # Unsealed: every row still in the append-log.
         assert store.digest() == GOLDEN_DIGEST
         store.flush()
@@ -104,7 +117,7 @@ class TestDigestPreservation:
         specs = _grid().expand()
         fleet = run_grid(specs, store=tmp_path / "s", executor="serial")
         store = SweepStore(tmp_path / "s", create=False)
-        assert store.layout == "packed"
+        assert store.read_manifest()["format_version"] == 2
         assert store.digest() == fleet.digest()
 
 
@@ -166,14 +179,18 @@ class TestSealing:
             [(r.content_hash, r) for r in rows]
         )
 
-    def test_flush_is_idempotent_and_flat_noop(self, tmp_path):
+    def test_flush_is_idempotent_and_flat_noop(self, tmp_path, write_flat_store):
         store = _fill(SweepStore(tmp_path / "p"), _synth_rows(4))
         store.flush()
         store.flush()
         assert store.digest() == SweepStore(tmp_path / "p", create=False).digest()
-        flat = _fill(SweepStore(tmp_path / "f", layout="flat"), _synth_rows(4))
-        flat.flush()  # must not throw or move files
-        assert (tmp_path / "f" / "results").is_dir()
+        # A flat store opens with every row already sealed into batches,
+        # so flushing it must not move a file.
+        flat = SweepStore(write_flat_store(tmp_path / "f", _synth_rows(4)))
+        before = _tree(tmp_path / "f")
+        flat.flush()
+        assert _tree(tmp_path / "f") == before
+        assert not list((tmp_path / "f" / "shards").rglob("log/*.json"))
 
 
 class TestDiscard:
@@ -282,21 +299,28 @@ class TestMergeEdgeCases:
         # single row document from them.
         for src in (a, b):
             monkeypatch.setattr(
-                src, "_unit_docs",
+                src, "_shard_docs",
                 lambda *args: pytest.fail("re-merge read rows of an unchanged source"),
             )
         merged.merge(a, b)
         assert merged.digest() == full
 
-    def test_flat_legacy_source_merges_into_packed_dest(self, tmp_path):
+    def test_flat_legacy_source_merges_into_packed_dest(
+        self, tmp_path, write_flat_store
+    ):
         rows = _synth_rows(16)
-        flat = _fill(SweepStore(tmp_path / "flat", layout="flat"), rows[:10])
+        flat = write_flat_store(tmp_path / "flat", rows[:10])
         packed = _fill(SweepStore(tmp_path / "packed", batch_rows=4), rows[8:])
         packed.flush()
         merged = SweepStore(tmp_path / "m").merge(flat, packed)
         assert len(merged.completed()) == len(rows)
         assert merged.digest() == digest_rows(
             [(r.content_hash, r) for r in rows]
+        )
+        # The source was packed in place when merge opened it.
+        assert not (flat / "results").exists()
+        assert SweepStore(flat, create=False).digest() == digest_rows(
+            [(r.content_hash, r) for r in rows[:10]]
         )
 
     def test_merge_copies_traces_from_packed_sources(self, tmp_path):
@@ -327,19 +351,21 @@ class TestMergeEdgeCases:
 
 
 class TestMigrate:
-    def test_migrate_preserves_digest_and_rows(self, tmp_path):
+    """Opening a legacy flat store packs it in place, digest-verified."""
+
+    def test_migrate_preserves_digest_and_rows(self, tmp_path, write_flat_store):
         rows = _synth_rows(20)
-        store = _fill(SweepStore(tmp_path / "s", layout="flat"), rows)
-        before = store.digest()
-        assert before == GOLDEN_DIGEST
-        after = store.migrate()
-        assert after == before
-        assert store.layout == "packed"
-        assert not (tmp_path / "s" / "results").exists()
-        # Cold re-open detects packed and reloads every row.
-        reopened = SweepStore(tmp_path / "s", create=False)
-        assert reopened.layout == "packed"
-        assert reopened.digest() == before
+        root = write_flat_store(tmp_path / "s", rows)
+        store = SweepStore(root, create=False)
+        assert store.migrated_digest == GOLDEN_DIGEST
+        assert store.digest() == GOLDEN_DIGEST
+        assert not (root / "results").exists()
+        header = json.loads((root / "manifest.json").read_text())
+        assert header["format_version"] == 2
+        # A cold re-open finds a packed store and reloads every row.
+        reopened = SweepStore(root, create=False)
+        assert reopened.migrated_digest is None
+        assert reopened.digest() == GOLDEN_DIGEST
         for r in rows:
             assert (
                 reopened.load_result_by_hash(r.content_hash).to_json_dict()
@@ -349,37 +375,144 @@ class TestMigrate:
 
     def test_migrate_packed_store_is_noop(self, tmp_path):
         store = _fill(SweepStore(tmp_path / "p"), _synth_rows(6))
+        store.flush()
         d = store.digest()
-        assert store.migrate() == d
-        assert store.layout == "packed"
+        before = _tree(tmp_path / "p")
+        for create in (False, True):
+            reopened = SweepStore(tmp_path / "p", create=create)
+            assert reopened.migrated_digest is None
+            assert reopened.digest() == d
+        assert _tree(tmp_path / "p") == before
 
-    def test_migrate_preserves_fleet_json(self, tmp_path):
-        specs = _grid(n_seeds=1).expand()
-        run_grid(specs, store=SweepStore(tmp_path / "s", layout="flat"),
-                 executor="serial")
-        store = SweepStore(tmp_path / "s", create=False)
-        assert store.layout == "flat"
-        live = FleetResult.from_json((tmp_path / "s" / "fleet.json").read_text())
-        store.migrate()
-        assert (tmp_path / "s" / "fleet.json").is_file()
+    def test_migrate_preserves_fleet_json(self, tmp_path, write_flat_store):
+        live = run_grid(_grid(n_seeds=1).expand(), executor="serial")
+        root = write_flat_store(tmp_path / "s", live.results)
+        (root / "fleet.json").write_text(live.to_json())
+        store = SweepStore(root, create=False)
+        assert store.migrated_digest == live.digest()
+        assert (root / "fleet.json").read_text() == live.to_json()
         assert store.fleet_result().digest() == live.digest()
 
-    def test_migrate_rolls_back_on_mismatch(self, tmp_path, monkeypatch):
+    def test_migrate_rolls_back_on_mismatch(
+        self, tmp_path, monkeypatch, write_flat_store
+    ):
         rows = _synth_rows(8)
-        store = _fill(SweepStore(tmp_path / "s", layout="flat"), rows)
-        before = store.digest()
+        root = write_flat_store(tmp_path / "s", rows)
+        before = _tree(root)
         real_append = SweepStore._append_batch
 
         def corrupting(self, prefix, docs):
             docs = {h: {**doc, "iterations": 999} for h, doc in docs.items()}
             return real_append(self, prefix, docs)
 
-        monkeypatch.setattr(SweepStore, "_append_batch", corrupting)
-        with pytest.raises(RuntimeError, match="digest mismatch"):
-            store.migrate()
-        assert store.layout == "flat"
-        assert not (tmp_path / "s" / "shards").exists()
-        assert store.digest() == before
+        with monkeypatch.context() as m:
+            m.setattr(SweepStore, "_append_batch", corrupting)
+            with pytest.raises(RuntimeError, match="digest mismatch"):
+                SweepStore(root, create=False)
+        assert _tree(root) == before
+        assert SweepStore(root, create=False).digest() == digest_rows(
+            [(r.content_hash, r) for r in rows]
+        )
+
+    def test_crash_at_every_write_point_keeps_flat_store(
+        self, tmp_path, monkeypatch, write_flat_store
+    ):
+        """Each migration write in turn raises; the flat store survives.
+
+        The writes are one sidecar and one npz per shard batch, one
+        manifest per shard, then the v2 header — the commit point.
+        """
+        import repro.runtime.sweep_store as store_mod
+
+        rows = _synth_rows(20)
+        hashes = sorted(r.content_hash for r in rows)
+        shards = len({h[:store_mod.DEFAULT_PREFIX_LEN] for h in hashes})
+        real = {name: getattr(store_mod, name)
+                for name in ("_atomic_write", "_atomic_savez")}
+        for k in range(1, 200):
+            root = write_flat_store(tmp_path / f"s{k}", rows)
+            manifest = (root / "manifest.json").read_bytes()
+            calls = []
+
+            def crashing(name, k=k, calls=calls):
+                def write(*args):
+                    calls.append(name)
+                    if len(calls) == k:
+                        raise OSError(f"simulated crash at write {k}")
+                    return real[name](*args)
+                return write
+
+            with monkeypatch.context() as m:
+                for name in real:
+                    m.setattr(store_mod, name, crashing(name))
+                try:
+                    SweepStore(root, create=False)
+                except OSError:
+                    pass
+                else:
+                    break
+            assert sorted(p.stem for p in (root / "results").glob("*.json")) == hashes
+            assert (root / "manifest.json").read_bytes() == manifest
+            assert not (root / "shards").exists()
+            assert SweepStore(root, create=False).digest() == GOLDEN_DIGEST
+        else:
+            pytest.fail("the migration never completed")
+        assert len(calls) == 3 * shards + 1 == k - 1
+        assert not (root / "results").exists()
+        assert SweepStore(root, create=False).digest() == GOLDEN_DIGEST
+
+    def test_stray_shards_in_flat_store_are_discarded(
+        self, tmp_path, write_flat_store
+    ):
+        """A migration killed before its rollback leaves shards/ debris."""
+        rows = _synth_rows(20)
+        root = write_flat_store(tmp_path / "s", rows)
+        # Debris: a shard manifest, a torn batch and a row that is not
+        # in the flat store at all.
+        debris = root / "shards" / "0"
+        (debris / "log").mkdir(parents=True)
+        (debris / "manifest.json").write_text('{"scenarios": []}')
+        (debris / "batch-000000000000.npz").write_bytes(b"torn")
+        stray = ScenarioSpec(problem="jacobi", seed=999)
+        (debris / "log" / f"{stray.content_hash}.json").write_text("{}")
+        store = SweepStore(root, create=False)
+        assert store.migrated_digest == GOLDEN_DIGEST
+        assert store.completed() == {r.content_hash for r in rows}
+        assert not (debris / "batch-000000000000.npz").exists()
+        assert SweepStore(root, create=False).digest() == GOLDEN_DIGEST
+
+    def test_manifest_less_flat_directory_is_packed(
+        self, tmp_path, write_flat_store
+    ):
+        rows = _synth_rows(20)
+        root = write_flat_store(tmp_path / "c", rows)
+        (root / "manifest.json").unlink()
+        # Without create, a manifest-less directory is not a store, and
+        # refusing it changes nothing.
+        before = _tree(root)
+        with pytest.raises(FileNotFoundError, match="no sweep store"):
+            SweepStore(root, create=False)
+        assert _tree(root) == before
+        # Opened as a cache (create=True), every row is in scope.
+        store = SweepStore(root)
+        assert store.migrated_digest == GOLDEN_DIGEST
+        assert not (root / "manifest.json").exists()
+        assert not (root / "results").exists()
+        assert SweepStore(root).completed() == {r.content_hash for r in rows}
+
+    @pytest.mark.parametrize("text", [
+        "", "{not json", "[1, 2]", '"packed"', '{"format_version": "two"}',
+    ])
+    def test_unreadable_manifest_raises_before_any_change(self, tmp_path, text):
+        rows = _synth_rows(20)
+        store = _fill(SweepStore(tmp_path / "p"), rows)
+        store.flush()
+        (tmp_path / "p" / "manifest.json").write_text(text)
+        before = _tree(tmp_path / "p")
+        for create in (True, False):
+            with pytest.raises(ValueError, match="manifest.json"):
+                SweepStore(tmp_path / "p", create=create)
+        assert _tree(tmp_path / "p") == before
 
 
 class TestFleetView:
@@ -446,15 +579,17 @@ class TestStoreCLI:
         assert doc["completed"] == 12
         assert doc["digest"] == digest_rows([(r.content_hash, r) for r in rows])
 
-    def test_migrate_cli(self, tmp_path, capsys):
+    def test_migrate_cli(self, tmp_path, capsys, write_flat_store):
         rows = _synth_rows(10)
-        _fill(SweepStore(tmp_path / "s", layout="flat"), rows)
+        write_flat_store(tmp_path / "s", rows)
         assert main(["store", "migrate", str(tmp_path / "s"), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["migrated"] is True
         assert doc["layout_before"] == "flat"
         assert doc["layout"] == "packed"
-        assert doc["digest"] == doc["digest_before"]
+        assert doc["digest"] == doc["digest_before"] == digest_rows(
+            [(r.content_hash, r) for r in rows]
+        )
         assert doc["rows"] == 10
         # Second migrate: already packed, still rc 0.
         assert main(["store", "migrate", str(tmp_path / "s")]) == 0
@@ -464,6 +599,24 @@ class TestStoreCLI:
     def test_migrate_missing_store_errors(self, tmp_path, capsys):
         assert main(["store", "migrate", str(tmp_path / "nope")]) == 2
         assert "no sweep store" in capsys.readouterr().err
+
+    def test_unreadable_manifest_exits_2(self, tmp_path, capsys):
+        _fill(SweepStore(tmp_path / "p"), _synth_rows(6)).flush()
+        _fill(SweepStore(tmp_path / "src"), _synth_rows(3)).flush()
+        manifest = tmp_path / "p" / "manifest.json"
+        manifest.write_text("")
+        before = _tree(tmp_path / "p")
+        for argv in (
+            ["store", "digest", str(tmp_path / "p")],
+            ["store", "migrate", str(tmp_path / "p"), "--json"],
+            ["store", "merge", "--out", str(tmp_path / "m"), str(tmp_path / "p")],
+            ["store", "merge", "--out", str(tmp_path / "p"), str(tmp_path / "src")],
+        ):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert str(manifest) in captured.err, argv
+            assert captured.out == "", argv
+        assert _tree(tmp_path / "p") == before
 
 
 class TestRatesFromStore:

@@ -109,6 +109,20 @@ class TestCacheHits:
                  cache=tmp_path / "earlier", executor="serial")
         assert len(count_runs) == n
 
+    def test_flat_store_works_as_cache(self, tmp_path, count_runs, write_flat_store):
+        # A legacy flat store given as the cache is packed on open and
+        # its rows are hit like any other cached rows.
+        grid = _grid(n_seeds=1)
+        live = run_grid(grid.expand(), executor="serial")
+        n = len(count_runs)
+        cache = write_flat_store(tmp_path / "flat", live.results)
+        warm = run_grid(grid.expand(), store=tmp_path / "s", cache=cache,
+                        executor="serial")
+        assert len(count_runs) == n
+        assert warm.digest() == live.digest()
+        assert not (cache / "results").exists()
+        assert SweepStore(cache, create=False).digest() == live.digest()
+
 
 class TestCacheResolution:
     def test_env_var_supplies_default_cache(self, tmp_path, count_runs, monkeypatch):

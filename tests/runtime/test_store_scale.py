@@ -2,8 +2,9 @@
 
 The packed layout's reason to exist: aggregates over a hundred
 thousand rows must stream — digest and group_medians peak at one
-shard's working set, not the whole store — and the packed digest must
-equal the flat legacy digest for the same rows.
+shard's working set, not the whole store — and a legacy flat store of
+thousands of rows, packed in place when opened, must keep the digest
+its rows had.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ class TestStoreScale:
         # a cache-style directory — so it re-opens like one.
         assert SweepStore(tmp_path / "big").digest() == digest
 
-    def test_flat_vs_packed_digest_equality(self, tmp_path):
+    def test_flat_vs_packed_digest_equality(self, tmp_path, write_flat_store):
         n = 2000
         specs = [
             ScenarioSpec(problem="jacobi", seed=i, max_iterations=40 + i % 9)
@@ -102,15 +103,16 @@ class TestStoreScale:
             )
             for i, s in enumerate(specs)
         ]
-        flat = SweepStore(tmp_path / "flat", layout="flat")
         packed = SweepStore(tmp_path / "packed")
-        for store in (flat, packed):
-            store.write_manifest(specs)
-            for r in rows:
-                store.write_result(r)
+        packed.write_manifest(specs)
+        for r in rows:
+            packed.write_result(r)
         packed.flush()
         expected = digest_rows([(r.content_hash, r) for r in rows])
-        assert flat.digest() == expected
         assert packed.digest() == expected
-        # And migration carries the flat store over bit-identically.
-        assert flat.migrate() == expected
+        # Opening the same rows as a flat store packs them in place,
+        # bit-identically.
+        flat = SweepStore(write_flat_store(tmp_path / "flat", rows))
+        assert flat.migrated_digest == expected
+        assert flat.digest() == expected
+        assert SweepStore(tmp_path / "flat", create=False).digest() == expected

@@ -341,7 +341,9 @@ class TestResume:
         assert count_runs == []
         assert all(r.trace_path == "" for r in fleet.results)
 
-    def test_cli_banner_and_run_grid_share_completeness_rule(self, tmp_path):
+    def test_cli_banner_and_run_grid_share_completeness_rule(
+        self, tmp_path, write_flat_store
+    ):
         specs = list(_grid().expand())
         store = SweepStore(tmp_path / "s")
         run_grid(specs, store=store, executor="serial")  # rows, no traces
@@ -362,14 +364,22 @@ class TestResume:
         rows = [run_scenario(s) for s in specs[:4]]  # specs[4:] stay missing
         query = specs + specs[:2]
 
-        def fill(store, traced=True):
+        def traced_rows(root, traced=True):
+            traces = pathlib.Path(root) / "traces"
+            traces.mkdir(parents=True, exist_ok=True)
+            out = []
             for row, state in zip(rows, ("none", "empty", "dangling", "present")):
-                h = row.content_hash
-                path = {"none": None, "empty": ""}.get(state, str(store.trace_path(h)))
+                trace = traces / f"{row.content_hash}.npz"
+                path = {"none": None, "empty": ""}.get(state, str(trace))
                 if state == "present":
-                    store.trace_path(h).write_bytes(b"")
-                store.write_result(dataclasses.replace(
+                    trace.write_bytes(b"")
+                out.append(dataclasses.replace(
                     row, trace_path=path if traced else None))
+            return out
+
+        def fill(store, traced=True):
+            for row in traced_rows(store.root, traced):
+                store.write_result(row)
             return store
 
         logs = fill(SweepStore(tmp_path / "logs", batch_rows=1000))
@@ -380,7 +390,10 @@ class TestResume:
         overlay = fill(SweepStore(tmp_path / "overlay", batch_rows=1000), traced=False)
         overlay.flush()
         fill(overlay)
-        flat = fill(SweepStore(tmp_path / "flat", layout="flat"))
+        # A legacy flat store is packed when opened; its rows keep their
+        # trace states.
+        flat = SweepStore(write_flat_store(
+            tmp_path / "flat", traced_rows(tmp_path / "flat")))
         expected = {
             False: {r.content_hash for r in rows},
             True: {rows[1].content_hash, rows[3].content_hash},  # "", present
@@ -396,6 +409,23 @@ class TestResume:
                         assert one.to_json_dict() == bulk[s.content_hash].to_json_dict()
                     else:
                         assert one is None, (name, require_trace, s.key)
+
+    def test_resume_from_flat_store_runs_nothing(
+        self, tmp_path, count_runs, write_flat_store
+    ):
+        specs = list(_grid().expand())
+        live = run_grid(specs, executor="serial")
+        root = write_flat_store(tmp_path / "flat", live.results)
+        count_runs.clear()
+        fleet = run_grid(specs, resume=root, executor="serial")
+        assert count_runs == []
+        assert fleet.digest() == live.digest()
+        # The resume left a packed store behind, with the same digest.
+        assert not (root / "results").exists()
+        store = SweepStore(root, create=False)
+        assert store.migrated_digest is None
+        assert store.read_manifest()["format_version"] == 2
+        assert store.digest() == live.digest()
 
     def test_resume_decodes_each_batch_once(self, tmp_path, count_runs, monkeypatch):
         """Regression: a merged store with more batches in one shard
