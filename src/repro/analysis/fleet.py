@@ -8,9 +8,10 @@ throughput comparisons between fleet configurations.
 
 Every helper also accepts a persisted sweep: :func:`fleet_from_store`
 reassembles the ``FleetResult`` from a
-:class:`~repro.runtime.sweep_store.SweepStore` directory (final
-aggregate or partial per-scenario rows), so the tables and the
-cross-backend pivot read equally from a live run or from disk.
+:class:`~repro.runtime.sweep_store.SweepStore` directory (its
+completed per-scenario rows, however far the sweep got), so the
+tables and the cross-backend pivot read equally from a live run or
+from disk.
 """
 
 from __future__ import annotations
@@ -56,15 +57,18 @@ def fleet_from_store(
     """Load a persisted sweep back into a typed :class:`FleetResult`.
 
     Accepts a :class:`~repro.runtime.sweep_store.SweepStore`, its root
-    directory, or a bare ``fleet.json`` path.  Partial stores (sweep
-    still running or killed mid-flight) load with whatever scenarios
-    have completed, in manifest order — so the same
+    directory, or the path of a ``FleetResult`` JSON document (as
+    ``--json FILE`` exports).  A store loads its completed scenarios
+    in manifest order (see
+    :meth:`~repro.runtime.sweep_store.SweepStore.fleet_result`), so
+    partial stores (sweep still running or killed mid-flight) work
+    too — the same
     :func:`render_fleet_table`/:func:`render_backend_comparison` calls
     work on in-flight results.  With ``lazy=True`` a store loads as a
     streaming :class:`~repro.runtime.sweep_store.StoreFleetView`
     instead — same report surface, O(batch) memory at million-row
-    scale (bare ``fleet.json`` paths still materialize: the file *is*
-    the full document).
+    scale (JSON document paths still materialize: the file *is* the
+    full document).
     """
     if isinstance(store, SweepStore):
         return store.fleet_view() if lazy else store.fleet_result()

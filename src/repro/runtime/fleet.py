@@ -13,10 +13,10 @@ scenario (concurrently when the hardware allows), collects one typed
 
 :func:`run_grid` is the streaming entry point: given a
 :class:`~repro.runtime.sweep_store.SweepStore` it persists one summary
-row (and optionally the realized trace) per scenario *as workers
-finish*, keyed by the spec's content hash — so a sweep killed at
-scenario 180/200 resumes with ``run_grid(..., resume=store)`` and only
-executes the missing twenty.
+row (and optionally the realized trace) per scenario *as each dispatch
+chunk finishes*, keyed by the spec's content hash — so a sweep killed
+at scenario 180/200 resumes with ``run_grid(..., resume=store)`` and
+only executes the scenarios it lost.
 
 Pool dispatch is *chunked*: specs are packed into per-task chunks
 balanced by expected cost (``chunk_size="auto"`` targets about
@@ -24,7 +24,7 @@ balanced by expected cost (``chunk_size="auto"`` targets about
 many scenarios and a pool ``initializer`` pre-imports the registries
 and backends once per worker instead of once per task.  Grids of many
 small scenarios stop being dominated by dispatch overhead; results
-still stream to the store per scenario.
+still stream to the store, chunk by chunk.
 
 Determinism: every spec carries its own integer seed (spawned
 independently by the grid), and results are returned in submission
@@ -683,38 +683,39 @@ def _execute_specs(
     runner: Callable[[ScenarioSpec], ScenarioResult],
     chosen: str,
     workers: int,
-    on_result: Callable[[ScenarioResult], None] | None = None,
+    on_rows: "Callable[[list[ScenarioResult]], None] | None" = None,
     chunk_size: "int | str" = "auto",
     batch: bool = False,
 ) -> "dict[int, ScenarioResult]":
-    """Run ``(index, spec)`` pairs, invoking ``on_result`` as each finishes.
+    """Run ``(index, spec)`` pairs, handing each finished chunk to ``on_rows``.
 
     Pool executors dispatch cost-balanced *chunks* (one future per
     chunk, see :func:`_pack_chunks`), so per-task pickle/IPC overhead
-    amortizes over many scenarios; ``on_result`` still fires once per
-    scenario, in completion order of the chunks.  The returned mapping
-    restores submission order.  With ``batch``, each chunk routes its
-    homogeneous spec groups through the lockstep batched engine
-    (:func:`_run_chunk`); the serial path then also runs chunk by chunk
-    so store streaming keeps its per-chunk cadence instead of waiting
-    on the whole grid.
+    amortizes over many scenarios; ``on_rows`` fires once per finished
+    chunk with that chunk's rows, in completion order of the chunks —
+    rows that complete together are handed over together, so a store
+    lands them together.  The returned mapping restores submission
+    order.  With ``batch``, each chunk routes its homogeneous spec
+    groups through the lockstep batched engine (:func:`_run_chunk`);
+    the serial path then also runs chunk by chunk so store streaming
+    keeps its per-chunk cadence instead of waiting on the whole grid.
+    The unbatched serial path hands over one row at a time.
     """
     out: dict[int, ScenarioResult] = {}
+
+    def land(chunk: "list[tuple[int, ScenarioSpec]]", rows: "list[ScenarioResult]") -> None:
+        for (idx, _), r in zip(chunk, rows):
+            out[idx] = r
+        if on_rows is not None:
+            on_rows(rows)
+
     if chosen == "serial" or len(indexed) <= 1:
         if batch and len(indexed) > 1:
             for chunk in _pack_chunks(indexed, chunk_size, workers):
-                for (idx, _), r in zip(
-                    chunk, _run_chunk(runner, [spec for _, spec in chunk], True)
-                ):
-                    out[idx] = r
-                    if on_result is not None:
-                        on_result(r)
-            return out
-        for idx, spec in indexed:
-            r = runner(spec)
-            out[idx] = r
-            if on_result is not None:
-                on_result(r)
+                land(chunk, _run_chunk(runner, [spec for _, spec in chunk], True))
+        else:
+            for idx, spec in indexed:
+                land([(idx, spec)], [runner(spec)])
         return out
     pool_cls = ThreadPoolExecutor if chosen == "thread" else ProcessPoolExecutor
     chunks = _pack_chunks(indexed, chunk_size, workers)
@@ -726,11 +727,7 @@ def _execute_specs(
         while pending:
             done, _ = wait(pending, return_when=FIRST_COMPLETED)
             for fut in done:
-                chunk = pending.pop(fut)
-                for (idx, _), r in zip(chunk, fut.result()):
-                    out[idx] = r
-                    if on_result is not None:
-                        on_result(r)
+                land(pending.pop(fut), fut.result())
     return out
 
 
@@ -820,12 +817,13 @@ def _resolve_cache(cache: Any, sweep: Any, resume_store: Any) -> Any:
 
 
 def _adopt_row(src: Any, sweep: Any, loaded: ScenarioResult) -> ScenarioResult:
-    """Copy a row completed in ``src`` (resume source, cache, shard) into ``sweep``.
+    """Prepare a row completed in ``src`` (resume source, cache, shard) for ``sweep``.
 
     The trace file (when present) is copied — atomically, since stores
     and caches are shared between hosts — and the row's ``trace_path``
     re-pointed, so the destination store is self-contained: deleting
-    the source later cannot dangle it.
+    the source later cannot dangle it.  The caller writes the returned
+    row (rows adopted together are written together).
     """
     from repro.runtime.sweep_store import _atomic_copy
 
@@ -836,7 +834,6 @@ def _adopt_row(src: Any, sweep: Any, loaded: ScenarioResult) -> ScenarioResult:
         sweep.traces_dir.mkdir(parents=True, exist_ok=True)
         _atomic_copy(src.trace_path(h), sweep.trace_path(h))
         loaded = replace(loaded, trace_path=str(sweep.trace_path(h)))
-    sweep.write_result(loaded)
     return loaded
 
 
@@ -863,12 +860,14 @@ def run_grid(
     store:
         A :class:`~repro.runtime.sweep_store.SweepStore` or directory
         path.  When given, the manifest is written up front and each
-        scenario's row lands in its shard's append log *as the scenario
-        finishes* (plus ``traces/<content_hash>.npz`` with
-        ``keep_traces``), so a killed sweep loses at most the scenarios
-        in flight; logged rows are sealed into columnar batches as they
-        accumulate and once more at the end of the sweep.  ``None``
-        degrades to a plain in-memory fleet run.
+        dispatch chunk's rows land in the store *as the chunk
+        finishes*, one append-log file per shard prefix (plus
+        ``traces/<content_hash>.npz`` with ``keep_traces``), so a
+        killed sweep loses at most the scenarios in flight; logged rows
+        are sealed into columnar batches as they accumulate and once
+        more at the end of the sweep, and the run's executor and wall
+        time are recorded in the manifest header.  ``None`` degrades to
+        a plain in-memory fleet run.
     resume:
         A store (or path) holding a previous, possibly partial, run of
         the same scenarios.  Completed scenarios — recognized by
@@ -980,12 +979,16 @@ def run_grid(
         )
     slots: dict[int, ScenarioResult] = {}
     to_run: list[tuple[int, ScenarioSpec]] = []
+    into_sweep: list[ScenarioResult] = []
+    into_cache: list[ScenarioResult] = []
     for idx, (spec, h) in enumerate(zip(specs, hashes)):
         loaded = resumed.get(h)
         if loaded is not None and resume_store is not sweep:
             loaded = _adopt_row(resume_store, sweep, loaded)
+            into_sweep.append(loaded)
         if loaded is None and h in cached:
             loaded = _adopt_row(cache_store, sweep, cached[h])
+            into_sweep.append(loaded)
         if loaded is None:
             to_run.append((idx, spec))
             continue
@@ -994,10 +997,15 @@ def run_grid(
             # anywhere" includes completed before the cache existed.
             # Traces ride along (via the same adopt path), so later
             # keep_traces studies can hit these rows as well.
-            _adopt_row(sweep if sweep is not None else resume_store,
-                       cache_store, loaded)
+            into_cache.append(_adopt_row(
+                sweep if sweep is not None else resume_store, cache_store, loaded
+            ))
             cache_done.add(h)
         slots[idx] = loaded
+    if sweep is not None:
+        sweep.write_result(*into_sweep)
+    if cache_store is not None:
+        cache_store.write_result(*into_cache)
 
     runner: Callable[[ScenarioSpec], ScenarioResult] = run_scenario
     if sweep is not None:
@@ -1010,33 +1018,32 @@ def run_grid(
                 trace_chunk_size=trace_chunk_size,
             )
 
-    sinks: list[Callable[[ScenarioResult], None]] = []
+    sinks: list[Callable[[list[ScenarioResult]], None]] = []
     if sweep is not None:
-        sinks.append(sweep.write_result)
+        sinks.append(lambda rows: sweep.write_result(*rows))
     if cache_store is not None:
-        def _cache_write(r: ScenarioResult) -> None:
-            # Write-back: the scenario is now "completed somewhere",
-            # so every later study sharing this cache skips it.  Kept
+        def _cache_write(rows: "list[ScenarioResult]") -> None:
+            # Write-back: the scenarios are now "completed somewhere",
+            # so every later study sharing this cache skips them.  Kept
             # traces ride along (copied atomically, trace_path
-            # re-pointed into the cache) so keep_traces runs hit too.
-            if r.error is not None:
-                return  # failures never count as completed work
+            # re-pointed into the cache) so keep_traces runs hit too;
+            # failures never count as completed work.
+            done = [r for r in rows if r.error is None]
             if sweep is not None:
-                _adopt_row(sweep, cache_store, r)
-            else:
-                cache_store.write_result(r)
+                done = [_adopt_row(sweep, cache_store, r) for r in done]
+            cache_store.write_result(*done)
         sinks.append(_cache_write)
 
-    def _fanout(r: ScenarioResult) -> None:
+    def _fanout(rows: "list[ScenarioResult]") -> None:
         for sink in sinks:
-            sink(r)
+            sink(rows)
 
-    on_result = _fanout if sinks else None
+    on_rows = _fanout if sinks else None
     if chosen != "serial" and len(to_run) <= 1:
         chosen = "serial"
     slots.update(
         _execute_specs(
-            to_run, runner, chosen, workers, on_result,
+            to_run, runner, chosen, workers, on_rows,
             chunk_size=chunk_size, batch=batch and not keep_traces,
         )
     )

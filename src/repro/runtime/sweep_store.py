@@ -8,30 +8,33 @@ millions of rows:
 .. code-block:: text
 
     <root>/
-      manifest.json              # {format_version, layout, prefix_len, prefixes}
+      manifest.json              # {format_version, layout, prefix_len, prefixes, run}
       shards/<pp>/manifest.json  # the shard's scenario entries (+ global index)
       shards/<pp>/batch-<fp>.npz # columnar summary rows, content-hash order
       shards/<pp>/batch-<fp>.json# sidecar: key/spec/info/trace_path per row
-      shards/<pp>/log/<hash>.json# append-log: in-flight rows not yet sealed
+      shards/<pp>/log/<fp>.json  # append-log: rows written together, not yet sealed
       traces/<hash>.npz          # optional realized traces (keep_traces)
       tmp/<hash>/chunk_*.npz     # spill working set while a trace records
-      fleet.json                 # the aggregate FleetResult document
       merge_log.json             # fingerprints of source units already merged
 
 Every row is keyed by the scenario's canonical
 :attr:`~repro.scenarios.spec.ScenarioSpec.content_hash`, so the store
 is *content-addressed*: a resumed sweep (or a different grid that
 happens to share scenarios) recognizes completed work by identity, not
-by position.  Rows first land as one atomic append-log file each
-(``shards/<pp>/log/<hash>.json`` — the row's JSON document), and a
-shard's log is *sealed* into a columnar batch once it reaches
-``batch_rows`` entries: the npz holds the summary columns (hash,
+by position.  Rows that complete together (one dispatch chunk) land
+together: one atomic append-log file per shard prefix,
+``shards/<pp>/log/<fp>.json`` holding ``{"rows": {hash: document}}``
+(``fp`` fingerprints the file's sorted hashes, like a batch name).  A
+shard's log is *sealed* into a columnar batch once it holds
+``batch_rows`` rows: the npz holds the summary columns (hash,
 iterations, converged, residual/error/times with None-masks,
 wall_time) in content-hash order and the JSON sidecar carries the
 irregular remainder (key, canonical spec, ``info``, ``trace_path``).
 Killing a sweep between log write and seal loses nothing — logs are
 complete rows, and readers overlay logs over batches — so kill/resume
-stays bit-identical.
+stays bit-identical.  Each row is stored once: the manifest header's
+``run`` record keeps only the last run's executor, pool width and wall
+time, and :meth:`SweepStore.fleet_result` stitches the rows.
 
 Reads go *shard by shard*: every bulk reader visits shard prefixes in
 sorted order and decodes each of a shard's batch npz files and
@@ -103,7 +106,6 @@ __all__ = [
 ]
 
 _MANIFEST = "manifest.json"
-_FLEET = "fleet.json"
 _MERGE_LOG = "merge_log.json"
 
 #: First hex chars of the content hash naming a shard directory.  One
@@ -165,6 +167,11 @@ def digest_rows(pairs: "Iterable[tuple[str, ScenarioResult]]") -> str:
         h.update(ch.encode())
         h.update(json.dumps(payload, sort_keys=True, allow_nan=False).encode())
     return h.hexdigest()
+
+
+def _fingerprint(hashes: "Iterable[str]") -> str:
+    """File-name fingerprint of a sorted content-hash sequence."""
+    return hashlib.sha256("".join(hashes).encode()).hexdigest()[:12]
 
 
 def _atomic_write(path: pathlib.Path, text: str) -> None:
@@ -287,9 +294,9 @@ class StoreFleetView:
     ``wall_time``, ``digest``…) while reading rows one shard at a
     time — a 10⁶-row study report peaks at one shard's worth of
     memory.  ``wall_time`` is the *sum* of row wall times (cumulative
-    compute, as for any store-reassembled fleet) and ``executor`` is
-    ``"store"``, matching :meth:`SweepStore.fleet_result`'s stitched
-    path.  :meth:`materialize` yields the eager twin when positional
+    compute) and ``executor`` is ``"store"``, as
+    :meth:`SweepStore.fleet_result` labels a store without a ``run``
+    record.  :meth:`materialize` yields the eager twin when positional
     results are genuinely needed.
     """
 
@@ -484,8 +491,9 @@ class SweepStore:
         failure at any write before the commit, removes ``shards/`` and
         re-raises with the flat store untouched; a ``shards/`` found in
         a flat store can only be debris of a killed migration, so it is
-        discarded before packing starts.  Rows, traces, ``fleet.json``
-        and the digest stay the same.
+        discarded before packing starts.  Rows, traces and the digest
+        stay the same; a flat store's ``fleet.json`` stays where it is
+        and is never read (its rows are the rows just packed).
 
         The step must not race a process that is still writing the
         flat store (``store migrate`` never could either): rows landing
@@ -556,14 +564,17 @@ class SweepStore:
     def _shard_dir(self, prefix: str) -> pathlib.Path:
         return self.shards_dir / prefix
 
-    def _log_path(self, content_hash: str) -> pathlib.Path:
-        return self._shard_dir(self._prefix(content_hash)) / "log" / (
-            f"{content_hash}.json"
-        )
-
     def _log_paths(self, prefix: str) -> "list[pathlib.Path]":
+        """A shard's log files, oldest first.
+
+        Readers let later files win, so a row logged twice (say, re-run
+        to record its trace after a killed run logged it without one)
+        reads as its latest write.
+        """
         d = self._shard_dir(prefix) / "log"
-        return sorted(d.glob("*.json")) if d.is_dir() else []
+        if not d.is_dir():
+            return []
+        return sorted(d.glob("*.json"), key=lambda p: (p.stat().st_mtime_ns, p.name))
 
     def _batch_paths(self, prefix: str) -> "list[pathlib.Path]":
         d = self._shard_dir(prefix)
@@ -598,12 +609,9 @@ class SweepStore:
             for s in specs
         ]
         path = self._write_manifest_entries(entries)
-        # A new manifest starts a new sweep: a fleet.json left over from
-        # a previous (smaller/older) run would otherwise shadow the
-        # fresh per-scenario rows in fleet_result() if this run dies
-        # before writing its own aggregate.  Merge fingerprints describe
-        # the previous scenario scope, so they reset too.
-        (self.root / _FLEET).unlink(missing_ok=True)
+        # A new manifest starts a new sweep: its fresh header drops the
+        # previous run's record, and merge fingerprints describe the
+        # previous scenario scope, so they reset too.
         (self.root / _MERGE_LOG).unlink(missing_ok=True)
         return path
 
@@ -689,36 +697,50 @@ class SweepStore:
             for prefix in self._shard_prefixes():
                 for bp in self._batch_paths(prefix):
                     comp.update(self._batch_hashes(bp))
-                for lp in self._log_paths(prefix):
-                    comp.add(lp.stem)
+                comp.update(self._log_docs(prefix))
             self._completed = comp
         return set(self._completed)
 
-    def write_result(self, result: "ScenarioResult") -> pathlib.Path:
-        """Atomically persist one scenario's summary row.
+    def write_result(self, *results: "ScenarioResult") -> "list[pathlib.Path]":
+        """Atomically persist rows that completed together.
 
-        Failed scenarios (``result.error`` set) are *not* persisted as
-        completed work — a resumed sweep retries them.  The row lands
-        in the shard's log as its JSON document, and the log is sealed
-        into a columnar batch once it reaches ``batch_rows`` entries.
+        Failed scenarios (``error`` set) are *not* persisted as
+        completed work — a resumed sweep retries them.  The other rows
+        are grouped by shard prefix, and each group lands as one
+        append-log file (see :meth:`_write_log`); a prefix whose log
+        holds ``batch_rows`` rows is sealed into a columnar batch.
+        Returns the log files written.
         """
-        h = result.content_hash
-        path = self._log_path(h)
-        if result.error is not None:
-            return path
-        prefix = self._prefix(h)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write(
-            path, json.dumps(result.to_json_dict(), indent=2, allow_nan=False)
-        )
-        if self._completed is not None:
-            self._completed.add(h)
-        if prefix not in self._pending:
-            self._pending[prefix] = len(self._log_paths(prefix))
-        else:
-            self._pending[prefix] += 1
-        if self._pending[prefix] >= self.batch_rows:
-            self._seal_prefix(prefix)
+        groups: "dict[str, dict[str, dict[str, Any]]]" = {}
+        for result in results:
+            if result.error is None:
+                h = result.content_hash
+                groups.setdefault(self._prefix(h), {})[h] = result.to_json_dict()
+        paths = []
+        for prefix, rows in groups.items():
+            if prefix not in self._pending:
+                self._pending[prefix] = len(self._log_docs(prefix))
+            paths.append(self._write_log(prefix, rows))
+            if self._completed is not None:
+                self._completed.update(rows)
+            self._pending[prefix] += len(rows)
+            if self._pending[prefix] >= self.batch_rows:
+                self._seal_prefix(prefix)
+        return paths
+
+    def _write_log(
+        self, prefix: str, rows: "dict[str, dict[str, Any]]"
+    ) -> pathlib.Path:
+        """Land ``rows`` (hash -> document) as one append-log file.
+
+        ``shards/<pp>/log/<fp>.json`` holds ``{"rows": {hash: doc}}``,
+        with ``fp`` the fingerprint of the sorted hashes.  Compact
+        JSON: an ``indent`` would push ``json`` off its C encoder.
+        """
+        d = self._shard_dir(prefix) / "log"
+        d.mkdir(parents=True, exist_ok=True)
+        path = d / f"{_fingerprint(sorted(rows))}.json"
+        _atomic_write(path, json.dumps({"rows": rows}, allow_nan=False))
         return path
 
     def flush(self) -> None:
@@ -733,15 +755,19 @@ class SweepStore:
                 self._seal_prefix(prefix)
 
     def _seal_prefix(self, prefix: str) -> None:
-        logs = self._log_docs(prefix)
+        """Seal every logged row of ``prefix`` into one batch.
+
+        A batch may exceed ``batch_rows`` by less than one log file's
+        rows.  Exactly the log files read here are unlinked, after the
+        batch has landed.
+        """
+        files = self._log_files(prefix)
         self._pending[prefix] = 0
-        if not logs:
-            return
-        docs = sorted(logs.items())
-        self._write_batch(prefix, docs)
-        log_dir = self._shard_dir(prefix) / "log"
-        for h, _ in docs:
-            (log_dir / f"{h}.json").unlink(missing_ok=True)
+        docs = {h: doc for rows in files.values() for h, doc in rows.items()}
+        if docs:
+            self._write_batch(prefix, sorted(docs.items()))
+        for path in files:
+            path.unlink(missing_ok=True)
 
     def _write_batch(
         self, prefix: str, docs: "list[tuple[str, dict[str, Any]]]"
@@ -756,7 +782,7 @@ class SweepStore:
         from repro.runtime.fleet import _decode_nonfinite
 
         hashes = [h for h, _ in docs]
-        fp = hashlib.sha256("".join(hashes).encode()).hexdigest()[:12]
+        fp = _fingerprint(hashes)
         n = len(docs)
         meta_rows = []
         arrays: "dict[str, np.ndarray]" = {
@@ -887,12 +913,30 @@ class SweepStore:
             docs[hashes[i]] = doc
         return docs
 
+    def _log_files(
+        self, prefix: str
+    ) -> "dict[pathlib.Path, dict[str, dict[str, Any]]]":
+        """Every append-log file of one shard, with the rows it holds.
+
+        The one reader of the log.  A file holds ``{"rows": {hash:
+        doc}}``; a file without a ``rows`` key is a single-row
+        ``<hash>.json``, as stores written before logs were grouped
+        left them when killed before their seal, and reads as that one
+        row, so such a store resumes without re-running it.
+        """
+        files: "dict[pathlib.Path, dict[str, dict[str, Any]]]" = {}
+        for p in self._log_paths(prefix):
+            doc = json.loads(p.read_text())
+            files[p] = doc["rows"] if "rows" in doc else {p.stem: doc}
+        return files
+
     def _log_docs(
         self, prefix: str, wanted: "set[str] | None" = None
     ) -> "dict[str, dict[str, Any]]":
+        """One shard's logged rows (restricted to ``wanted`` when given)."""
         return {
-            p.stem: json.loads(p.read_text()) for p in self._log_paths(prefix)
-            if wanted is None or p.stem in wanted
+            h: doc for rows in self._log_files(prefix).values()
+            for h, doc in rows.items() if wanted is None or h in wanted
         }
 
     def _shard_docs(
@@ -923,10 +967,11 @@ class SweepStore:
         return ScenarioResult.from_json_dict(doc)
 
     def _load_doc(self, content_hash: str) -> "dict[str, Any] | None":
-        log = self._log_path(content_hash)
-        if log.is_file():
-            return json.loads(log.read_text())
-        bp = self._shard_map(self._prefix(content_hash)).get(content_hash)
+        prefix = self._prefix(content_hash)
+        doc = self._log_docs(prefix, {content_hash}).get(content_hash)
+        if doc is not None:
+            return doc
+        bp = self._shard_map(prefix).get(content_hash)
         if bp is None:
             return None
         return self._batch_docs(bp, {content_hash})[content_hash]
@@ -978,17 +1023,24 @@ class SweepStore:
 
         The kill-simulation counterpart of :meth:`write_result`: tests
         and tooling drop a row to force its re-execution.  A logged row
-        unlinks directly; a sealed row rewrites its batch without it
-        (new fingerprint name, old pair removed).  Merge fingerprints
-        are invalidated — the store's content no longer matches what
-        they certified.
+        leaves its log file: the file's other rows land as a new file
+        (fingerprinted by their own hashes) before the old one is
+        unlinked.  A sealed row rewrites its batch without it (new
+        fingerprint name, old pair removed).  Merge fingerprints are
+        invalidated — the store's content no longer matches what they
+        certified.
         """
         prefix = self._prefix(content_hash)
-        log = self._log_path(content_hash)
-        if log.is_file():
-            log.unlink()
-            if prefix in self._pending and self._pending[prefix] > 0:
-                self._pending[prefix] -= 1
+        logged = False
+        for path, rows in self._log_files(prefix).items():
+            if rows.pop(content_hash, None) is None:
+                continue
+            if rows:
+                self._write_log(prefix, rows)
+            path.unlink()
+            logged = True
+        if logged:
+            self._pending.pop(prefix, None)  # recounted on the next write
         else:
             bp = self._shard_map(prefix).get(content_hash)
             if bp is None:
@@ -1082,8 +1134,27 @@ class SweepStore:
 
     # -- aggregates ----------------------------------------------------
     def write_fleet(self, fleet: "FleetResult") -> pathlib.Path:
-        path = self.root / _FLEET
-        _atomic_write(path, fleet.to_json())
+        """Record the finished run in the manifest header; its path.
+
+        The header's ``run`` key keeps the run's ``executor``,
+        ``max_workers`` and ``wall_time``, which :meth:`fleet_result`
+        labels the stitched rows with.  The rows themselves are already
+        in the store, so they are not written again.  A new manifest
+        (:meth:`write_manifest`, :meth:`merge`) starts without a
+        ``run`` record, so a record never outlives its run.
+        """
+        header = self._read_header()
+        if header is None:
+            raise FileNotFoundError(
+                f"no sweep store at {self.root} (missing {_MANIFEST})"
+            )
+        header["run"] = {
+            "executor": fleet.executor,
+            "max_workers": fleet.max_workers,
+            "wall_time": fleet.wall_time,
+        }
+        path = self.root / _MANIFEST
+        _atomic_write(path, json.dumps(header, indent=2, allow_nan=False))
         return path
 
     def fleet_view(self) -> StoreFleetView:
@@ -1097,10 +1168,12 @@ class SweepStore:
     def fleet_result(self) -> "FleetResult":
         """Reassemble the typed :class:`~repro.runtime.fleet.FleetResult`.
 
-        Prefers the final ``fleet.json`` aggregate; for an interrupted
-        or merged sweep (no aggregate yet) the completed per-scenario
-        rows are stitched together in manifest order, so partial stores
-        are still fully analyzable.  The stitched fleet's ``wall_time``
+        The completed rows are stitched together in manifest order, so
+        partial stores are still fully analyzable; failed scenarios are
+        never persisted, so they are not listed.  The fleet is labelled
+        with the header's ``run`` record (see :meth:`write_fleet`) when
+        the last run finished.  An interrupted or merged sweep has no
+        record: its ``executor`` is ``"store"`` and its ``wall_time``
         is the *sum* of the rows' wall times — the real cumulative
         compute the store holds — never a fabricated ``0.0`` (which
         would make ``scenarios_per_sec`` infinite and its JSON
@@ -1109,20 +1182,21 @@ class SweepStore:
         """
         from repro.runtime.fleet import FleetResult, ScenarioResult
 
-        final = self.root / _FLEET
-        if final.is_file():
-            return FleetResult.from_json(final.read_text())
         order = self.manifest_hashes()
         by_hash = {
             h: ScenarioResult.from_json_dict(doc)
             for h, doc in self.iter_row_docs(order)
         }
-        results = [by_hash[h] for h in order if h in by_hash]
+        results = tuple(by_hash[h] for h in order if h in by_hash)
+        run = self._read_header().get("run")
+        if run is None:
+            run = {"executor": "store", "max_workers": 0,
+                   "wall_time": sum(r.wall_time for r in results)}
         return FleetResult(
-            results=tuple(results),
-            wall_time=float(sum(r.wall_time for r in results)),
-            executor="store",
-            max_workers=0,
+            results=results,
+            wall_time=float(run["wall_time"]),
+            executor=str(run["executor"]),
+            max_workers=int(run["max_workers"]),
         )
 
     # -- merging -------------------------------------------------------
@@ -1215,10 +1289,6 @@ class SweepStore:
                 for prefix, prefix_docs in by_prefix.items():
                     self._append_batch(prefix, prefix_docs)
         self._write_manifest_entries(scenarios)
-        # Any pre-merge fleet.json aggregates fewer scenarios than the
-        # merged manifest describes; drop it so fleet_result() stitches
-        # the full row set instead.
-        (self.root / _FLEET).unlink(missing_ok=True)
         self._write_merge_log(merged_fps | live_fps)
         return self
 

@@ -254,9 +254,19 @@ class ScenarioSpec:
         so a :class:`~repro.runtime.sweep_store.SweepStore` can key
         per-scenario results by it and a resumed sweep recognizes
         completed work regardless of grid enumeration order.
+
+        Specs are immutable: the dataclass is frozen and nothing
+        mutates a spec's params in place.  So the hash is computed once
+        per instance and cached in its ``__dict__``, outside the
+        dataclass fields (``==``, ``repr`` and ``dataclasses.replace``
+        never see it; a pickled spec carries it along).
         """
-        doc = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(doc.encode()).hexdigest()[:16]
+        h = self.__dict__.get("_content_hash")
+        if h is None:
+            doc = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
+            h = hashlib.sha256(doc.encode()).hexdigest()[:16]
+            object.__setattr__(self, "_content_hash", h)
+        return h
 
     @property
     def batch_key(self) -> str:

@@ -127,7 +127,7 @@ class TestSweepStoreCLI:
         assert main(_sweep("--out", str(out))) == 0
         assert "results in" in capsys.readouterr().out
         assert (out / "manifest.json").is_file()
-        assert (out / "fleet.json").is_file()
+        assert not (out / "fleet.json").exists()  # each row is stored once
         from repro.runtime.sweep_store import SweepStore
 
         assert len(SweepStore(out, create=False).completed()) == 4

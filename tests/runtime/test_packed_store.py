@@ -391,7 +391,9 @@ class TestMigrate:
         store = SweepStore(root, create=False)
         assert store.migrated_digest == live.digest()
         assert (root / "fleet.json").read_text() == live.to_json()
-        assert store.fleet_result().digest() == live.digest()
+        stitched = store.fleet_result()
+        assert stitched.digest() == live.digest()
+        assert stitched.executor == "store"  # stitched from rows; fleet.json is never read
 
     def test_migrate_rolls_back_on_mismatch(
         self, tmp_path, monkeypatch, write_flat_store
@@ -520,7 +522,7 @@ class TestFleetView:
         specs = _grid().expand()
         run_grid(specs, store=tmp_path / "s", executor="serial")
         store = SweepStore(tmp_path / "s", create=False)
-        (tmp_path / "s" / "fleet.json").unlink()
+        store.write_manifest(specs)  # drops the run record: both sum row walls
         view = store.fleet_view()
         fleet = store.fleet_result()
         assert view.scenario_count == fleet.scenario_count
@@ -548,7 +550,7 @@ class TestFleetView:
 
         specs = _grid().expand()
         run_grid(specs, store=tmp_path / "s", executor="serial")
-        (tmp_path / "s" / "fleet.json").unlink()
+        SweepStore(tmp_path / "s", create=False).write_manifest(specs)
         view = fleet_from_store(tmp_path / "s", lazy=True)
         eager = fleet_from_store(tmp_path / "s")
         assert view.digest() == eager.digest()

@@ -108,13 +108,12 @@ class TestMergeDigest:
         run_grid(shard0, store=d0, executor="serial")
         run_grid(shard1, store=d1, executor="serial")
 
-        # "Kill" shard 0 after the fact: drop one row and the final
-        # aggregate, then resume it — the shard must complete exactly
-        # the missing scenario and certify identically.
+        # "Kill" shard 0 after the fact: drop one row, then resume it —
+        # the shard must complete exactly the missing scenario and
+        # certify identically.
         store0 = SweepStore(d0, create=False)
         victim = shard0[0].content_hash
         store0.discard_result(victim)
-        (d0 / "fleet.json").unlink()
         assert len(store0.completed()) == len(shard0) - 1
         run_grid(shard0, store=d0, resume=True, executor="serial")
         # run_grid wrote through its own store handle; this instance's
@@ -226,14 +225,12 @@ class TestTwoShardAcceptance:
         run_grid(shard0, store=d0, executor="serial")
         run_grid(shard1, store=d1, executor="serial")
 
-        # Kill host 0 late in its run: drop the last third of its rows
-        # and the aggregate, then resume — only the dropped scenarios
-        # may re-execute.
+        # Kill host 0 late in its run: drop the last third of its rows,
+        # then resume — only the dropped scenarios may re-execute.
         store0 = SweepStore(d0, create=False)
         victims = shard0[-(len(shard0) // 3):]
         for spec in victims:
             store0.discard_result(spec.content_hash)
-        (d0 / "fleet.json").unlink()
         import repro.runtime.fleet as fleet_mod
 
         calls: list[str] = []

@@ -12,6 +12,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import json
+import os
 import pathlib
 import tracemalloc
 
@@ -133,6 +134,70 @@ class TestContentHash:
         assert back.content_hash == spec.content_hash
 
 
+@pytest.fixture()
+def count_hashes(monkeypatch):
+    """Count content-hash computations (``sha256`` calls in the spec module)."""
+    import types
+
+    import repro.scenarios.spec as spec_mod
+
+    calls: list[bytes] = []
+    real = spec_mod.hashlib.sha256
+
+    def sha256(data=b""):
+        calls.append(data)
+        return real(data)
+
+    monkeypatch.setattr(spec_mod, "hashlib", types.SimpleNamespace(sha256=sha256))
+    return calls
+
+
+class TestContentHashCache:
+    """A spec computes its content hash once; the cache is invisible."""
+
+    def test_computed_once_per_instance(self, count_hashes):
+        spec = ScenarioSpec(problem="jacobi", seed=7)
+        first = spec.content_hash
+        assert spec.content_hash == first
+        assert len(count_hashes) == 1
+
+    @pytest.mark.parametrize("read_before", [True, False])
+    def test_pickle_round_trip(self, read_before):
+        import pickle
+
+        spec = ScenarioSpec(problem="jacobi", seed=7, problem_params={"n": 6})
+        twin = ScenarioSpec(problem="jacobi", seed=7, problem_params={"n": 6})
+        if read_before:
+            _ = spec.content_hash
+        back = pickle.loads(pickle.dumps(spec))
+        assert back == spec == twin
+        assert repr(back) == repr(twin)
+        assert back.content_hash == twin.content_hash
+
+    def test_equal_to_a_fresh_twin(self):
+        spec = ScenarioSpec(problem="jacobi", seed=7)
+        _ = spec.content_hash
+        twin = ScenarioSpec(problem="jacobi", seed=7)  # hash never read
+        assert spec == twin
+        assert repr(spec) == repr(twin)
+        assert dataclasses.astuple(spec) == dataclasses.astuple(twin)
+
+    def test_replace_gets_its_own_hash(self):
+        spec = ScenarioSpec(problem="jacobi", seed=7)
+        h = spec.content_hash
+        other = dataclasses.replace(spec, seed=8)
+        assert other.content_hash == ScenarioSpec(problem="jacobi", seed=8).content_hash
+        assert other.content_hash != h
+        assert spec.content_hash == h
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_a_run_hashes_each_spec_once(self, tmp_path, count_hashes, batch):
+        specs = list(_grid(n_seeds=3).expand())
+        count_hashes.clear()
+        run_grid(specs, store=tmp_path / "s", executor="serial", batch=batch)
+        assert len(count_hashes) == len(specs)
+
+
 class TestSweepStoreBasics:
     def test_write_and_load_result_roundtrip(self, tmp_path):
         store = SweepStore(tmp_path / "s")
@@ -183,8 +248,13 @@ class TestRunGrid:
         fleet = run_grid(specs, store=store, executor="serial")
         assert not fleet.failures()
         assert store.completed() == {s.content_hash for s in specs}
-        assert (tmp_path / "s" / "fleet.json").is_file()
+        # Each row is stored once: no fleet.json aggregate, only the
+        # run's record in the manifest header.
+        assert not (tmp_path / "s" / "fleet.json").exists()
         again = store.fleet_result()
+        assert (again.executor, again.max_workers, again.wall_time) == (
+            fleet.executor, fleet.max_workers, fleet.wall_time
+        )
         for a, b in zip(again.results, fleet.results):
             assert a.iterations == b.iterations
             assert a.final_residual == b.final_residual
@@ -436,7 +506,10 @@ class TestResume:
         runs = []
         for i in range(2):
             shard = SweepStore(tmp_path / f"shard{i}", batch_rows=4, prefix_len=0)
-            runs.append((shard, run_grid(grid.shard(2, i), store=shard, executor="serial")))
+            # chunk_size=1: rows land one at a time, so every batch seals
+            # at exactly batch_rows rows.
+            runs.append((shard, run_grid(grid.shard(2, i), store=shard,
+                                         executor="serial", chunk_size=1)))
         merged = SweepStore(tmp_path / "merged", batch_rows=4, prefix_len=0)
         merged.merge(*(shard for shard, _ in runs))
         batches = {p.name for p in (tmp_path / "merged" / "shards").glob("batch-*.npz")}
@@ -471,12 +544,197 @@ class TestResume:
         run_grid(small, store=store, executor="serial")
         assert store.fleet_result().scenario_count == 2
 
-        # "Killed" bigger resume: manifest written, rows land, no new
-        # fleet.json yet — simulate by doing the steps by hand.
+        # "Killed" bigger resume: manifest written, rows land, no run
+        # record yet — simulate by doing the steps by hand.
         store.write_manifest(big)
         for spec in big:
             store.write_result(run_scenario(spec))
         assert store.fleet_result().scenario_count == 4  # not the stale 2
+
+
+def _log_files(root: pathlib.Path) -> "list[pathlib.Path]":
+    return sorted((root / "shards").rglob("log/*.json"))
+
+
+def _logged_rows(path: pathlib.Path) -> "set[str]":
+    return set(json.loads(path.read_text())["rows"])
+
+
+class TestGroupedLog:
+    """Rows that complete together land as one log file per shard prefix."""
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_kill_before_seal_keeps_every_row(self, tmp_path, monkeypatch, batch):
+        specs = list(_grid(n_seeds=12).expand())  # 24 scenarios
+        root = tmp_path / "s"
+        with monkeypatch.context() as m:
+            m.setattr(SweepStore, "flush", lambda self: None)  # killed before the seal
+            fleet = run_grid(specs, store=root, executor="serial", chunk_size=8,
+                             batch=batch)
+        store = SweepStore(root, create=False)
+        if batch:
+            chunks = [[spec.content_hash for _, spec in chunk]
+                      for chunk in fleet_mod._pack_chunks(list(enumerate(specs)), 8, 1)]
+        else:  # the unbatched serial path hands over one row at a time
+            chunks = [[spec.content_hash] for spec in specs]
+        logs = _log_files(root)
+        # At most one file per chunk and prefix; each file is one
+        # chunk's rows of one prefix.
+        assert len(logs) == sum(len({store._prefix(h) for h in c}) for c in chunks)
+        for path in logs:
+            rows = _logged_rows(path)
+            assert {store._prefix(h) for h in rows} == {path.parent.parent.name}
+            assert any(rows <= set(c) for c in chunks)
+        assert store.completed() == {s.content_hash for s in specs}
+        assert store.digest() == fleet.digest()
+        store.flush()
+        assert not _log_files(root)
+        assert SweepStore(root, create=False).digest() == fleet.digest()
+
+    def test_single_row_log_of_an_older_store_resumes(self, tmp_path, count_runs):
+        specs = list(_grid().expand())
+        root = tmp_path / "s"
+        fleet = run_grid(specs, store=root, executor="serial")
+        digest = fleet.digest()
+        store = SweepStore(root, create=False)
+        row = fleet.results[1]
+        h = row.content_hash
+        store.discard_result(h)
+        # A store killed before its seal under the one-file-per-row log
+        # holds the row as log/<hash>.json, pretty-printed.
+        log = root / "shards" / store._prefix(h) / "log" / f"{h}.json"
+        log.parent.mkdir(parents=True, exist_ok=True)
+        log.write_text(json.dumps(row.to_json_dict(), indent=2, allow_nan=False))
+
+        store = SweepStore(root, create=False)
+        assert h in store.completed()
+        assert store.load_result_by_hash(h).to_json_dict() == row.to_json_dict()
+        assert store.digest() == digest
+        count_runs.clear()
+        resumed = run_grid(specs, store=root, resume=True, executor="serial")
+        assert count_runs == []
+        assert not log.exists()  # the resume's flush sealed it
+        assert resumed.digest() == digest
+        assert SweepStore(root, create=False).digest() == digest
+
+    def test_discard_one_row_of_a_multi_row_log(self, tmp_path):
+        rows = [run_scenario(s) for s in _grid(n_seeds=2).expand()]
+        root = tmp_path / "s"
+        store = SweepStore(root, prefix_len=0)
+        store.write_manifest([r.spec for r in rows])
+        (path,) = store.write_result(*rows)
+        assert _logged_rows(path) == {r.content_hash for r in rows}
+
+        victim = rows[1].content_hash
+        store.discard_result(victim)
+        survivors = [r for r in rows if r.content_hash != victim]
+        (left,) = _log_files(root)
+        assert _logged_rows(left) == {r.content_hash for r in survivors}
+        assert store.load_result_by_hash(victim) is None
+        for r in survivors:
+            assert store.load_result_by_hash(r.content_hash).to_json_dict() == (
+                r.to_json_dict()
+            )
+        expected = digest_rows((r.content_hash, r) for r in survivors)
+        assert store.digest() == expected
+        reopened = SweepStore(root, create=False)
+        assert reopened.completed() == {r.content_hash for r in survivors}
+        assert reopened.digest() == expected
+
+    def test_a_row_logged_twice_reads_as_its_latest_write(self, tmp_path):
+        rows = [run_scenario(s) for s in _grid(n_seeds=1).expand()]
+        root = tmp_path / "s"
+        store = SweepStore(root, prefix_len=0)
+        store.write_manifest([r.spec for r in rows])
+        (old,) = store.write_result(*rows)
+        os.utime(old, ns=(0, 0))  # logged long before the re-run
+        rerun = dataclasses.replace(rows[0], trace_path="")
+        store.write_result(rerun)
+        h = rerun.content_hash
+        assert SweepStore(root, create=False).load_result_by_hash(h).trace_path == ""
+        store.flush()
+        assert SweepStore(root, create=False).load_result_by_hash(h).trace_path == ""
+
+    def test_seal_takes_whole_log_files(self, tmp_path):
+        rows = [run_scenario(s) for s in _grid(n_seeds=3).expand()]  # 6 rows
+        root = tmp_path / "s"
+        store = SweepStore(root, batch_rows=4, prefix_len=0)
+        store.write_manifest([r.spec for r in rows])
+        store.write_result(*rows[:3])
+        assert len(_log_files(root)) == 1
+        # 3 + 3 logged rows cross batch_rows=4: both files seal into
+        # one batch of 6, and the log empties.
+        store.write_result(*rows[3:])
+        assert not _log_files(root)
+        (batch,) = (root / "shards").glob("batch-*.npz")
+        with np.load(batch) as z:
+            assert len(z["hash"]) == 6
+        assert store.digest() == digest_rows((r.content_hash, r) for r in rows)
+
+    def test_crash_at_every_write_point_resumes_identically(
+        self, tmp_path, monkeypatch, count_runs
+    ):
+        """Each write after the manifest raises in turn; resume completes it.
+
+        The write points of a serial batched run are its log files, the
+        seals (sidecar, then npz) it triggers mid-run, the final flush
+        and the run record in the manifest header.  After each crash a
+        resume must reach the uninterrupted digest, re-running only
+        rows whose log file never landed.
+        """
+        specs = list(_grid(n_seeds=12, max_iterations=20).expand())  # 24 scenarios
+        digest = run_grid(specs, executor="serial").digest()
+        keys = {s.content_hash: s.key for s in specs}
+        real = {name: getattr(store_mod, name)
+                for name in ("_atomic_write", "_atomic_savez")}
+        real_manifest = SweepStore.write_manifest
+        for k in range(1, 500):
+            root = tmp_path / f"s{k}"
+            calls: "list[str]" = []
+            landed: "set[str]" = set()
+            armed = [False]
+
+            def crashing(name, k=k, calls=calls, landed=landed, armed=armed):
+                def write(path, payload):
+                    if armed[0]:
+                        calls.append(name)
+                        if len(calls) == k:
+                            raise OSError(f"simulated crash at write {k}")
+                    out = real[name](path, payload)
+                    if armed[0] and path.parent.name == "log":
+                        landed.update(json.loads(payload)["rows"])
+                    return out
+                return write
+
+            def arming(self, specs, armed=armed):
+                path = real_manifest(self, specs)
+                armed[0] = True
+                return path
+
+            with monkeypatch.context() as m:
+                for name in real:
+                    m.setattr(store_mod, name, crashing(name))
+                m.setattr(SweepStore, "write_manifest", arming)
+                try:
+                    run_grid(specs, store=SweepStore(root, batch_rows=2),
+                             executor="serial", chunk_size=6)
+                except OSError:
+                    pass
+                else:
+                    break
+            count_runs.clear()
+            resumed = run_grid(specs, store=root, resume=True, executor="serial")
+            assert not set(count_runs) & {keys[h] for h in landed}, k
+            assert resumed.digest() == digest, k
+            assert SweepStore(root, create=False).digest() == digest, k
+        else:
+            pytest.fail("the run never completed")
+        # Every kind of write point was crossed: log files, mid-run
+        # seals (sidecar + npz), the final flush, the run record.
+        assert len(calls) == k - 1
+        assert calls.count("_atomic_savez") >= 2
+        assert not _log_files(root)
+        assert SweepStore(root, create=False).digest() == digest
 
 
 @pytest.mark.slow
@@ -617,7 +875,7 @@ class TestStoreWallTimeAndStrictJson:
         specs = _grid().expand()
         store = SweepStore(tmp_path / "s")
         run_grid(specs, store=store, executor="serial")
-        (tmp_path / "s" / "fleet.json").unlink()  # no final aggregate
+        store.write_manifest(specs)  # drops the run record, as a killed resume does
 
         stitched = store.fleet_result()
         rows_sum = sum(r.wall_time for r in stitched.results)
@@ -629,7 +887,7 @@ class TestStoreWallTimeAndStrictJson:
         specs = _grid().expand()
         store = SweepStore(tmp_path / "s")
         run_grid(specs, store=store, executor="serial")
-        (tmp_path / "s" / "fleet.json").unlink()
+        store.write_manifest(specs)  # drops the run record
 
         text = store.fleet_result().to_json()
         doc = self._strict(text)  # Infinity/NaN literals would raise
@@ -648,7 +906,14 @@ class TestStoreWallTimeAndStrictJson:
             self._strict(p.read_text())
 
     def test_fleet_json_aggregate_is_strict(self, tmp_path):
+        # The run's aggregate record lives in the manifest header now
+        # (there is no fleet.json); the header must stay strict JSON.
         specs = _grid(n_seeds=1).expand()
         store = SweepStore(tmp_path / "s")
-        run_grid(specs, store=store, executor="serial")
-        self._strict((tmp_path / "s" / "fleet.json").read_text())
+        fleet = run_grid(specs, store=store, executor="serial")
+        header = self._strict((tmp_path / "s" / "manifest.json").read_text())
+        assert header["run"] == {
+            "executor": "serial", "max_workers": fleet.max_workers,
+            "wall_time": fleet.wall_time,
+        }
+        assert not (tmp_path / "s" / "fleet.json").exists()
