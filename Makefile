@@ -4,7 +4,7 @@
 PY ?= python
 PP := PYTHONPATH=src:.$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-slow test-all lint bench bench-fleet sweep example-fleet example-faults examples doctest
+.PHONY: test test-slow test-all lint bench bench-fleet claims sweep example-fleet example-faults examples doctest
 
 ## tier-1: the fast suite (slow-marked fleet stress tests are skipped)
 test:
@@ -35,6 +35,11 @@ bench:
 ## regenerate BENCH_fleet.json (scenarios/sec vs sequential baseline)
 bench-fleet:
 	$(PP) $(PY) -m pytest benchmarks/bench_fleet_throughput.py --benchmark-only -q -s
+
+## the paper's claims: every benchmarks/bench_*.py module but the fleet bench
+## (rewrites benchmarks/results/*.txt)
+claims:
+	$(PP) $(PY) -m pytest $(filter-out benchmarks/bench_fleet_throughput.py,$(wildcard benchmarks/bench_*.py)) --benchmark-only -q
 
 ## the acceptance-criteria grid: 2 problems x 2 delays x 2 policies x 3 seeds
 sweep:

@@ -12,6 +12,8 @@ shapes) falls back to solo without surfacing an error.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runtime.fleet import run_fleet, run_scenario
 from repro.runtime.simulator.batched import (
@@ -20,6 +22,7 @@ from repro.runtime.simulator.batched import (
     lockstep_plan,
     run_scenario_batch,
 )
+from repro.scenarios.registry import REGISTRY
 from repro.scenarios.spec import ScenarioSpec
 
 #: Fields that define per-scenario bit-identity (everything except the
@@ -35,6 +38,22 @@ def assert_identical(solo_results, batch_results):
     for a, b in zip(solo_results, batch_results):
         for f in RESULT_FIELDS:
             assert getattr(a, f) == getattr(b, f), (a.key, f)
+
+
+def _spy_solo(calls):
+    def solo(spec):
+        calls.append(spec.key)
+        return run_scenario(spec)
+    return solo
+
+
+def assert_batched_identical(specs):
+    """The batch ran (no spec fell back to solo) and equals solo runs."""
+    calls = []
+    batch = run_scenario_batch(specs, solo=_spy_solo(calls))
+    assert not calls, f"fell back to solo for {calls}"
+    assert_identical([run_scenario(s) for s in specs], batch)
+    return batch
 
 
 def engine_specs(steering="cyclic", delays="uniform", tol=1e-6, n=6,
@@ -119,9 +138,7 @@ class TestEngineBatchBitIdentity:
     @pytest.mark.parametrize("steering", ["cyclic", "all", "block-cyclic",
                                           "random-subset", "weighted"])
     def test_steering_policies(self, steering):
-        specs = engine_specs(steering=steering, bound=2)
-        assert_identical([run_scenario(s) for s in specs],
-                         run_scenario_batch(specs))
+        assert_batched_identical(engine_specs(steering=steering, bound=2))
 
     @pytest.mark.parametrize("delays,params", [
         ("zero", {}),
@@ -130,35 +147,35 @@ class TestEngineBatchBitIdentity:
         ("baudet-sqrt", {}),
     ])
     def test_delay_models(self, delays, params):
-        specs = engine_specs(delays=delays, **params)
-        assert_identical([run_scenario(s) for s in specs],
-                         run_scenario_batch(specs))
+        assert_batched_identical(engine_specs(delays=delays, **params))
 
     def test_budget_exhaustion_tol_zero(self):
         # tol=0 never converges: every scenario runs out the budget.
-        specs = engine_specs(tol=0.0, max_iterations=7, bound=2)
-        batch = run_scenario_batch(specs)
+        batch = assert_batched_identical(
+            engine_specs(tol=0.0, max_iterations=7, bound=2)
+        )
         assert all(r.iterations == 7 and not r.converged for r in batch)
-        assert_identical([run_scenario(s) for s in specs], batch)
 
     def test_divergence_masking_mixed_stopping(self):
         # A loose tolerance converges scenarios at different j; frozen
         # rows must stop consuming their streams exactly where solo
         # stopped.
-        specs = engine_specs(tol=1e-2, max_iterations=200, bound=2,
-                             count=8)
-        assert_identical([run_scenario(s) for s in specs],
-                         run_scenario_batch(specs))
+        assert_batched_identical(
+            engine_specs(tol=1e-2, max_iterations=200, bound=2, count=8)
+        )
 
     def test_mixed_groups_and_solo_members_keep_input_order(self):
         specs = (
             engine_specs(delays="zero", count=3)
             + engine_specs(delays="uniform", bound=2, count=3)
-            + engine_specs(delays="zero", count=1, seed0=900)  # solo group
+            + engine_specs(delays="zero", count=1, seed0=900,
+                           max_iterations=41)  # solo group
         )
         specs = [specs[i] for i in (3, 0, 6, 4, 1, 5, 2)]  # interleave
-        assert_identical([run_scenario(s) for s in specs],
-                         run_scenario_batch(specs))
+        calls = []
+        batch = run_scenario_batch(specs, solo=_spy_solo(calls))
+        assert calls == [specs[2].key]  # only the one-spec group ran solo
+        assert_identical([run_scenario(s) for s in specs], batch)
 
     @pytest.mark.parametrize("steering,delays,params,tol", [
         ("cyclic", "constant", {"delay": 2}, 1e-8),
@@ -166,12 +183,10 @@ class TestEngineBatchBitIdentity:
         ("all", "uniform", {"bound": 2}, 1e-8),
     ])
     def test_long_runs_shared_steering(self, steering, delays, params, tol):
-        specs = engine_specs(steering=steering, delays=delays, tol=tol,
-                             max_iterations=120, **params)
-        calls = []
-        batch = run_scenario_batch(specs, solo=_spy_solo(calls))
-        assert not calls, f"fell back to solo for {calls}"
-        assert_identical([run_scenario(s) for s in specs], batch)
+        assert_batched_identical(
+            engine_specs(steering=steering, delays=delays, tol=tol,
+                         max_iterations=120, **params)
+        )
 
     @pytest.mark.parametrize("problem", ML_FAMILIES)
     def test_forward_backward_operators(self, problem):
@@ -179,41 +194,29 @@ class TestEngineBatchBitIdentity:
         # an AffineOperator stack: their own stacked twins run the
         # updates and residuals, and analysis and norms take the generic
         # paths.
-        specs = ml_specs(problem)
-        calls = []
-        batch = run_scenario_batch(specs, solo=_spy_solo(calls))
-        assert not calls, f"fell back to solo for {calls}"
-        assert_identical([run_scenario(s) for s in specs], batch)
+        assert_batched_identical(ml_specs(problem))
 
     @pytest.mark.parametrize("problem", ML_FAMILIES)
     def test_forward_backward_divergence_masking(self, problem):
         # Rows stop at different j, so the twins see live-row subsets.
-        specs = ml_specs(problem, delays="uniform", bound=2, tol=1e-3,
-                         max_iterations=300, count=6)
-        calls = []
-        batch = run_scenario_batch(specs, solo=_spy_solo(calls))
-        assert not calls, f"fell back to solo for {calls}"
+        batch = assert_batched_identical(
+            ml_specs(problem, delays="uniform", bound=2, tol=1e-3,
+                     max_iterations=300, count=6)
+        )
         assert len({r.iterations for r in batch}) > 1
         assert any(r.converged for r in batch)
-        assert_identical([run_scenario(s) for s in specs], batch)
 
     @pytest.mark.parametrize("problem", ML_FAMILIES)
     def test_forward_backward_random_subset_steering(self, problem):
         # Per-scenario active sets: each block runs on its own row subset.
-        specs = ml_specs(problem, steering="random-subset", count=4)
-        calls = []
-        batch = run_scenario_batch(specs, solo=_spy_solo(calls))
-        assert not calls, f"fell back to solo for {calls}"
-        assert_identical([run_scenario(s) for s in specs], batch)
+        assert_batched_identical(ml_specs(problem, steering="random-subset", count=4))
 
 
 class TestLockstepBatchBitIdentity:
     @pytest.mark.parametrize("backend", ["vectorized", "reference",
                                          "batched-lockstep"])
     def test_event_loop_twins(self, backend):
-        specs = sim_specs(backend=backend)
-        assert_identical([run_scenario(s) for s in specs],
-                         run_scenario_batch(specs))
+        assert_batched_identical(sim_specs(backend=backend))
 
     @pytest.mark.parametrize("mp", [
         {"n_processors": 1},
@@ -221,9 +224,7 @@ class TestLockstepBatchBitIdentity:
         {"n_processors": 6},
     ])
     def test_machine_shapes(self, mp):
-        specs = sim_specs(machine_params=mp)
-        assert_identical([run_scenario(s) for s in specs],
-                         run_scenario_batch(specs))
+        assert_batched_identical(sim_specs(machine_params=mp))
 
     @pytest.mark.parametrize("tol,max_iterations", [
         (0.0, 40),       # budget exhaustion
@@ -231,9 +232,7 @@ class TestLockstepBatchBitIdentity:
         (1e-2, 200),     # early convergence at scattered commits
     ])
     def test_stopping_regimes(self, tol, max_iterations):
-        specs = sim_specs(tol=tol, max_iterations=max_iterations)
-        assert_identical([run_scenario(s) for s in specs],
-                         run_scenario_batch(specs))
+        assert_batched_identical(sim_specs(tol=tol, max_iterations=max_iterations))
 
     @pytest.mark.parametrize("tol,max_iterations", [(0.0, 60), (1e-3, 400)])
     def test_lasso(self, tol, max_iterations):
@@ -250,12 +249,9 @@ class TestLockstepBatchBitIdentity:
             )
             for k in range(4)
         ]
-        calls = []
-        batch = run_scenario_batch(specs, solo=_spy_solo(calls))
-        assert not calls, f"fell back to solo for {calls}"
+        batch = assert_batched_identical(specs)
         if tol > 0.0:
             assert len({r.iterations for r in batch}) > 1
-        assert_identical([run_scenario(s) for s in specs], batch)
 
     def test_message_stats_match_event_loop(self):
         specs = sim_specs(count=2)
@@ -387,13 +383,6 @@ GOLDEN_DIGEST = (
 )
 
 
-def _spy_solo(calls):
-    def solo(spec):
-        calls.append(spec.key)
-        return run_scenario(spec)
-    return solo
-
-
 class TestWidenedWhitelist:
     """ISSUE 7: new fast-path admissions, each pinned by bit-identity."""
 
@@ -402,33 +391,28 @@ class TestWidenedWhitelist:
         ("uniform", {"bound": 2}), ("log-growth", {}), ("power", {}),
     ])
     def test_new_engine_admissions_bit_identical(self, steering, delays, params):
-        specs = engine_specs(steering=steering, delays=delays, **params)
-        calls = []
-        batch = run_scenario_batch(specs, solo=_spy_solo(calls))
-        assert not calls, f"fell back to solo for {calls}"
-        assert_identical([run_scenario(s) for s in specs], batch)
+        assert_batched_identical(
+            engine_specs(steering=steering, delays=delays, **params)
+        )
 
     @pytest.mark.parametrize("delays", ["log-growth", "power"])
     def test_deterministic_delay_growth_families(self, delays):
-        specs = engine_specs(steering="cyclic", delays=delays,
-                             max_iterations=80)
-        assert_identical([run_scenario(s) for s in specs],
-                         run_scenario_batch(specs))
+        assert_batched_identical(
+            engine_specs(steering="cyclic", delays=delays, max_iterations=80)
+        )
 
     def test_lockstep_tiered_machine_bit_identical(self):
-        specs = sim_specs(machine="lockstep-tiered",
-                          machine_params={"tiers": 2}, max_iterations=60)
-        calls = []
-        batch = run_scenario_batch(specs, solo=_spy_solo(calls))
-        assert not calls, f"fell back to solo for {calls}"
-        assert_identical([run_scenario(s) for s in specs], batch)
+        assert_batched_identical(
+            sim_specs(machine="lockstep-tiered", machine_params={"tiers": 2},
+                      max_iterations=60)
+        )
 
     def test_lockstep_tiered_tol_zero(self):
-        specs = sim_specs(machine="lockstep-tiered",
-                          machine_params={"tiers": 3, "latency": 0.02},
-                          tol=0.0, max_iterations=33)
-        assert_identical([run_scenario(s) for s in specs],
-                         run_scenario_batch(specs))
+        assert_batched_identical(
+            sim_specs(machine="lockstep-tiered",
+                      machine_params={"tiers": 3, "latency": 0.02},
+                      tol=0.0, max_iterations=33)
+        )
 
     def test_heterogeneous_plan_structure(self):
         from repro.scenarios.registry import make_machine
@@ -439,6 +423,84 @@ class TestWidenedWhitelist:
         plan = lockstep_plan(procs, channels)
         assert plan.compute == min(plan.computes)
         assert sorted(set(plan.computes)) == [1.0, 2.0]
+
+
+#: Small instances of the families the differential draws cover.
+SMALL_PROBLEMS = {
+    "jacobi": {"n": 6},
+    "tridiagonal": {"n": 6},
+    "lasso": {"n_samples": 10, "n_features": 5},
+    "ridge": {"n_samples": 10, "n_features": 5},
+    "logistic": {"n_samples": 10, "n_features": 5},
+}
+
+
+class TestDifferential:
+    """Seeded draws over the registry: the one executor equals solo on
+    every result field, three seeds per draw, with no solo call."""
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(
+        steering=st.sampled_from(REGISTRY.names("steering")),
+        delays=st.sampled_from(REGISTRY.names("delays")),
+        problem=st.sampled_from(sorted(SMALL_PROBLEMS)),
+        max_iterations=st.integers(1, 60),
+        tol=st.sampled_from([0.0, 1e-3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_engine_draws(self, steering, delays, problem, max_iterations, tol, seed):
+        assert_batched_identical([
+            ScenarioSpec(problem=problem, problem_params=SMALL_PROBLEMS[problem],
+                         steering=steering, delays=delays,
+                         max_iterations=max_iterations, tol=tol, seed=seed + k)
+            for k in range(3)
+        ])
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(
+        machine=st.sampled_from(["lockstep", "lockstep-tiered"]),
+        n_processors=st.integers(1, 5),
+        tiers=st.integers(1, 3),
+        latency=st.sampled_from([0.01, 0.3, 0.9]),
+        problem=st.sampled_from(["jacobi", "tridiagonal", "lasso"]),
+        max_iterations=st.integers(1, 70),
+        tol=st.sampled_from([0.0, 1e-3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lockstep_draws(self, machine, n_processors, tiers, latency, problem,
+                            max_iterations, tol, seed):
+        params = {"n_processors": n_processors, "latency": latency}
+        if machine == "lockstep-tiered":
+            params["tiers"] = tiers
+        assert_batched_identical([
+            ScenarioSpec(problem=problem, problem_params=SMALL_PROBLEMS[problem],
+                         kind="simulator", machine=machine, machine_params=params,
+                         max_iterations=max_iterations, tol=tol, seed=seed + k)
+            for k in range(3)
+        ])
+
+
+class TestLongLockstepMemory:
+    def test_history_is_a_ring(self):
+        # A lockstep phase reads a bounded number of commits back, so a
+        # long budget must not allocate the (J+1, B, dim) history slab.
+        import tracemalloc
+
+        J, B, n = 3000, 4, 64
+        kw = dict(machine="lockstep-tiered", machine_params={"n_processors": 8},
+                  n=n, count=B, tol=0.0)
+        run_scenario_batch(sim_specs(max_iterations=10, **kw))  # warm imports
+        specs = sim_specs(max_iterations=J, **kw)
+        calls = []
+        tracemalloc.start()
+        try:
+            batch = run_scenario_batch(specs, solo=_spy_solo(calls))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not calls, f"fell back to solo for {calls}"
+        assert all(r.iterations == J for r in batch)
+        assert peak < (J + 1) * B * n * 8 / 2
 
 
 class TestBuildBatchGolden:

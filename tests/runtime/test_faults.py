@@ -252,17 +252,17 @@ class TestBatchedRejection:
         ]
 
     def test_named_lockstep_incompatible(self):
-        from repro.runtime.simulator.batched import _run_lockstep_batch
+        from repro.runtime.simulator.batched import _run_batch
 
         specs = self._lockstep_specs()
         with pytest.raises(LockstepIncompatible) as exc:
-            _run_lockstep_batch(specs)
+            _run_batch(specs)
         msg = str(exc.value)
         assert specs[0].key in msg  # names the offender
         assert "admissible" in msg  # and the admissible alternatives
 
     def test_topology_rejected_by_name(self):
-        from repro.runtime.simulator.batched import _run_lockstep_batch
+        from repro.runtime.simulator.batched import _run_batch
 
         specs = [
             _fault_spec(
@@ -273,7 +273,7 @@ class TestBatchedRejection:
             for s in range(3)
         ]
         with pytest.raises(LockstepIncompatible, match="topology"):
-            _run_lockstep_batch(specs)
+            _run_batch(specs)
 
     def test_batch_falls_back_to_solo_bit_identically(self):
         specs = self._lockstep_specs()
