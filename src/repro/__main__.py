@@ -185,8 +185,9 @@ def _cmd_list_axes() -> int:
         f"{', '.join(_backends.available_backends('machine'))} (--kind simulator)"
     )
     print(
-        "dispatch: --chunk-size auto|N (cost-balanced pool chunks), "
-        "batched lockstep execution of homogeneous chunks (default; "
+        "dispatch: --chunk-size auto|N (cost-balanced pool chunks, one "
+        "chunk per batch group when serial), batched lockstep execution "
+        "of homogeneous groups (default; "
         "--no-batch for one solo call per scenario), "
         "--cache DIR / REPRO_SWEEP_CACHE (cross-study result cache), "
         "study run --shard i/k + store merge (multi-host sweeps)"

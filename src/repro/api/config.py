@@ -320,8 +320,11 @@ class ExecutionSpec:
     """Fleet execution knobs: executor, pool width, dispatch, cache.
 
     ``chunk_size`` controls how many scenarios ride in one dispatched
-    pool task (``"auto"``: cost-balanced chunks, ~4 tasks per worker;
-    ``1``: per-task dispatch).  ``batch`` routes homogeneous spec
+    chunk (``"auto"``: cost-balanced chunks, ~4 tasks per worker, on a
+    pool; one chunk per batch group on the serial executor, so a killed
+    serial sweep loses at most the group in flight; an int caps every
+    chunk, which bounds that loss; ``1``: per-task dispatch).
+    ``batch`` routes homogeneous spec
     groups inside each chunk through the scenario-batched lockstep
     engine (on by default; ``False`` restores one solo call per
     scenario).  ``cache_dir`` names the cross-study result cache

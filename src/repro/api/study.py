@@ -277,6 +277,11 @@ class Study:
         groups run through the scenario-batched lockstep engine by
         default — a pure throughput change, bit-identical results —
         and ``False`` restores one solo call per scenario.
+        ``chunk_size`` overrides ``execution.chunk_size``: under
+        ``"auto"`` a pool gets cost-balanced chunks and the serial
+        executor one chunk per batch group, so a killed serial run
+        loses at most the group in flight; an explicit int caps every
+        chunk, which bounds that loss.
         """
         cfg = self.config
         out = str(out) if out is not None else cfg.store.out

@@ -28,6 +28,10 @@ __all__ = [
     "richardson_operator",
 ]
 
+#: Matrix bytes per stacked LAPACK call in
+#: :meth:`AffineOperator.precompute_batch` (8 matrices at ``n = 64``).
+_ANALYSIS_STACK_BYTES = 2**18
+
 
 class AffineOperator(FixedPointOperator):
     """The affine map ``F(x) = A x + b`` on ``R^N``.
@@ -167,22 +171,20 @@ class AffineOperator(FixedPointOperator):
         return self
 
     @staticmethod
-    def precompute_batch(
-        ops: "list[AffineOperator]", *, A_stack: np.ndarray | None = None
-    ) -> None:
+    def precompute_batch(ops: "list[AffineOperator]") -> None:
         """Fill the lazy analysis caches of many same-shape operators at once.
 
         Populations of small affine operators (scenario batches) pay
         more for per-call LAPACK dispatch than for the decompositions
-        themselves; stacking them into one ``(B, n, n)`` gufunc call
+        themselves; stacking them into ``(k, n, n)`` gufunc calls
         amortizes that dispatch.  LAPACK routines run per matrix inside
         the gufunc loop, so every cached value is bit-identical to what
         the lazy per-operator path would have computed — this is purely
         a scheduling change (asserted by the batched-engine test suite).
-
-        ``A_stack`` lets a batched constructor that already produced the
-        ``(len(ops), n, n)`` stack (with ``ops[k].A`` the ``k``-th
-        slice) hand it over directly instead of paying a re-stack.
+        The calls run over sub-stacks of at most
+        :data:`_ANALYSIS_STACK_BYTES` of matrices, so their temporaries
+        (``|A|``, its perturbation, the complex eigenvectors) stay small
+        however large the batch.
         """
         todo = [
             o for o in ops
@@ -194,10 +196,15 @@ class AffineOperator(FixedPointOperator):
         n = todo[0].dim
         if any(o.dim != n for o in todo):
             raise ValueError("precompute_batch needs operators of one dimension")
-        if A_stack is not None and len(todo) == len(ops):
-            stackA = A_stack
-        else:
-            stackA = np.stack([o.A for o in todo])
+        step = max(1, _ANALYSIS_STACK_BYTES // (8 * n * n))
+        for k in range(0, len(todo), step):
+            AffineOperator._precompute_stack(todo[k: k + step])
+
+    @staticmethod
+    def _precompute_stack(todo: "list[AffineOperator]") -> None:
+        """:meth:`precompute_batch` on one sub-stack."""
+        stackA = np.stack([o.A for o in todo])
+        n = stackA.shape[1]
         absA = np.abs(stackA)
         rhos = np.max(np.abs(np.linalg.eigvals(absA)), axis=1)
         eps = 1e-12
@@ -313,19 +320,20 @@ def jacobi_operator_batch(
     if not np.isfinite(Ms).all() or not np.isfinite(cs).all():
         raise ValueError("Ms and cs must be finite")
     idx = np.arange(n)
-    ds = Ms[:, idx, idx].copy()
+    ds = Ms[:, idx, idx]
     if np.any(ds == 0.0):
         raise ValueError("M must have a nonzero diagonal for Jacobi-type splittings")
-    # Mirrors _split_diag + jacobi_operator elementwise: R = M - diag(d),
-    # A = -R / d, b = c / d.  Subtracting the diagonal gives an exact
-    # 0.0 there (x - x), identical to the solo splitting's R.
-    Rs = Ms.copy()
-    Rs[:, idx, idx] -= ds
-    As = -Rs / ds[:, :, None]
+    # Mirrors _split_diag + jacobi_operator elementwise, A = -R / d and
+    # b = c / d with R = M - diag(d), in one copy of the stack: off the
+    # diagonal -R is -M exactly (x - 0.0 == x); on it R is x - x == 0.0,
+    # so -R is -0.0.
+    As = np.negative(Ms)
+    As[:, idx, idx] = -0.0
+    As /= ds[:, :, None]
     bs = cs / ds
     spec = block_spec if block_spec is not None else BlockSpec.scalar(n)
     ops = [AffineOperator._from_parts(As[k], bs[k], spec) for k in range(B)]
-    AffineOperator.precompute_batch(ops, A_stack=As)
+    AffineOperator.precompute_batch(ops)
     return ops
 
 

@@ -164,7 +164,7 @@ def make_jacobi_batch(
     Stacks the instance generation (per-scenario draws in solo order,
     one vectorized rescale) and hands the ``(B, n, n)`` stack to
     :func:`~repro.operators.linear.jacobi_operator_batch`, which fills
-    the fixed-point/contraction caches through one stacked gufunc call.
+    the fixed-point/contraction caches through stacked gufunc calls.
     """
     from repro.operators.linear import jacobi_operator_batch
 
@@ -194,5 +194,5 @@ def make_tridiagonal_batch(
     cs = np.empty((len(seeds), dim))
     for k, seed in enumerate(seeds):
         cs[k] = as_generator(seed).standard_normal(dim)
-    Ms = np.broadcast_to(M, (len(seeds), dim, dim)).copy()
+    Ms = np.broadcast_to(M, (len(seeds), dim, dim))
     return jacobi_operator_batch(Ms, cs, None)

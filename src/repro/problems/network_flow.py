@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from repro.problems.base import CompositeProblem, SmoothProblem
@@ -94,6 +93,8 @@ class FlowNetwork:
 
     def is_connected(self) -> bool:
         """Whether the underlying undirected graph is connected."""
+        import networkx as nx  # the one networkx use: keep imports light
+
         g = nx.Graph()
         g.add_nodes_from(range(self.n_nodes))
         g.add_edges_from(map(tuple, self.arcs))

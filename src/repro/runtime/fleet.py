@@ -24,7 +24,9 @@ balanced by expected cost (``chunk_size="auto"`` targets about
 many scenarios and a pool ``initializer`` pre-imports the registries
 and backends once per worker instead of once per task.  Grids of many
 small scenarios stop being dominated by dispatch overhead; results
-still stream to the store, chunk by chunk.
+still stream to the store, chunk by chunk.  The serial executor has no
+workers to balance: under ``"auto"`` it runs one chunk per batch
+group, so each homogeneous group is one batched call.
 
 Determinism: every spec carries its own integer seed (spawned
 independently by the grid), and results are returned in submission
@@ -656,6 +658,42 @@ def _pack_chunks(
     return [c for c in chunks if c]
 
 
+def _group_chunks(
+    indexed: "list[tuple[int, ScenarioSpec]]",
+    chunk_size: "int | str",
+    workers: int,
+) -> "list[list[tuple[int, ScenarioSpec]]]":
+    """Serial batched dispatch chunks: every batch group whole.
+
+    A serial run has no workers to balance, so the cost balance of
+    :func:`_pack_chunks` buys nothing there; what matters is which specs
+    share a chunk (the bin view of the bar-charts packing
+    :func:`_spec_cost` cites).  Each group the batcher takes (two or
+    more specs of one :func:`~repro.runtime.simulator.batched._group`
+    key) is one chunk, hence one batched call and one store write; an
+    explicit ``chunk_size`` cuts it into the fewest slices of at most
+    that many specs.  The specs left over (unbatchable, or alone in
+    their group) are packed by :func:`_pack_chunks` as a pool would pack
+    them.  Chunks run in order of their first submission index.
+    """
+    from repro.runtime.simulator.batched import _group
+
+    chunks: list[list[tuple[int, ScenarioSpec]]] = []
+    rest: list[tuple[int, ScenarioSpec]] = []
+    for g in _group([spec for _, spec in indexed]):
+        members = [indexed[i] for i in g]
+        if len(members) < 2:
+            rest.extend(members)
+            continue
+        cuts = 1 if chunk_size == "auto" else math.ceil(len(members) / chunk_size)
+        chunks.extend(
+            members[k * len(members) // cuts: (k + 1) * len(members) // cuts]
+            for k in range(cuts)
+        )
+    chunks += _pack_chunks(rest, chunk_size, workers)
+    return sorted(chunks, key=lambda c: c[0][0])
+
+
 def _run_chunk(
     runner: Callable[[ScenarioSpec], ScenarioResult],
     specs: "list[ScenarioSpec]",
@@ -697,8 +735,9 @@ def _execute_specs(
     lands them together.  The returned mapping restores submission
     order.  With ``batch``, each chunk routes its homogeneous spec
     groups through the lockstep batched engine (:func:`_run_chunk`);
-    the serial path then also runs chunk by chunk so store streaming
-    keeps its per-chunk cadence instead of waiting on the whole grid.
+    the serial path then runs one chunk per batch group
+    (:func:`_group_chunks`), so each group is one batched call and the
+    store streams group by group instead of waiting on the whole grid.
     The unbatched serial path hands over one row at a time.
     """
     out: dict[int, ScenarioResult] = {}
@@ -711,7 +750,7 @@ def _execute_specs(
 
     if chosen == "serial" or len(indexed) <= 1:
         if batch and len(indexed) > 1:
-            for chunk in _pack_chunks(indexed, chunk_size, workers):
+            for chunk in _group_chunks(indexed, chunk_size, workers):
                 land(chunk, _run_chunk(runner, [spec for _, spec in chunk], True))
         else:
             for idx, spec in indexed:
@@ -752,10 +791,11 @@ def run_fleet(
     max_workers:
         Pool width cap (defaults to ``os.cpu_count()``).
     chunk_size:
-        Scenarios per dispatched pool task.  ``"auto"`` (default)
-        packs cost-balanced chunks targeting about 4 tasks per worker;
-        an explicit int bounds the chunk size (``1`` restores per-task
-        dispatch).  Results are bit-identical either way.
+        Scenarios per dispatched chunk.  Under ``"auto"`` (default) a
+        pool gets cost-balanced chunks, about 4 tasks per worker, and
+        the serial executor one chunk per batch group.  An explicit int
+        caps every chunk (``1`` restores per-task dispatch).  Results
+        are bit-identical either way.
     batch:
         Route homogeneous spec groups inside each chunk through the
         scenario-batched lockstep engine
@@ -902,8 +942,11 @@ def run_grid(
         Rows per trace chunk for ``keep_traces`` recording (default
         :attr:`~repro.core.trace.TraceStore.DEFAULT_CHUNK_SIZE`).
     chunk_size:
-        Scenarios per dispatched pool task (``"auto"``: cost-balanced
-        chunks, about 4 tasks per worker; ``1``: per-task dispatch).
+        Scenarios per dispatched chunk.  ``"auto"``: cost-balanced
+        chunks, about 4 tasks per worker, on a pool; one chunk per
+        batch group on the serial executor, so a killed serial sweep
+        loses at most the group in flight.  An explicit int caps every
+        chunk, which bounds that loss (``1``: per-task dispatch).
     batch:
         Batch homogeneous spec groups through the lockstep engine (see
         :func:`run_fleet`); bit-identical, throughput only.  Forced off

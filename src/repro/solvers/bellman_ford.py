@@ -10,7 +10,8 @@ digraphs directly.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.core.async_iteration import AsyncIterationEngine
@@ -22,6 +23,9 @@ from repro.solvers.synchronous import jacobi_solve
 from repro.steering.base import SteeringPolicy
 from repro.steering.policies import PermutationSweeps
 from repro.utils.rng import as_generator
+
+if TYPE_CHECKING:  # annotation only: keep networkx out of every import
+    import networkx as nx
 
 __all__ = ["weights_from_graph", "sync_bellman_ford", "async_bellman_ford"]
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import doctest
+import os
 import subprocess
 import sys
 
@@ -43,6 +44,27 @@ class TestLazyExports:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "CLEAN"
+
+    def test_studies_never_import_networkx(self):
+        # Only FlowNetwork.is_connected uses networkx; importing the
+        # package, resolving the backends and running studies must not
+        # load it.
+        code = (
+            "import sys; import repro, repro.api\n"
+            "from repro.runtime import backends\n"
+            "for name in backends.available_backends():\n"
+            "    backends.get_backend(name)\n"
+            "for kind in ('engine', 'simulator'):\n"
+            "    repro.api.sweep(['jacobi'], kind=kind, n_seeds=2,\n"
+            "                    max_iterations=20, executor='serial')\n"
+            "print('networkx' in sys.modules)"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "REPRO_SWEEP_CACHE"}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env=env,
+        )
+        assert out.stdout.strip() == "False"
 
     def test_lazy_access_caches(self):
         first = repro.solve

@@ -51,6 +51,42 @@ def pytest_collection_modifyitems(config: pytest.Config, items: list[pytest.Item
 
 
 @pytest.fixture
+def count_runs(monkeypatch):
+    """Keys of the scenarios actually executed (resume and cache hits skip).
+
+    Executions happen through two routes: solo calls (via
+    ``_run_scenario_inner``) and batched groups (via
+    ``run_scenario_batch``, which never reaches the solo plumbing).
+    Both are counted; scenarios a batch hands back to the solo
+    fallback are counted once, by the batch wrapper.
+    """
+    import repro.runtime.fleet as fleet_mod
+    import repro.runtime.simulator.batched as batched_mod
+
+    calls: list[str] = []
+    inner = fleet_mod._run_scenario_inner
+    batch = batched_mod.run_scenario_batch
+    in_batch = [False]
+
+    def counting(spec, **kwargs):
+        if not in_batch[0]:
+            calls.append(spec.key)
+        return inner(spec, **kwargs)
+
+    def counting_batch(specs, **kwargs):
+        calls.extend(s.key for s in specs)
+        in_batch[0] = True
+        try:
+            return batch(specs, **kwargs)
+        finally:
+            in_batch[0] = False
+
+    monkeypatch.setattr(fleet_mod, "_run_scenario_inner", counting)
+    monkeypatch.setattr(batched_mod, "run_scenario_batch", counting_batch)
+    return calls
+
+
+@pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 

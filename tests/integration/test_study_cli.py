@@ -253,48 +253,30 @@ class TestCacheFlags:
     """`--cache` / `--no-cache` / REPRO_SWEEP_CACHE on the CLI."""
 
     def test_cache_flag_makes_second_study_instant(self, study_file, tmp_path,
-                                                   capsys, monkeypatch):
-        import repro.runtime.fleet as fleet_mod
-
+                                                   capsys, count_runs):
         path, _ = study_file
         cache = str(tmp_path / "cache")
-        calls: list[str] = []
-        inner = fleet_mod._run_scenario_inner
-
-        def counting(spec, **kwargs):
-            calls.append(spec.key)
-            return inner(spec, **kwargs)
-
-        monkeypatch.setattr(fleet_mod, "_run_scenario_inner", counting)
         assert main(["study", "run", str(path), "--cache", cache,
                      "--out", str(tmp_path / "a")]) == 0
-        first = len(calls)
+        first = len(count_runs)
         assert first == 4
         d1 = _digest_from(capsys.readouterr().out)
         assert main(["study", "run", str(path), "--cache", cache,
                      "--out", str(tmp_path / "b")]) == 0
-        assert len(calls) == first  # all four were cache hits
+        assert len(count_runs) == first  # all four were cache hits
         assert _digest_from(capsys.readouterr().out) == d1
 
-    def test_no_cache_overrides_env(self, study_file, tmp_path, capsys, monkeypatch):
-        import repro.runtime.fleet as fleet_mod
+    def test_no_cache_overrides_env(self, study_file, tmp_path, capsys, monkeypatch,
+                                    count_runs):
         from repro.runtime.fleet import CACHE_ENV_VAR
 
         path, _ = study_file
         monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "envcache"))
-        calls: list[str] = []
-        inner = fleet_mod._run_scenario_inner
-
-        def counting(spec, **kwargs):
-            calls.append(spec.key)
-            return inner(spec, **kwargs)
-
-        monkeypatch.setattr(fleet_mod, "_run_scenario_inner", counting)
         assert main(["study", "run", str(path), "--no-cache",
                      "--out", str(tmp_path / "a")]) == 0
         assert main(["study", "run", str(path), "--no-cache",
                      "--out", str(tmp_path / "b")]) == 0
-        assert len(calls) == 8  # no cache: both runs executed everything
+        assert len(count_runs) == 8  # no cache: both runs executed everything
 
     def test_sweep_accepts_dispatch_flags(self, tmp_path, capsys):
         assert main([

@@ -6,12 +6,17 @@ import numpy as np
 import pytest
 
 from repro.operators.linear import (
+    _ANALYSIS_STACK_BYTES,
     AffineOperator,
     jacobi_operator,
     jor_operator,
     richardson_operator,
 )
-from repro.problems.linear_system import random_dominant_system, tridiagonal_system
+from repro.problems.linear_system import (
+    make_jacobi_batch,
+    random_dominant_system,
+    tridiagonal_system,
+)
 from repro.utils.norms import BlockSpec
 
 
@@ -130,3 +135,37 @@ class TestSplittings:
     def test_spectral_radius_abs(self):
         op = AffineOperator(np.array([[0.0, -0.5], [0.5, 0.0]]), np.zeros(2))
         assert op.spectral_radius_abs() == pytest.approx(0.5, abs=1e-9)
+
+
+class TestJacobiBatch:
+    """Batch construction: bounded memory, every operator bit-identical to solo."""
+
+    N, B = 64, 40
+
+    def test_construction_peak_under_four_stacks(self):
+        import tracemalloc
+
+        make_jacobi_batch(self.N, seeds=[0, 1])  # warm imports
+        tracemalloc.start()
+        try:
+            ops = make_jacobi_batch(self.N, seeds=list(range(self.B)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ops) == self.B
+        assert peak < 4 * self.B * self.N * self.N * 8
+
+    def test_sub_stacked_analysis_matches_solo(self):
+        # More operators than one LAPACK sub-stack holds.
+        assert self.B > _ANALYSIS_STACK_BYTES // (8 * self.N * self.N)
+        ops = make_jacobi_batch(self.N, seeds=list(range(self.B)))
+        for seed, op in enumerate(ops):
+            solo = jacobi_operator(*random_dominant_system(self.N, seed=seed))
+            solo.contraction_factor()
+            solo.fixed_point()
+            # Bit for bit, down to the sign of the diagonal's zeros.
+            assert solo.A.tobytes() == op.A.tobytes()
+            assert solo.b.tobytes() == op.b.tobytes()
+            assert solo._contraction[0] == op._contraction[0]
+            assert solo._contraction[1].tobytes() == op._contraction[1].tobytes()
+            assert solo._fixed_point.tobytes() == op._fixed_point.tobytes()

@@ -19,6 +19,7 @@ from repro.runtime.fleet import (
     run_grid,
     run_scenario,
 )
+from repro.runtime.sweep_store import SweepStore
 from repro.scenarios.spec import ScenarioGrid, ScenarioSpec
 
 
@@ -216,3 +217,81 @@ class TestPackingEdges:
             run_fleet(specs, executor="serial", chunk_size=0)
         with pytest.raises(ValueError, match="chunk_size"):
             run_fleet(specs, executor="serial", chunk_size=2.5)
+
+
+class TestSerialGroupChunks:
+    """Serial batched dispatch runs each batch group as one chunk."""
+
+    @staticmethod
+    def _specs(**overrides):
+        # 2 problems x 2 delays x 10 seeds: four batch groups of ten.
+        problems = (("jacobi", {"n": 8}), ("tridiagonal", {"n": 8}))
+        return list(_grid(n_seeds=10, problems=problems, **overrides).expand())
+
+    @staticmethod
+    def _record_batches(monkeypatch):
+        import repro.runtime.simulator.batched as batched_mod
+
+        calls: list[list[str]] = []
+        run_batch = batched_mod._run_batch
+
+        def recording(specs):
+            calls.append([s.key for s in specs])
+            return run_batch(specs)
+
+        monkeypatch.setattr(batched_mod, "_run_batch", recording)
+        return calls
+
+    @staticmethod
+    def _groups(specs):
+        groups: dict[tuple[str, str], set[str]] = {}
+        for s in specs:
+            groups.setdefault((s.problem, s.delays), set()).add(s.key)
+        return groups
+
+    @staticmethod
+    def _solo_digest(specs, tmp_path):
+        fleet = run_grid(specs, store=tmp_path / "solo", executor="serial",
+                         chunk_size=1, cache=False)
+        return SweepStore(tmp_path / "solo", create=False).digest(), fleet.digest()
+
+    def test_auto_runs_each_group_as_one_batch(self, tmp_path, monkeypatch):
+        specs = self._specs()
+        calls = self._record_batches(monkeypatch)
+        fleet = run_grid(specs, store=tmp_path / "s", executor="serial", cache=False)
+        assert len(calls) == 4
+        assert sorted(map(set, calls), key=sorted) == sorted(
+            self._groups(specs).values(), key=sorted)
+        digest = SweepStore(tmp_path / "s", create=False).digest()
+        assert (digest, fleet.digest()) == self._solo_digest(specs, tmp_path)
+
+    def test_explicit_chunk_size_caps_every_slice(self, tmp_path, monkeypatch):
+        specs = self._specs()
+        calls = self._record_batches(monkeypatch)
+        fleet = run_grid(specs, store=tmp_path / "s", executor="serial",
+                         chunk_size=4, cache=False)
+        assert calls and max(map(len, calls)) <= 4
+        for keys in self._groups(specs).values():
+            # Each group is cut into the fewest slices of at most 4.
+            assert sum(set(c) <= keys for c in calls) == 3
+        assert set().union(*map(set, calls)) == {s.key for s in specs}
+        digest = SweepStore(tmp_path / "s", create=False).digest()
+        assert (digest, fleet.digest()) == self._solo_digest(specs, tmp_path)
+
+    def test_refused_specs_keep_the_packed_layout(self, tmp_path, monkeypatch):
+        specs = self._specs(backends="flexible")
+        calls = self._record_batches(monkeypatch)
+        root = tmp_path / "s"
+        with monkeypatch.context() as m:
+            m.setattr(SweepStore, "flush", lambda self: None)  # keep the logs
+            fleet = run_grid(specs, store=root, executor="serial", max_workers=2,
+                             cache=False)
+        assert calls == []
+        store = SweepStore(root, create=False)
+        # What the cost-balanced packing writes: one file per chunk and prefix.
+        packed = sum(
+            len({store._prefix(spec.content_hash) for _, spec in chunk})
+            for chunk in _pack_chunks(_indexed(specs), "auto", workers=2)
+        )
+        assert len(list((root / "shards").rglob("log/*.json"))) <= packed
+        assert (store.digest(), fleet.digest()) == self._solo_digest(specs, tmp_path)

@@ -169,32 +169,18 @@ class TestMergeMechanics:
         with pytest.raises(FileNotFoundError):
             SweepStore(tmp_path / "merged").merge(tmp_path / "nope")
 
-    def test_merged_store_is_resumable(self, tmp_path):
+    def test_merged_store_is_resumable(self, tmp_path, count_runs):
         # A merged store is a first-class store: run_grid resumes from
         # it without re-executing anything.
-        import repro.runtime.fleet as fleet_mod
-
         grid = _grid(n_seeds=2)
         for i in range(2):
             run_grid(grid.shard(2, i), store=tmp_path / f"s{i}", executor="serial")
         merged_dir = tmp_path / "merged"
         SweepStore(merged_dir).merge(tmp_path / "s0", tmp_path / "s1")
 
-        calls: list[str] = []
-        inner = fleet_mod._run_scenario_inner
-
-        def counting(spec, **kwargs):
-            calls.append(spec.key)
-            return inner(spec, **kwargs)
-
-        fleet_mod._run_scenario_inner = counting
-        try:
-            fleet = run_grid(
-                grid.expand(), store=merged_dir, resume=True, executor="serial"
-            )
-        finally:
-            fleet_mod._run_scenario_inner = inner
-        assert calls == []
+        count_runs.clear()
+        fleet = run_grid(grid.expand(), store=merged_dir, resume=True, executor="serial")
+        assert count_runs == []
         assert fleet.scenario_count == grid.size
 
 
@@ -214,7 +200,7 @@ class TestTwoShardAcceptance:
         tol=1e-6,
     )  # 96 scenarios
 
-    def test_two_shard_merge_reproduces_single_host_digest(self, tmp_path):
+    def test_two_shard_merge_reproduces_single_host_digest(self, tmp_path, count_runs):
         grid = self.GRID
         run_grid(grid.expand(), store=tmp_path / "single", executor="serial")
         single = SweepStore(tmp_path / "single", create=False)
@@ -231,21 +217,9 @@ class TestTwoShardAcceptance:
         victims = shard0[-(len(shard0) // 3):]
         for spec in victims:
             store0.discard_result(spec.content_hash)
-        import repro.runtime.fleet as fleet_mod
-
-        calls: list[str] = []
-        inner = fleet_mod._run_scenario_inner
-
-        def counting(spec, **kwargs):
-            calls.append(spec.key)
-            return inner(spec, **kwargs)
-
-        fleet_mod._run_scenario_inner = counting
-        try:
-            run_grid(shard0, store=d0, resume=True, executor="serial")
-        finally:
-            fleet_mod._run_scenario_inner = inner
-        assert len(calls) == len(victims)
+        count_runs.clear()
+        run_grid(shard0, store=d0, resume=True, executor="serial")
+        assert len(count_runs) == len(victims)
 
         merged = SweepStore(tmp_path / "merged").merge(d0, d1)
         assert merged.digest() == single.digest()

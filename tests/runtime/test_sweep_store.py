@@ -39,41 +39,6 @@ def _grid(n_seeds: int = 2, **overrides) -> ScenarioGrid:
     return ScenarioGrid(**defaults)
 
 
-@pytest.fixture()
-def count_runs(monkeypatch):
-    """Count actual scenario executions (resume must skip completed ones).
-
-    Executions happen through two routes: solo calls (via
-    ``_run_scenario_inner``) and batched lockstep groups (via
-    ``run_scenario_batch``, which never reaches the solo plumbing).
-    Both are counted; scenarios a batch hands back to the solo
-    fallback are counted once, by the batch wrapper.
-    """
-    import repro.runtime.simulator.batched as batched_mod
-
-    calls: list[str] = []
-    inner = fleet_mod._run_scenario_inner
-    batch = batched_mod.run_scenario_batch
-    in_batch = [False]
-
-    def counting(spec, **kwargs):
-        if not in_batch[0]:
-            calls.append(spec.key)
-        return inner(spec, **kwargs)
-
-    def counting_batch(specs, **kwargs):
-        calls.extend(s.key for s in specs)
-        in_batch[0] = True
-        try:
-            return batch(specs, **kwargs)
-        finally:
-            in_batch[0] = False
-
-    monkeypatch.setattr(fleet_mod, "_run_scenario_inner", counting)
-    monkeypatch.setattr(batched_mod, "run_scenario_batch", counting_batch)
-    return calls
-
-
 class TestContentHash:
     def test_stable_across_instances(self):
         a = ScenarioSpec(problem="jacobi", seed=7)
@@ -572,9 +537,9 @@ class TestGroupedLog:
             fleet = run_grid(specs, store=root, executor="serial", chunk_size=8,
                              batch=batch)
         store = SweepStore(root, create=False)
-        if batch:
+        if batch:  # the serial batched layout: each batch group in slices of 8
             chunks = [[spec.content_hash for _, spec in chunk]
-                      for chunk in fleet_mod._pack_chunks(list(enumerate(specs)), 8, 1)]
+                      for chunk in fleet_mod._group_chunks(list(enumerate(specs)), 8, 1)]
         else:  # the unbatched serial path hands over one row at a time
             chunks = [[spec.content_hash] for spec in specs]
         logs = _log_files(root)
