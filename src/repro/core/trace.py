@@ -496,7 +496,7 @@ class TraceStore:
         }
         if self.owners is not None:
             small["owners"] = np.asarray(self.owners, np.int64)
-        tmp = path.with_name(path.name + ".tmp")
+        tmp = _tmp_sibling(path)
         with zipfile.ZipFile(tmp, "w", zipfile.ZIP_DEFLATED) as zf:
             for name, arr in small.items():
                 buf = io.BytesIO()
@@ -572,6 +572,16 @@ class TraceStore:
         store._flushed_res = int(chunk["residuals"].size)
         store._flushed_time = int(chunk["times"].size)
         return store
+
+
+def _tmp_sibling(path: pathlib.Path) -> pathlib.Path:
+    """This writer's temp name beside ``path``: ``<name>.<pid>-<hex>.tmp``.
+
+    Files land by writing the temp name and ``os.replace``-ing it onto
+    ``path``.  A name of its own per writer keeps two processes that
+    write one target at once from renaming each other's temp file away.
+    """
+    return path.with_name(f"{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
 
 
 def resolve_sink(

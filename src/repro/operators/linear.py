@@ -72,6 +72,7 @@ class AffineOperator(FixedPointOperator):
         self._fp_computed = False
         self._contraction: tuple[float, np.ndarray] | None = None
         self._contraction_computed = False
+        self._norm: WeightedMaxNorm | None = None
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.A @ x + self.b
@@ -130,12 +131,14 @@ class AffineOperator(FixedPointOperator):
         return None if self._contraction is None else self._contraction[0]
 
     def norm(self) -> WeightedMaxNorm:
-        if not self._contraction_computed:
-            self._contraction = self._compute_contraction()
-            self._contraction_computed = True
-        if self._contraction is None or not self.block_spec.is_scalar:
-            return WeightedMaxNorm.uniform(self.block_spec)
-        return WeightedMaxNorm(self.block_spec, self._contraction[1])
+        """The contraction norm, built (and validated) once per operator."""
+        if self._norm is None:
+            self.contraction_factor()
+            if self._contraction is None or not self.block_spec.is_scalar:
+                self._norm = WeightedMaxNorm.uniform(self.block_spec)
+            else:
+                self._norm = WeightedMaxNorm(self.block_spec, self._contraction[1])
+        return self._norm
 
     def fixed_point(self) -> np.ndarray | None:
         if not self._fp_computed:
@@ -168,6 +171,7 @@ class AffineOperator(FixedPointOperator):
         self._fp_computed = False
         self._contraction = None
         self._contraction_computed = False
+        self._norm = None
         return self
 
     @staticmethod

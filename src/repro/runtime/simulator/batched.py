@@ -655,12 +655,17 @@ def _lockstep_schedule(
 ) -> "tuple[list[int], np.ndarray, np.ndarray]":
     """Value-free replay of :meth:`DistributedSimulator.run`'s event loop.
 
-    Transcribes the heap mechanics exactly — priming in pid order,
-    ``(t, seq)`` tie-breaking, per-destination burst pushes in
-    ascending-destination order before the next phase start, identical
-    float time arithmetic (``start + duration``, ``end + latency``) —
-    for a machine admitted by :func:`lockstep_plan`, whose schedule is
-    value-independent.
+    Follows the heap mechanics — priming in pid order, ``(t, seq)``
+    tie-breaking, identical float time arithmetic (``start +
+    duration``, ``end + latency``) — for a machine admitted by
+    :func:`lockstep_plan`, whose schedule is value-independent.  It
+    pushes one delivery per destination, in ascending-destination order
+    before the next phase start, where the loop pushes one fan-out
+    event for all destinations a burst reaches at one instant.  The two
+    are equivalent: the per-destination deliveries of one burst share
+    that instant and a contiguous window of sequence numbers, so no
+    other event pops between them, and they update distinct views, so
+    their order among themselves does not matter.
 
     Each delivery carries its sender's commit index.  A processor's
     view of peer ``q`` is then the last delivered commit of ``q`` (the

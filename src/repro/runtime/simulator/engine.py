@@ -30,8 +30,17 @@ The event loop is the *vectorized* implementation: component slices,
 per-processor owned/remote element indices and destination channel
 lists are precomputed once, remote refreshes and phase commits are
 single fancy-indexed scatters, and each sent value is copied once and
-shared (read-only) across all destination payloads.  Event order and
-every per-channel/per-processor RNG draw are identical to the frozen
+shared (read-only) across all destination payloads.  The processors'
+views are the rows of one ``(P, dim)`` array, their labels the rows of
+one ``(P, n)`` array.  A burst whose destinations all receive it at
+one instant under one apply policy (constant-latency lossless
+channels) is a single ``bmsg`` heap event that writes every peer row
+with one 2-D scatter, basic slices when the sender owns a contiguous
+range.  That is exact: the per-destination events it replaces share
+one arrival time and a contiguous window of sequence numbers, so no
+other event can pop between them, and they write distinct rows, so
+applying them together commutes.  Event order and every
+per-channel/per-processor RNG draw are identical to the frozen
 :class:`~repro.runtime.simulator.reference.ReferenceSimulator`, so
 results are bit-for-bit reproducible against the seed implementation
 (``tests/runtime/test_determinism.py`` enforces this).
@@ -175,34 +184,50 @@ class DistributedSimulator:
         self._own_comps: list[np.ndarray] = []
         self._own_elems: list[np.ndarray] = []
         self._own_sizes: list[np.ndarray] = []
+        self._own_sel: list[tuple[slice | np.ndarray, slice | np.ndarray]] = []
         self._remote_comps: list[np.ndarray] = []
         self._remote_elems: list[np.ndarray] = []
         self._dsts: list[list[tuple[int, ChannelState, str]]] = []
+        # Fan-out bursts: each sender's peer rows, and the apply policy
+        # they all share (None when they differ or there are no peers).
+        self._peers: list[np.ndarray] = []
+        self._fan_apply: list[str | None] = []
+        self._rows = [np.array([d], dtype=np.intp) for d in range(P)]
         for pid, spec in enumerate(self.processors):
             oc = np.asarray(spec.components, dtype=np.intp)
             rc = np.asarray(
                 [c for c in range(n) if c not in set(spec.components)], dtype=np.intp
             )
+            oe = np.concatenate([elem_idx[c] for c in oc])
             self._own_comps.append(oc)
             self._remote_comps.append(rc)
-            self._own_elems.append(
-                np.concatenate([elem_idx[c] for c in oc])
-                if oc.size
-                else np.empty(0, dtype=np.intp)
-            )
+            self._own_elems.append(oe)
             self._own_sizes.append(np.asarray([elem_idx[c].size for c in oc], dtype=np.intp))
+            # Components are sorted, so a gap-free range owns one
+            # contiguous element range: basic slices, no index arrays.
+            if oc[-1] - oc[0] + 1 == oc.size:
+                self._own_sel.append(
+                    (
+                        slice(self._slices[oc[0]].start, self._slices[oc[-1]].stop),
+                        slice(int(oc[0]), int(oc[-1]) + 1),
+                    )
+                )
+            else:
+                self._own_sel.append((oe, oc))
             self._remote_elems.append(
                 np.concatenate([elem_idx[c] for c in rc])
                 if rc.size
                 else np.empty(0, dtype=np.intp)
             )
-            self._dsts.append(
-                [
-                    (d, self._channels[(pid, d)], self._channels[(pid, d)].spec.apply)
-                    for d in range(P)
-                    if d != pid
-                ]
-            )
+            dsts = [
+                (d, self._channels[(pid, d)], self._channels[(pid, d)].spec.apply)
+                for d in range(P)
+                if d != pid
+            ]
+            self._dsts.append(dsts)
+            self._peers.append(np.asarray([d for d, _, _ in dsts], dtype=np.intp))
+            policies = {a for _, _, a in dsts}
+            self._fan_apply.append(policies.pop() if len(policies) == 1 else None)
 
         if reference is None:
             reference = operator.fixed_point()
@@ -243,9 +268,10 @@ class DistributedSimulator:
         slices = self._slices
         apply_block = self.operator.apply_block
 
-        # Per-processor local state.
-        views = [x0.copy() for _ in range(P)]
-        view_labels = [np.zeros(n, dtype=np.int64) for _ in range(P)]
+        # Per-processor local state: row ``p`` is processor p's view
+        # and the labels of the values it holds.
+        views = np.tile(x0, (P, 1))
+        view_labels = np.zeros((P, n), dtype=np.int64)
         phase_states: list[_PhaseState | None] = [None] * P
         phase_counts = [0] * P
 
@@ -257,7 +283,7 @@ class DistributedSimulator:
             self.faults.start(P) if self.faults is not None else None
         )
         fates_active = fstate is not None and fstate.affects_channels
-        down = [False] * P
+        down = np.zeros(P, dtype=bool)
 
         # Global committed state (owner-authoritative).
         global_x = x0.copy()
@@ -302,14 +328,17 @@ class DistributedSimulator:
             """Send every owned component of ``pid`` to all peers at once.
 
             One channel batch per destination computes all arrival
-            times; destinations whose messages all arrive together get
-            a single batched heap event carrying one shared payload
-            copy, the rest fall back to per-component events.  Channel
-            draw order, message-log order and heap ordering semantics
-            are identical to per-component sends (bursts occupy a
-            contiguous sequence-number window, batches to different
-            destinations commute, and the per-destination component
-            order is preserved inside each batch).
+            times.  When every destination's arrival is one scalar time
+            and all share one apply policy, the whole burst is a single
+            ``bmsg`` heap event fanned out to all peer rows; otherwise
+            each destination whose messages arrive together gets a
+            one-row ``bmsg`` and the rest get per-component events.
+            The ``bmsg`` events share one payload copy.  Channel draw order,
+            message-log order and heap ordering semantics are identical
+            to per-component sends (bursts occupy a contiguous
+            sequence-number window, batches to different destinations
+            commute, and the per-destination component order is
+            preserved inside each batch).
             """
             comps = self.processors[pid].components
             m = len(comps)
@@ -348,6 +377,25 @@ class DistributedSimulator:
                                 None if a != a else float(a), partial,
                             )
                         )
+            fan_apply = self._fan_apply[pid]
+            if fan_apply is not None:
+                first = arrs[0]
+                if type(first) is float and all(
+                    type(a) is float and a == first for a in arrs
+                ):
+                    heappush(
+                        heap,
+                        (
+                            first,
+                            next(seq),
+                            "bmsg",
+                            (
+                                self._peers[pid], pid, snapshot[self._own_elems[pid]],
+                                labels_arr, partial, fan_apply,
+                            ),
+                        ),
+                    )
+                    return
             payload: np.ndarray | None = None
             percomp: dict[int, np.ndarray] = {}
             for di, (dst, _, apply_policy) in enumerate(dsts):
@@ -385,7 +433,7 @@ class DistributedSimulator:
                         arrival,
                         next(seq),
                         "bmsg",
-                        (dst, pid, payload, labels_arr, partial, apply_policy),
+                        (self._rows[dst], pid, payload, labels_arr, partial, apply_policy),
                     ),
                 )
 
@@ -424,30 +472,43 @@ class DistributedSimulator:
                 continue
             if kind == "bmsg":
                 # A whole burst (all components of one sender, equal
-                # arrival) applied in one vectorized scatter.  The
-                # components are distinct, so the per-message apply
-                # rules commute and batching preserves semantics.
-                dst, src, bpayload, labels_arr, partial, apply_policy = payload
-                if down[dst]:
-                    fstate.log.downtime_drops += len(self._own_comps[src])
+                # arrival) applied to every destination row in one
+                # vectorized scatter.  The components are distinct and
+                # so are the rows, so the per-message apply rules
+                # commute and batching preserves semantics.
+                rows, src, bpayload, labels_arr, partial, apply_policy = payload
+                if fstate is not None:
+                    gone = down[rows]
+                    if gone.any():
+                        fstate.log.downtime_drops += len(labels_arr) * int(
+                            np.count_nonzero(gone)
+                        )
+                        rows = rows[~gone]
+                        if not rows.size:
+                            continue
+                esel, csel = self._own_sel[src]
+                r = rows if type(esel) is slice else rows[:, None]
+                if apply_policy == "overwrite":
+                    views[r, esel] = bpayload
+                    view_labels[r, csel] = labels_arr
                     continue
-                vl = view_labels[dst]
+                cur = view_labels[r, csel]
+                mask = (labels_arr >= cur) if partial else (labels_arr > cur)
+                if mask.all():
+                    views[r, esel] = bpayload
+                    view_labels[r, csel] = labels_arr
+                    continue
+                # Some stale components: apply the rule row by row.
                 ocomps = self._own_comps[src]
                 oelems = self._own_elems[src]
-                if apply_policy == "overwrite":
-                    views[dst][oelems] = bpayload
-                    vl[ocomps] = labels_arr
-                else:
-                    cur = vl[ocomps]
-                    mask = (labels_arr >= cur) if partial else (labels_arr > cur)
-                    if mask.all():
-                        views[dst][oelems] = bpayload
-                        vl[ocomps] = labels_arr
-                    elif mask.any():
-                        emask = np.repeat(mask, self._own_sizes[src])
-                        idx = oelems[emask]
-                        views[dst][idx] = bpayload[emask]
-                        vl[ocomps[mask]] = labels_arr[mask]
+                for dst, dmask in zip(rows, mask):
+                    if dmask.all():
+                        views[dst, oelems] = bpayload
+                        view_labels[dst, ocomps] = labels_arr
+                    elif dmask.any():
+                        emask = np.repeat(dmask, self._own_sizes[src])
+                        views[dst, oelems[emask]] = bpayload[emask]
+                        view_labels[dst, ocomps[dmask]] = labels_arr[dmask]
                 continue
 
             if kind == "crash":
@@ -488,9 +549,9 @@ class DistributedSimulator:
                 # index instead of a per-component Python loop.
                 relems = self._remote_elems[pid]
                 rcomps = self._remote_comps[pid]
-                state.snapshot[relems] = views[pid][relems]
+                state.snapshot[relems] = views[pid, relems]
                 state.min_labels[rcomps] = np.minimum(
-                    state.min_labels[rcomps], view_labels[pid][rcomps]
+                    state.min_labels[rcomps], view_labels[pid, rcomps]
                 )
 
             # One inner iteration on the owned components (Gauss-Seidel
@@ -504,7 +565,7 @@ class DistributedSimulator:
                     t_pub = state.start + k * state.duration / ps.inner_steps
                     # Fancy indexing copies, so the labels the burst
                     # carries are frozen at publish time.
-                    send_burst(pid, snap, view_labels[pid][self._own_comps[pid]], t_pub, True)
+                    send_burst(pid, snap, view_labels[pid, self._own_comps[pid]], t_pub, True)
                 heappush(
                     heap,
                     (
@@ -523,8 +584,8 @@ class DistributedSimulator:
             oelems = self._own_elems[pid]
             ocomps = self._own_comps[pid]
             committed = snap[oelems]
-            views[pid][oelems] = committed
-            view_labels[pid][ocomps] = j
+            views[pid, oelems] = committed
+            view_labels[pid, ocomps] = j
             global_x[oelems] = committed
             global_labels[ocomps] = j
             send_burst(pid, snap, np.full(len(ps.components), j, dtype=np.int64), end, False)

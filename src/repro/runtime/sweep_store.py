@@ -91,7 +91,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.core.trace import IterationTrace, load_trace
+from repro.core.trace import IterationTrace, _tmp_sibling, load_trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.fleet import FleetResult, ScenarioResult
@@ -175,7 +175,7 @@ def _fingerprint(hashes: "Iterable[str]") -> str:
 
 
 def _atomic_write(path: pathlib.Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = _tmp_sibling(path)
     tmp.write_text(text)
     os.replace(tmp, path)
 
@@ -183,13 +183,13 @@ def _atomic_write(path: pathlib.Path, text: str) -> None:
 def _atomic_copy(src: pathlib.Path, dst: pathlib.Path) -> None:
     """Copy ``src`` to ``dst`` without ever exposing a torn file.
 
-    Store and cache directories are shared between hosts/processes by
-    design, and a reader recognizes a trace by the file *existing* —
-    so the copy must appear atomically, exactly like row writes
-    (tmp + rename), or a concurrent sweep could adopt a half-written
-    ``.npz``.
+    Store and cache directories are shared between processes (two
+    ``run_grid`` calls on one cache), and a reader recognizes a trace
+    by the file *existing* — so the copy must appear atomically,
+    exactly like row writes (a temp name of this writer's own, then a
+    rename), or a concurrent sweep could adopt a half-written ``.npz``.
     """
-    tmp = dst.with_name(dst.name + ".tmp")
+    tmp = _tmp_sibling(dst)
     shutil.copyfile(src, tmp)
     os.replace(tmp, dst)
 
@@ -197,7 +197,7 @@ def _atomic_copy(src: pathlib.Path, dst: pathlib.Path) -> None:
 def _atomic_savez(path: pathlib.Path, arrays: "dict[str, np.ndarray]") -> None:
     # np.savez appends ".npz" to bare path names but not to open file
     # objects — write through a handle so the tmp name stays exact.
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = _tmp_sibling(path)
     with open(tmp, "wb") as fh:
         np.savez(fh, **arrays)
     os.replace(tmp, path)
@@ -569,12 +569,19 @@ class SweepStore:
 
         Readers let later files win, so a row logged twice (say, re-run
         to record its trace after a killed run logged it without one)
-        reads as its latest write.
+        reads as its latest write.  A file that vanishes while listed
+        was sealed by another handle (see :meth:`_log_files`).
         """
         d = self._shard_dir(prefix) / "log"
         if not d.is_dir():
             return []
-        return sorted(d.glob("*.json"), key=lambda p: (p.stat().st_mtime_ns, p.name))
+        keyed = []
+        for p in d.glob("*.json"):
+            try:
+                keyed.append((p.stat().st_mtime_ns, p.name, p))
+            except FileNotFoundError:
+                self._shard_maps.pop(prefix, None)
+        return [p for _, _, p in sorted(keyed)]
 
     def _batch_paths(self, prefix: str) -> "list[pathlib.Path]":
         d = self._shard_dir(prefix)
@@ -923,10 +930,19 @@ class SweepStore:
         ``<hash>.json``, as stores written before logs were grouped
         left them when killed before their seal, and reads as that one
         row, so such a store resumes without re-running it.
+
+        A file that vanished since the listing was sealed by another
+        handle on this directory, whose batch landed before the unlink:
+        it is skipped, and the shard's cached batch map dropped so the
+        next lookup finds that batch.
         """
         files: "dict[pathlib.Path, dict[str, dict[str, Any]]]" = {}
         for p in self._log_paths(prefix):
-            doc = json.loads(p.read_text())
+            try:
+                doc = json.loads(p.read_text())
+            except FileNotFoundError:
+                self._shard_maps.pop(prefix, None)
+                continue
             files[p] = doc["rows"] if "rows" in doc else {p.stem: doc}
         return files
 

@@ -81,6 +81,14 @@ GOLDEN = {
 
 REGIMES = tuple(GOLDEN)
 
+#: Regimes without goldens, compared engine against reference only.
+#: Each reaches one routing branch of the vectorized engine's burst
+#: sends: a fan-out to all peers scattered through index arrays
+#: (owned components not contiguous), a fan-out under ``overwrite``,
+#: and per-destination events when a sender's destinations do not
+#: share one arrival instant or one apply policy.
+FAN_REGIMES = ("noncontiguous", "overwrite_constant", "split_arrivals", "mixed_apply")
+
 
 def _make_operator(n: int = 16):
     M, c = tridiagonal_system(n, off_diag=-1.0, diag=2.3, seed=1)
@@ -121,6 +129,41 @@ def _build(regime: str, cls):
             for i in range(4)
         ]
         chan = ChannelSpec(latency=ConstantTime(0.2))
+    elif regime == "noncontiguous":
+        procs = [
+            ProcessorSpec(
+                components=(i, i + 8),
+                compute_time=UniformTime(0.5, 1.5),
+                inner_steps=2,
+                publish_partials=True,
+                refresh_reads=True,
+            )
+            for i in range(8)
+        ]
+        chan = ChannelSpec(latency=ConstantTime(0.05))
+    elif regime in ("overwrite_constant", "split_arrivals", "mixed_apply"):
+        procs = [
+            ProcessorSpec(components=(2 * i, 2 * i + 1), compute_time=UniformTime(0.8, 1.2))
+            for i in range(8)
+        ]
+        if regime == "overwrite_constant":
+            chan = ChannelSpec(latency=ConstantTime(0.05), apply="overwrite")
+        elif regime == "split_arrivals":
+            chan = {
+                (s, d): ChannelSpec(latency=ConstantTime(0.05 if d % 2 else 0.3))
+                for s in range(8)
+                for d in range(8)
+                if s != d
+            }
+        else:
+            chan = {
+                (s, d): ChannelSpec(
+                    latency=ConstantTime(0.05), apply="overwrite" if d % 3 == 0 else "latest_label"
+                )
+                for s in range(8)
+                for d in range(8)
+                if s != d
+            }
     else:  # pragma: no cover - parametrization guards this
         raise ValueError(regime)
     return cls(op, procs, channels=chan, seed=42)
@@ -173,7 +216,7 @@ class TestGoldenTraces:
 class TestEngineEquivalence:
     """Field-by-field equality of vectorized and reference runs."""
 
-    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize("regime", REGIMES + FAN_REGIMES)
     def test_bit_identical_results(self, regime):
         a = _run(regime, DistributedSimulator)
         b = _run(regime, ReferenceSimulator)

@@ -11,6 +11,14 @@ holds for cached rows exactly as it does for resumed ones.
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import repro
 import repro.runtime.fleet as fleet_mod
 from repro.runtime.fleet import CACHE_ENV_VAR, run_grid
 from repro.runtime.sweep_store import SweepStore
@@ -221,3 +229,128 @@ class TestCacheShardInteraction:
         assert len(store.completed()) == len(shard0)
         for spec in shard0:
             assert store.load_result_by_hash(spec.content_hash) is not None
+
+
+def _single_writer_digest(root: pathlib.Path, rows) -> str:
+    ref = SweepStore(root)
+    ref.write_result(*rows)
+    ref.flush()
+    return ref.digest([r.content_hash for r in rows])
+
+
+class TestSharedCacheRaces:
+    """Two handles on one cache directory, their write points interleaved.
+
+    Each test replays one crash two concurrent ``run_grid`` calls on a
+    shared cache used to hit, by patching the interleaving rather than
+    timing it.  Afterwards the directory holds no temp files and
+    digests like a store one writer filled alone.
+    """
+
+    @pytest.mark.parametrize("k", [0, 1, 2], ids=["log", "batch-sidecar", "batch-npz"])
+    def test_same_target_writers_keep_their_own_temp_files(
+        self, tmp_path, monkeypatch, k
+    ):
+        # A's k-th rename (its log, then its seal's sidecar and npz)
+        # waits while B writes and seals the same rows: same target
+        # names, so with one shared temp name B renamed A's file away.
+        rows = run_grid(_grid(n_seeds=2).expand(), executor="serial").results
+        root = tmp_path / "cache"
+        a = SweepStore(root, prefix_len=0, batch_rows=len(rows))
+        b = SweepStore(root, prefix_len=0, batch_rows=len(rows))
+        real_replace = os.replace
+        calls: "list[object]" = []
+
+        def replace(src, dst):
+            calls.append(dst)
+            if len(calls) == k + 1:
+                b.write_result(*rows)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        a.write_result(*rows)
+        monkeypatch.undo()
+        assert len(calls) > k + 1  # B really ran inside A's write
+        assert not list(root.rglob("*.tmp"))
+        hashes = [r.content_hash for r in rows]
+        assert SweepStore(root, prefix_len=0).digest(hashes) == _single_writer_digest(
+            tmp_path / "single", rows
+        )
+
+    @pytest.mark.parametrize("between", ["stat", "read_text"])
+    def test_log_sealed_by_another_handle_reads_as_sealed(
+        self, tmp_path, monkeypatch, between
+    ):
+        # B seals the shard between A listing its log files and stating
+        # (to order them) or reading them, so A's files are gone.
+        rows = run_grid(_grid(n_seeds=3).expand(), executor="serial").results
+        root = tmp_path / "cache"
+        a = SweepStore(root, prefix_len=0)
+        b = SweepStore(root, prefix_len=0)
+        a.write_result(*rows[:2])
+        a.flush()
+        # A now caches the shard's batch map, which B's seal outdates.
+        assert a.load_result_by_hash(rows[0].content_hash) is not None
+        a.write_result(*rows[2:4])
+        a.write_result(*rows[4:])
+        real = getattr(pathlib.Path, between)
+        fired: "list[pathlib.Path]" = []
+
+        def hooked(path, *args, **kwargs):
+            if path.parent.name == "log" and not fired:
+                fired.append(path)
+                b.flush()
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, between, hooked)
+        a.flush()
+        monkeypatch.undo()
+        assert fired and not fired[0].exists()
+        for r in rows:
+            assert a.load_result_by_hash(r.content_hash) is not None
+        assert not list(root.rglob("*.tmp"))
+        hashes = [r.content_hash for r in rows]
+        assert SweepStore(root, prefix_len=0).digest(hashes) == _single_writer_digest(
+            tmp_path / "single", rows
+        )
+
+
+_HALF_STUDY = """
+import sys
+from repro.runtime.fleet import run_grid
+from repro.scenarios.spec import ScenarioGrid
+specs = ScenarioGrid(problems=(("jacobi", {"n": 6}),), delays=("zero", "uniform"),
+                     n_seeds=600, max_iterations=20, tol=0.0).expand()
+run_grid(specs[:800] if sys.argv[2] == "0" else specs[400:],
+         cache=sys.argv[1], executor="serial")
+"""
+
+
+@pytest.mark.slow
+def test_two_processes_share_one_cache(tmp_path):
+    """Two studies on overlapping 800-spec halves of a 1200-spec grid,
+    run at once on one cache, both finish and leave a cache that
+    digests like a single-writer one."""
+    env = {
+        **{k: v for k, v in os.environ.items() if k != CACHE_ENV_VAR},
+        "PYTHONPATH": str(pathlib.Path(repro.__file__).parents[1]),
+        "OPENBLAS_NUM_THREADS": "1",
+    }
+    specs = ScenarioGrid(problems=(("jacobi", {"n": 6}),), delays=("zero", "uniform"),
+                         n_seeds=600, max_iterations=20, tol=0.0).expand()
+    run_grid(specs, store=tmp_path / "single", executor="serial")
+    hashes = [s.content_hash for s in specs]
+    want = SweepStore(tmp_path / "single", create=False).digest(hashes)
+    for trial in range(8):
+        cache = tmp_path / f"cache{trial}"
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", _HALF_STUDY, str(cache), str(i)],
+                env=env, stderr=subprocess.PIPE, text=True,
+            )
+            for i in (0, 1)
+        ]
+        errors = [p.communicate()[1] for p in procs]
+        assert [p.returncode for p in procs] == [0, 0], errors
+        assert not list(cache.rglob("*.tmp"))
+        assert SweepStore(cache).digest(hashes) == want
