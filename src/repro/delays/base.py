@@ -48,6 +48,17 @@ class DelayModel(abc.ABC):
     def raw_delays(self, j: int) -> np.ndarray:
         """Delay amounts ``d_i(j) >= 0`` (before clipping), length ``n``."""
 
+    def raw_delay_block(self, j: int, k: int) -> np.ndarray:
+        """Raw delays of iterations ``j .. j + k - 1`` as a ``(k, n)`` int64 array.
+
+        Row ``i`` is ``raw_delays(j + i)``, and the model's streams end
+        where ``k`` calls in order leave them.  The default makes those
+        calls; a model whose ``k`` draws are one generator fill may
+        override it with that fill.  The batched engine draws ahead
+        only from models that override it.
+        """
+        return np.array([self.raw_delays(j + i) for i in range(k)], dtype=np.int64)
+
     def labels(self, j: int) -> np.ndarray:
         """The clipped labels ``l_i(j) in [0, j-1]`` for iteration ``j >= 1``."""
         if j < 1:

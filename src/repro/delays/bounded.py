@@ -72,6 +72,13 @@ class UniformRandomDelay(DelayModel):
     def raw_delays(self, j: int) -> np.ndarray:
         return self.rng.integers(0, self.bound + 1, size=self.n_components)
 
+    def raw_delay_block(self, j: int, k: int) -> np.ndarray:
+        # Generator.integers fills int64 output one element at a time
+        # from the bit generator, whose state carries the spare 32-bit
+        # half-word between calls: one (k, n) fill draws what k fills of
+        # n draw, in order, and leaves the same state.
+        return self.rng.integers(0, self.bound + 1, size=(k, self.n_components))
+
     def is_bounded(self) -> bool:
         return True
 

@@ -16,10 +16,17 @@ from typing import Any
 
 import numpy as np
 
+from repro.operators.prox_gradient import ForwardBackwardOperator, _ForwardBackwardStack
 from repro.operators.proximal import Regularizer, ZeroRegularizer
 from repro.utils.validation import check_vector
 
 __all__ = ["SmoothProblem", "CompositeProblem"]
+
+#: FISTA's stop test and budget for :meth:`CompositeProblem.solution`.
+#: :meth:`CompositeProblem.precompute_batch` reads the same two values,
+#: so its caches equal the lazy ones bit for bit.
+_FISTA_TOL = 1e-12
+_FISTA_MAX_ITER = 100_000
 
 
 class SmoothProblem(abc.ABC):
@@ -135,12 +142,15 @@ class CompositeProblem:
     def __call__(self, x: np.ndarray) -> float:
         return self.objective(check_vector(x, "x", dim=self.dim))
 
-    def solution(self, tol: float = 1e-12, max_iter: int = 100_000) -> np.ndarray | None:
+    def solution(
+        self, tol: float = _FISTA_TOL, max_iter: int = _FISTA_MAX_ITER
+    ) -> np.ndarray | None:
         """High-accuracy minimizer of ``f + g`` (cached).
 
         Uses the closed form when available; otherwise FISTA with
-        backtracking-free constant step ``1/L`` and strong-convexity
-        restarting momentum.
+        backtracking-free constant step ``1/L`` and the constant
+        strongly convex momentum ``(sqrt(kappa) - 1)/(sqrt(kappa) + 1)``,
+        ``kappa = L/mu``, never restarted.
         """
         if self._solved:
             return None if self._solution is None else self._solution.copy()
@@ -153,6 +163,43 @@ class CompositeProblem:
         self._solution = self._fista(tol=tol, max_iter=max_iter)
         self._solved = True
         return self._solution.copy()
+
+    @staticmethod
+    def precompute_batch(
+        problems: "list[CompositeProblem]", max_iter: int = _FISTA_MAX_ITER
+    ) -> None:
+        """Fill the :meth:`solution` caches of many problems at once.
+
+        Closed forms come first, exactly as :meth:`solution` takes
+        them.  The rest run one FISTA loop over a ``(B, dim)`` block
+        when their forward-backward operators of step ``1/L`` stack
+        (one smooth type with a :meth:`SmoothProblem.stack` twin, one
+        zero or L1 regularizer): that stacked step is the solo
+        ``prox(y - step * grad f(y), step)`` per row, and the solo stop
+        test runs per row, so every cache equals the one :meth:`_fista`
+        would fill.  Other families stay lazy.
+        """
+        todo = []
+        for p in problems:
+            if p._solved:
+                continue
+            if isinstance(p.reg, ZeroRegularizer):
+                xs = p.smooth.solution()
+                if xs is not None:
+                    p._solution = xs
+                    p._solved = True
+                    continue
+            todo.append(p)
+        if not todo:
+            return
+        fb = ForwardBackwardOperator.stack(
+            [ForwardBackwardOperator(p, 1.0 / p.smooth.lipschitz) for p in todo]
+        )
+        if not isinstance(fb, _ForwardBackwardStack):
+            return
+        for p, x in zip(todo, _fista_rows(todo, fb, max_iter)):
+            p._solution = x
+            p._solved = True
 
     def _fista(self, tol: float, max_iter: int) -> np.ndarray:
         """Accelerated proximal gradient with the strongly convex momentum."""
@@ -179,3 +226,39 @@ class CompositeProblem:
         x = check_vector(x, "x", dim=self.dim)
         step = self.reg.prox(x - gamma * self.smooth.gradient(x), gamma)
         return float(np.linalg.norm(x - step)) / gamma
+
+
+def _fista_rows(
+    problems: "list[CompositeProblem]", fb: Any, max_iter: int
+) -> np.ndarray:
+    """:meth:`CompositeProblem._fista` on every problem as one ``(B, dim)`` loop.
+
+    ``fb`` is the problems' stacked forward-backward step of step
+    ``1/L``, and the momentum ``beta`` is a per-row column of the solo
+    scalar.  A row that passes the solo stop test takes ``X+`` and
+    leaves the live set; a row that reaches ``max_iter`` takes ``X``.
+    """
+    betas = []
+    for p in problems:
+        kappa = p.smooth.lipschitz / p.smooth.mu
+        betas.append([(np.sqrt(kappa) - 1.0) / (np.sqrt(kappa) + 1.0)])
+    beta = np.array(betas)
+    out = np.zeros((len(problems), problems[0].dim))
+    live = np.arange(len(problems), dtype=np.intp)
+    X = np.zeros_like(out)
+    Y = X.copy()
+    for _ in range(max_iter):
+        X_new = fb.apply(Y, live)
+        done = np.abs(X_new - X).max(axis=1) < _FISTA_TOL * np.maximum(
+            1.0, np.abs(X).max(axis=1)
+        )
+        if done.any():
+            out[live[done]] = X_new[done]
+            keep = ~done
+            live, X, X_new, beta = live[keep], X[keep], X_new[keep], beta[keep]
+            if not len(live):
+                return out
+        Y = X_new + beta * (X_new - X)
+        X = X_new
+    out[live] = X
+    return out

@@ -110,23 +110,23 @@ class LogisticProblem(SmoothProblem):
 
 
 def _sigmoid_neg(margins: np.ndarray) -> np.ndarray:
-    """Elementwise ``1/(1 + exp(margins))``, masked by sign for stability.
+    """Elementwise ``1/(1 + exp(margins))``, stable on either sign.
 
-    Shape-agnostic: the solo gradient passes one margin vector, the
-    stacked twin a ``(B', m)`` array; each element takes the same
-    masked ``exp`` either way.
+    ``exp`` only ever sees ``minimum(m, -m)``: ``-m`` where ``m >= 0``
+    and ``m`` where ``m < 0`` or NaN (numpy returns the first NaN).
+    Both results are computed and ``where`` picks per element, so no
+    boolean gather or scatter runs, and every value equals the
+    sign-masked evaluation bit for bit.  Shape-agnostic: the solo
+    gradient passes one margin vector, the stacked twin a ``(B', m)``
+    array.
     """
-    out = np.empty_like(margins)
-    pos = margins >= 0
-    e = np.exp(-margins[pos])
-    out[pos] = e / (1.0 + e)
-    e2 = np.exp(margins[~pos])
-    out[~pos] = 1.0 / (1.0 + e2)
-    return out
+    e = np.exp(np.minimum(margins, -margins))
+    d = 1.0 + e
+    return np.where(margins >= 0, e / d, 1.0 / d)
 
 
 class _LogisticStack:
-    """Row-stacked logistic gradients: stacked matvecs around one masked exp."""
+    """Row-stacked logistic gradients: stacked matvecs around one sigmoid."""
 
     def __init__(self, problems: "list[LogisticProblem]") -> None:
         self._m = problems[0]._A.shape[0]

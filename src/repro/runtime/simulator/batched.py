@@ -43,12 +43,16 @@ Three invariants make the results *bit-identical* to solo runs:
 1. **RNG stream preservation** — every scenario keeps the exact
    ingredient objects a solo run would build from its own
    :meth:`~repro.scenarios.spec.ScenarioSpec.spawn_seeds`; stochastic
-   steering/delay models are stepped per scenario, in the same call
-   order, on the same per-scenario streams; batched factories draw each
-   scenario's stream in solo order from its own SeedSequence child.
+   steering models are stepped per scenario, in the same call order, on
+   the same per-scenario streams; delay models whose
+   :meth:`~repro.delays.base.DelayModel.raw_delay_block` is one
+   generator call (uniform) draw a block of iterations at a time,
+   which consumes each stream exactly as per-iteration draws do, and
+   the rest draw per iteration; batched factories draw each scenario's
+   stream in solo order from its own SeedSequence child.
    Deterministic models (cyclic/block/even-odd steering, zero/constant/
-   log-growth/power delays) are evaluated once per iteration and shared
-   across the batch.
+   log-growth/power delays) are shared: one instance serves every row
+   of the batch.
 2. **No cross-scenario arithmetic** — every float a scenario sees comes
    from its own operands in the solo order.  Updates and residuals go
    through one stacked interface,
@@ -63,12 +67,17 @@ Three invariants make the results *bit-identical* to solo runs:
    and :class:`~repro.operators.prox_gradient.ForwardBackwardOperator`
    over least-squares or logistic smooth parts with the zero or L1 prox
    (ridge, lasso, logistic); every other family runs a row loop of solo
-   calls.  Element gathers/scatters and max-based norms are exact under
-   any regrouping and vectorize freely.
+   calls.  The logistic sigmoid is elementwise, without masks, and a
+   group's reference points come from one stacked FISTA
+   (:meth:`~repro.problems.base.CompositeProblem.precompute_batch`).
+   Element gathers/scatters and max-based norms are exact under any
+   regrouping and vectorize freely.
 3. **Divergence masking** — a scenario that terminates (tolerance
    reached, budget exhausted) freezes: its final state is snapshotted
    and it stops consuming its streams, exactly where the solo loop
-   would have stopped, while the rest of the batch continues.
+   would have stopped, while the rest of the batch continues.  Only
+   a block-drawing delay stream may have been drawn up to one label
+   block ahead, and no result reads those draws.
 
 Batches are grouped by :attr:`ScenarioSpec.batch_key` (the canonical
 identity minus the seed), so every member shares problem shape, model
@@ -102,6 +111,11 @@ __all__ = [
 #: (``J + 1`` iterates for an engine group, a ring for a lockstep
 #: machine) is windowed over the batch so no window allocates more.
 _MAX_BATCH_BYTES = 64 * 2**20
+
+#: Raw delay label memory cap per engine group: its ``(sources, K, n)``
+#: int64 block holds ``K`` iterations of draws, as many as fit, when
+#: the delay model draws a block in one call (``K = 1`` otherwise).
+_LABEL_BLOCK_BYTES = 128 * 2**10
 
 #: Steering policies whose active sets depend only on ``j`` — shared
 #: across the batch instead of stepped per scenario.
@@ -262,16 +276,23 @@ def run_scenario_batch(
 # ----------------------------------------------------------------------
 
 def _precompute_analysis(ops: "Sequence[Any]") -> None:
-    """Batch the operators' lazy LAPACK work when the family supports it.
+    """Batch the operators' lazy analysis when the family supports it.
 
-    Purely a scheduling change: the stacked gufunc calls run the same
-    routine per matrix, so cached values match the lazy path bit for
-    bit (see :meth:`AffineOperator.precompute_batch`).
+    Purely a scheduling change: affine operators run their LAPACK
+    routines as stacked gufuncs, one call per matrix, and
+    forward-backward operators solve their reference points as one
+    stacked FISTA, so cached values match the lazy path bit for bit
+    (see :meth:`AffineOperator.precompute_batch` and
+    :meth:`CompositeProblem.precompute_batch`).
     """
     from repro.operators.linear import AffineOperator
+    from repro.operators.prox_gradient import ForwardBackwardOperator
+    from repro.problems.base import CompositeProblem
 
     if all(type(op) is AffineOperator for op in ops):
         AffineOperator.precompute_batch(list(ops))
+    elif all(type(op) is ForwardBackwardOperator for op in ops):
+        CompositeProblem.precompute_batch([op.problem for op in ops])
 
 
 def _build_problems(specs: Sequence[ScenarioSpec]) -> "list[Any]":
@@ -430,11 +451,16 @@ def _engine_schedule(specs: Sequence[ScenarioSpec], block: Any) -> _Schedule:
     Replicates :meth:`AsyncIterationEngine.run` with the fleet's request
     (``x0 = 0``, ``residual_every = 1``, no trace sink): ``S_j`` comes
     from each scenario's steering policy and ``l(j)`` from its delay
-    model, stepped in solo call order on its own streams.  A label may
-    reach back to ``x0``, so the history keeps all ``J + 1`` iterates;
-    the full iterate at label ``m`` *is* every component's most recent
-    value at or before ``m``, so one gather reproduces
-    ``VectorHistory.assemble`` exactly.
+    model, stepped in solo call order on its own streams.  Raw delays
+    go into one ``(sources, K, n)`` block and are clipped per
+    iteration; a model that draws a block in one call fills ``K``
+    iterations at a time
+    (:meth:`~repro.delays.base.DelayModel.raw_delay_block` consumes
+    each stream exactly as ``K`` per-iteration draws do), any other
+    one iteration per step.  A label may reach back to ``x0``, so the
+    history keeps all ``J + 1`` iterates; the full iterate at label
+    ``m`` *is* every component's most recent value at or before ``m``,
+    so one gather reproduces ``VectorHistory.assemble`` exactly.
     """
     from repro.delays.base import DelayModel
     from repro.scenarios import registry
@@ -467,32 +493,51 @@ def _engine_schedule(specs: Sequence[ScenarioSpec], block: Any) -> _Schedule:
     for model in steerings + delay_models:
         model.reset()
 
-    # Stochastic delay models that keep the base-class ``labels`` can
-    # batch their per-iteration clipping: raw delays are drawn per
-    # scenario on its own stream (same call order as solo), then one
-    # vectorized clip replaces B Python-level label conversions.
-    batch_labels = not shared_delays and all(
-        type(m).labels is DelayModel.labels for m in delay_models
+    # Label sources: the head model for the whole batch, or each
+    # scenario's own.  Models that keep the base-class ``labels`` fill
+    # a block of K iterations of raw delays every K iterations, and
+    # each iteration clips one block row per source.  Only models that
+    # draw a block in one call (they override ``raw_delay_block``) take
+    # K > 1; the rest draw one iteration per step, as solo does, since
+    # K ``raw_delays`` calls gain nothing from being made early.  A row
+    # that stops mid-block leaves the rest of its block unread.
+    J = head.max_iterations
+    sources = [delays0] if shared_delays else delay_models
+    by_block = all(type(m).labels is DelayModel.labels for m in sources)
+    one_call = all(
+        type(m).raw_delay_block is not DelayModel.raw_delay_block for m in sources
     )
+    K = max(1, min(J, _LABEL_BLOCK_BYTES // (len(sources) * n * 8))) if one_call else 1
+    raw = np.empty((len(sources), K, n), dtype=np.int64)
+    head_row = np.zeros(1, dtype=np.intp)
     comp_map = _comp_of_elem(block, block.dim)
 
     def step(j: int, rows: np.ndarray) -> "tuple[np.ndarray, Any, Any]":
-        # Labels l_i(j): shared when the model is a pure function of
-        # j, stepped on each scenario's own stream otherwise.
-        if shared_delays:
-            lab = delays0.labels(j)[comp_map][None, :]
-        elif batch_labels:
-            d = np.stack(
-                [delay_models[b].raw_delays(j) for b in rows.tolist()]
-            ).astype(np.int64, copy=False)
-            if d.shape[1] != n or (d < 0).any():
-                raise RuntimeError("raw_delays contract violation")
+        src = head_row if shared_delays else rows
+        if not by_block:
+            lab = np.stack([sources[s].labels(j) for s in src.tolist()])
+        else:
+            i = (j - 1) % K
+            if i == 0:  # refill the live sources' blocks
+                width = min(K, J - j + 1)
+                if one_call:
+                    for s in src.tolist():
+                        d = sources[s].raw_delay_block(j, width)
+                        # A (n,) block would broadcast into the (width, n) slot.
+                        if d.shape != (width, n):
+                            raise RuntimeError("raw_delays contract violation")
+                        raw[s, :width] = d
+                else:
+                    d = np.array([sources[s].raw_delays(j) for s in src.tolist()])
+                    if d.shape != (len(src), n):
+                        raise RuntimeError("raw_delays contract violation")
+                    raw[src, 0] = d
+                if (raw[src, :width] < 0).any():
+                    raise RuntimeError("raw_delays contract violation")
             # d >= 0, so clipping (j - 1) - d to [0, j - 1] only needs
             # the lower bound.
-            lab = np.maximum((j - 1) - d, 0)[:, comp_map]
-        else:
-            lab = np.stack([delay_models[b].labels(j) for b in rows.tolist()])
-            lab = lab[:, comp_map]
+            lab = np.maximum((j - 1) - raw[src, i], 0)
+        lab = lab[:, comp_map]
         if shared_steering:
             S = steering0.active_set(j)
             if len(S) == 0:
@@ -506,7 +551,6 @@ def _engine_schedule(specs: Sequence[ScenarioSpec], block: Any) -> _Schedule:
             member[k, list(S)] = True
         return lab, None, member
 
-    J = head.max_iterations
     return _Schedule(J, J + 1, range(J + 1), step)
 
 

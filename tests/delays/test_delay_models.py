@@ -25,6 +25,7 @@ from repro.delays.unbounded import (
     LogGrowthDelay,
     PowerGrowthDelay,
 )
+from repro.scenarios.registry import REGISTRY, make_delays
 
 ALL_MODELS = [
     ZeroDelay(4),
@@ -178,6 +179,23 @@ class TestOutOfOrder:
         m = ShuffledWindowDelay(2, 10, seed=13)
         labels = np.stack([m.labels(j) for j in range(1, 300)])
         assert not is_monotone_labels(labels)
+
+
+class TestRawDelayBlock:
+    """A block of ``k`` iterations is ``k`` per-iteration draws in order,
+    and leaves every stream where those draws leave it."""
+
+    @pytest.mark.parametrize("name", REGISTRY.names("delays"))
+    @pytest.mark.parametrize("j0,k", [(1, 1), (1, 7), (5, 12)])
+    def test_block_equals_stacked_draws(self, name, j0, k):
+        blocked, stepped = (make_delays(name, 8, seed=2022) for _ in range(2))
+        block = blocked.raw_delay_block(j0, k)
+        rows = np.stack([stepped.raw_delays(j0 + i) for i in range(k)])
+        assert block.dtype == np.int64 and block.shape == (k, 8)
+        np.testing.assert_array_equal(block, rows)
+        np.testing.assert_array_equal(
+            blocked.raw_delays(j0 + k), stepped.raw_delays(j0 + k)
+        )
 
 
 class TestHelpers:

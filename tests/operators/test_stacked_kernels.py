@@ -2,7 +2,7 @@
 
 The batched executors evaluate a group's per-scenario matvecs as one
 stacked ``np.matmul`` (:func:`repro.operators.base.matvec_rows`) and the
-logistic sigmoid as one masked ``exp`` over a 2-D selection.  Both are
+logistic sigmoid elementwise over the ``(B', m)`` margins.  Both are
 bit-identical to the solo per-row calls only because numpy runs the same
 BLAS gemv (or dot) per stack item and the same ``exp`` per element.  The
 tests below pin that on the shapes the twins use, so a numpy or BLAS
@@ -78,17 +78,35 @@ class TestStackedMatmulIsPerItemGemv:
             assert np.array_equal(got[k], _solo(A[b]) @ X[k]), b
 
 
+def _masked_sigmoid(margins: np.ndarray) -> np.ndarray:
+    """The sign-masked ``1/(1 + exp(margins))`` the sigmoid replaced: the oracle."""
+    out = np.empty_like(margins)
+    pos = margins >= 0
+    e = np.exp(-margins[pos])
+    out[pos] = e / (1.0 + e)
+    e2 = np.exp(margins[~pos])
+    out[~pos] = 1.0 / (1.0 + e2)
+    return out
+
+
+#: Signed zeros, infinities, both NaN signs, margins whose ``exp``
+#: underflows (|m| >= 746) or overflows, and subnormals.
+SPECIAL_MARGINS = np.array([
+    0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 746.0, -746.0, 1e4, -1e4,
+    709.8, -709.8, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+])
+
+
 class TestMaskedExpOverRows:
-    def test_exp_of_2d_selection_matches_per_row(self):
-        rng = _rng()
-        M = rng.standard_normal((B, 120)) * 30.0
-        pos = M >= 0
-        flat = np.exp(-M[pos])
-        start = 0
-        for b in range(B):
-            row = np.exp(-M[b][pos[b]])
-            assert np.array_equal(flat[start: start + row.size], row), b
-            start += row.size
+    """``_sigmoid_neg`` runs without masks and equals the masked formula."""
+
+    @pytest.mark.parametrize("shape", [(200,), (B, 120)], ids=["vector", "rows"])
+    def test_equals_masked_formula(self, shape):
+        M = _rng().standard_normal(shape) * 30.0
+        M.reshape(-1)[: SPECIAL_MARGINS.size] = SPECIAL_MARGINS
+        got, want = _sigmoid_neg(M), _masked_sigmoid(M)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_sigmoid_of_rows_matches_per_row(self):
         rng = _rng()

@@ -210,6 +210,84 @@ class TestLogistic:
         )
 
 
+#: One problem family per entry, built from a dataset seed, for the stacked
+#: FISTA: each call builds a fresh instance with an empty cache.
+FISTA_FAMILIES = {
+    "lasso": lambda seed: make_lasso(make_regression(40, 8, seed=seed), l1=0.1),
+    "logistic": lambda seed: make_logistic(make_classification(40, 6, seed=seed)),
+    "sparse-logistic": lambda seed: make_sparse_logistic(
+        make_classification(40, 6, seed=seed), l1=0.02
+    ),
+}
+
+
+def _solo_solution(problem, **kwargs):
+    """``problem.solution(**kwargs)`` and the number of FISTA iterations it ran."""
+    calls = []
+    gradient = problem.smooth.gradient
+    problem.smooth.gradient = lambda x: calls.append(1) or gradient(x)
+    try:
+        return problem.solution(**kwargs), len(calls)
+    finally:
+        del problem.smooth.gradient
+
+
+class TestStackedFista:
+    """``CompositeProblem.precompute_batch`` fills every cache with the
+    solo :meth:`CompositeProblem.solution` value, bit for bit."""
+
+    SEEDS = range(30, 36)
+
+    @pytest.mark.parametrize("family", sorted(FISTA_FAMILIES))
+    def test_caches_equal_solo_solutions(self, family):
+        build = FISTA_FAMILIES[family]
+        batch = [build(s) for s in self.SEEDS]
+        CompositeProblem.precompute_batch(batch)
+        iterations = set()
+        for seed, p in zip(self.SEEDS, batch):
+            assert p._solved
+            solo, its = _solo_solution(build(seed))
+            iterations.add(its)
+            assert np.array_equal(p.solution(), solo), seed
+        # Rows leave the live set at different iterations.
+        assert len(iterations) >= 2
+
+    @pytest.mark.parametrize("family", sorted(FISTA_FAMILIES))
+    def test_rows_that_run_out_match_solo(self, family):
+        build = FISTA_FAMILIES[family]
+        batch = [build(s) for s in self.SEEDS]
+        CompositeProblem.precompute_batch(batch, max_iter=5)
+        for seed, p in zip(self.SEEDS, batch):
+            solo, its = _solo_solution(build(seed), max_iter=5)
+            assert its == 5
+            assert np.array_equal(p.solution(), solo), seed
+
+    def test_ridge_takes_the_closed_form(self):
+        batch = [make_ridge(make_regression(40, 8, seed=s)) for s in self.SEEDS]
+        CompositeProblem.precompute_batch(batch)
+        for p in batch:
+            assert p._solved
+            assert np.array_equal(p.solution(), p.smooth.solution())
+
+    def test_family_without_stacked_loop_stays_lazy(self):
+        def build(seed):
+            return make_elastic_net(make_regression(40, 8, seed=seed))
+
+        batch = [build(s) for s in self.SEEDS]
+        CompositeProblem.precompute_batch(batch)
+        for seed, p in zip(self.SEEDS, batch):
+            assert not p._solved
+            assert np.array_equal(p.solution(), build(seed).solution()), seed
+
+    def test_solved_problems_are_skipped(self):
+        build = FISTA_FAMILIES["lasso"]
+        batch = [build(s) for s in self.SEEDS]
+        first = batch[0].solution(max_iter=3)
+        CompositeProblem.precompute_batch(batch)
+        assert np.array_equal(batch[0].solution(), first)
+        assert np.array_equal(batch[1].solution(), build(self.SEEDS[1]).solution())
+
+
 class TestSVM:
     def test_gradient_finite_difference(self, rng):
         d = make_classification(30, 4, seed=27)

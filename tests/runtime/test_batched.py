@@ -96,6 +96,33 @@ def sim_specs(backend="vectorized", machine="lockstep", machine_params=None,
     ]
 
 
+#: Label-block bytes for three iterations of an 8-row group of six
+#: components: four for 5 rows of six or 6 rows of five.
+_SPLIT_LABEL_BYTES = 3 * 8 * 6 * 8
+
+
+@pytest.fixture
+def batch_layouts(monkeypatch):
+    """Run a test body once per batch layout: whole, then split.
+
+    A split batch runs in 2-row history windows, and models that draw
+    a label block in one call (uniform) draw blocks of a few
+    iterations.  A whole test group fits one window and draws its
+    whole budget as one label block, so only the split layout runs a
+    group in several windows, stops rows mid-block and draws a short
+    last block.  Other models draw one iteration per block in both.
+    """
+    from repro.runtime.simulator import batched
+
+    def layouts():
+        yield "whole"
+        monkeypatch.setattr(batched, "_MAX_BATCH_BYTES", 0)
+        monkeypatch.setattr(batched, "_LABEL_BLOCK_BYTES", _SPLIT_LABEL_BYTES)
+        yield "split"
+
+    return layouts
+
+
 class TestEligibility:
     def test_engine_exact_is_batchable(self):
         assert batchable(engine_specs()[0])
@@ -145,24 +172,39 @@ class TestEngineBatchBitIdentity:
         ("constant", {"delay": 2}),
         ("uniform", {"bound": 3}),
         ("baudet-sqrt", {}),
+        ("log-growth", {}),
+        ("power", {}),
+        ("chaotic", {}),
+        ("out-of-order", {}),
+        ("shuffled-window", {}),
     ])
-    def test_delay_models(self, delays, params):
-        assert_batched_identical(engine_specs(delays=delays, **params))
+    def test_delay_models(self, delays, params, batch_layouts):
+        # Shared models label every row from one source; the others
+        # draw per row.  Split: windows of 2, 2 and 1 rows.
+        for _ in batch_layouts():
+            assert_batched_identical(engine_specs(delays=delays, **params))
 
-    def test_budget_exhaustion_tol_zero(self):
+    def test_budget_exhaustion_tol_zero(self, batch_layouts):
         # tol=0 never converges: every scenario runs out the budget.
-        batch = assert_batched_identical(
-            engine_specs(tol=0.0, max_iterations=7, bound=2)
-        )
-        assert all(r.iterations == 7 and not r.converged for r in batch)
+        # Split: windows of 2, 2 and 1 rows, label blocks of 4 and 3.
+        for _ in batch_layouts():
+            batch = assert_batched_identical(
+                engine_specs(tol=0.0, max_iterations=7, bound=2)
+            )
+            assert all(r.iterations == 7 and not r.converged for r in batch)
 
-    def test_divergence_masking_mixed_stopping(self):
+    def test_divergence_masking_mixed_stopping(self, batch_layouts):
         # A loose tolerance converges scenarios at different j; frozen
         # rows must stop consuming their streams exactly where solo
-        # stopped.
-        assert_batched_identical(
-            engine_specs(tol=1e-2, max_iterations=200, bound=2, count=8)
-        )
+        # stopped.  Split: four 2-row windows; uniform draws 3-iteration
+        # label blocks, the two-draw models one iteration per step.
+        for _ in batch_layouts():
+            for delays in ("uniform", "chaotic", "out-of-order"):
+                batch = assert_batched_identical(
+                    engine_specs(delays=delays, tol=1e-2, max_iterations=200,
+                                 bound=2, count=8)
+                )
+                assert len({r.iterations for r in batch}) > 1, delays
 
     def test_mixed_groups_and_solo_members_keep_input_order(self):
         specs = (
@@ -197,14 +239,15 @@ class TestEngineBatchBitIdentity:
         assert_batched_identical(ml_specs(problem))
 
     @pytest.mark.parametrize("problem", ML_FAMILIES)
-    def test_forward_backward_divergence_masking(self, problem):
+    def test_forward_backward_divergence_masking(self, problem, batch_layouts):
         # Rows stop at different j, so the twins see live-row subsets.
-        batch = assert_batched_identical(
-            ml_specs(problem, delays="uniform", bound=2, tol=1e-3,
-                     max_iterations=300, count=6)
-        )
-        assert len({r.iterations for r in batch}) > 1
-        assert any(r.converged for r in batch)
+        for _ in batch_layouts():
+            batch = assert_batched_identical(
+                ml_specs(problem, delays="uniform", bound=2, tol=1e-3,
+                         max_iterations=300, count=6)
+            )
+            assert len({r.iterations for r in batch}) > 1
+            assert any(r.converged for r in batch)
 
     @pytest.mark.parametrize("problem", ML_FAMILIES)
     def test_forward_backward_random_subset_steering(self, problem):
@@ -231,8 +274,10 @@ class TestLockstepBatchBitIdentity:
         (1e-6, 41),      # budget not divisible by the residual cadence
         (1e-2, 200),     # early convergence at scattered commits
     ])
-    def test_stopping_regimes(self, tol, max_iterations):
-        assert_batched_identical(sim_specs(tol=tol, max_iterations=max_iterations))
+    def test_stopping_regimes(self, tol, max_iterations, batch_layouts):
+        # Split: two 2-row windows, each with its own history ring.
+        for _ in batch_layouts():
+            assert_batched_identical(sim_specs(tol=tol, max_iterations=max_iterations))
 
     @pytest.mark.parametrize("tol,max_iterations", [(0.0, 60), (1e-3, 400)])
     def test_lasso(self, tol, max_iterations):
