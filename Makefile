@@ -4,7 +4,7 @@
 PY ?= python
 PP := PYTHONPATH=src:.$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-slow test-all lint bench bench-fleet claims sweep example-fleet example-faults examples doctest
+.PHONY: test test-slow test-all lint bench bench-fleet claims mutants sweep example-fleet example-faults examples doctest
 
 ## tier-1: the fast suite (slow-marked fleet stress tests are skipped)
 test:
@@ -40,6 +40,11 @@ bench-fleet:
 ## (rewrites benchmarks/results/*.txt)
 claims:
 	$(PP) $(PY) -m pytest $(filter-out benchmarks/bench_fleet_throughput.py,$(wildcard benchmarks/bench_*.py)) --benchmark-only -q
+
+## the mutation catalogue: tier-1 must fail under every mutant in
+## tools/mutants.toml, each applied to a temp copy of the tree
+mutants:
+	$(PY) tools/mutants.py
 
 ## the acceptance-criteria grid: 2 problems x 2 delays x 2 policies x 3 seeds
 sweep:

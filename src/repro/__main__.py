@@ -266,10 +266,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         msg = exc.args[0] if exc.args else str(exc)
         print(f"sweep: {msg}", file=sys.stderr)
         return 2
-    return _execute_study(
-        config, prog="sweep", resume=args.resume is not None, json_path=args.json,
-        cache=False if args.no_cache else None,
-    )
+    try:
+        return _execute_study(
+            config, prog="sweep", resume=args.resume is not None,
+            json_path=args.json, cache=False if args.no_cache else None,
+        )
+    except ValueError as exc:  # a store or cache this version refuses
+        print(f"sweep: {exc}", file=sys.stderr)
+        return 2
 
 
 # ----------------------------------------------------------------------
@@ -371,15 +375,15 @@ def _cmd_study(args: argparse.Namespace) -> int:
 def _cmd_store(args: argparse.Namespace) -> int:
     from repro.runtime.sweep_store import SweepStore
 
-    # Opening is where a store can be refused: missing, an unreadable
-    # manifest, or a legacy flat store whose packing did not verify.
+    # Opening is where a store can be refused: missing, or a manifest
+    # that is unreadable or of a format this version does not read.
     try:
         if args.store_verb == "merge":
             shards = [SweepStore(p, create=False) for p in args.shards]
             merged = SweepStore(args.out)
         else:
             store = SweepStore(args.store_dir, create=False)
-    except (FileNotFoundError, ValueError, RuntimeError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"store: {exc}", file=sys.stderr)
         return 2
     if args.store_verb == "merge":
@@ -420,32 +424,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
             }, indent=2))
             return 0
         print(store.digest())
-        return 0
-    if args.store_verb == "migrate":
-        # The open above already packed a flat store in place, after
-        # verifying its digest; migrated_digest is that flat digest.
-        migrated = store.migrated_digest is not None
-        after = store.digest()
-        rows = len(store.completed())
-        if args.json:
-            print(json.dumps({
-                "store": str(args.store_dir),
-                "layout_before": "flat" if migrated else "packed",
-                "layout": "packed",
-                "rows": rows,
-                "digest_before": store.migrated_digest or after,
-                "digest": after,
-                "migrated": migrated,
-            }, indent=2))
-            return 0
-        if not migrated:
-            print(f"store: {args.store_dir} is already packed ({rows} rows)")
-        else:
-            print(
-                f"store: migrated {args.store_dir} flat -> packed "
-                f"({rows} rows, digest preserved)"
-            )
-        print(f"store: determinism digest {after}")
         return 0
     print(f"store: unknown verb {args.store_verb!r}", file=sys.stderr)
     return 2
@@ -603,10 +581,9 @@ def main(argv: list[str] | None = None) -> int:
             "Operate on sweep-store directories.  `merge` recombines the "
             "per-host stores of a sharded study into one store whose "
             "determinism digest is bit-identical to a single-host run; "
-            "`digest` prints a store's digest for cross-host comparison; "
-            "`migrate` packs a legacy flat store in place and reports "
-            "the verified digest.  Any command that opens a flat store "
-            "packs it the same way first."
+            "`digest` prints a store's digest for cross-host comparison.  "
+            "A store whose manifest is not of the current format_version "
+            "is refused (exit 2) before anything on disk changes."
         ),
     )
     store_sub = store.add_subparsers(dest="store_verb", required=True)
@@ -627,13 +604,6 @@ def main(argv: list[str] | None = None) -> int:
     digest.add_argument("store_dir", metavar="DIR", help="sweep store directory")
     digest.add_argument("--json", action="store_true",
                         help="print digest plus layout/row counts as JSON")
-    migrate = store_sub.add_parser(
-        "migrate", help="pack a legacy flat store in place (digest-verified)"
-    )
-    migrate.add_argument("store_dir", metavar="DIR", help="sweep store directory")
-    migrate.add_argument("--json", action="store_true",
-                         help="print a machine-readable JSON summary instead "
-                              "of prose")
 
     args = parser.parse_args(argv)
     try:

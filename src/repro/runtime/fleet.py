@@ -338,11 +338,13 @@ class FleetResult:
     def to_json(self) -> str:
         """Strictly valid JSON document with per-scenario records and stats.
 
-        Non-finite values (an unknown throughput, a failed row's
-        ``nan`` residual) serialize as ``null``, never as the
-        non-standard ``NaN``/``Infinity`` literals — the document must
-        parse under ``json.loads`` with a strict ``parse_constant``
-        and under non-Python consumers.
+        Never the non-standard ``NaN``/``Infinity`` literals — the
+        document must parse under ``json.loads`` with a strict
+        ``parse_constant`` and under non-Python consumers.  A row's
+        non-finite summary fields keep the string sentinels of
+        :meth:`ScenarioResult.to_json_dict` (a failed row's ``nan``
+        residual is written as ``"NaN"``); any other non-finite value
+        serializes as ``null``.
         """
         doc = {
             "executor": self.executor,

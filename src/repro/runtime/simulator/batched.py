@@ -79,8 +79,8 @@ Three invariants make the results *bit-identical* to solo runs:
    a block-drawing delay stream may have been drawn up to one label
    block ahead, and no result reads those draws.
 
-Batches are grouped by :attr:`ScenarioSpec.batch_key` (the canonical
-identity minus the seed), so every member shares problem shape, model
+Batches are grouped by :attr:`ScenarioSpec.batch_key` (every spec
+field but the seed), so every member shares problem shape, model
 ingredients, backend, budget and tolerance.  Anything unbatchable — and
 any batch that raises mid-flight — falls back to the solo runner, so
 batching can change throughput but never results.
@@ -205,32 +205,12 @@ def batchable(spec: ScenarioSpec) -> bool:
     return spec.backend in _SIM_BACKENDS
 
 
-def _fast_key(spec: ScenarioSpec) -> "tuple[Any, ...]":
-    """Cheap stand-in for :attr:`ScenarioSpec.batch_key` in the hot path.
-
-    ``repr`` of the param dicts is order-sensitive where the canonical
-    JSON is not, so two equal-content specs built with different dict
-    orderings may land in *separate* groups — a lost batching
-    opportunity, never a wrong merge (distinct contents never repr
-    equal).  Grids enumerate params identically, so in practice the
-    partition matches ``batch_key`` at a fraction of its cost.
-    """
-    return (
-        spec.problem, spec.kind, spec.steering, spec.delays, spec.machine,
-        spec.fault, spec.topology,
-        spec.backend, int(spec.max_iterations), float(spec.tol),
-        repr(spec.problem_params), repr(spec.steering_params),
-        repr(spec.delay_params), repr(spec.machine_params),
-        repr(spec.fault_params), repr(spec.topology_params),
-    )
-
-
 def _group(specs: Sequence[ScenarioSpec]) -> "list[list[int]]":
     """Indices of ``specs`` grouped by homogeneity key, order preserved."""
     groups: dict[Any, list[int]] = {}
     order: list[Any] = []
     for i, spec in enumerate(specs):
-        key = _fast_key(spec) if batchable(spec) else f"solo:{i}"
+        key = spec.batch_key if batchable(spec) else f"solo:{i}"
         if key not in groups:
             groups[key] = []
             order.append(key)
@@ -864,7 +844,7 @@ def _run_batch(specs: Sequence[ScenarioSpec]) -> "list[Any]":
     t0 = time.perf_counter()
     B = len(specs)
     head = specs[0]
-    # _fast_key puts fault/topology in the group identity, so the head
+    # batch_key puts fault/topology in the group identity, so the head
     # speaks for every member.
     if head.fault != "none":
         raise LockstepIncompatible(

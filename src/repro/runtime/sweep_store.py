@@ -55,14 +55,12 @@ surface (``group_medians``, ``scenario_count``, ``wall_time``,
 ``digest``) never holds the full row set in memory.
 
 Digest preservation: the digest is :func:`digest_rows` over the rows'
-JSON documents, so it is byte-identical to the digest of the retired
-flat layout (format v1, one ``results/<hash>.json`` per row) — every
-value round-trips exactly: float64 summary columns restore the same
-doubles the JSON documents carried (npz is lossless and
-``json.dumps`` of a given double is deterministic), the non-finite
-string sentinels (``"NaN"``/``"Infinity"``/``"-Infinity"``) decode and
-re-encode to themselves, and ``None`` optional fields are preserved
-through explicit mask columns.
+JSON documents, and every value round-trips exactly: float64 summary
+columns restore the same doubles the JSON documents carried (npz is
+lossless and ``json.dumps`` of a given double is deterministic), the
+non-finite string sentinels (``"NaN"``/``"Infinity"``/``"-Infinity"``)
+decode and re-encode to themselves, and ``None`` optional fields are
+preserved through explicit mask columns.
 
 Content addressing is also what makes stores *composable*:
 :meth:`merge` recombines the per-host stores of a sharded grid
@@ -73,11 +71,10 @@ unit is fingerprinted (its completed hashes + trace markers) into
 reading a single row.  Any store doubles as the cross-study result
 cache ``run_grid(cache=...)`` consults before executing a scenario.
 
-Legacy flat stores are read in exactly one place: every open packs a
-flat directory in place first (:meth:`SweepStore._migrate_flat`),
-checking the packed digest against the flat one and rolling back on
-mismatch, so resume, cache, merge and reporting only ever see packed
-stores.
+The store reads this one format.  Opening a directory in any other —
+a manifest whose ``format_version`` is missing or is not 2, or the
+retired flat layout's manifest-less ``results/`` directory — raises
+``ValueError`` before anything on disk changes.
 """
 
 from __future__ import annotations
@@ -203,19 +200,28 @@ def _atomic_savez(path: pathlib.Path, arrays: "dict[str, np.ndarray]") -> None:
     os.replace(tmp, path)
 
 
+def _unsupported_store(path: pathlib.Path, version: Any) -> ValueError:
+    """The refusal of a store this version cannot read."""
+    return ValueError(
+        f"unsupported sweep store at {path} (format_version {version}): "
+        f"only format_version {SweepStore.FORMAT_VERSION} is read.  Re-run "
+        "the study into a new store, or open this one once with a commit "
+        "from before the flat-layout reader was removed, which converts "
+        "it in place."
+    )
+
+
 def _payload_from_doc(doc: "dict[str, Any]") -> "dict[str, Any]":
     """Digest payload straight from a persisted row document.
 
     Matches :func:`digest_rows` on the loaded row byte for byte: the
     document already carries the encoded forms (sentinel strings,
-    ``null`` optionals), and a legacy ``final_residual: null`` loads
-    as ``nan`` hence re-encodes as ``"NaN"``.
+    ``null`` optionals).
     """
-    fr = doc.get("final_residual")
     return {
         "iterations": int(doc.get("iterations", 0)),
         "converged": bool(doc.get("converged", False)),
-        "final_residual": "NaN" if fr is None else fr,
+        "final_residual": doc.get("final_residual"),
         "final_error": doc.get("final_error"),
         "sim_time": doc.get("sim_time"),
         "time_to_tol": doc.get("time_to_tol"),
@@ -273,11 +279,7 @@ class RowView:
         self.spec = _SpecView(doc.get("spec") or {})
         self.iterations = int(doc.get("iterations", 0))
         self.converged = bool(doc.get("converged", False))
-        fr = doc.get("final_residual")
-        self.final_residual = (
-            float("nan") if fr is None else float(_decode_nonfinite(fr))
-        )
-        for f in _OPTIONAL_FIELDS:
+        for f in ("final_residual", *_OPTIONAL_FIELDS):
             v = doc.get(f)
             setattr(self, f, None if v is None else float(_decode_nonfinite(v)))
         self.wall_time = float(doc.get("wall_time", 0.0))
@@ -426,15 +428,11 @@ class SweepStore:
         self._shard_maps: "dict[str, dict[str, pathlib.Path]]" = {}
         # Unsealed log-row counts per shard prefix.
         self._pending: "dict[str, int]" = {}
-        #: The flat digest this open verified while packing a legacy
-        #: flat directory in place (see :meth:`_migrate_flat`); ``None``
-        #: when the store was already packed, or is new.
-        self.migrated_digest = self._migrate_flat(header)
-        if header is not None and self.migrated_digest is None:
+        if header is not None:
             # Shard addressing must match how the store was written,
             # whatever this instance was constructed with.
             self.prefix_len = int(header.get("prefix_len", self.prefix_len))
-        elif header is None and prefix_len is None and self.shards_dir.is_dir():
+        elif prefix_len is None and self.shards_dir.is_dir():
             # Manifest-less directories (result caches) carry no
             # header; infer the addressing from the shard directories
             # themselves so a cache written under one default re-opens
@@ -453,94 +451,30 @@ class SweepStore:
     def _read_header(self) -> "dict[str, Any] | None":
         """The top-level manifest document, or ``None`` when absent.
 
-        An unreadable or non-object manifest raises ``ValueError``
-        naming the file, before anything on disk changes: guessing a
-        format for it would reopen a packed store as flat legacy rows
-        (a resume would re-run everything, and a migration's rollback
-        would delete its batches).
+        A manifest that is unreadable, not a JSON object, or not of
+        :attr:`FORMAT_VERSION`, and a manifest-less directory holding
+        the retired flat layout's ``results/``, raise ``ValueError``
+        naming the file, before anything on disk changes: opening such
+        a directory as a store would re-run every row it holds, and
+        writing into it would mix two formats.
         """
         path = self.root / _MANIFEST
         if not path.is_file():
+            if (self.root / "results").is_dir():
+                raise _unsupported_store(self.root / "results", 1)
             return None
         try:
             header = json.loads(path.read_text())
             if not isinstance(header, dict):
                 raise TypeError("not a JSON object")
-            header["format_version"] = int(header.get("format_version", 1))
         except (ValueError, TypeError) as exc:
             raise ValueError(
                 f"unreadable store manifest {path}: {exc}"
             ) from None
+        version = header.get("format_version", "missing")
+        if version != self.FORMAT_VERSION:
+            raise _unsupported_store(path, version)
         return header
-
-    def _migrate_flat(self, header: "dict[str, Any] | None") -> "str | None":
-        """Pack a legacy flat store in place; its verified digest, else ``None``.
-
-        The one reader of the retired flat layout (format v1: one
-        ``results/<hash>.json`` row document per completed scenario
-        beside a v1 manifest of hashes and canonical specs).  A
-        directory is flat when its manifest has ``format_version``
-        missing or below 2, or when it has no manifest but has a
-        ``results/`` directory; a v2 store is never touched.
-
-        Every row file is packed into per-shard batches, and the packed
-        digest is checked against the flat one — :func:`digest_rows`
-        over each row in manifest scope, exactly as the flat layout
-        computed it.  Only then does the v2 manifest replace the v1
-        one (the commit point) and ``results/`` go.  A mismatch, or a
-        failure at any write before the commit, removes ``shards/`` and
-        re-raises with the flat store untouched; a ``shards/`` found in
-        a flat store can only be debris of a killed migration, so it is
-        discarded before packing starts.  Rows, traces and the digest
-        stay the same; a flat store's ``fleet.json`` stays where it is
-        and is never read (its rows are the rows just packed).
-
-        The step must not race a process that is still writing the
-        flat store (``store migrate`` never could either): rows landing
-        after they were read would be deleted with ``results/``.
-        """
-        from repro.runtime.fleet import ScenarioResult
-
-        results = self.root / "results"
-        if header is None and not results.is_dir():
-            return None
-        if header is not None and header["format_version"] >= 2:
-            return None
-        docs = {
-            p.stem: json.loads(p.read_text()) for p in results.glob("*.json")
-        }
-        entries = None if header is None else header.get("scenarios", [])
-        scope = set(docs)
-        if entries is not None:
-            scope &= {e["hash"] for e in entries}
-        flat = digest_rows(
-            (h, ScenarioResult.from_json_dict(docs[h])) for h in scope
-        )
-        by_prefix: "dict[str, dict[str, dict[str, Any]]]" = {}
-        for h, doc in docs.items():
-            by_prefix.setdefault(self._prefix(h), {})[h] = doc
-        shutil.rmtree(self.shards_dir, ignore_errors=True)
-        try:
-            for prefix in sorted(by_prefix):
-                self._append_batch(prefix, by_prefix[prefix])
-            packed = self.digest(scope)
-            if packed != flat:
-                raise RuntimeError(
-                    f"store migration digest mismatch at {self.root}: "
-                    f"flat {flat} != packed {packed}"
-                )
-            if entries is not None:
-                self._write_manifest_entries(entries)
-        except BaseException:
-            shutil.rmtree(self.shards_dir, ignore_errors=True)
-            raise
-        if results.is_dir():
-            # Renamed before deletion: a kill mid-delete must not leave
-            # a partial results/ that would re-pack as the whole store.
-            trash = self.root / "results.packed"
-            os.replace(results, trash)
-            shutil.rmtree(trash, ignore_errors=True)
-        return flat
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -657,13 +591,25 @@ class SweepStore:
         return path
 
     def _manifest_entries(self) -> "list[dict[str, Any]]":
-        """Manifest entries in submission order (with ``index``)."""
+        """Manifest entries in submission order (with ``index``).
+
+        The header is the commit point of a manifest rewrite: shard
+        manifests land first, so a rewrite killed before its header
+        leaves some shards already holding the new list.  A merge only
+        appends, keeping every committed entry's index, so the entries
+        below the header's ``scenario_count`` are exactly the committed
+        list; the rest belong to the unfinished rewrite.
+        """
         header = json.loads((self.root / _MANIFEST).read_text())
+        count = header.get("scenario_count")
         entries: "list[dict[str, Any]]" = []
         for prefix in header.get("prefixes", []):
             shard_manifest = self._shard_dir(prefix) / _MANIFEST
             if shard_manifest.is_file():
-                entries.extend(json.loads(shard_manifest.read_text())["scenarios"])
+                entries.extend(
+                    e for e in json.loads(shard_manifest.read_text())["scenarios"]
+                    if count is None or e.get("index", 0) < count
+                )
         entries.sort(key=lambda e: e.get("index", 0))
         return entries
 
@@ -825,9 +771,8 @@ class SweepStore:
             })
             arrays["iterations"][i] = int(doc.get("iterations", 0))
             arrays["converged"][i] = bool(doc.get("converged", False))
-            fr = doc.get("final_residual")
-            arrays["final_residual"][i] = (
-                float("nan") if fr is None else float(_decode_nonfinite(fr))
+            arrays["final_residual"][i] = float(
+                _decode_nonfinite(doc["final_residual"])
             )
             arrays["wall_time"][i] = float(doc.get("wall_time", 0.0))
             for f in _OPTIONAL_FIELDS:
@@ -925,16 +870,11 @@ class SweepStore:
     ) -> "dict[pathlib.Path, dict[str, dict[str, Any]]]":
         """Every append-log file of one shard, with the rows it holds.
 
-        The one reader of the log.  A file holds ``{"rows": {hash:
-        doc}}``; a file without a ``rows`` key is a single-row
-        ``<hash>.json``, as stores written before logs were grouped
-        left them when killed before their seal, and reads as that one
-        row, so such a store resumes without re-running it.
-
-        A file that vanished since the listing was sealed by another
-        handle on this directory, whose batch landed before the unlink:
-        it is skipped, and the shard's cached batch map dropped so the
-        next lookup finds that batch.
+        The one reader of the log; a file holds ``{"rows": {hash:
+        doc}}``.  A file that vanished since the listing was sealed by
+        another handle on this directory, whose batch landed before the
+        unlink: it is skipped, and the shard's cached batch map dropped
+        so the next lookup finds that batch.
         """
         files: "dict[pathlib.Path, dict[str, dict[str, Any]]]" = {}
         for p in self._log_paths(prefix):
@@ -943,7 +883,7 @@ class SweepStore:
             except FileNotFoundError:
                 self._shard_maps.pop(prefix, None)
                 continue
-            files[p] = doc["rows"] if "rows" in doc else {p.stem: doc}
+            files[p] = doc["rows"]
         return files
 
     def _log_docs(
@@ -1038,41 +978,41 @@ class SweepStore:
         """Remove one persisted row (missing rows no-op).
 
         The kill-simulation counterpart of :meth:`write_result`: tests
-        and tooling drop a row to force its re-execution.  A logged row
-        leaves its log file: the file's other rows land as a new file
-        (fingerprinted by their own hashes) before the old one is
-        unlinked.  A sealed row rewrites its batch without it (new
-        fingerprint name, old pair removed).  Merge fingerprints are
-        invalidated — the store's content no longer matches what they
-        certified.
+        and tooling drop a row to force its re-execution.  Every copy
+        goes: a row sealed and later logged again is in a batch *and*
+        a log file.  Each file holding it is replaced by one without
+        it (the rest of a log file lands as a new file, a batch is
+        rewritten under its new fingerprint name), and every
+        replacement is written before the file it replaces is
+        unlinked, so a crash at any point loses no other row and a
+        re-discard completes the job.  Merge fingerprints are
+        invalidated first — the store's content no longer matches
+        what they certified.
         """
         prefix = self._prefix(content_hash)
-        logged = False
-        for path, rows in self._log_files(prefix).items():
-            if rows.pop(content_hash, None) is None:
-                continue
+        logs = {
+            path: rows for path, rows in self._log_files(prefix).items()
+            if content_hash in rows
+        }
+        bp = self._shard_map(prefix).get(content_hash)
+        if logs or bp is not None:
+            (self.root / _MERGE_LOG).unlink(missing_ok=True)
+        for path, rows in logs.items():
+            del rows[content_hash]
             if rows:
                 self._write_log(prefix, rows)
             path.unlink()
-            logged = True
-        if logged:
             self._pending.pop(prefix, None)  # recounted on the next write
-        else:
-            bp = self._shard_map(prefix).get(content_hash)
-            if bp is None:
-                if self._completed is not None:
-                    self._completed.discard(content_hash)
-                return
+        if bp is not None:
             rest = self._batch_docs(bp)
-            rest.pop(content_hash, None)
+            del rest[content_hash]
+            if rest:
+                self._write_batch(prefix, sorted(rest.items()))
             bp.unlink(missing_ok=True)
             bp.with_suffix(".json").unlink(missing_ok=True)
             self._shard_maps.pop(prefix, None)
-            if rest:
-                self._write_batch(prefix, sorted(rest.items()))
         if self._completed is not None:
             self._completed.discard(content_hash)
-        (self.root / _MERGE_LOG).unlink(missing_ok=True)
 
     # -- traces --------------------------------------------------------
     def has_trace(self, content_hash: str) -> bool:
@@ -1225,8 +1165,7 @@ class SweepStore:
         merged store's :meth:`digest` is bit-identical to a single-host
         run of the whole grid (row digests are content-addressed and
         hash-ordered, so neither shard assignment nor merge order can
-        leak into the certificate).  Legacy flat sources are packed in
-        place when opened (see :meth:`_migrate_flat`).
+        leak into the certificate).
 
         Every shard's manifest entries are unioned in order (this
         store's own manifest first, when it has one; duplicate content
@@ -1236,9 +1175,12 @@ class SweepStore:
         idempotent, incremental and O(changed): each source unit (one
         source shard prefix) is fingerprinted over its completed hashes
         plus trace markers, fingerprints of fully-merged units persist
-        in ``merge_log.json`` (written only after the merged manifest,
-        so a killed merge re-scans and completes idempotently), and a
-        re-merge skips unchanged units without reading a row.
+        in ``merge_log.json``, and a re-merge skips unchanged units
+        without reading a row.  The merge log is written only after
+        every row has been adopted, so a killed merge re-scans and
+        completes idempotently; its place relative to the manifest
+        does not matter, since a re-merge re-unions every source
+        manifest whatever the merge log holds.
         """
         opened = [
             s if isinstance(s, SweepStore) else SweepStore(s, create=False)

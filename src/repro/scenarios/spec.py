@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Iterable, Mapping
 
 import numpy as np
@@ -269,19 +269,27 @@ class ScenarioSpec:
         return h
 
     @property
-    def batch_key(self) -> str:
-        """Homogeneity key for batched lockstep execution.
+    def batch_key(self) -> tuple[Any, ...]:
+        """Homogeneity key for batched execution: every field but the seed.
 
-        The canonical identity minus the seed: two specs with equal
-        batch keys share problem family and parameters (hence shape),
-        ingredient models, backend, budget and tolerance — differing
-        only in their RNG streams — and may therefore advance through
-        one shared iteration clock (see
-        :mod:`repro.runtime.simulator.batched`).
+        Two specs with equal batch keys share problem family and
+        parameters (hence shape), ingredient models, backend, budget
+        and tolerance — differing only in their RNG streams — and may
+        therefore advance through one shared iteration clock (see
+        :mod:`repro.runtime.simulator.batched`, whose grouping calls
+        this key and no other).  The field list is read from the
+        dataclass (:data:`_BATCH_FIELDS`), so a new field joins the key
+        by construction.  Param dicts enter as their ``repr``, which is
+        order-sensitive where the canonical JSON is not: equal-content
+        dicts built in different orders may land in separate groups — a
+        lost batching opportunity, never a wrong merge — and the key
+        costs a few microseconds per spec.
         """
-        doc = self.canonical()
-        del doc["seed"]
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        d = self.__dict__
+        return tuple([
+            repr(v) if isinstance(v, dict) else v
+            for v in map(d.__getitem__, _BATCH_FIELDS)
+        ])
 
     def spawn_seeds(self) -> list[np.random.SeedSequence]:
         """Seven independent child streams, one per ingredient.
@@ -300,6 +308,10 @@ class ScenarioSpec:
         return registry.make_problem(
             self.problem, self.spawn_seeds()[0], **self.problem_params
         )
+
+
+#: The fields :attr:`ScenarioSpec.batch_key` reads: every field but the seed.
+_BATCH_FIELDS = tuple(f.name for f in fields(ScenarioSpec) if f.name != "seed")
 
 
 @dataclass(frozen=True)

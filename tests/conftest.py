@@ -126,29 +126,43 @@ def flow_network():
 
 
 @pytest.fixture
-def write_flat_store():
-    """Writer of legacy flat (format v1) sweep stores, by hand.
+def write_retired_store():
+    """Writer of a store in the retired flat layout (format v1), by hand.
 
-    ``write_flat_store(root, rows)`` lays out the retired flat layout
-    as plain files: a v1 ``manifest.json`` listing every row's spec and
-    one ``results/<hash>.json`` row document per row, byte for byte as
-    the flat ``SweepStore`` wrote them.  Returns ``root`` as a path.
+    ``write_retired_store(root, rows)`` writes a v1 ``manifest.json``
+    listing the rows' specs and one ``results/<hash>.json`` row document
+    per row, as the flat layout did.  Every open refuses such a store.
+    Returns ``root`` as a path.
     """
     def write(root, rows):
         root = pathlib.Path(root)
         (root / "results").mkdir(parents=True, exist_ok=True)
         entries = [
-            {"hash": r.spec.content_hash, "key": r.spec.key,
-             "spec": r.spec.canonical()}
+            {"hash": r.content_hash, "key": r.key, "spec": r.spec.canonical()}
             for r in rows
         ]
-        manifest = {"format_version": 1, "scenario_count": len(entries),
-                    "scenarios": entries}
-        (root / "manifest.json").write_text(json.dumps(manifest, indent=2))
+        (root / "manifest.json").write_text(json.dumps(
+            {"format_version": 1, "scenario_count": len(entries),
+             "scenarios": entries}
+        ))
         for r in rows:
             (root / "results" / f"{r.content_hash}.json").write_text(
-                json.dumps(r.to_json_dict(), indent=2, allow_nan=False)
+                json.dumps(r.to_json_dict(), allow_nan=False)
             )
         return root
 
     return write
+
+
+@pytest.fixture
+def tree_bytes():
+    """``tree_bytes(root)``: every path under ``root`` with its bytes
+    (directories as ``b""``), to show an operation changed nothing."""
+    def tree(root):
+        root = pathlib.Path(root)
+        return {
+            str(p.relative_to(root)): p.read_bytes() if p.is_file() else b""
+            for p in root.rglob("*")
+        }
+
+    return tree

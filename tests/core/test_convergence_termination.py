@@ -13,11 +13,12 @@ from repro.core.convergence import (
     theorem1_certificate,
 )
 from repro.core.flexible import FlexibleIterationEngine, InterpolatedPartials
-from repro.core.macro import macro_sequence
+from repro.core.macro import MacroSequence, macro_sequence
 from repro.core.termination import (
     MacroTerminationDetector,
     error_bound_from_eps,
 )
+from repro.core.trace import IterationTrace
 from repro.delays.bounded import UniformRandomDelay, ZeroDelay
 from repro.operators.prox_gradient import ProxGradientOperator
 from repro.problems import make_lasso, make_regression
@@ -116,6 +117,37 @@ class TestTheorem1Certificate:
         cert = theorem1_certificate(res.trace, ms, rho=0.99999)
         assert not cert.satisfied
         assert cert.first_violation is not None
+
+    @staticmethod
+    def _hand_built(margins, rho):
+        """A trace whose bound margin at iteration ``j`` is ``margins[j]``.
+
+        One component, one macro-iteration per iteration, and
+        ``err(0) = 1``, so the bound at ``j`` is ``(1 - rho)^j``.
+        """
+        J = len(margins) - 1
+        sq = np.asarray(margins) * (1.0 - rho) ** np.arange(J + 1)
+        trace = IterationTrace(
+            n_components=1, active_sets=((0,),) * J,
+            labels=np.arange(J).reshape(J, 1), errors=np.sqrt(sq),
+        )
+        return trace, MacroSequence(np.arange(J + 1), J)
+
+    def test_violation_flagged_at_its_iteration(self):
+        trace, macro = self._hand_built([1.0, 0.5, 1.2, 0.9, 0.3], rho=0.75)
+        cert = theorem1_certificate(trace, macro, rho=0.75)
+        assert not cert.satisfied
+        assert cert.first_violation == 2
+        assert cert.worst_margin == pytest.approx(1.2)
+        assert cert.n_checked == 5
+
+    def test_margin_of_exactly_one_passes(self):
+        # Powers of two: every squared error equals its bound exactly.
+        trace, macro = self._hand_built([1.0, 1.0, 0.5, 1.0, 1.0], rho=0.75)
+        cert = theorem1_certificate(trace, macro, rho=0.75)
+        assert cert.satisfied
+        assert cert.first_violation is None
+        assert cert.worst_margin == 1.0
 
     def test_empirical_macro_contraction_nan_cases(self, lasso_setup):
         _, op = lasso_setup

@@ -140,6 +140,19 @@ class TestStudyResumeReport:
         assert main(["study", "report", str(path)]) == 2
         assert "no sweep store" in capsys.readouterr().err
 
+    def test_report_on_retired_store_exits_2(
+        self, study_file, capsys, write_retired_store, tree_bytes
+    ):
+        path, cfg = study_file
+        rows = run_grid(cfg.specs()[:2], executor="serial").results
+        root = write_retired_store(cfg.store.out, rows)
+        before = tree_bytes(root)
+        assert main(["study", "report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert str(root / "manifest.json") in captured.err
+        assert "Re-run the study" in captured.err
+        assert tree_bytes(root) == before
+
     def test_report_json_export(self, study_file, tmp_path, capsys):
         path, _ = study_file
         assert main(["study", "run", str(path)]) == 0

@@ -191,6 +191,17 @@ class TestSweepStoreCLI:
         assert main(_sweep("--resume", str(tmp_path / "nope"))) == 2
         assert "no sweep store" in capsys.readouterr().err
 
+    def test_resume_or_cache_of_a_retired_store_exits_2(self, tmp_path, capsys,
+                                                       tree_bytes):
+        manifest = tmp_path / "old" / "manifest.json"
+        manifest.parent.mkdir()
+        manifest.write_text('{"format_version": 1, "scenarios": []}')
+        for extra in (("--resume", str(manifest.parent)),
+                      ("--cache", str(manifest.parent))):
+            assert main(_sweep(*extra)) == 2, extra
+            assert str(manifest) in capsys.readouterr().err, extra
+        assert tree_bytes(manifest.parent) == {"manifest.json": manifest.read_bytes()}
+
     def test_keep_traces_requires_out(self, capsys):
         assert main(_sweep("--keep-traces")) == 2
         assert "--keep-traces requires" in capsys.readouterr().err

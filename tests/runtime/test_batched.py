@@ -11,6 +11,8 @@ shapes) falls back to solo without surfacing an error.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 from repro.runtime.fleet import run_fleet, run_scenario
 from repro.runtime.simulator.batched import (
     LockstepIncompatible,
+    _group,
     batchable,
     lockstep_plan,
     run_scenario_batch,
@@ -142,23 +145,73 @@ class TestEligibility:
         assert not batchable(spec)
 
 
+#: Batchable base specs (less the seed) for the batch-key tests.
+KEY_BASES = {
+    "engine": dict(
+        problem="jacobi", problem_params={"n": 6},
+        steering="random-subset", steering_params={"p": 0.3},
+        delays="uniform", delay_params={"bound": 3},
+        max_iterations=40, tol=1e-6,
+    ),
+    "simulator": dict(
+        problem="jacobi", problem_params={"n": 8}, kind="simulator",
+        machine="uniform", machine_params={"latency": 0.05},
+        fault="lossy-channel", fault_params={"drop_prob": 0.05},
+        topology="ring", topology_params={"latency": 0.05},
+        max_iterations=40, tol=1e-6,
+    ),
+}
+
+#: For every ScenarioSpec field but the seed: a base and a new value.
+KEY_VARIANTS = {
+    "problem": ("engine", "tridiagonal"),
+    "kind": ("engine", "simulator"),
+    "problem_params": ("engine", {"n": 7}),
+    "steering": ("engine", "all"),
+    "steering_params": ("engine", {"p": 0.5}),
+    "delays": ("engine", "out-of-order"),
+    "delay_params": ("engine", {"bound": 4}),
+    "machine": ("simulator", "heterogeneous"),
+    "machine_params": ("simulator", {"latency": 0.1}),
+    "fault": ("simulator", "chaos"),
+    "fault_params": ("simulator", {"drop_prob": 0.1}),
+    "topology": ("simulator", "clique"),
+    "topology_params": ("simulator", {"latency": 0.1}),
+    "backend": ("simulator", "reference"),
+    "max_iterations": ("engine", 41),
+    "tol": ("engine", 1e-2),
+}
+
+
 class TestBatchKey:
+    """``batch_key`` is the one key ``_group`` partitions batches on."""
+
     def test_seed_free_and_stable(self):
         a, b = engine_specs(count=2)
         assert a.seed != b.seed
         assert a.batch_key == b.batch_key
+        assert _group([a, b]) == [[0, 1]]
 
     def test_splits_on_every_model_ingredient(self):
-        base = engine_specs(count=1)[0]
-        others = [
-            engine_specs(steering="all", count=1)[0],
-            engine_specs(delays="zero", count=1)[0],
-            engine_specs(tol=0.0, count=1)[0],
-            engine_specs(max_iterations=41, count=1)[0],
-            engine_specs(n=7, count=1)[0],
-        ]
-        for other in others:
-            assert base.batch_key != other.batch_key
+        # Every field but the seed, read from the dataclass: a field
+        # added to ScenarioSpec without a variant here fails this test.
+        fields = {f.name for f in dataclasses.fields(ScenarioSpec)} - {"seed"}
+        assert set(KEY_VARIANTS) == fields
+        for name, (base, value) in KEY_VARIANTS.items():
+            kw = KEY_BASES[base]
+            a, b = (ScenarioSpec(**kw, seed=seed) for seed in (1, 2))
+            other = ScenarioSpec(**{**kw, name: value}, seed=3)
+            assert batchable(other), name
+            assert _group([a, other, b]) == [[0, 2], [1]], name
+
+    def test_mixed_tolerances_match_solo(self):
+        # The same three seeds at two tolerances: one batch would stop
+        # all six at its head's tolerance.
+        specs = [*engine_specs(tol=1e-10, max_iterations=200, count=3),
+                 *engine_specs(tol=1e-2, max_iterations=200, count=3)]
+        assert _group(specs) == [[0, 1, 2], [3, 4, 5]]
+        assert_identical([run_scenario(s) for s in specs],
+                         run_fleet(specs, executor="serial").results)
 
 
 class TestEngineBatchBitIdentity:

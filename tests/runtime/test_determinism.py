@@ -89,6 +89,11 @@ REGIMES = tuple(GOLDEN)
 #: share one arrival instant or one apply policy.
 FAN_REGIMES = ("noncontiguous", "overwrite_constant", "split_arrivals", "mixed_apply")
 
+#: Published partials on reordering channels: a partial carrying label
+#: ``j`` can reach a peer before the message of commit ``j`` does, and
+#: the tag check must then keep the (fresher) partial.
+PARTIAL_REGIMES = ("partials_reordering",)
+
 
 def _make_operator(n: int = 16):
     M, c = tridiagonal_system(n, off_diag=-1.0, diag=2.3, seed=1)
@@ -141,6 +146,18 @@ def _build(regime: str, cls):
             for i in range(8)
         ]
         chan = ChannelSpec(latency=ConstantTime(0.05))
+    elif regime == "partials_reordering":
+        procs = [
+            ProcessorSpec(
+                components=(4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3),
+                compute_time=UniformTime(0.5, 1.5),
+                inner_steps=3,
+                publish_partials=True,
+                refresh_reads=True,
+            )
+            for i in range(4)
+        ]
+        chan = ChannelSpec(latency=UniformTime(0.01, 1.0), fifo=False)
     elif regime in ("overwrite_constant", "split_arrivals", "mixed_apply"):
         procs = [
             ProcessorSpec(components=(2 * i, 2 * i + 1), compute_time=UniformTime(0.8, 1.2))
@@ -216,7 +233,7 @@ class TestGoldenTraces:
 class TestEngineEquivalence:
     """Field-by-field equality of vectorized and reference runs."""
 
-    @pytest.mark.parametrize("regime", REGIMES + FAN_REGIMES)
+    @pytest.mark.parametrize("regime", REGIMES + FAN_REGIMES + PARTIAL_REGIMES)
     def test_bit_identical_results(self, regime):
         a = _run(regime, DistributedSimulator)
         b = _run(regime, ReferenceSimulator)

@@ -5,29 +5,38 @@ store's digest is byte-identical to the same rows in the retired flat
 layout (pinned by a golden constant computed with the flat-layout
 code), kill/resume and shard-merge keep certifying bit-identically,
 and merge edge cases at batch boundaries behave (overlap, killed
-partial merge, flat-legacy sources).  Flat stores survive only as
-input: they are written by hand (the ``write_flat_store`` fixture),
-and opening one packs it in place without changing its digest — a
-crash at any write of that migration leaves the flat store intact.
+partial merge).  A store in any other format is refused before
+anything on disk changes, and ``merge`` and ``discard_result`` survive
+a crash at every write they make.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
 import pathlib
+import shutil
 
-import numpy as np
 import pytest
 
+import repro.runtime.sweep_store as store_mod
 from repro.__main__ import main
 from repro.runtime.fleet import ScenarioResult, run_grid
 from repro.runtime.sweep_store import SweepStore, digest_rows
 from repro.scenarios.spec import ScenarioGrid, ScenarioSpec
 
 #: digest_rows over ``_synth_rows(20)`` computed with the flat-layout
-#: code — the byte-identity anchor, reached today by opening a
-#: ``write_flat_store`` fixture of those rows.
+#: code — the byte-identity anchor, which the live rows and the packed
+#: store (sealed, unsealed and mixed) must each still reach.
 GOLDEN_DIGEST = "82c73a80abf4940868a869386fdb8025d7e19cadb4fce1e3f37fe3dc8925d60c"
+
+#: Manifests of the retired flat layout (format v1, and older ones that
+#: carried no ``format_version`` at all): every open refuses them.
+RETIRED_MANIFESTS = (
+    '{"format_version": 1, "scenario_count": 0, "scenarios": []}',
+    '{"scenario_count": 0, "scenarios": []}',
+)
 
 
 def _synth_rows(n: int) -> "list[ScenarioResult]":
@@ -57,14 +66,6 @@ def _fill(store: SweepStore, rows: "list[ScenarioResult]") -> SweepStore:
     return store
 
 
-def _tree(root: pathlib.Path) -> "dict[str, bytes]":
-    """Every file under ``root`` with its bytes (directories as ``b""``)."""
-    return {
-        str(p.relative_to(root)): p.read_bytes() if p.is_file() else b""
-        for p in root.rglob("*")
-    }
-
-
 def _grid(n_seeds: int = 2, **overrides) -> ScenarioGrid:
     defaults = dict(
         problems=(("jacobi", {"n": 8}),),
@@ -84,14 +85,6 @@ class TestDigestPreservation:
         assert digest_rows(
             [(r.content_hash, r) for r in rows]
         ) == GOLDEN_DIGEST
-
-    def test_flat_store_matches_golden(self, tmp_path, write_flat_store):
-        root = write_flat_store(tmp_path / "flat", _synth_rows(20))
-        store = SweepStore(root, create=False)
-        # The open packed the flat rows, verifying the flat digest.
-        assert store.migrated_digest == GOLDEN_DIGEST
-        assert store.digest() == GOLDEN_DIGEST
-        assert not (root / "results").exists()
 
     def test_packed_store_matches_golden_sealed_and_unsealed(self, tmp_path):
         rows = _synth_rows(20)
@@ -179,18 +172,18 @@ class TestSealing:
             [(r.content_hash, r) for r in rows]
         )
 
-    def test_flush_is_idempotent_and_flat_noop(self, tmp_path, write_flat_store):
+    def test_flush_is_idempotent_and_flat_noop(self, tmp_path, tree_bytes):
         store = _fill(SweepStore(tmp_path / "p"), _synth_rows(4))
         store.flush()
+        assert not list((tmp_path / "p" / "shards").rglob("log/*.json"))
+        # Every row is sealed now, so neither a second flush nor a
+        # re-open (with or without create) may move a file.
+        before = tree_bytes(tmp_path / "p")
         store.flush()
+        for create in (False, True):
+            SweepStore(tmp_path / "p", create=create).flush()
+        assert tree_bytes(tmp_path / "p") == before
         assert store.digest() == SweepStore(tmp_path / "p", create=False).digest()
-        # A flat store opens with every row already sealed into batches,
-        # so flushing it must not move a file.
-        flat = SweepStore(write_flat_store(tmp_path / "f", _synth_rows(4)))
-        before = _tree(tmp_path / "f")
-        flat.flush()
-        assert _tree(tmp_path / "f") == before
-        assert not list((tmp_path / "f" / "shards").rglob("log/*.json"))
 
 
 class TestDiscard:
@@ -216,6 +209,46 @@ class TestDiscard:
         assert SweepStore(tmp_path / "p", create=False).completed() == {
             r.content_hash for r in survivors
         }
+
+
+    def test_crash_mid_batch_rewrite_loses_no_row(self, tmp_path, monkeypatch):
+        # Discarding a sealed row rewrites its batch without it.  The
+        # old batch holds every other row of the batch until the new
+        # one has landed.
+        rows = _synth_rows(12)
+        _fill(SweepStore(tmp_path / "p", prefix_len=0), rows).flush()
+        victim = rows[5].content_hash
+
+        def crash(*args):
+            raise OSError("simulated crash")
+
+        with monkeypatch.context() as m:
+            m.setattr(store_mod, "_atomic_savez", crash)
+            with pytest.raises(OSError):
+                SweepStore(tmp_path / "p", create=False).discard_result(victim)
+        reopened = SweepStore(tmp_path / "p", create=False)
+        assert reopened.completed() == {r.content_hash for r in rows}
+        reopened.discard_result(victim)
+        survivors = [r for r in rows if r.content_hash != victim]
+        reopened = SweepStore(tmp_path / "p", create=False)
+        assert reopened.completed() == {r.content_hash for r in survivors}
+        assert reopened.digest() == digest_rows(
+            (r.content_hash, r) for r in survivors
+        )
+
+    def test_discard_drops_the_sealed_copy_of_a_relogged_row(self, tmp_path):
+        rows = _synth_rows(6)
+        store = _fill(SweepStore(tmp_path / "p"), rows)
+        store.flush()
+        victim = rows[2]
+        store.write_result(victim)  # logged again over its sealed copy
+        store.discard_result(victim.content_hash)
+        survivors = [r for r in rows if r is not victim]
+        expected = digest_rows((r.content_hash, r) for r in survivors)
+        for st in (store, SweepStore(tmp_path / "p", create=False)):
+            assert victim.content_hash not in st.completed()
+            assert st.load_result_by_hash(victim.content_hash) is None
+            assert st.digest() == expected
 
 
 class TestCompletedCache:
@@ -305,24 +338,6 @@ class TestMergeEdgeCases:
         merged.merge(a, b)
         assert merged.digest() == full
 
-    def test_flat_legacy_source_merges_into_packed_dest(
-        self, tmp_path, write_flat_store
-    ):
-        rows = _synth_rows(16)
-        flat = write_flat_store(tmp_path / "flat", rows[:10])
-        packed = _fill(SweepStore(tmp_path / "packed", batch_rows=4), rows[8:])
-        packed.flush()
-        merged = SweepStore(tmp_path / "m").merge(flat, packed)
-        assert len(merged.completed()) == len(rows)
-        assert merged.digest() == digest_rows(
-            [(r.content_hash, r) for r in rows]
-        )
-        # The source was packed in place when merge opened it.
-        assert not (flat / "results").exists()
-        assert SweepStore(flat, create=False).digest() == digest_rows(
-            [(r.content_hash, r) for r in rows[:10]]
-        )
-
     def test_merge_copies_traces_from_packed_sources(self, tmp_path):
         grid = _grid(n_seeds=1)
         d0, d1 = tmp_path / "s0", tmp_path / "s1"
@@ -351,170 +366,191 @@ class TestMergeEdgeCases:
 
 
 class TestMigrate:
-    """Opening a legacy flat store packs it in place, digest-verified."""
+    """Migrating off a retired format: every open refuses the store.
 
-    def test_migrate_preserves_digest_and_rows(self, tmp_path, write_flat_store):
-        rows = _synth_rows(20)
-        root = write_flat_store(tmp_path / "s", rows)
-        store = SweepStore(root, create=False)
-        assert store.migrated_digest == GOLDEN_DIGEST
-        assert store.digest() == GOLDEN_DIGEST
-        assert not (root / "results").exists()
-        header = json.loads((root / "manifest.json").read_text())
-        assert header["format_version"] == 2
-        # A cold re-open finds a packed store and reloads every row.
-        reopened = SweepStore(root, create=False)
-        assert reopened.migrated_digest is None
-        assert reopened.digest() == GOLDEN_DIGEST
-        for r in rows:
-            assert (
-                reopened.load_result_by_hash(r.content_hash).to_json_dict()
-                == r.to_json_dict()
-            )
-        assert reopened.manifest_hashes() == [r.content_hash for r in rows]
-
-    def test_migrate_packed_store_is_noop(self, tmp_path):
-        store = _fill(SweepStore(tmp_path / "p"), _synth_rows(6))
-        store.flush()
-        d = store.digest()
-        before = _tree(tmp_path / "p")
-        for create in (False, True):
-            reopened = SweepStore(tmp_path / "p", create=create)
-            assert reopened.migrated_digest is None
-            assert reopened.digest() == d
-        assert _tree(tmp_path / "p") == before
-
-    def test_migrate_preserves_fleet_json(self, tmp_path, write_flat_store):
-        live = run_grid(_grid(n_seeds=1).expand(), executor="serial")
-        root = write_flat_store(tmp_path / "s", live.results)
-        (root / "fleet.json").write_text(live.to_json())
-        store = SweepStore(root, create=False)
-        assert store.migrated_digest == live.digest()
-        assert (root / "fleet.json").read_text() == live.to_json()
-        stitched = store.fleet_result()
-        assert stitched.digest() == live.digest()
-        assert stitched.executor == "store"  # stitched from rows; fleet.json is never read
-
-    def test_migrate_rolls_back_on_mismatch(
-        self, tmp_path, monkeypatch, write_flat_store
-    ):
-        rows = _synth_rows(8)
-        root = write_flat_store(tmp_path / "s", rows)
-        before = _tree(root)
-        real_append = SweepStore._append_batch
-
-        def corrupting(self, prefix, docs):
-            docs = {h: {**doc, "iterations": 999} for h, doc in docs.items()}
-            return real_append(self, prefix, docs)
-
-        with monkeypatch.context() as m:
-            m.setattr(SweepStore, "_append_batch", corrupting)
-            with pytest.raises(RuntimeError, match="digest mismatch"):
-                SweepStore(root, create=False)
-        assert _tree(root) == before
-        assert SweepStore(root, create=False).digest() == digest_rows(
-            [(r.content_hash, r) for r in rows]
-        )
-
-    def test_crash_at_every_write_point_keeps_flat_store(
-        self, tmp_path, monkeypatch, write_flat_store
-    ):
-        """Each migration write in turn raises; the flat store survives.
-
-        The writes are one sidecar and one npz per shard batch, one
-        manifest per shard, then the v2 header — the commit point.
-        """
-        import repro.runtime.sweep_store as store_mod
-
-        rows = _synth_rows(20)
-        hashes = sorted(r.content_hash for r in rows)
-        shards = len({h[:store_mod.DEFAULT_PREFIX_LEN] for h in hashes})
-        real = {name: getattr(store_mod, name)
-                for name in ("_atomic_write", "_atomic_savez")}
-        for k in range(1, 200):
-            root = write_flat_store(tmp_path / f"s{k}", rows)
-            manifest = (root / "manifest.json").read_bytes()
-            calls = []
-
-            def crashing(name, k=k, calls=calls):
-                def write(*args):
-                    calls.append(name)
-                    if len(calls) == k:
-                        raise OSError(f"simulated crash at write {k}")
-                    return real[name](*args)
-                return write
-
-            with monkeypatch.context() as m:
-                for name in real:
-                    m.setattr(store_mod, name, crashing(name))
-                try:
-                    SweepStore(root, create=False)
-                except OSError:
-                    pass
-                else:
-                    break
-            assert sorted(p.stem for p in (root / "results").glob("*.json")) == hashes
-            assert (root / "manifest.json").read_bytes() == manifest
-            assert not (root / "shards").exists()
-            assert SweepStore(root, create=False).digest() == GOLDEN_DIGEST
-        else:
-            pytest.fail("the migration never completed")
-        assert len(calls) == 3 * shards + 1 == k - 1
-        assert not (root / "results").exists()
-        assert SweepStore(root, create=False).digest() == GOLDEN_DIGEST
-
-    def test_stray_shards_in_flat_store_are_discarded(
-        self, tmp_path, write_flat_store
-    ):
-        """A migration killed before its rollback leaves shards/ debris."""
-        rows = _synth_rows(20)
-        root = write_flat_store(tmp_path / "s", rows)
-        # Debris: a shard manifest, a torn batch and a row that is not
-        # in the flat store at all.
-        debris = root / "shards" / "0"
-        (debris / "log").mkdir(parents=True)
-        (debris / "manifest.json").write_text('{"scenarios": []}')
-        (debris / "batch-000000000000.npz").write_bytes(b"torn")
-        stray = ScenarioSpec(problem="jacobi", seed=999)
-        (debris / "log" / f"{stray.content_hash}.json").write_text("{}")
-        store = SweepStore(root, create=False)
-        assert store.migrated_digest == GOLDEN_DIGEST
-        assert store.completed() == {r.content_hash for r in rows}
-        assert not (debris / "batch-000000000000.npz").exists()
-        assert SweepStore(root, create=False).digest() == GOLDEN_DIGEST
-
-    def test_manifest_less_flat_directory_is_packed(
-        self, tmp_path, write_flat_store
-    ):
-        rows = _synth_rows(20)
-        root = write_flat_store(tmp_path / "c", rows)
-        (root / "manifest.json").unlink()
-        # Without create, a manifest-less directory is not a store, and
-        # refusing it changes nothing.
-        before = _tree(root)
-        with pytest.raises(FileNotFoundError, match="no sweep store"):
-            SweepStore(root, create=False)
-        assert _tree(root) == before
-        # Opened as a cache (create=True), every row is in scope.
-        store = SweepStore(root)
-        assert store.migrated_digest == GOLDEN_DIGEST
-        assert not (root / "manifest.json").exists()
-        assert not (root / "results").exists()
-        assert SweepStore(root).completed() == {r.content_hash for r in rows}
+    Re-running the study rebuilds any store from its specs; an open
+    with a commit from before the flat-layout reader was removed
+    converts a flat one in place.  The refusal names the file and
+    changes nothing on disk.
+    """
 
     @pytest.mark.parametrize("text", [
         "", "{not json", "[1, 2]", '"packed"', '{"format_version": "two"}',
+        *RETIRED_MANIFESTS,
     ])
-    def test_unreadable_manifest_raises_before_any_change(self, tmp_path, text):
+    def test_unreadable_manifest_raises_before_any_change(self, tmp_path, text,
+                                                          tree_bytes):
         rows = _synth_rows(20)
         store = _fill(SweepStore(tmp_path / "p"), rows)
         store.flush()
         (tmp_path / "p" / "manifest.json").write_text(text)
-        before = _tree(tmp_path / "p")
+        before = tree_bytes(tmp_path / "p")
         for create in (True, False):
             with pytest.raises(ValueError, match="manifest.json"):
                 SweepStore(tmp_path / "p", create=create)
-        assert _tree(tmp_path / "p") == before
+        assert tree_bytes(tmp_path / "p") == before
+
+    def test_manifest_less_results_directory_is_refused(
+        self, tmp_path, write_retired_store, tree_bytes
+    ):
+        # The flat layout's result cache: row files, no manifest.
+        root = write_retired_store(tmp_path / "c", _synth_rows(3))
+        (root / "manifest.json").unlink()
+        before = tree_bytes(root)
+        for create in (True, False):
+            with pytest.raises(ValueError, match="format_version 1") as err:
+                SweepStore(root, create=create)
+            assert str(root / "results") in str(err.value)
+            assert "Re-run the study" in str(err.value)
+        assert tree_bytes(root) == before
+
+
+_STORE_WRITES = ("_atomic_write", "_atomic_savez", "_atomic_copy")
+
+
+def _crash_at_write(m: pytest.MonkeyPatch, k: int, calls: "list[str]") -> None:
+    """Make the ``k``-th store write (of any kind) raise ``OSError``."""
+    for name in _STORE_WRITES:
+        real = getattr(store_mod, name)
+
+        def write(*args, name=name, real=real):
+            calls.append(name)
+            if len(calls) == k:
+                raise OSError(f"simulated crash at write {k} ({name})")
+            return real(*args)
+
+        m.setattr(store_mod, name, write)
+
+
+def _store_state(root: pathlib.Path) -> "dict[str, object]":
+    """What an interrupted-then-completed operation must reproduce."""
+    store = SweepStore(root, create=False)
+    return {
+        "digest": store.digest(),
+        "manifest": store.read_manifest(),
+        "completed": store.completed(),
+        "rows": dict(store.iter_row_docs()),
+        "merge_log": store._read_merge_log(),
+        "files": sorted(
+            str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()
+        ),
+    }
+
+
+def _crash_matrix(root: pathlib.Path, prepare, op) -> int:
+    """Crash ``op`` at each of its writes in turn, then run it again.
+
+    ``prepare(root)`` lays out the starting directory and ``op(root)``
+    runs the operation on a store opened there.  After each crash the
+    re-run must reach exactly the uninterrupted state, with no temp
+    file left.  Returns how many writes the operation makes.
+    """
+    prepare(root)
+    op(root)
+    expected = _store_state(root)
+    for k in itertools.count(1):
+        shutil.rmtree(root, ignore_errors=True)
+        prepare(root)
+        calls: "list[str]" = []
+        with pytest.MonkeyPatch.context() as m:
+            _crash_at_write(m, k, calls)
+            try:
+                op(root)
+            except OSError:
+                pass
+            else:
+                break
+        op(root)
+        assert not list(root.rglob("*.tmp")), k
+        assert _store_state(root) == expected, k
+    assert len(calls) == k - 1 > 0
+    return k - 1
+
+
+def _traced_store(root: pathlib.Path, rows, n_sealed: int, **kw) -> SweepStore:
+    """A store of ``rows``: the first ``n_sealed`` sealed, the rest logged.
+
+    Rows with an even seed carry a trace file.
+    """
+    store = SweepStore(root, **kw)
+    store.write_manifest([r.spec for r in rows])
+
+    def persist(part):
+        out = []
+        for r in part:
+            if r.spec.seed % 2 == 0:
+                path = store.trace_path(r.content_hash)
+                path.write_bytes(r.content_hash.encode())
+                r = dataclasses.replace(r, trace_path=str(path))
+            out.append(r)
+        store.write_result(*out)
+
+    persist(rows[:n_sealed])
+    store.flush()
+    persist(rows[n_sealed:])
+    return store
+
+
+class TestCrashPoints:
+    """``merge`` and ``discard_result`` crashed at every write they make.
+
+    Every store file lands through ``_atomic_write``, ``_atomic_savez``
+    or ``_atomic_copy``; each in turn raises, and re-running the
+    operation must reach the uninterrupted store, losing no other row.
+    """
+
+    @pytest.mark.parametrize("dest", ["empty", "non-empty"])
+    def test_merge(self, tmp_path, dest):
+        rows = _synth_rows(16)
+        sources = [
+            _traced_store(tmp_path / "a", rows[0:8], n_sealed=5).root,
+            _traced_store(tmp_path / "b", rows[5:12], n_sealed=4).root,
+        ]
+        template = tmp_path / "template"
+        if dest == "non-empty":
+            # Its own rows, one of them also in a source's sealed batch.
+            _traced_store(template, [rows[3], *rows[12:]], n_sealed=3)
+
+        def prepare(root):
+            if template.is_dir():
+                shutil.copytree(template, root)
+
+        def op(root):
+            SweepStore(root).merge(*sources)
+
+        work = tmp_path / "dest"
+        writes = _crash_matrix(work, prepare, op)
+        state = _store_state(work)
+        everything = rows if dest == "non-empty" else rows[:12]
+        assert state["completed"] == {r.content_hash for r in everything}
+        assert state["digest"] == digest_rows(
+            (r.content_hash, r) for r in everything
+        )
+        assert writes > 2 * len(state["manifest"]["scenarios"]) // 3
+
+    @pytest.mark.parametrize("copy", ["logged", "sealed", "sealed+logged"])
+    def test_discard_result(self, tmp_path, copy):
+        rows = _synth_rows(12)
+        template = tmp_path / "template"
+        # One shard: the sealed rows share a batch, the logged a file.
+        _traced_store(template, rows, n_sealed=8, prefix_len=0)
+        victim = {"logged": rows[10], "sealed": rows[2],
+                  "sealed+logged": rows[3]}[copy]
+        if copy == "sealed+logged":
+            SweepStore(template, create=False).write_result(victim, rows[0])
+
+        def prepare(root):
+            shutil.copytree(template, root)
+
+        def op(root):
+            SweepStore(root, create=False).discard_result(victim.content_hash)
+
+        work = tmp_path / "work"
+        writes = _crash_matrix(work, prepare, op)
+        state = _store_state(work)
+        survivors = [r for r in rows if r is not victim]
+        assert state["completed"] == {r.content_hash for r in survivors}
+        assert writes == {"logged": 1, "sealed": 2, "sealed+logged": 3}[copy]
 
 
 class TestFleetView:
@@ -581,44 +617,33 @@ class TestStoreCLI:
         assert doc["completed"] == 12
         assert doc["digest"] == digest_rows([(r.content_hash, r) for r in rows])
 
-    def test_migrate_cli(self, tmp_path, capsys, write_flat_store):
-        rows = _synth_rows(10)
-        write_flat_store(tmp_path / "s", rows)
-        assert main(["store", "migrate", str(tmp_path / "s"), "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["migrated"] is True
-        assert doc["layout_before"] == "flat"
-        assert doc["layout"] == "packed"
-        assert doc["digest"] == doc["digest_before"] == digest_rows(
-            [(r.content_hash, r) for r in rows]
-        )
-        assert doc["rows"] == 10
-        # Second migrate: already packed, still rc 0.
-        assert main(["store", "migrate", str(tmp_path / "s")]) == 0
-        out = capsys.readouterr().out
-        assert "already packed" in out
-
-    def test_migrate_missing_store_errors(self, tmp_path, capsys):
-        assert main(["store", "migrate", str(tmp_path / "nope")]) == 2
-        assert "no sweep store" in capsys.readouterr().err
-
-    def test_unreadable_manifest_exits_2(self, tmp_path, capsys):
+    def test_unreadable_manifest_exits_2(self, tmp_path, capsys, tree_bytes):
         _fill(SweepStore(tmp_path / "p"), _synth_rows(6)).flush()
         _fill(SweepStore(tmp_path / "src"), _synth_rows(3)).flush()
         manifest = tmp_path / "p" / "manifest.json"
-        manifest.write_text("")
-        before = _tree(tmp_path / "p")
-        for argv in (
-            ["store", "digest", str(tmp_path / "p")],
-            ["store", "migrate", str(tmp_path / "p"), "--json"],
-            ["store", "merge", "--out", str(tmp_path / "m"), str(tmp_path / "p")],
-            ["store", "merge", "--out", str(tmp_path / "p"), str(tmp_path / "src")],
-        ):
-            assert main(argv) == 2, argv
-            captured = capsys.readouterr()
-            assert str(manifest) in captured.err, argv
-            assert captured.out == "", argv
-        assert _tree(tmp_path / "p") == before
+        for text in ("", *RETIRED_MANIFESTS):
+            manifest.write_text(text)
+            before = tree_bytes(tmp_path / "p")
+            for argv in (
+                ["store", "digest", str(tmp_path / "p")],
+                ["store", "merge", "--out", str(tmp_path / "m"), str(tmp_path / "p")],
+                ["store", "merge", "--out", str(tmp_path / "p"), str(tmp_path / "src")],
+            ):
+                assert main(argv) == 2, (text, argv)
+                captured = capsys.readouterr()
+                assert str(manifest) in captured.err, (text, argv)
+                assert captured.out == "", (text, argv)
+            assert tree_bytes(tmp_path / "p") == before
+        assert not (tmp_path / "m").exists()
+
+    def test_migrate_is_an_unknown_verb(self, tmp_path, capsys, tree_bytes):
+        _fill(SweepStore(tmp_path / "p"), _synth_rows(3)).flush()
+        before = tree_bytes(tmp_path / "p")
+        with pytest.raises(SystemExit) as exit_:
+            main(["store", "migrate", str(tmp_path / "p")])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'migrate'" in capsys.readouterr().err
+        assert tree_bytes(tmp_path / "p") == before
 
 
 class TestRatesFromStore:

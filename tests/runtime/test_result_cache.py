@@ -82,19 +82,21 @@ class TestCacheHits:
                  cache=tmp_path / "earlier", executor="serial")
         assert len(count_runs) == n
 
-    def test_flat_store_works_as_cache(self, tmp_path, count_runs, write_flat_store):
-        # A legacy flat store given as the cache is packed on open and
-        # its rows are hit like any other cached rows.
+    def test_retired_store_as_cache_is_refused(
+        self, tmp_path, count_runs, write_retired_store, tree_bytes
+    ):
+        # A store of the retired flat layout given as the cache is
+        # refused before any scenario runs, and left as it was.
         grid = _grid(n_seeds=1)
         live = run_grid(grid.expand(), executor="serial")
         n = len(count_runs)
-        cache = write_flat_store(tmp_path / "flat", live.results)
-        warm = run_grid(grid.expand(), store=tmp_path / "s", cache=cache,
-                        executor="serial")
+        cache = write_retired_store(tmp_path / "flat", live.results)
+        before = tree_bytes(cache)
+        with pytest.raises(ValueError, match="manifest.json"):
+            run_grid(grid.expand(), store=tmp_path / "s", cache=cache,
+                     executor="serial")
         assert len(count_runs) == n
-        assert warm.digest() == live.digest()
-        assert not (cache / "results").exists()
-        assert SweepStore(cache, create=False).digest() == live.digest()
+        assert tree_bytes(cache) == before
 
 
 class TestCacheResolution:

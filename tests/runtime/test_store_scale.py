@@ -2,9 +2,8 @@
 
 The packed layout's reason to exist: aggregates over a hundred
 thousand rows must stream — digest and group_medians peak at one
-shard's working set, not the whole store — and a legacy flat store of
-thousands of rows, packed in place when opened, must keep the digest
-its rows had.
+shard's working set, not the whole store — and a store of thousands of
+rows, sealed into batches, must keep the digest its live rows had.
 """
 
 from __future__ import annotations
@@ -86,7 +85,7 @@ class TestStoreScale:
         # a cache-style directory — so it re-opens like one.
         assert SweepStore(tmp_path / "big").digest() == digest
 
-    def test_flat_vs_packed_digest_equality(self, tmp_path, write_flat_store):
+    def test_packed_digest_equals_live_digest(self, tmp_path):
         n = 2000
         specs = [
             ScenarioSpec(problem="jacobi", seed=i, max_iterations=40 + i % 9)
@@ -110,9 +109,4 @@ class TestStoreScale:
         packed.flush()
         expected = digest_rows([(r.content_hash, r) for r in rows])
         assert packed.digest() == expected
-        # Opening the same rows as a flat store packs them in place,
-        # bit-identically.
-        flat = SweepStore(write_flat_store(tmp_path / "flat", rows))
-        assert flat.migrated_digest == expected
-        assert flat.digest() == expected
-        assert SweepStore(tmp_path / "flat", create=False).digest() == expected
+        assert SweepStore(tmp_path / "packed", create=False).digest() == expected

@@ -376,9 +376,7 @@ class TestResume:
         assert count_runs == []
         assert all(r.trace_path == "" for r in fleet.results)
 
-    def test_cli_banner_and_run_grid_share_completeness_rule(
-        self, tmp_path, write_flat_store
-    ):
+    def test_cli_banner_and_run_grid_share_completeness_rule(self, tmp_path):
         specs = list(_grid().expand())
         store = SweepStore(tmp_path / "s")
         run_grid(specs, store=store, executor="serial")  # rows, no traces
@@ -425,16 +423,12 @@ class TestResume:
         overlay = fill(SweepStore(tmp_path / "overlay", batch_rows=1000), traced=False)
         overlay.flush()
         fill(overlay)
-        # A legacy flat store is packed when opened; its rows keep their
-        # trace states.
-        flat = SweepStore(write_flat_store(
-            tmp_path / "flat", traced_rows(tmp_path / "flat")))
         expected = {
             False: {r.content_hash for r in rows},
             True: {rows[1].content_hash, rows[3].content_hash},  # "", present
         }
         for name, st in [("logs", logs), ("sealed", sealed),
-                         ("overlay", overlay), ("flat", flat)]:
+                         ("overlay", overlay)]:
             for require_trace in (False, True):
                 bulk = st.load_complete_results(query, require_trace=require_trace)
                 assert set(bulk) == expected[require_trace], (name, require_trace)
@@ -445,22 +439,19 @@ class TestResume:
                     else:
                         assert one is None, (name, require_trace, s.key)
 
-    def test_resume_from_flat_store_runs_nothing(
-        self, tmp_path, count_runs, write_flat_store
+    def test_resume_from_retired_store_is_refused(
+        self, tmp_path, count_runs, write_retired_store, tree_bytes
     ):
         specs = list(_grid().expand())
         live = run_grid(specs, executor="serial")
-        root = write_flat_store(tmp_path / "flat", live.results)
+        root = write_retired_store(tmp_path / "flat", live.results)
+        before = tree_bytes(root)
         count_runs.clear()
-        fleet = run_grid(specs, resume=root, executor="serial")
+        for store in (None, root):
+            with pytest.raises(ValueError, match="manifest.json"):
+                run_grid(specs, store=store, resume=root, executor="serial")
         assert count_runs == []
-        assert fleet.digest() == live.digest()
-        # The resume left a packed store behind, with the same digest.
-        assert not (root / "results").exists()
-        store = SweepStore(root, create=False)
-        assert store.migrated_digest is None
-        assert store.read_manifest()["format_version"] == 2
-        assert store.digest() == live.digest()
+        assert tree_bytes(root) == before
 
     def test_resume_decodes_each_batch_once(self, tmp_path, count_runs, monkeypatch):
         """Regression: a merged store with more batches in one shard
@@ -555,32 +546,6 @@ class TestGroupedLog:
         store.flush()
         assert not _log_files(root)
         assert SweepStore(root, create=False).digest() == fleet.digest()
-
-    def test_single_row_log_of_an_older_store_resumes(self, tmp_path, count_runs):
-        specs = list(_grid().expand())
-        root = tmp_path / "s"
-        fleet = run_grid(specs, store=root, executor="serial")
-        digest = fleet.digest()
-        store = SweepStore(root, create=False)
-        row = fleet.results[1]
-        h = row.content_hash
-        store.discard_result(h)
-        # A store killed before its seal under the one-file-per-row log
-        # holds the row as log/<hash>.json, pretty-printed.
-        log = root / "shards" / store._prefix(h) / "log" / f"{h}.json"
-        log.parent.mkdir(parents=True, exist_ok=True)
-        log.write_text(json.dumps(row.to_json_dict(), indent=2, allow_nan=False))
-
-        store = SweepStore(root, create=False)
-        assert h in store.completed()
-        assert store.load_result_by_hash(h).to_json_dict() == row.to_json_dict()
-        assert store.digest() == digest
-        count_runs.clear()
-        resumed = run_grid(specs, store=root, resume=True, executor="serial")
-        assert count_runs == []
-        assert not log.exists()  # the resume's flush sealed it
-        assert resumed.digest() == digest
-        assert SweepStore(root, create=False).digest() == digest
 
     def test_discard_one_row_of_a_multi_row_log(self, tmp_path):
         rows = [run_scenario(s) for s in _grid(n_seeds=2).expand()]
