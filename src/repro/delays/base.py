@@ -35,8 +35,10 @@ def delays_to_labels(j: int, delays: np.ndarray) -> np.ndarray:
 class DelayModel(abc.ABC):
     """Produces the label tuple ``(l_1(j), ..., l_n(j))`` for each ``j``.
 
-    Subclasses implement :meth:`raw_delays`; :meth:`labels` applies the
-    condition-(a) clipping.  ``n_components`` fixes the tuple length.
+    Subclasses implement :meth:`raw_delays` and keep :meth:`labels`,
+    which applies the condition-(a) clipping: the batched engine labels
+    from raw delay blocks and never calls it.  ``n_components`` fixes
+    the tuple length.
     """
 
     def __init__(self, n_components: int) -> None:
@@ -54,8 +56,8 @@ class DelayModel(abc.ABC):
         Row ``i`` is ``raw_delays(j + i)``, and the model's streams end
         where ``k`` calls in order leave them.  The default makes those
         calls; a model whose ``k`` draws are one generator fill may
-        override it with that fill.  The batched engine draws ahead
-        only from models that override it.
+        override it with that fill.  The batched engine draws every
+        model's labels through it, one block ahead.
         """
         return np.array([self.raw_delays(j + i) for i in range(k)], dtype=np.int64)
 
@@ -75,6 +77,17 @@ class DelayModel(abc.ABC):
     def is_bounded(self) -> bool:
         """Whether the model guarantees a uniform delay bound (condition (d))."""
         return False
+
+    def max_delay(self, J: int) -> "int | None":
+        """A bound on every raw delay ``d_i(j)``, ``j <= J``, or ``None``.
+
+        The registered bounded models state their uniform bound, the
+        deterministic unbounded ones their ``d(J)``, finite at any
+        finite horizon.  The batched engine then keeps only the last
+        ``max_delay(J) + 1`` iterates, and raises on a draw above the
+        statement.
+        """
+        return None
 
     def reset(self) -> None:
         """Reset any internal state (default: stateless no-op)."""

@@ -30,6 +30,9 @@ class ZeroDelay(DelayModel):
     def is_bounded(self) -> bool:
         return True
 
+    def max_delay(self, J: int) -> int:
+        return 0
+
 
 class ConstantDelay(DelayModel):
     """Fixed staleness ``d_i(j) = d_i`` per component.
@@ -50,6 +53,9 @@ class ConstantDelay(DelayModel):
 
     def is_bounded(self) -> bool:
         return True
+
+    def max_delay(self, J: int) -> int:
+        return int(self.delay.max())
 
 
 class UniformRandomDelay(DelayModel):
@@ -82,6 +88,9 @@ class UniformRandomDelay(DelayModel):
     def is_bounded(self) -> bool:
         return True
 
+    def max_delay(self, J: int) -> int:
+        return self.bound
+
 
 class ChaoticRelaxationDelay(DelayModel):
     """Condition (d) verbatim: ``0 <= d_i(j) < b(j)``, ``b(j) = min(b, j)``.
@@ -112,3 +121,6 @@ class ChaoticRelaxationDelay(DelayModel):
 
     def is_bounded(self) -> bool:
         return True
+
+    def max_delay(self, J: int) -> int:
+        return self.b - 1

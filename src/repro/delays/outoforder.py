@@ -57,6 +57,10 @@ class OutOfOrderDelay(DelayModel):
     def is_bounded(self) -> bool:
         return self.base.is_bounded()
 
+    def max_delay(self, J: int) -> "int | None":
+        base = self.base.max_delay(J)
+        return None if base is None else base + self.max_regression
+
     def reset(self) -> None:
         self.base.reset()
 
@@ -87,6 +91,9 @@ class ShuffledWindowDelay(DelayModel):
 
     def is_bounded(self) -> bool:
         return True
+
+    def max_delay(self, J: int) -> int:
+        return self.window - 1
 
 
 def is_monotone_labels(labels_by_iteration: np.ndarray) -> bool:

@@ -57,6 +57,10 @@ class BaudetSqrtDelay(DelayModel):
         d[self._mask] = int(np.floor(np.sqrt(j)))
         return d
 
+    def max_delay(self, J: int) -> int:
+        # Deterministic and nondecreasing in j: d(J) bounds every j <= J.
+        return int(self.raw_delays(J).max())
+
 
 class PowerGrowthDelay(DelayModel):
     """``d_i(j) = floor(c * j^alpha)`` with ``alpha in [0, 1)``.
@@ -77,6 +81,10 @@ class PowerGrowthDelay(DelayModel):
         d = int(np.floor(self.scale * j**self.alpha))
         return np.full(self.n_components, d, dtype=np.int64)
 
+    def max_delay(self, J: int) -> int:
+        # Deterministic and nondecreasing in j: d(J) bounds every j <= J.
+        return int(self.raw_delays(J).max())
+
 
 class LogGrowthDelay(DelayModel):
     """``d_i(j) = floor(c * log(1 + j))`` — slowly growing unbounded delays."""
@@ -90,6 +98,10 @@ class LogGrowthDelay(DelayModel):
     def raw_delays(self, j: int) -> np.ndarray:
         d = int(np.floor(self.scale * np.log1p(j)))
         return np.full(self.n_components, d, dtype=np.int64)
+
+    def max_delay(self, J: int) -> int:
+        # Deterministic and nondecreasing in j: d(J) bounds every j <= J.
+        return int(self.raw_delays(J).max())
 
 
 class AdversarialSpikeDelay(DelayModel):

@@ -15,8 +15,10 @@ delayed iterate by label from a ``(depth, N, dim)`` history of iterates
 and applies each block of ``S_j`` as one stacked call over the live rows.
 
 * **engine-kind, ``exact`` backend** — the steering policy and the
-  delay model draw ``S_j`` and ``l(j)``; the history keeps all
-  ``J + 1`` iterates.
+  delay model draw ``S_j`` and ``l(j)``; the history is a ring of
+  ``max_delay(J) + 1`` iterates when every delay model states a bound
+  (:meth:`~repro.delays.base.DelayModel.max_delay`), all ``J + 1``
+  otherwise.
 * **simulator-kind, lockstep-compatible machines** — machines whose
   timing consumes no randomness (per-processor constant compute
   durations sharing a common base period, constant lossless channel
@@ -32,8 +34,9 @@ Phase 2 pushes the remaining per-scenario floor out of the batch path:
   through :func:`repro.scenarios.registry.build_batch` (stacked RNG
   draws per chunk, one stacked LAPACK/gufunc analysis pass), falling
   back to per-spec factories for families without a batched twin;
-* **wider whitelist** — even-odd steering and the deterministic
-  log/power delay-growth families join the shared-model fast path, and
+* **shared models** — a steering, delay or machine registry entry
+  that states ``shared`` (its factory draws nothing, its outputs depend
+  on ``j`` alone) builds one instance for the whole batch, and
   ``lockstep_plan`` admits per-processor constant durations with a
   common period (e.g. the ``lockstep-tiered`` archetype) instead of one
   all-equal duration.
@@ -44,15 +47,13 @@ Three invariants make the results *bit-identical* to solo runs:
    ingredient objects a solo run would build from its own
    :meth:`~repro.scenarios.spec.ScenarioSpec.spawn_seeds`; stochastic
    steering models are stepped per scenario, in the same call order, on
-   the same per-scenario streams; delay models whose
-   :meth:`~repro.delays.base.DelayModel.raw_delay_block` is one
-   generator call (uniform) draw a block of iterations at a time,
-   which consumes each stream exactly as per-iteration draws do, and
-   the rest draw per iteration; batched factories draw each scenario's
-   stream in solo order from its own SeedSequence child.
-   Deterministic models (cyclic/block/even-odd steering, zero/constant/
-   log-growth/power delays) are shared: one instance serves every row
-   of the batch.
+   the same per-scenario streams; every delay model draws a block of
+   iterations at a time through
+   :meth:`~repro.delays.base.DelayModel.raw_delay_block`, which
+   consumes its stream exactly as per-iteration draws do; batched
+   factories draw each scenario's stream in solo order from its own
+   SeedSequence child.  Models whose registry entry states ``shared``
+   draw nothing: one instance serves every row of the batch.
 2. **No cross-scenario arithmetic** — every float a scenario sees comes
    from its own operands in the solo order.  Updates and residuals go
    through one stacked interface,
@@ -75,9 +76,9 @@ Three invariants make the results *bit-identical* to solo runs:
 3. **Divergence masking** — a scenario that terminates (tolerance
    reached, budget exhausted) freezes: its final state is snapshotted
    and it stops consuming its streams, exactly where the solo loop
-   would have stopped, while the rest of the batch continues.  Only
-   a block-drawing delay stream may have been drawn up to one label
-   block ahead, and no result reads those draws.
+   would have stopped, while the rest of the batch continues.  Its
+   delay stream may have been drawn up to one label block ahead, and
+   no result reads those draws.
 
 Batches are grouped by :attr:`ScenarioSpec.batch_key` (every spec
 field but the seed), so every member shares problem shape, model
@@ -108,50 +109,14 @@ __all__ = [
 ]
 
 #: History memory cap per batch: the ``(depth, B, dim)`` float64 history
-#: (``J + 1`` iterates for an engine group, a ring for a lockstep
-#: machine) is windowed over the batch so no window allocates more.
+#: (a ring as deep as the schedule's longest read-back, see
+#: :func:`_ring_depth`) is windowed over the batch so no window
+#: allocates more.
 _MAX_BATCH_BYTES = 64 * 2**20
 
 #: Raw delay label memory cap per engine group: its ``(sources, K, n)``
-#: int64 block holds ``K`` iterations of draws, as many as fit, when
-#: the delay model draws a block in one call (``K = 1`` otherwise).
+#: int64 block holds ``K`` iterations of draws, as many as fit.
 _LABEL_BLOCK_BYTES = 128 * 2**10
-
-#: Steering policies whose active sets depend only on ``j`` — shared
-#: across the batch instead of stepped per scenario.
-_DETERMINISTIC_STEERING: tuple[type, ...] = ()
-#: Delay models whose labels depend only on ``j``.
-_DETERMINISTIC_DELAYS: tuple[type, ...] = ()
-
-
-def _det_classes() -> "tuple[tuple[type, ...], tuple[type, ...]]":
-    """Lazy import of the deterministic model whitelists (no import cycles).
-
-    A class is admissible here iff its registry factory consumes no
-    per-scenario randomness *and* its outputs are pure functions of
-    ``j`` — then the head spec's instance is interchangeable with every
-    scenario's own.  ``BaudetSqrtDelay`` is deterministic per instance
-    but its factory draws the slow set from the scenario stream, so it
-    stays on the per-scenario path.
-    """
-    global _DETERMINISTIC_STEERING, _DETERMINISTIC_DELAYS
-    if not _DETERMINISTIC_STEERING:
-        from repro.delays.bounded import ConstantDelay, ZeroDelay
-        from repro.delays.unbounded import LogGrowthDelay, PowerGrowthDelay
-        from repro.steering.policies import (
-            AllComponents,
-            BlockCyclic,
-            CyclicSingle,
-            EvenOddSweeps,
-        )
-
-        _DETERMINISTIC_STEERING = (
-            AllComponents, CyclicSingle, BlockCyclic, EvenOddSweeps,
-        )
-        _DETERMINISTIC_DELAYS = (
-            ZeroDelay, ConstantDelay, LogGrowthDelay, PowerGrowthDelay,
-        )
-    return _DETERMINISTIC_STEERING, _DETERMINISTIC_DELAYS
 
 
 class LockstepIncompatible(ValueError):
@@ -406,7 +371,7 @@ class _Schedule(NamedTuple):
     batch shares, or one row per live scenario — and the update set,
     either a block list the batch shares, or ``None`` with a
     ``(len(rows), n)`` per-row membership mask.  Iterate ``m`` lives in
-    history slot ``slots[m]``, out of ``depth``.
+    history slot ``m % depth`` (see :func:`_ring_depth`).
 
     A simulator phase differs from an engine iteration in three facts
     the schedule states: its blocks sweep Gauss-Seidel (each reads the
@@ -417,12 +382,24 @@ class _Schedule(NamedTuple):
 
     J: int
     depth: int
-    slots: "Sequence[int]"
     step: "Callable[[int, np.ndarray], tuple[np.ndarray, Any, Any]]"
     gauss_seidel: bool = False
     residual_every: int = 1
     times: "np.ndarray | None" = None
     messages: "np.ndarray | None" = None
+
+
+def _ring_depth(J: int, reach: int) -> int:
+    """History depth of a schedule whose labels read at most ``reach`` back.
+
+    A label ``l`` at step ``j`` reads ``j - l <= reach`` iterates back.
+    Step ``j`` gathers its delayed rows before it writes slot
+    ``j % depth``, whose previous iterate ``j - depth`` no label at
+    ``j`` or later reaches when ``depth >= reach``.  So the ring is as
+    deep as the longest read-back, and never deeper than the ``J + 1``
+    iterates there are.
+    """
+    return min(reach, J + 1)
 
 
 def _engine_schedule(specs: Sequence[ScenarioSpec], block: Any) -> _Schedule:
@@ -432,34 +409,35 @@ def _engine_schedule(specs: Sequence[ScenarioSpec], block: Any) -> _Schedule:
     (``x0 = 0``, ``residual_every = 1``, no trace sink): ``S_j`` comes
     from each scenario's steering policy and ``l(j)`` from its delay
     model, stepped in solo call order on its own streams.  Raw delays
-    go into one ``(sources, K, n)`` block and are clipped per
-    iteration; a model that draws a block in one call fills ``K``
-    iterations at a time
-    (:meth:`~repro.delays.base.DelayModel.raw_delay_block` consumes
-    each stream exactly as ``K`` per-iteration draws do), any other
-    one iteration per step.  A label may reach back to ``x0``, so the
-    history keeps all ``J + 1`` iterates; the full iterate at label
-    ``m`` *is* every component's most recent value at or before ``m``,
-    so one gather reproduces ``VectorHistory.assemble`` exactly.
+    go into one ``(sources, K, n)`` block, filled up to ``K``
+    iterations at a time through
+    :meth:`~repro.delays.base.DelayModel.raw_delay_block` (which
+    consumes each stream exactly as per-iteration draws do), and are
+    clipped per iteration.  The full iterate at label ``m`` *is* every
+    component's most recent value at or before ``m``, so one gather
+    reproduces ``VectorHistory.assemble`` exactly.  A label reads at
+    most ``D + 1`` iterates back when every source states
+    ``max_delay(J) = D``, so the history is a ring of ``D + 1``
+    iterates; without a statement a label may reach back to ``x0`` and
+    the ring holds all ``J + 1``.
     """
-    from repro.delays.base import DelayModel
     from repro.scenarios import registry
 
     n = block.n_blocks
-    det_steer, det_delay = _det_classes()
 
-    # Deterministic model classes hold no per-scenario stream (outputs
-    # are pure functions of j, constructors draw nothing), so the first
-    # spec's instance serves the whole batch — solo runs build B
-    # identical copies.  Seed children are spawned per scenario only
-    # when some model draws from them (steering = child 1, delays =
-    # child 2; prefix-stable spawning keeps them bit-equal to solo).
+    # A registry entry that states ``shared`` holds no per-scenario
+    # stream (its factory draws nothing, its outputs depend on j
+    # alone), so the first spec's instance serves the whole batch —
+    # solo runs build B identical copies.  Seed children are spawned
+    # per scenario only when some model draws from them (steering =
+    # child 1, delays = child 2; prefix-stable spawning keeps them
+    # bit-equal to solo).
     head = specs[0]
+    shared_steering = registry.entry("steering", head.steering).shared
+    shared_delays = registry.entry("delays", head.delays).shared
     seeds = _spawn_seeds(head, 3)
     steering0 = registry.make_steering(head.steering, n, seeds[1], **head.steering_params)
     delays0 = registry.make_delays(head.delays, n, seeds[2], **head.delay_params)
-    shared_steering = isinstance(steering0, det_steer)
-    shared_delays = isinstance(delays0, det_delay)
     steerings, delay_models = [steering0], [delays0]
     for spec in specs[1:]:
         if not (shared_steering and shared_delays):
@@ -474,50 +452,44 @@ def _engine_schedule(specs: Sequence[ScenarioSpec], block: Any) -> _Schedule:
         model.reset()
 
     # Label sources: the head model for the whole batch, or each
-    # scenario's own.  Models that keep the base-class ``labels`` fill
-    # a block of K iterations of raw delays every K iterations, and
-    # each iteration clips one block row per source.  Only models that
-    # draw a block in one call (they override ``raw_delay_block``) take
-    # K > 1; the rest draw one iteration per step, as solo does, since
-    # K ``raw_delays`` calls gain nothing from being made early.  A row
-    # that stops mid-block leaves the rest of its block unread.
+    # scenario's own.  Each live source fills a block of raw delays,
+    # and each iteration clips one block row per source.  A block is
+    # as wide as the iterations run so far, up to K, so a row that
+    # stops mid-block has drawn fewer than twice the iterations it ran.
     J = head.max_iterations
     sources = [delays0] if shared_delays else delay_models
-    by_block = all(type(m).labels is DelayModel.labels for m in sources)
-    one_call = all(
-        type(m).raw_delay_block is not DelayModel.raw_delay_block for m in sources
-    )
-    K = max(1, min(J, _LABEL_BLOCK_BYTES // (len(sources) * n * 8))) if one_call else 1
+    stated = [m.max_delay(J) for m in sources]
+    D = None if None in stated else max(stated)
+    depth = _ring_depth(J, J + 1 if D is None else D + 1)
+    K = max(1, min(J, _LABEL_BLOCK_BYTES // (len(sources) * n * 8)))
     raw = np.empty((len(sources), K, n), dtype=np.int64)
     head_row = np.zeros(1, dtype=np.intp)
     comp_map = _comp_of_elem(block, block.dim)
+    start = end = 1  # the current block holds iterations start .. end - 1
 
     def step(j: int, rows: np.ndarray) -> "tuple[np.ndarray, Any, Any]":
+        nonlocal start, end
         src = head_row if shared_delays else rows
-        if not by_block:
-            lab = np.stack([sources[s].labels(j) for s in src.tolist()])
-        else:
-            i = (j - 1) % K
-            if i == 0:  # refill the live sources' blocks
-                width = min(K, J - j + 1)
-                if one_call:
-                    for s in src.tolist():
-                        d = sources[s].raw_delay_block(j, width)
-                        # A (n,) block would broadcast into the (width, n) slot.
-                        if d.shape != (width, n):
-                            raise RuntimeError("raw_delays contract violation")
-                        raw[s, :width] = d
-                else:
-                    d = np.array([sources[s].raw_delays(j) for s in src.tolist()])
-                    if d.shape != (len(src), n):
-                        raise RuntimeError("raw_delays contract violation")
-                    raw[src, 0] = d
-                if (raw[src, :width] < 0).any():
+        if j == 1 or j == end:  # refill the live sources' blocks
+            width = min(K, j, J - j + 1)
+            start, end = j, j + width
+            for s in src.tolist():
+                d = sources[s].raw_delay_block(j, width)
+                # A (n,) block would broadcast into the (width, n) slot.
+                if d.shape != (width, n):
                     raise RuntimeError("raw_delays contract violation")
-            # d >= 0, so clipping (j - 1) - d to [0, j - 1] only needs
-            # the lower bound.
-            lab = np.maximum((j - 1) - raw[src, i], 0)
-        lab = lab[:, comp_map]
+                raw[s, :width] = d
+            drawn = raw[src, :width]
+            if drawn.min() < 0:
+                raise RuntimeError("raw_delays contract violation")
+            # A delay above the statement would read an overwritten slot.
+            if D is not None and drawn.max() > D:
+                raise RuntimeError(
+                    f"a raw delay exceeds the stated max_delay({J}) = {D}"
+                )
+        # d >= 0, so clipping (j - 1) - d to [0, j - 1] only needs
+        # the lower bound.
+        lab = (np.maximum((j - 1) - raw[src, j - start], 0) % depth)[:, comp_map]
         if shared_steering:
             S = steering0.active_set(j)
             if len(S) == 0:
@@ -531,7 +503,7 @@ def _engine_schedule(specs: Sequence[ScenarioSpec], block: Any) -> _Schedule:
             member[k, list(S)] = True
         return lab, None, member
 
-    return _Schedule(J, J + 1, range(J + 1), step)
+    return _Schedule(J, depth, step)
 
 
 # ----------------------------------------------------------------------
@@ -545,11 +517,9 @@ _ADMISSIBLE = (
     "processor, every duration an integer multiple of a common base round "
     "duration), single inner steps without partial publishing / read "
     "refreshing / think time, and lossless ConstantTime channel latency "
-    "strictly below the fastest compute duration; deterministic steering "
-    "(all/cyclic/block-cyclic/even-odd) and delay models (zero/constant/"
-    "log-growth/power) additionally share one instance per batch; fault "
-    "injection and topology overrides are excluded (fault='none', "
-    "topology='native')"
+    "strictly below the fastest compute duration; a machine whose registry "
+    "entry states shared builds one plan per batch; fault injection and "
+    "topology overrides are excluded (fault='none', topology='native')"
 )
 
 
@@ -751,27 +721,25 @@ def _lockstep_schedule(
 #: ``_SimulatorBackend.execute``): residuals refresh every 10 commits.
 _SIM_RESIDUAL_EVERY = 10
 
-#: Machine archetypes whose factories consume no per-scenario RNG, so
-#: one build (and one plan) serves the whole batch.
-_DETERMINISTIC_MACHINES = ("lockstep", "lockstep-tiered")
-
 
 def _machine_schedule(specs: Sequence[ScenarioSpec], block: Any) -> _Schedule:
     """The schedule a lockstep-compatible machine induces.
 
     Commit ``j`` of :func:`_lockstep_schedule` updates its processor's
     components, Gauss-Seidel, from the labels its phase snapshot held,
-    mapped to elements through the component owners.  It reads at most
-    ``max_lag`` commits back (its own previous commit included), so
-    the history is a ring of ``max_lag + 1`` iterates.  Message counts
-    follow ``DistributedSimulator.run`` with the fleet's options:
-    every commit sends one message per owned component to each peer.
+    mapped to elements through the component owners.  The history is
+    a ring as deep as any commit's longest read-back (see
+    :func:`_ring_depth`).  A machine whose
+    registry entry states ``shared`` is built and planned once for the
+    batch.  Message counts follow ``DistributedSimulator.run`` with the
+    fleet's options: every commit sends one message per owned component
+    to each peer.
     """
     from repro.scenarios import registry
 
     head = specs[0]
     n = block.n_blocks
-    share_machine = head.machine in _DETERMINISTIC_MACHINES
+    share_machine = registry.entry("machine", head.machine).shared
     plans: list[_LockstepPlan] = []
     for spec in specs:
         if share_machine and plans:
@@ -795,7 +763,7 @@ def _machine_schedule(specs: Sequence[ScenarioSpec], block: Any) -> _Schedule:
 
     pids, times, labels = _lockstep_schedule(plan, head.max_iterations)
     J = len(pids)
-    depth = int((np.arange(1, J + 1) - labels.min(axis=1)).max()) + 1
+    depth = _ring_depth(J, int((np.arange(1, J + 1) - labels.min(axis=1)).max()))
     label_slots = labels % depth
     components = plan.components
 
@@ -804,7 +772,7 @@ def _machine_schedule(specs: Sequence[ScenarioSpec], block: Any) -> _Schedule:
 
     sent = np.array([plan.n_peers * len(c) for c in components], dtype=np.int64)
     return _Schedule(
-        J, depth, [m % depth for m in range(J + 1)], step,
+        J, depth, step,
         gauss_seidel=True,
         residual_every=_SIM_RESIDUAL_EVERY,
         times=times,
@@ -881,7 +849,7 @@ def _run_batch(specs: Sequence[ScenarioSpec]) -> "list[Any]":
     residual_of = _build_residual(stack, batched_norm)
     _construction_seconds += time.perf_counter() - t0
 
-    J, slots, step = sched.J, sched.slots, sched.step
+    J, depth, step = sched.J, sched.depth, sched.step
     every, gauss_seidel = sched.residual_every, sched.gauss_seidel
     # The carried residual series feeds time_to_tol; only simulator
     # rows have one.
@@ -894,10 +862,10 @@ def _run_batch(specs: Sequence[ScenarioSpec]) -> "list[Any]":
     ttt: list[Any] = [None] * B
 
     # Window the batch so the (depth, B, dim) history stays bounded.
-    window = max(2, int(_MAX_BATCH_BYTES // (sched.depth * dim * 8)))
+    window = max(2, int(_MAX_BATCH_BYTES // (depth * dim * 8)))
     for w0 in range(0, B, window):
         wB = min(B, w0 + window) - w0
-        H = np.zeros((sched.depth, wB, dim))  # H[0] = x0 = 0, the fleet's start
+        H = np.zeros((depth, wB, dim))  # H[0] = x0 = 0, the fleet's start
         flatH = H.reshape(-1)
         live = np.arange(wB, dtype=np.intp)  # window rows still running
         last_res = residual_of(H[0], live + w0) if tol > 0.0 else None
@@ -914,8 +882,8 @@ def _run_batch(specs: Sequence[ScenarioSpec]) -> "list[Any]":
             gather = (lab * wB + live[:, None]) * dim + elem_range
             delayed = flatH[gather.reshape(-1)].reshape(len(live), dim)
 
-            Hj = H[slots[j]]
-            Hj[...] = H[slots[j - 1]]
+            Hj = H[j % depth]
+            Hj[...] = H[(j - 1) % depth]
             if member is None:
                 for i in S:
                     out = stack.apply_block(delayed, i, rows)
@@ -945,7 +913,7 @@ def _run_batch(specs: Sequence[ScenarioSpec]) -> "list[Any]":
                         break
 
         iterations[live + w0] = j_done
-        x_final[live + w0] = H[slots[j_done], live]
+        x_final[live + w0] = H[j_done % depth, live]
         if R is not None:
             # A row's series runs up to the commit at which it stopped.
             for b in range(wB):

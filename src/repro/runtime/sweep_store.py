@@ -985,20 +985,26 @@ class SweepStore:
         rewritten under its new fingerprint name), and every
         replacement is written before the file it replaces is
         unlinked, so a crash at any point loses no other row and a
-        re-discard completes the job.  Merge fingerprints are
-        invalidated first — the store's content no longer matches
-        what they certified.
+        re-discard completes the job.  The rest of a log file leaves
+        out the rows a later log file holds: the new file is the
+        newest, so it would bring their superseded writes back.  Merge
+        fingerprints are invalidated first — the store's content no
+        longer matches what they certified.
         """
         prefix = self._prefix(content_hash)
-        logs = {
-            path: rows for path, rows in self._log_files(prefix).items()
-            if content_hash in rows
-        }
+        files = self._log_files(prefix)
+        later: "set[str]" = set()
+        logs = {}
+        for path in reversed(list(files)):  # newest first
+            rows = files[path]
+            if content_hash in rows:
+                logs[path] = {h: doc for h, doc in rows.items()
+                              if h != content_hash and h not in later}
+            later.update(rows)
         bp = self._shard_map(prefix).get(content_hash)
         if logs or bp is not None:
             (self.root / _MERGE_LOG).unlink(missing_ok=True)
         for path, rows in logs.items():
-            del rows[content_hash]
             if rows:
                 self._write_log(prefix, rows)
             path.unlink()

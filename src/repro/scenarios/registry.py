@@ -140,13 +140,22 @@ def _keyword_defaults(factory: Callable[..., Any]) -> dict[str, Any]:
 
 @dataclass(frozen=True)
 class RegistryEntry:
-    """One registered factory plus its introspected metadata."""
+    """One registered factory plus its introspected metadata.
+
+    ``shared`` states that the factory draws nothing from its seed and
+    that what it builds depends on the iteration index alone (steering
+    sets, delays, machine timings), so one instance serves every
+    scenario of a batch.  It is a fact about the entry, not the class:
+    a :class:`BaudetSqrtDelay` is deterministic, but its factory draws
+    the slow set from the seed.
+    """
 
     kind: str
     name: str
     factory: Callable[..., Any]
     defaults: Mapping[str, Any] = field(default_factory=dict)
     summary: str = ""
+    shared: bool = False
 
     def describe(self) -> str:
         """``name(param=default, ...)`` — the ``--list-axes``/docs rendering."""
@@ -173,13 +182,15 @@ class Registry:
 
     # -- registration --------------------------------------------------
     def register(
-        self, kind: str, name: str, *, summary: str | None = None
+        self, kind: str, name: str, *, summary: str | None = None,
+        shared: bool = False,
     ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
         """Decorator: register a factory under ``(kind, name)``.
 
         The entry's tunable signature is introspected from the
         factory's keyword-only parameters; ``summary`` defaults to the
-        first line of the factory's docstring.
+        first line of the factory's docstring.  ``shared`` is the
+        entry's statement (see :class:`RegistryEntry`).
         """
         table = self._table(kind)
 
@@ -194,6 +205,7 @@ class Registry:
                 factory=factory,
                 defaults=MappingProxyType(_keyword_defaults(factory)),
                 summary=doc,
+                shared=shared,
             )
             return factory
 
@@ -465,25 +477,25 @@ def _batch_logistic(seeds: "list[Any]", *, n_samples: int = 120, n_features: int
 # Steering policies: (n, seed, **params) -> SteeringPolicy
 # ----------------------------------------------------------------------
 
-@register("steering", "all")
+@register("steering", "all", shared=True)
 def _steer_all(n: int, seed: Any) -> Any:
     """Every component every iteration (synchronous steering)."""
     return AllComponents(n)
 
 
-@register("steering", "cyclic")
+@register("steering", "cyclic", shared=True)
 def _steer_cyclic(n: int, seed: Any) -> Any:
     """One component per iteration, round-robin."""
     return CyclicSingle(n)
 
 
-@register("steering", "block-cyclic")
+@register("steering", "block-cyclic", shared=True)
 def _steer_block_cyclic(n: int, seed: Any, *, group_size: int = 4) -> Any:
     """Contiguous blocks, round-robin."""
     return BlockCyclic(n, min(group_size, n))
 
 
-@register("steering", "even-odd")
+@register("steering", "even-odd", shared=True)
 def _steer_even_odd(n: int, seed: Any) -> Any:
     """Red-black sweeps: even-indexed components, then odd, alternating."""
     return EvenOddSweeps(n)
@@ -512,13 +524,13 @@ def _steer_sweeps(n: int, seed: Any) -> Any:
 # Delay models: (n, seed, **params) -> DelayModel
 # ----------------------------------------------------------------------
 
-@register("delays", "zero")
+@register("delays", "zero", shared=True)
 def _delay_zero(n: int, seed: Any) -> Any:
     """No staleness (synchronous reads)."""
     return ZeroDelay(n)
 
 
-@register("delays", "constant")
+@register("delays", "constant", shared=True)
 def _delay_constant(n: int, seed: Any, *, delay: int = 3) -> Any:
     """Every read exactly ``delay`` iterations stale."""
     return ConstantDelay(n, delay)
@@ -544,13 +556,13 @@ def _delay_baudet(n: int, seed: Any) -> Any:
     return BaudetSqrtDelay(n, slow)
 
 
-@register("delays", "log-growth")
+@register("delays", "log-growth", shared=True)
 def _delay_log_growth(n: int, seed: Any, *, scale: float = 2.0) -> Any:
     """Unbounded delays growing like ``scale * log(j)``."""
     return LogGrowthDelay(n, scale=scale)
 
 
-@register("delays", "power")
+@register("delays", "power", shared=True)
 def _delay_power(n: int, seed: Any, *, alpha: float = 0.7) -> Any:
     """Unbounded delays growing like ``j**alpha``."""
     return PowerGrowthDelay(n, alpha=alpha)
@@ -636,7 +648,7 @@ def _machine_wan(n: int, seed: Any, *, n_processors: int = 4,
     return procs, channels
 
 
-@register("machine", "lockstep")
+@register("machine", "lockstep", shared=True)
 def _machine_lockstep(n: int, seed: Any, *, n_processors: int = 4,
                       compute: float = 1.0, latency: float = 0.05) -> Any:
     """Deterministic lockstep rounds: constant compute, sub-round latency.
@@ -659,7 +671,7 @@ def _machine_lockstep(n: int, seed: Any, *, n_processors: int = 4,
     return procs, uniform_cluster(n_processors, latency=latency)
 
 
-@register("machine", "lockstep-tiered")
+@register("machine", "lockstep-tiered", shared=True)
 def _machine_lockstep_tiered(n: int, seed: Any, *, n_processors: int = 4,
                              compute: float = 1.0, tiers: int = 2,
                              latency: float = 0.05) -> Any:

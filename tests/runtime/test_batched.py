@@ -108,12 +108,11 @@ _SPLIT_LABEL_BYTES = 3 * 8 * 6 * 8
 def batch_layouts(monkeypatch):
     """Run a test body once per batch layout: whole, then split.
 
-    A split batch runs in 2-row history windows, and models that draw
-    a label block in one call (uniform) draw blocks of a few
-    iterations.  A whole test group fits one window and draws its
-    whole budget as one label block, so only the split layout runs a
-    group in several windows, stops rows mid-block and draws a short
-    last block.  Other models draw one iteration per block in both.
+    Label blocks double in width (1, 2, 4, ...) up to a cap.  A whole
+    test group fits one history window, and its cap is its whole
+    budget.  A split batch runs in 2-row windows, and caps every block
+    at a few iterations, so only it runs a group in several windows
+    and many full-width blocks.
     """
     from repro.runtime.simulator import batched
 
@@ -239,7 +238,7 @@ class TestEngineBatchBitIdentity:
 
     def test_budget_exhaustion_tol_zero(self, batch_layouts):
         # tol=0 never converges: every scenario runs out the budget.
-        # Split: windows of 2, 2 and 1 rows, label blocks of 4 and 3.
+        # Split: windows of 2, 2 and 1 rows, label blocks of 1, 2 and 4.
         for _ in batch_layouts():
             batch = assert_batched_identical(
                 engine_specs(tol=0.0, max_iterations=7, bound=2)
@@ -249,8 +248,8 @@ class TestEngineBatchBitIdentity:
     def test_divergence_masking_mixed_stopping(self, batch_layouts):
         # A loose tolerance converges scenarios at different j; frozen
         # rows must stop consuming their streams exactly where solo
-        # stopped.  Split: four 2-row windows; uniform draws 3-iteration
-        # label blocks, the two-draw models one iteration per step.
+        # stopped.  Split: four 2-row windows, label blocks of at most
+        # three iterations.
         for _ in batch_layouts():
             for delays in ("uniform", "chaotic", "out-of-order"):
                 batch = assert_batched_identical(
@@ -599,6 +598,47 @@ class TestLongLockstepMemory:
         assert not calls, f"fell back to solo for {calls}"
         assert all(r.iterations == J for r in batch)
         assert peak < (J + 1) * B * n * 8 / 2
+
+
+class TestLongEngineMemory:
+    @pytest.mark.parametrize("delays", ["uniform", "zero", "power", "baudet-sqrt"])
+    def test_history_is_a_ring(self, delays):
+        # A delay model that states max_delay(J) = D lets a label read
+        # at most D + 1 iterates back, so a long budget must not
+        # allocate the (J+1, B, dim) history slab.
+        import tracemalloc
+
+        J, B, n = 3000, 4, 64
+        kw = dict(delays=delays, n=n, count=B, tol=0.0)
+        run_scenario_batch(engine_specs(max_iterations=10, **kw))  # warm imports
+        specs = engine_specs(max_iterations=J, **kw)
+        calls = []
+        tracemalloc.start()
+        try:
+            batch = run_scenario_batch(specs, solo=_spy_solo(calls))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not calls, f"fell back to solo for {calls}"
+        assert all(r.iterations == J for r in batch)
+        assert peak < (J + 1) * B * n * 8 / 2
+
+    @pytest.mark.parametrize("delays", [
+        "power", "log-growth", "baudet-sqrt", "out-of-order", "shuffled-window",
+    ])
+    def test_shallow_ring_matches_solo(self, delays, batch_layouts):
+        # The ring wraps several times before the rows stop, at
+        # different j, most of them mid-block.
+        from repro.runtime.simulator.batched import _engine_schedule
+
+        J = 300
+        specs = engine_specs(delays=delays, max_iterations=J, count=8)
+        block = specs[0].build_problem().block_spec
+        assert 2 * _engine_schedule(specs, block).depth < J + 1
+        for _ in batch_layouts():
+            batch = assert_batched_identical(specs)
+            assert len({r.iterations for r in batch}) > 1
+            assert any(r.converged for r in batch)
 
 
 class TestBuildBatchGolden:

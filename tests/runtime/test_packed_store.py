@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import os
 import pathlib
 import shutil
 
@@ -249,6 +250,24 @@ class TestDiscard:
             assert victim.content_hash not in st.completed()
             assert st.load_result_by_hash(victim.content_hash) is None
             assert st.digest() == expected
+
+    def test_discard_keeps_a_relogged_mate_at_its_latest_write(self, tmp_path):
+        # The victim's log file also holds a row that a later file
+        # logged again.  The rest of the victim's file lands as the
+        # newest file, so it must not carry the mate's older write.
+        victim, mate = _synth_rows(2)
+        newer = dataclasses.replace(mate, iterations=101)
+        store = SweepStore(tmp_path / "p", prefix_len=0)
+        store.write_manifest([victim.spec, mate.spec])
+        (first,) = store.write_result(victim, mate)
+        (second,) = store.write_result(newer)
+        os.utime(first, ns=(0, 0))  # the two writes well apart
+        os.utime(second, ns=(10**9, 10**9))
+        store.discard_result(victim.content_hash)
+        for st in (store, SweepStore(tmp_path / "p", create=False)):
+            assert st.completed() == {mate.content_hash}
+            assert st.load_result_by_hash(mate.content_hash).iterations == 101
+            assert st.digest() == digest_rows([(mate.content_hash, newer)])
 
 
 class TestCompletedCache:
@@ -528,16 +547,25 @@ class TestCrashPoints:
         )
         assert writes > 2 * len(state["manifest"]["scenarios"]) // 3
 
-    @pytest.mark.parametrize("copy", ["logged", "sealed", "sealed+logged"])
+    @pytest.mark.parametrize(
+        "copy", ["logged", "sealed", "sealed+logged", "logged, mate relogged"]
+    )
     def test_discard_result(self, tmp_path, copy):
         rows = _synth_rows(12)
         template = tmp_path / "template"
         # One shard: the sealed rows share a batch, the logged a file.
         _traced_store(template, rows, n_sealed=8, prefix_len=0)
         victim = {"logged": rows[10], "sealed": rows[2],
-                  "sealed+logged": rows[3]}[copy]
+                  "sealed+logged": rows[3], "logged, mate relogged": rows[10]}[copy]
         if copy == "sealed+logged":
             SweepStore(template, create=False).write_result(victim, rows[0])
+        if copy == "logged, mate relogged":
+            # A later file holds a newer write of rows[11].
+            (first,) = (template / "shards" / "log").glob("*.json")
+            rows[11] = dataclasses.replace(rows[11], iterations=101)
+            (second,) = SweepStore(template, create=False).write_result(rows[11])
+            os.utime(first, ns=(0, 0))
+            os.utime(second, ns=(10**9, 10**9))
 
         def prepare(root):
             shutil.copytree(template, root)
@@ -550,7 +578,11 @@ class TestCrashPoints:
         state = _store_state(work)
         survivors = [r for r in rows if r is not victim]
         assert state["completed"] == {r.content_hash for r in survivors}
-        assert writes == {"logged": 1, "sealed": 2, "sealed+logged": 3}[copy]
+        assert state["digest"] == digest_rows(
+            (r.content_hash, r) for r in survivors
+        )
+        assert writes == {"logged": 1, "sealed": 2, "sealed+logged": 3,
+                          "logged, mate relogged": 1}[copy]
 
 
 class TestFleetView:

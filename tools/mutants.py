@@ -2,18 +2,19 @@
 
 Usage::
 
-    python tools/mutants.py        # or: make mutants
+    python tools/mutants.py             # every entry; or: make mutants
+    python tools/mutants.py NAME ...    # only the named entries
 
 Each entry of ``tools/mutants.toml`` is one exact-text edit that breaks
 a stated invariant.  The runner first checks that every entry's old
 text occurs exactly once in its file, so the catalogue follows the
-code.  Then, for each mutant, it copies the tree to a temporary
-directory, applies the edit there (never in the working tree), runs the
-tier-1 suite with ``-x`` and requires a test to fail.  It prints the
-first failing test id per mutant.  The exit status is 1 when a mutant
-survives, an old text no longer matches exactly once, or a run ends
-without a test failure for any other reason (a collection error or a
-timeout); 0 when every mutant is killed.  Entries marked
+code, whichever entries run.  Then, for each mutant, it copies the tree
+to a temporary directory, applies the edit there (never in the working
+tree), runs the tier-1 suite with ``-x`` and requires a test to fail.
+It prints the first failing test id per mutant.  The exit status is 1
+when a mutant survives, an old text no longer matches exactly once, or
+a run ends without a test failure for any other reason (a collection
+error or a timeout); 0 when every mutant is killed.  Entries marked
 ``equivalent`` are only matched, not run.
 """
 
@@ -91,8 +92,13 @@ def run_mutant(entry: "dict[str, str]", workdir: pathlib.Path) -> "tuple[str, st
     return "error", f"pytest exited {proc.returncode}:\n{tail}"
 
 
-def main() -> int:
+def main(names: "list[str]") -> int:
     entries = load_catalogue()
+    if names:
+        unknown = sorted(set(names) - {e["name"] for e in entries})
+        if unknown:
+            sys.exit(f"unknown mutants: {', '.join(unknown)}")
+        entries = [e for e in entries if e["name"] in names]
     verdicts: "dict[str, int]" = {}
     with tempfile.TemporaryDirectory(prefix="repro-mutants-") as tmp:
         for i, entry in enumerate(entries, 1):
@@ -113,4 +119,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
