@@ -100,6 +100,17 @@ class FixedPointOperator(abc.ABC):
         """
         return self.apply(x)[self._block_spec.slice(i)]
 
+    def gauss_seidel(self, x: np.ndarray, blocks: Sequence[int]) -> None:
+        """One Gauss-Seidel sweep in place: ``x_i <- F_i(x)`` for ``i`` in ``blocks``.
+
+        Each block sees the blocks updated before it.  The default is
+        the :meth:`apply_block` loop; an override must be bit-identical
+        to it.  The simulator runs one sweep per inner step.
+        """
+        spec = self._block_spec
+        for i in blocks:
+            x[spec.slice(i)] = self.apply_block(x, i)
+
     @classmethod
     def stack(cls, ops: Sequence["FixedPointOperator"]) -> "OperatorStack":
         """Stacked twin of :meth:`apply`/:meth:`apply_block` for ``ops``.

@@ -73,6 +73,7 @@ class AffineOperator(FixedPointOperator):
         self._contraction: tuple[float, np.ndarray] | None = None
         self._contraction_computed = False
         self._norm: WeightedMaxNorm | None = None
+        self._sweep_rows: list | None = None
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.A @ x + self.b
@@ -80,6 +81,30 @@ class AffineOperator(FixedPointOperator):
     def apply_block(self, x: np.ndarray, i: int) -> np.ndarray:
         sl = self.block_spec.slice(i)
         return self.A[sl, :] @ x + self.b[sl]
+
+    def gauss_seidel(self, x: np.ndarray, blocks: Sequence[int]) -> None:
+        """:meth:`apply_block`'s products on row views cached at first use.
+
+        Block ``i`` gets ``A[sl] @ x + b[sl]``, the expression of
+        :meth:`apply_block`.  A scalar block gets ``A[i] @ x + b[i]``:
+        the same BLAS dot on the same operands as ``A[i:i+1] @ x``,
+        then the same float addition, without the slice bookkeeping.
+        """
+        spec = self.block_spec
+        rows = self._sweep_rows
+        if rows is None:
+            rows = self._sweep_rows = (
+                list(self.A) if spec.is_scalar
+                else [(sl, self.A[sl], self.b[sl]) for sl in spec.slices()]
+            )
+        if spec.is_scalar:
+            b = self.b
+            for i in blocks:
+                x[i] = rows[i] @ x + b[i]
+        else:
+            for i in blocks:
+                sl, Ai, bi = rows[i]
+                x[sl] = Ai @ x + bi
 
     @classmethod
     def stack(cls, ops: "Sequence[FixedPointOperator]") -> OperatorStack:
@@ -172,6 +197,7 @@ class AffineOperator(FixedPointOperator):
         self._contraction = None
         self._contraction_computed = False
         self._norm = None
+        self._sweep_rows = None
         return self
 
     @staticmethod
@@ -308,11 +334,12 @@ def jacobi_operator_batch(
     ``Ms`` is ``(B, n, n)``, ``cs`` is ``(B, n)``; the result matches
     ``[jacobi_operator(Ms[k], cs[k], block_spec) for k in range(B)]``
     bit for bit: the splitting ``A = -R / d``, ``b = c / d`` is purely
-    elementwise (exact under stacking) and the lazy analysis caches are
-    filled through :meth:`AffineOperator.precompute_batch`, whose
-    stacked LAPACK gufuncs run the same routine per matrix.  Validation
-    happens once on the stack, so the per-instance constructor overhead
-    a solo loop pays ``B`` times is paid once.
+    elementwise (exact under stacking).  The lazy analysis caches stay
+    empty: the batched executor fills them through
+    :meth:`AffineOperator.precompute_batch` once it has admitted the
+    group, so a refused group pays no LAPACK.  Validation happens once
+    on the stack, so the per-instance constructor overhead a solo loop
+    pays ``B`` times is paid once.
     """
     Ms = np.asarray(Ms, dtype=np.float64)
     cs = np.asarray(cs, dtype=np.float64)
@@ -336,9 +363,7 @@ def jacobi_operator_batch(
     As /= ds[:, :, None]
     bs = cs / ds
     spec = block_spec if block_spec is not None else BlockSpec.scalar(n)
-    ops = [AffineOperator._from_parts(As[k], bs[k], spec) for k in range(B)]
-    AffineOperator.precompute_batch(ops)
-    return ops
+    return [AffineOperator._from_parts(As[k], bs[k], spec) for k in range(B)]
 
 
 def jor_operator(

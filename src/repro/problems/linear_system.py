@@ -163,8 +163,7 @@ def make_jacobi_batch(
 
     Stacks the instance generation (per-scenario draws in solo order,
     one vectorized rescale) and hands the ``(B, n, n)`` stack to
-    :func:`~repro.operators.linear.jacobi_operator_batch`, which fills
-    the fixed-point/contraction caches through stacked gufunc calls.
+    :func:`~repro.operators.linear.jacobi_operator_batch`.
     """
     from repro.operators.linear import jacobi_operator_batch
 

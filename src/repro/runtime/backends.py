@@ -56,7 +56,7 @@ from repro.core.trace import IterationTrace, TraceHandle, TraceStore, save_trace
 from repro.delays.base import DelayModel
 from repro.operators.base import FixedPointOperator
 from repro.runtime.shared_memory import SharedMemoryAsyncRunner
-from repro.runtime.simulator.engine import DistributedSimulator
+from repro.runtime.simulator.engine import RESIDUAL_EVERY, DistributedSimulator
 from repro.runtime.simulator.reference import ReferenceSimulator
 from repro.steering.base import SteeringPolicy
 from repro.utils.rng import as_generator
@@ -487,7 +487,7 @@ class _SimulatorBackend(ExecutionBackend):
             max_iterations=request.max_iterations,
             max_time=float(opts.get("max_time", float("inf"))),
             tol=request.tol,
-            residual_every=int(opts.get("residual_every", 10)),
+            residual_every=int(opts.get("residual_every", RESIDUAL_EVERY)),
             record_messages=record_messages,
             sink=sink,
         )

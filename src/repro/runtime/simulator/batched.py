@@ -97,6 +97,7 @@ from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 import numpy as np
 
 from repro.operators.base import FixedPointOperator, OperatorStack
+from repro.runtime.simulator.engine import RESIDUAL_EVERY
 
 if TYPE_CHECKING:  # registry -> simulator package -> here: keep lazy
     from repro.scenarios.spec import ScenarioSpec
@@ -717,11 +718,6 @@ def _lockstep_schedule(
     return pids, np.array(times), np.array(labels, dtype=np.intp)
 
 
-#: The simulator backends' stopping-test cadence (see
-#: ``_SimulatorBackend.execute``): residuals refresh every 10 commits.
-_SIM_RESIDUAL_EVERY = 10
-
-
 def _machine_schedule(specs: Sequence[ScenarioSpec], block: Any) -> _Schedule:
     """The schedule a lockstep-compatible machine induces.
 
@@ -774,7 +770,7 @@ def _machine_schedule(specs: Sequence[ScenarioSpec], block: Any) -> _Schedule:
     return _Schedule(
         J, depth, step,
         gauss_seidel=True,
-        residual_every=_SIM_RESIDUAL_EVERY,
+        residual_every=RESIDUAL_EVERY,
         times=times,
         messages=np.concatenate(([0], np.cumsum(sent[pids]))),
     )

@@ -124,8 +124,8 @@ class ChannelState:
         A scalar float return means every message arrives at exactly
         that time (the constant-latency case, returned without any
         array work).  The simulator sends one burst per (phase event,
-        destination) through this, which is the channel-layer half of
-        its hot-path batching.
+        destination) through this, or through :meth:`fan_out` when
+        all of a sender's channels share one constant arrival.
         """
         if self.spec.drop_prob == 0.0 and type(self.spec.latency) is ConstantTime:
             # Sequential FIFO monotonization of equal raw arrivals
@@ -159,3 +159,37 @@ class ChannelState:
             a = self.delivery_time(send_time)
             out[i] = np.nan if a is None else a
         return out
+
+    @staticmethod
+    def one_arrival(chans: "list[ChannelState]") -> bool:
+        """Whether :meth:`fan_out` serves ``chans``: lossless
+        :class:`ConstantTime` channels with one latency value, one FIFO
+        flag and one apply policy."""
+        keys = {
+            (c.spec.latency.value, c.spec.fifo, c.spec.apply)
+            if c.spec.drop_prob == 0.0 and type(c.spec.latency) is ConstantTime
+            else None
+            for c in chans
+        }
+        return len(keys) == 1 and None not in keys
+
+    @staticmethod
+    def fan_out(chans: "list[ChannelState]", send_time: float, count: int) -> float:
+        """:meth:`delivery_times` of one burst on each of ``chans``, computed once.
+
+        ``chans`` pass :meth:`one_arrival` and are one sender's
+        channels.  They carry the same bursts, so they hold one FIFO
+        state and each call would return the same scalar: it is computed
+        from the first channel, and every channel's count and FIFO state
+        advance exactly as its own call would advance them.
+        """
+        head = chans[0]
+        fifo = head.spec.fifo
+        t = float(send_time + head.spec.latency.value)
+        if fifo and t < head._last_delivery_time:
+            t = head._last_delivery_time
+        for c in chans:
+            c._sent += count
+            if fifo:
+                c._last_delivery_time = t
+        return t

@@ -26,20 +26,21 @@ Semantics (matching Figure 1/2 of the paper):
   so condition (a) and the macro-iteration construction stay sound
   even when inner steps refreshed their reads).
 
-The event loop is the *vectorized* implementation: component slices,
-per-processor owned/remote element indices and destination channel
-lists are precomputed once, remote refreshes and phase commits are
-single fancy-indexed scatters, and each sent value is copied once and
-shared (read-only) across all destination payloads.  The processors'
+The event loop is the *vectorized* implementation.  The processors'
 views are the rows of one ``(P, dim)`` array, their labels the rows of
-one ``(P, n)`` array.  A burst whose destinations all receive it at
-one instant under one apply policy (constant-latency lossless
-channels) is a single ``bmsg`` heap event that writes every peer row
-with one 2-D scatter, basic slices when the sender owns a contiguous
-range.  That is exact: the per-destination events it replaces share
-one arrival time and a contiguous window of sequence numbers, so no
-other event can pop between them, and they write distinct rows, so
-applying them together commutes.  Event order and every
+one ``(P, n)`` array, and each processor's selectors are built once:
+basic slices when it owns a gap-free component range (every registry
+partition), index arrays otherwise.  Commits, refreshed reads (the
+slices around the owned range) and payload copies move through them.
+An inner step is one :meth:`~repro.operators.base.FixedPointOperator.gauss_seidel`
+call.  A sender whose channels are lossless with one constant latency
+computes each burst's arrival once
+(:meth:`~repro.runtime.simulator.channel.ChannelState.fan_out`) and
+pushes one ``bmsg`` heap event that writes every peer row with one
+2-D scatter.  That is exact: the per-destination events it replaces
+share one arrival time and a contiguous window of sequence numbers,
+so no other event can pop between them, and they write distinct rows,
+so applying them together commutes.  Event order and every
 per-channel/per-processor RNG draw are identical to the frozen
 :class:`~repro.runtime.simulator.reference.ReferenceSimulator`, so
 results are bit-for-bit reproducible against the seed implementation
@@ -67,7 +68,12 @@ from repro.runtime.simulator.records import MessageRecord, PhaseRecord, Simulati
 from repro.utils.rng import as_generator, spawn_generators
 from repro.utils.validation import check_vector
 
-__all__ = ["DistributedSimulator"]
+__all__ = ["DistributedSimulator", "RESIDUAL_EVERY"]
+
+#: Commits between the stopping test's residual refreshes: the default
+#: of :meth:`DistributedSimulator.run`, of the simulator backends and of
+#: the batched executor's simulator schedules.
+RESIDUAL_EVERY = 10
 
 
 class _PhaseState:
@@ -179,46 +185,40 @@ class DistributedSimulator:
 
         # -- precomputed hot-path indices (the vectorization) ----------
         block = operator.block_spec
-        self._slices: list[slice] = [block.slice(c) for c in range(n)]
+        dim = operator.dim
+        self._slices: list[slice] = list(block.slices())
         elem_idx = [np.arange(s.start, s.stop, dtype=np.intp) for s in self._slices]
         self._own_comps: list[np.ndarray] = []
         self._own_elems: list[np.ndarray] = []
         self._own_sizes: list[np.ndarray] = []
+        # Selectors of each processor's owned (elements, components)
+        # and of the pieces of its remote elements: basic slices when
+        # the owned components are one gap-free range (every registry
+        # partition), index arrays otherwise.
         self._own_sel: list[tuple[slice | np.ndarray, slice | np.ndarray]] = []
-        self._remote_comps: list[np.ndarray] = []
-        self._remote_elems: list[np.ndarray] = []
+        self._remote_sel: list[list[slice | np.ndarray]] = []
         self._dsts: list[list[tuple[int, ChannelState, str]]] = []
-        # Fan-out bursts: each sender's peer rows, and the apply policy
-        # they all share (None when they differ or there are no peers).
+        # Fan-out bursts: each sender's peer rows, and its outgoing
+        # channels when one constant arrival serves them all (None
+        # otherwise; see ChannelState.fan_out).
         self._peers: list[np.ndarray] = []
-        self._fan_apply: list[str | None] = []
+        self._fan: list[list[ChannelState] | None] = []
         self._rows = [np.array([d], dtype=np.intp) for d in range(P)]
         for pid, spec in enumerate(self.processors):
             oc = np.asarray(spec.components, dtype=np.intp)
-            rc = np.asarray(
-                [c for c in range(n) if c not in set(spec.components)], dtype=np.intp
-            )
             oe = np.concatenate([elem_idx[c] for c in oc])
             self._own_comps.append(oc)
-            self._remote_comps.append(rc)
             self._own_elems.append(oe)
             self._own_sizes.append(np.asarray([elem_idx[c].size for c in oc], dtype=np.intp))
-            # Components are sorted, so a gap-free range owns one
-            # contiguous element range: basic slices, no index arrays.
             if oc[-1] - oc[0] + 1 == oc.size:
-                self._own_sel.append(
-                    (
-                        slice(self._slices[oc[0]].start, self._slices[oc[-1]].stop),
-                        slice(int(oc[0]), int(oc[-1]) + 1),
-                    )
-                )
+                lo, hi = self._slices[oc[0]].start, self._slices[oc[-1]].stop
+                c_lo, c_hi = int(oc[0]), int(oc[-1]) + 1
+                self._own_sel.append((slice(lo, hi), slice(c_lo, c_hi)))
+                pieces = [slice(0, lo), slice(hi, dim)]
+                self._remote_sel.append([p for p in pieces if p.start < p.stop])
             else:
                 self._own_sel.append((oe, oc))
-            self._remote_elems.append(
-                np.concatenate([elem_idx[c] for c in rc])
-                if rc.size
-                else np.empty(0, dtype=np.intp)
-            )
+                self._remote_sel.append([np.setdiff1d(np.arange(dim), oe)])
             dsts = [
                 (d, self._channels[(pid, d)], self._channels[(pid, d)].spec.apply)
                 for d in range(P)
@@ -226,8 +226,8 @@ class DistributedSimulator:
             ]
             self._dsts.append(dsts)
             self._peers.append(np.asarray([d for d, _, _ in dsts], dtype=np.intp))
-            policies = {a for _, _, a in dsts}
-            self._fan_apply.append(policies.pop() if len(policies) == 1 else None)
+            chans = [c for _, c, _ in dsts]
+            self._fan.append(chans if ChannelState.one_arrival(chans) else None)
 
         if reference is None:
             reference = operator.fixed_point()
@@ -245,7 +245,7 @@ class DistributedSimulator:
         max_iterations: int = 10_000,
         max_time: float = float("inf"),
         tol: float = 0.0,
-        residual_every: int = 10,
+        residual_every: int = RESIDUAL_EVERY,
         record_messages: bool = True,
         sink: TraceStore | None = None,
     ) -> SimulationResult:
@@ -266,7 +266,7 @@ class DistributedSimulator:
         P = len(self.processors)
         n = self.operator.n_components
         slices = self._slices
-        apply_block = self.operator.apply_block
+        sweep = self.operator.gauss_seidel
 
         # Per-processor local state: row ``p`` is processor p's view
         # and the labels of the values it holds.
@@ -274,6 +274,9 @@ class DistributedSimulator:
         view_labels = np.zeros((P, n), dtype=np.int64)
         phase_states: list[_PhaseState | None] = [None] * P
         phase_counts = [0] * P
+        # Each processor's label for its own components: all of them
+        # commit together, so one number (its last commit, 0 before).
+        own_label = [0] * P
 
         # Fault layer: per-run state with its own seed streams.  All
         # hooks below hide behind `fstate is not None`, so fault-free
@@ -284,10 +287,10 @@ class DistributedSimulator:
         )
         fates_active = fstate is not None and fstate.affects_channels
         down = np.zeros(P, dtype=bool)
+        n_down = 0
 
         # Global committed state (owner-authoritative).
         global_x = x0.copy()
-        global_labels = np.zeros(n, dtype=np.int64)
 
         builder = resolve_sink(sink, n, owners=self._owners.copy())
         track_err = self.reference is not None
@@ -323,28 +326,44 @@ class DistributedSimulator:
                 heappush(heap, (crash_at, next(seq), "crash", (pid, state.index, rejoin_at)))
 
         def send_burst(
-            pid: int, snapshot: np.ndarray, labels_arr: np.ndarray, t: float, partial: bool
+            pid: int, snapshot: np.ndarray, payload: np.ndarray, label: int,
+            t: float, partial: bool,
         ) -> None:
             """Send every owned component of ``pid`` to all peers at once.
 
-            One channel batch per destination computes all arrival
-            times.  When every destination's arrival is one scalar time
-            and all share one apply policy, the whole burst is a single
-            ``bmsg`` heap event fanned out to all peer rows; otherwise
-            each destination whose messages arrive together gets a
-            one-row ``bmsg`` and the rest get per-component events.
-            The ``bmsg`` events share one payload copy.  Channel draw order,
-            message-log order and heap ordering semantics are identical
-            to per-component sends (bursts occupy a contiguous
-            sequence-number window, batches to different destinations
-            commute, and the per-destination component order is
-            preserved inside each batch).
+            ``payload`` holds the owned elements, frozen at send time.
+            A sender whose channels pass ``ChannelState.one_arrival``
+            computes the burst's arrival once and pushes one ``bmsg``
+            fanned out to all peer rows, unless message fates are on.
+            Otherwise each channel draws its arrivals: a destination
+            whose messages arrive together gets a one-row ``bmsg``, the
+            rest per-component events.  The ``bmsg`` events share the
+            payload.  Channel draw order, message-log order and heap
+            ordering semantics are identical to per-component sends
+            (bursts occupy a contiguous sequence-number window, batches
+            to different destinations commute, and the per-destination
+            component order is preserved inside each batch).
             """
             comps = self.processors[pid].components
             m = len(comps)
             dsts = self._dsts[pid]
-            # A float entry means "all m messages arrive at exactly
-            # this time" (constant-latency fast path, no array work).
+            fan = self._fan[pid]
+            if fan is not None and not fates_active:
+                arrival = ChannelState.fan_out(fan, t, m)
+                if record_messages:
+                    for c in comps:
+                        for dst, _, _ in dsts:
+                            messages.append(
+                                MessageRecord(pid, dst, c, label, t, arrival, partial)
+                            )
+                # Each channel is lossless with one constant latency, so
+                # a peer receives this sender's bursts in send order,
+                # whose labels never decrease (commits count up, and a
+                # partial carries the last commit's label): every tag
+                # check would pass, and "overwrite" applies the same.
+                event = (self._peers[pid], pid, payload, label, partial, "overwrite")
+                heappush(heap, (arrival, next(seq), "bmsg", event))
+                return
             arrs = [chan.delivery_times(t, m) for _, chan, _ in dsts]
             if fates_active:
                 # Per-message fault fates on each (src, dst) pair: one
@@ -367,36 +386,15 @@ class DistributedSimulator:
                 arrs = faulted
             if record_messages:
                 for i, c in enumerate(comps):
-                    label_i = int(labels_arr[i])
                     for di, (dst, _, _) in enumerate(dsts):
                         arr = arrs[di]
                         a = arr if isinstance(arr, float) else arr[i]
                         messages.append(
                             MessageRecord(
-                                pid, dst, c, label_i, t,
+                                pid, dst, c, label, t,
                                 None if a != a else float(a), partial,
                             )
                         )
-            fan_apply = self._fan_apply[pid]
-            if fan_apply is not None:
-                first = arrs[0]
-                if type(first) is float and all(
-                    type(a) is float and a == first for a in arrs
-                ):
-                    heappush(
-                        heap,
-                        (
-                            first,
-                            next(seq),
-                            "bmsg",
-                            (
-                                self._peers[pid], pid, snapshot[self._own_elems[pid]],
-                                labels_arr, partial, fan_apply,
-                            ),
-                        ),
-                    )
-                    return
-            payload: np.ndarray | None = None
             percomp: dict[int, np.ndarray] = {}
             for di, (dst, _, apply_policy) in enumerate(dsts):
                 arr = arrs[di]
@@ -419,21 +417,18 @@ class DistributedSimulator:
                                     float(a),
                                     next(seq),
                                     "msg",
-                                    (dst, c, value, int(labels_arr[i]), partial, apply_policy),
+                                    (dst, c, value, label, partial, apply_policy),
                                 ),
                             )
                         continue
                     arrival = float(first)
-                if payload is None:
-                    # Fancy indexing already materializes a fresh array.
-                    payload = snapshot[self._own_elems[pid]]
                 heappush(
                     heap,
                     (
                         arrival,
                         next(seq),
                         "bmsg",
-                        (self._rows[dst], pid, payload, labels_arr, partial, apply_policy),
+                        (self._rows[dst], pid, payload, label, partial, apply_policy),
                     ),
                 )
 
@@ -476,11 +471,11 @@ class DistributedSimulator:
                 # vectorized scatter.  The components are distinct and
                 # so are the rows, so the per-message apply rules
                 # commute and batching preserves semantics.
-                rows, src, bpayload, labels_arr, partial, apply_policy = payload
-                if fstate is not None:
+                rows, src, bpayload, label, partial, apply_policy = payload
+                if n_down:
                     gone = down[rows]
                     if gone.any():
-                        fstate.log.downtime_drops += len(labels_arr) * int(
+                        fstate.log.downtime_drops += len(self._own_comps[src]) * int(
                             np.count_nonzero(gone)
                         )
                         rows = rows[~gone]
@@ -490,13 +485,13 @@ class DistributedSimulator:
                 r = rows if type(esel) is slice else rows[:, None]
                 if apply_policy == "overwrite":
                     views[r, esel] = bpayload
-                    view_labels[r, csel] = labels_arr
+                    view_labels[r, csel] = label
                     continue
                 cur = view_labels[r, csel]
-                mask = (labels_arr >= cur) if partial else (labels_arr > cur)
+                mask = (label >= cur) if partial else (label > cur)
                 if mask.all():
                     views[r, esel] = bpayload
-                    view_labels[r, csel] = labels_arr
+                    view_labels[r, csel] = label
                     continue
                 # Some stale components: apply the rule row by row.
                 ocomps = self._own_comps[src]
@@ -504,11 +499,11 @@ class DistributedSimulator:
                 for dst, dmask in zip(rows, mask):
                     if dmask.all():
                         views[dst, oelems] = bpayload
-                        view_labels[dst, ocomps] = labels_arr
+                        view_labels[dst, ocomps] = label
                     elif dmask.any():
                         emask = np.repeat(dmask, self._own_sizes[src])
                         views[dst, oelems[emask]] = bpayload[emask]
-                        view_labels[dst, ocomps[dmask]] = labels_arr[dmask]
+                        view_labels[dst, ocomps[dmask]] = label
                 continue
 
             if kind == "crash":
@@ -521,6 +516,7 @@ class DistributedSimulator:
                     continue
                 phase_states[pid] = None
                 down[pid] = True
+                n_down += 1
                 fstate.log.crashes += 1
                 fstate.log.record("crash", t, pid)
                 heappush(heap, (rejoin_at, next(seq), "repair", (pid,)))
@@ -528,6 +524,7 @@ class DistributedSimulator:
             if kind == "repair":
                 (pid,) = payload
                 down[pid] = False
+                n_down -= 1
                 fstate.log.repairs += 1
                 fstate.log.record("repair", t, pid)
                 # Restart from the (stale) local view — newer peer
@@ -543,29 +540,26 @@ class DistributedSimulator:
             state.steps_done += 1
             k = state.steps_done
 
+            snap = state.snapshot
+            esel, csel = self._own_sel[pid]
             if ps.refresh_reads and k > 1:
-                # Pull fresher remote data into the working snapshot:
-                # one gather/scatter over the precomputed remote-element
-                # index instead of a per-component Python loop.
-                relems = self._remote_elems[pid]
-                rcomps = self._remote_comps[pid]
-                state.snapshot[relems] = views[pid, relems]
-                state.min_labels[rcomps] = np.minimum(
-                    state.min_labels[rcomps], view_labels[pid, rcomps]
-                )
+                # Pull fresher remote data into the working snapshot,
+                # one piece of the owned range's complement at a time.
+                # The minimum may run over the whole label row: the
+                # owned labels change only at the commit ending a phase.
+                for piece in self._remote_sel[pid]:
+                    snap[piece] = views[pid, piece]
+                np.minimum(state.min_labels, view_labels[pid], out=state.min_labels)
 
             # One inner iteration on the owned components (Gauss-Seidel
             # within the phase: later components see earlier updates).
-            snap = state.snapshot
-            for c in ps.components:
-                snap[slices[c]] = apply_block(snap, c)
+            sweep(snap, ps.components)
 
             if k < ps.inner_steps:
                 if ps.publish_partials:
                     t_pub = state.start + k * state.duration / ps.inner_steps
-                    # Fancy indexing copies, so the labels the burst
-                    # carries are frozen at publish time.
-                    send_burst(pid, snap, view_labels[pid, self._own_comps[pid]], t_pub, True)
+                    # Later inner steps rewrite the snapshot: copy.
+                    send_burst(pid, snap, snap[esel].copy(), own_label[pid], t_pub, True)
                 heappush(
                     heap,
                     (
@@ -581,14 +575,14 @@ class DistributedSimulator:
             iteration += 1
             j = iteration
             end = state.start + state.duration
-            oelems = self._own_elems[pid]
-            ocomps = self._own_comps[pid]
-            committed = snap[oelems]
-            views[pid, oelems] = committed
-            view_labels[pid, ocomps] = j
-            global_x[oelems] = committed
-            global_labels[ocomps] = j
-            send_burst(pid, snap, np.full(len(ps.components), j, dtype=np.int64), end, False)
+            # Nothing writes this snapshot again, so with a slice the
+            # committed values stay a view of it.
+            committed = snap[esel]
+            views[pid, esel] = committed
+            view_labels[pid, csel] = j
+            global_x[esel] = committed
+            own_label[pid] = j
+            send_burst(pid, snap, committed, j, end, False)
             phases.append(
                 PhaseRecord(
                     processor=pid,

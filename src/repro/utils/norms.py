@@ -59,6 +59,7 @@ class BlockSpec:
     sizes: tuple[int, ...]
     _starts: np.ndarray = field(init=False, repr=False, compare=False)
     _slices: tuple[slice, ...] = field(init=False, repr=False, compare=False)
+    _scalar: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.sizes) == 0:
@@ -73,6 +74,7 @@ class BlockSpec:
         object.__setattr__(
             self, "_slices", tuple(map(slice, bounds[:-1], bounds[1:]))
         )
+        object.__setattr__(self, "_scalar", bounds[-1] == len(sizes))
 
     # -- constructors ------------------------------------------------
     @staticmethod
@@ -105,7 +107,7 @@ class BlockSpec:
     @property
     def is_scalar(self) -> bool:
         """True when every block has size one."""
-        return self.dim == self.n_blocks
+        return self._scalar
 
     def slice(self, i: int) -> slice:
         """The index slice of block ``i``."""

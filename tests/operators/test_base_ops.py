@@ -94,3 +94,48 @@ class TestDampedOperatorExtra:
         expanding = AffineOperator(2.0 * np.eye(2), np.zeros(2))
         op = DampedOperator(expanding, 0.5)
         assert op.contraction_factor() is None
+
+
+def _sweep_operators():
+    """One operator per ``gauss_seidel`` implementation the simulator runs."""
+    from repro.operators.linear import jacobi_operator
+    from repro.problems.linear_system import random_dominant_system
+    from repro.scenarios.registry import make_problem
+
+    M, c = random_dominant_system(12, seed=3)
+    scalar = jacobi_operator(M, c)
+    return {
+        "affine-scalar": scalar,
+        "affine-fortran": AffineOperator(np.asfortranarray(scalar.A), scalar.b),
+        "affine-dim-1": AffineOperator(np.array([[0.25]]), np.array([-0.0])),
+        "affine-block": jacobi_operator(M, c, BlockSpec((3, 1, 4, 2, 2))),
+        "forward-backward": make_problem("lasso", 4, n_samples=30, n_features=9),
+        "damped": DampedOperator(scalar, 0.6),
+        "composed": ComposedOperator(scalar, jacobi_operator(M.T, c)),
+    }
+
+
+class TestGaussSeidelSweep:
+    """``gauss_seidel`` is the ``apply_block`` loop, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(_sweep_operators()))
+    def test_sweep_equals_apply_block_loop(self, name, rng):
+        op = _sweep_operators()[name]
+        n = op.n_components
+        orders = [tuple(range(n)), tuple(rng.permutation(n)[: max(1, n // 2)].tolist())]
+        for blocks in orders:
+            x = rng.standard_normal(op.dim)
+            want = x.copy()
+            # Two sweeps, so the second reads the rows the first cached.
+            for _ in range(2):
+                op.gauss_seidel(x, blocks)
+                for i in blocks:
+                    want[op.block_spec.slice(i)] = op.apply_block(want, i)
+                assert x.tobytes() == want.tobytes()
+
+    def test_later_blocks_see_earlier_updates(self):
+        # x1 <- x0 + 1 reads the x0 the same sweep just wrote.
+        op = AffineOperator(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([2.0, 1.0]))
+        x = np.zeros(2)
+        op.gauss_seidel(x, (0, 1))
+        assert x.tolist() == [2.0, 3.0]

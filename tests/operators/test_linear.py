@@ -159,6 +159,9 @@ class TestJacobiBatch:
         # More operators than one LAPACK sub-stack holds.
         assert self.B > _ANALYSIS_STACK_BYTES // (8 * self.N * self.N)
         ops = make_jacobi_batch(self.N, seeds=list(range(self.B)))
+        # The batch build leaves the caches to the executor, which fills
+        # them once it admits the group.
+        AffineOperator.precompute_batch(ops)
         for seed, op in enumerate(ops):
             solo = jacobi_operator(*random_dominant_system(self.N, seed=seed))
             solo.contraction_factor()

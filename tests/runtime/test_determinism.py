@@ -11,7 +11,10 @@ layers of protection:
    lossy reordering, overwrite out-of-order, flexible communication);
 2. engine equivalence: vectorized and reference runs are compared
    field by field (labels, active sets, iterates, series, times,
-   messages) on the same regimes;
+   messages) on the same regimes, on regimes that reach each fan-out
+   branch and loop kernel, with the message log on and off, and on
+   seeded draws over the registry's problems, machines, faults and
+   topologies;
 3. stream equivalence: the batched channel/timing draws the vectorized
    engine relies on consume the RNG exactly like sequential draws.
 """
@@ -22,12 +25,15 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.operators.linear import jacobi_operator
 from repro.problems.linear_system import tridiagonal_system
 from repro.runtime.simulator import (
     ChannelSpec,
     ConstantTime,
+    CrashRestart,
     DistributedSimulator,
     ExponentialTime,
     ParetoTime,
@@ -37,6 +43,9 @@ from repro.runtime.simulator import (
 )
 from repro.runtime.simulator.channel import ChannelState
 from repro.runtime.simulator.timing import LinearGrowthTime
+from repro.scenarios.registry import REGISTRY, make_problem
+from repro.scenarios.spec import ScenarioSpec
+from repro.utils.norms import BlockSpec
 
 # Captured 2026-07-26 from the seed implementation (commit f53ece5),
 # BEFORE any engine change: python minor 3.11, numpy 2.4, linux x86-64.
@@ -94,15 +103,66 @@ FAN_REGIMES = ("noncontiguous", "overwrite_constant", "split_arrivals", "mixed_a
 #: the tag check must then keep the (fresher) partial.
 PARTIAL_REGIMES = ("partials_reordering",)
 
+#: Regimes that reach the vectorized loop's per-processor kernels: the
+#: Gauss-Seidel sweep of a block (non-scalar) affine operator and of a
+#: non-affine operator (the default ``apply_block`` loop), the one-arrival
+#: fan-out on non-FIFO constant latency and on a per-pair map of equal
+#: constant latencies, fan-outs while crashed processors are down, and a
+#: second ``run()`` on one instance, whose channels start from the FIFO
+#: state the first run left.
+KERNEL_REGIMES = (
+    "block_affine", "lasso_sweep", "nonfifo_constant", "pair_map_constant",
+    "crash_fan_out", "second_run",
+)
+
 
 def _make_operator(n: int = 16):
     M, c = tridiagonal_system(n, off_diag=-1.0, diag=2.3, seed=1)
     return jacobi_operator(M, c)
 
 
+def _flexible_procs(groups, inner_steps=3):
+    return [
+        ProcessorSpec(
+            components=comps,
+            compute_time=UniformTime(0.5, 1.5),
+            inner_steps=inner_steps,
+            publish_partials=True,
+            refresh_reads=True,
+        )
+        for comps in groups
+    ]
+
+
 def _build(regime: str, cls):
     op = _make_operator()
-    if regime == "fifo_constant":
+    faults = None
+    if regime == "block_affine":
+        M, c = tridiagonal_system(16, off_diag=-1.0, diag=2.3, seed=1)
+        op = jacobi_operator(M, c, BlockSpec((1, 2, 3, 2, 1, 3, 2, 2)))
+        procs = _flexible_procs([(0, 1), (2, 3), (4, 5), (6, 7)])
+        chan = ChannelSpec(latency=ConstantTime(0.2))
+    elif regime == "lasso_sweep":
+        op = make_problem("lasso", 5, n_samples=40, n_features=12)
+        procs = _flexible_procs([tuple(range(3 * i, 3 * i + 3)) for i in range(4)])
+        chan = ChannelSpec(latency=ConstantTime(0.2))
+    elif regime == "nonfifo_constant":
+        procs = _flexible_procs([(2 * i, 2 * i + 1) for i in range(8)], inner_steps=2)
+        chan = ChannelSpec(latency=ConstantTime(0.05), fifo=False)
+    elif regime == "pair_map_constant":
+        procs = [
+            ProcessorSpec(components=(2 * i, 2 * i + 1), compute_time=UniformTime(0.8, 1.2))
+            for i in range(8)
+        ]
+        chan = {
+            (s, d): ChannelSpec(latency=ConstantTime(0.05))
+            for s in range(8)
+            for d in range(8)
+            if s != d
+        }
+    elif regime in ("fifo_constant", "crash_fan_out"):
+        if regime == "crash_fan_out":
+            faults = CrashRestart(crash_rate=0.05, repair_mean=3.0, seed=7)
         procs = [
             ProcessorSpec(components=(2 * i, 2 * i + 1), compute_time=UniformTime(0.8, 1.2))
             for i in range(8)
@@ -122,17 +182,8 @@ def _build(regime: str, cls):
             for i in range(8)
         ]
         chan = ChannelSpec(latency=UniformTime(0.01, 0.3), fifo=False, apply="overwrite")
-    elif regime == "flexible":
-        procs = [
-            ProcessorSpec(
-                components=(4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3),
-                compute_time=UniformTime(0.5, 1.5),
-                inner_steps=3,
-                publish_partials=True,
-                refresh_reads=True,
-            )
-            for i in range(4)
-        ]
+    elif regime in ("flexible", "second_run"):
+        procs = _flexible_procs([tuple(range(4 * i, 4 * i + 4)) for i in range(4)])
         chan = ChannelSpec(latency=ConstantTime(0.2))
     elif regime == "noncontiguous":
         procs = [
@@ -183,14 +234,16 @@ def _build(regime: str, cls):
             }
     else:  # pragma: no cover - parametrization guards this
         raise ValueError(regime)
-    return cls(op, procs, channels=chan, seed=42)
+    return cls(op, procs, channels=chan, seed=42, faults=faults)
 
 
-def _run(regime: str, cls):
+def _run(regime: str, cls, record_messages: bool = True):
     sim = _build(regime, cls)
-    return sim.run(
-        np.zeros(sim.operator.dim), max_iterations=400, tol=1e-10, residual_every=5
-    )
+    kw = dict(max_iterations=400, tol=1e-10, residual_every=5, record_messages=record_messages)
+    res = sim.run(np.zeros(sim.operator.dim), **kw)
+    if regime == "second_run":
+        res = sim.run(np.zeros(sim.operator.dim), **kw)
+    return res
 
 
 def _digest(res) -> str:
@@ -233,10 +286,21 @@ class TestGoldenTraces:
 class TestEngineEquivalence:
     """Field-by-field equality of vectorized and reference runs."""
 
-    @pytest.mark.parametrize("regime", REGIMES + FAN_REGIMES + PARTIAL_REGIMES)
+    ALL = REGIMES + FAN_REGIMES + PARTIAL_REGIMES + KERNEL_REGIMES
+
+    @pytest.mark.parametrize("regime", ALL)
     def test_bit_identical_results(self, regime):
-        a = _run(regime, DistributedSimulator)
-        b = _run(regime, ReferenceSimulator)
+        self._assert_identical(regime, record_messages=True)
+
+    @pytest.mark.parametrize("regime", ALL)
+    def test_bit_identical_without_message_log(self, regime):
+        """As the fleet runs the loop: no message records."""
+        self._assert_identical(regime, record_messages=False)
+
+    @staticmethod
+    def _assert_identical(regime: str, record_messages: bool) -> None:
+        a = _run(regime, DistributedSimulator, record_messages)
+        b = _run(regime, ReferenceSimulator, record_messages)
         assert np.array_equal(a.x, b.x)
         assert a.trace.active_sets == b.trace.active_sets
         assert np.array_equal(a.trace.labels, b.trace.labels)
@@ -460,6 +524,61 @@ class TestFaultGolden:
         assert _digest(res) == FAULT_GOLDEN["sha256"]
 
 
+#: Every registry problem at a size where draws stay cheap; each has at
+#: least 6 components, so up to 6 processors own one or more apiece.
+SMALL_SIM_PROBLEMS = {
+    "jacobi": {"n": 8},
+    "tridiagonal": {"n": 8},
+    "markov": {"n": 8},
+    "quadratic": {"n": 8},
+    "lasso": {"n_samples": 12, "n_features": 6},
+    "ridge": {"n_samples": 12, "n_features": 6},
+    "logistic": {"n_samples": 12, "n_features": 6},
+}
+
+
+def _same(a, b) -> bool:
+    return a == b or (a != a and b != b)
+
+
+class TestRegistryDifferential:
+    """Seeded draws over registry problems x machines x faults x
+    topologies: the vectorized loop equals the frozen reference on every
+    digest field and on ``info``, as the fleet runs them (no message log)."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        problem=st.sampled_from(sorted(SMALL_SIM_PROBLEMS)),
+        machine=st.sampled_from(REGISTRY.names("machine")),
+        fault=st.sampled_from(REGISTRY.names("fault")),
+        topology=st.sampled_from(REGISTRY.names("topology")),
+        n_processors=st.integers(1, 6),
+        max_iterations=st.integers(1, 80),
+        tol=st.sampled_from([0.0, 1e-3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_vectorized_equals_reference(
+        self, problem, machine, fault, topology, n_processors, max_iterations, tol, seed
+    ):
+        from dataclasses import replace
+
+        from repro.runtime.fleet import run_scenario
+        from repro.runtime.sweep_store import DIGEST_FIELDS
+
+        spec = ScenarioSpec(
+            problem=problem, problem_params=SMALL_SIM_PROBLEMS[problem],
+            kind="simulator", machine=machine,
+            machine_params={"n_processors": n_processors}, fault=fault,
+            topology=topology, max_iterations=max_iterations, tol=tol, seed=seed,
+        )
+        a = run_scenario(replace(spec, backend="vectorized"))
+        b = run_scenario(replace(spec, backend="reference"))
+        assert a.error is None and b.error is None, (a.error, b.error)
+        for name in DIGEST_FIELDS:
+            assert _same(getattr(a, name), getattr(b, name)), name
+        assert a.info == b.info
+
+
 class TestStreamEquivalence:
     """Batched draws consume the RNG exactly like sequential draws."""
 
@@ -506,3 +625,38 @@ class TestStreamEquivalence:
         assert a.messages_sent == b.messages_sent
         assert a.messages_dropped == b.messages_dropped
         assert a.rng.random() == b.rng.random()
+
+    @pytest.mark.parametrize("fifo", [True, False], ids=["fifo", "raw"])
+    def test_fan_out_equals_per_channel_calls(self, fifo):
+        """One arrival for all of a sender's channels, and every channel's
+        count and FIFO state where its own calls would leave them,
+        including a send earlier than the last arrival (a second run)."""
+        spec = ChannelSpec(latency=ConstantTime(0.05), fifo=fifo)
+        fan = [ChannelState(spec, np.random.default_rng(k)) for k in range(3)]
+        solo = [ChannelState(spec, np.random.default_rng(k)) for k in range(3)]
+        assert ChannelState.one_arrival(fan)
+        for send_time, count in ((0.0, 4), (9.0, 2), (1.5, 3), (1.5, 1)):
+            arrival = ChannelState.fan_out(fan, send_time, count)
+            for chan in solo:
+                assert chan.delivery_times(send_time, count) == arrival
+        for a, b in zip(fan, solo):
+            assert a.messages_sent == b.messages_sent
+            assert a._last_delivery_time == b._last_delivery_time
+            assert a.rng.random() == b.rng.random()
+
+    @pytest.mark.parametrize(
+        "specs",
+        [
+            [ChannelSpec(latency=ConstantTime(0.05)), ChannelSpec(latency=ConstantTime(0.3))],
+            [ChannelSpec(latency=ConstantTime(0.05)),
+             ChannelSpec(latency=ConstantTime(0.05), fifo=False)],
+            [ChannelSpec(latency=ConstantTime(0.05)),
+             ChannelSpec(latency=ConstantTime(0.05), apply="overwrite")],
+            [ChannelSpec(latency=ConstantTime(0.05), drop_prob=0.1)],
+            [ChannelSpec(latency=UniformTime(0.05, 0.05))],
+        ],
+        ids=["latency", "fifo", "apply", "lossy", "not-constant"],
+    )
+    def test_one_arrival_refuses(self, specs):
+        chans = [ChannelState(s, np.random.default_rng(0)) for s in specs]
+        assert not ChannelState.one_arrival(chans)
