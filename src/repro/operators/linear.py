@@ -336,8 +336,9 @@ def jacobi_operator_batch(
     bit for bit: the splitting ``A = -R / d``, ``b = c / d`` is purely
     elementwise (exact under stacking).  The lazy analysis caches stay
     empty: the batched executor fills them through
-    :meth:`AffineOperator.precompute_batch` once it has admitted the
-    group, so a refused group pays no LAPACK.  Validation happens once
+    :meth:`AffineOperator.precompute_batch` once it has built the
+    group's schedule, so a batch that raises before then pays no
+    LAPACK.  Validation happens once
     on the stack, so the per-instance constructor overhead a solo loop
     pays ``B`` times is paid once.
     """

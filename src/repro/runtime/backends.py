@@ -23,7 +23,11 @@ Built-in backends:
 ``vectorized`` / ``reference``
     The event-driven machine simulators — the production engine and the
     frozen seed oracle — where ``(S, L)`` is *induced* by simulated
-    processor/channel physics.
+    processor/channel physics.  The fleet batches groups of these
+    specs whose machine entry states ``shared`` (deterministic timing)
+    through :mod:`repro.runtime.simulator.batched`, bit-identical to
+    these loops; :func:`~repro.runtime.simulator.batched.batchable`
+    decides from the spec, and no backend name selects it.
 ``shared-memory``
     Real Hogwild-style threads on a shared NumPy iterate
     (:class:`~repro.runtime.shared_memory.SharedMemoryAsyncRunner`),
@@ -526,31 +530,6 @@ class ReferenceSimulatorBackend(_SimulatorBackend):
 
 
 @register_backend
-class BatchedLockstepBackend(_SimulatorBackend):
-    """The event loop, advertised to the fleet's batched fast path.
-
-    Solo execution delegates to the production event loop, so a single
-    scenario on this backend is *definitionally* bit-identical to
-    ``vectorized``.  What the name adds is intent: fleet chunks on this
-    backend route through the scenario-batched lockstep engine
-    (:mod:`repro.runtime.simulator.batched`), which replays the event
-    loop's schedule for whole ``(N, dim)`` populations whenever the
-    machine's timing is deterministic: per-processor constant compute
-    durations sharing a common base period (the homogeneous
-    ``lockstep`` archetype and the heterogeneous ``lockstep-tiered``
-    both qualify) with lossless constant latency below the fastest
-    phase — see :func:`~repro.runtime.simulator.batched.lockstep_plan`.
-    Machines outside that family still run — the batch detects them via
-    :class:`~repro.runtime.simulator.batched.LockstepIncompatible` and
-    falls back to this solo path, keeping the backend total over every
-    machine archetype like its siblings.
-    """
-
-    name = "batched-lockstep"
-    sim_cls = DistributedSimulator
-
-
-@register_backend
 class SharedMemoryBackend(ExecutionBackend):
     """Real Hogwild-style threads on a shared NumPy iterate.
 
@@ -574,7 +553,7 @@ class SharedMemoryBackend(ExecutionBackend):
             raise ValueError(
                 "the shared-memory backend runs real threads and cannot "
                 "honor a simulated fault model; use a simulator backend "
-                "(vectorized/reference/batched-lockstep) for fault scenarios"
+                "(vectorized/reference) for fault scenarios"
             )
         opts = request.options
         n_workers = opts.get("n_workers")

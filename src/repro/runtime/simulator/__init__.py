@@ -7,11 +7,7 @@ the mathematical engines produce, so every theoretical object
 measurable on simulated hardware runs.
 """
 
-from repro.runtime.simulator.batched import (
-    LockstepIncompatible,
-    batchable,
-    run_scenario_batch,
-)
+from repro.runtime.simulator.batched import batchable, run_scenario_batch
 from repro.runtime.simulator.channel import ChannelSpec, ChannelState
 from repro.runtime.simulator.engine import DistributedSimulator
 from repro.runtime.simulator.faults import (
@@ -60,7 +56,6 @@ __all__ = [
     "FaultState",
     "Limplock",
     "LinearGrowthTime",
-    "LockstepIncompatible",
     "LossyChannel",
     "MessageRecord",
     "ParetoTime",

@@ -19,14 +19,18 @@ and applies each block of ``S_j`` as one stacked call over the live rows.
   ``max_delay(J) + 1`` iterates when every delay model states a bound
   (:meth:`~repro.delays.base.DelayModel.max_delay`), all ``J + 1``
   otherwise.
-* **simulator-kind, lockstep-compatible machines** — machines whose
-  timing consumes no randomness (per-processor constant compute
-  durations sharing a common base period, constant lossless channel
-  latency below the fastest phase, single inner steps) induce a
-  value-independent event schedule.  A value-free replay of the event
-  loop's heap (:func:`_lockstep_schedule`) transcribes it once per
-  group into per-commit processors, times and snapshot labels; the
-  history is a ring as deep as the longest read-back.
+* **simulator-kind, ``vectorized`` or ``reference`` backend, a
+  ``shared`` machine, no fault, native topology** — a shared machine
+  entry's timing consumes no randomness (per-processor constant
+  compute durations sharing a common base period, constant lossless
+  channel latency below the fastest phase, single inner steps), so it
+  induces one value-independent event schedule.  A value-free replay
+  of the event loop's heap (:func:`_lockstep_schedule`) transcribes it
+  once per group into per-commit processors, times and snapshot
+  labels; the history is a ring as deep as the longest read-back.
+
+:func:`batchable` states this rule and is the only admission check:
+it reads the spec, so nothing is built to decide.
 
 Phase 2 pushes the remaining per-scenario floor out of the batch path:
 
@@ -36,10 +40,7 @@ Phase 2 pushes the remaining per-scenario floor out of the batch path:
   back to per-spec factories for families without a batched twin;
 * **shared models** — a steering, delay or machine registry entry
   that states ``shared`` (its factory draws nothing, its outputs depend
-  on ``j`` alone) builds one instance for the whole batch, and
-  ``lockstep_plan`` admits per-processor constant durations with a
-  common period (e.g. the ``lockstep-tiered`` archetype) instead of one
-  all-equal duration.
+  on ``j`` alone) builds one instance for the whole batch.
 
 Three invariants make the results *bit-identical* to solo runs:
 
@@ -82,9 +83,10 @@ Three invariants make the results *bit-identical* to solo runs:
 
 Batches are grouped by :attr:`ScenarioSpec.batch_key` (every spec
 field but the seed), so every member shares problem shape, model
-ingredients, backend, budget and tolerance.  Anything unbatchable — and
-any batch that raises mid-flight — falls back to the solo runner, so
-batching can change throughput but never results.
+ingredients, backend, budget and tolerance.  Specs that are not
+batchable run through the solo runner, and a batch that raises is
+rerun solo so each row carries its own error: batching can change
+throughput but never results.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -103,7 +105,6 @@ if TYPE_CHECKING:  # registry -> simulator package -> here: keep lazy
     from repro.scenarios.spec import ScenarioSpec
 
 __all__ = [
-    "LockstepIncompatible",
     "batchable",
     "construction_seconds",
     "run_scenario_batch",
@@ -118,10 +119,6 @@ _MAX_BATCH_BYTES = 64 * 2**20
 #: Raw delay label memory cap per engine group: its ``(sources, K, n)``
 #: int64 block holds ``K`` iterations of draws, as many as fit.
 _LABEL_BLOCK_BYTES = 128 * 2**10
-
-
-class LockstepIncompatible(ValueError):
-    """A machine description cannot be executed as deterministic lockstep rounds."""
 
 
 #: Cumulative wall seconds batches spent constructing problems, models,
@@ -152,23 +149,34 @@ def _spawn_seeds(spec: ScenarioSpec, count: int) -> "list[Any]":
 # ----------------------------------------------------------------------
 
 #: Simulator backends whose solo semantics the lockstep replay
-#: reproduces (the two event-loop twins and the batched front itself).
-_SIM_BACKENDS = ("vectorized", "reference", "batched-lockstep")
+#: reproduces (the two event-loop twins).
+_SIM_BACKENDS = ("vectorized", "reference")
 
 
 def batchable(spec: ScenarioSpec) -> bool:
-    """Whether ``spec`` is *eligible* for batched execution.
+    """Whether ``spec`` may run in a batch: the one admission rule.
 
-    Engine scenarios batch on the ``exact`` backend (the ``flexible``
-    engine draws backend-internal randomness per update and stays
-    solo).  Simulator scenarios are eligible on the event-loop
-    backends; whether their machine really is lockstep-compatible is
-    only decidable after building it, so that check happens inside the
-    batch (incompatible groups fall back to solo, once per group).
+    Read from the spec alone, so nothing is built to decide.  Engine
+    scenarios batch on the ``exact`` backend (the ``flexible`` engine
+    draws backend-internal randomness per update and stays solo).
+    Simulator scenarios batch on the event-loop backends when their
+    machine entry states ``shared`` (one value-free lockstep schedule
+    serves the group, see
+    :class:`~repro.scenarios.registry.RegistryEntry`), no fault
+    perturbs that schedule per scenario and no topology replaces the
+    machine's channels.
     """
     if spec.kind == "engine":
         return spec.backend == "exact"
-    return spec.backend in _SIM_BACKENDS
+    from repro.scenarios.registry import REGISTRY
+
+    return (
+        spec.backend in _SIM_BACKENDS
+        and spec.fault == "none"
+        and spec.topology == "native"
+        and spec.machine in REGISTRY.names("machine")  # unknown: solo's error
+        and REGISTRY.get("machine", spec.machine).shared
+    )
 
 
 def _group(specs: Sequence[ScenarioSpec]) -> "list[list[int]]":
@@ -192,11 +200,11 @@ def run_scenario_batch(
     """Execute a chunk of specs, batching homogeneous groups in lockstep.
 
     Results come back in input order and are bit-identical (per
-    scenario) to ``[solo(s) for s in specs]`` — groups of fewer than
-    two batchable specs, ineligible specs, and any group whose batch
-    raises run through ``solo`` (default
-    :func:`~repro.runtime.fleet.run_scenario`).  This is the unit the
-    fleet's chunk dispatch routes through one worker task.
+    scenario) to ``[solo(s) for s in specs]``.  Specs that are not
+    :func:`batchable` and groups of one run through ``solo`` (default
+    :func:`~repro.runtime.fleet.run_scenario`).  A batch that raises
+    is rerun solo, so each row gets its own error.  This is the unit
+    the fleet's chunk dispatch routes through one worker task.
     """
     if solo is None:
         from repro.runtime.fleet import run_scenario as solo  # type: ignore[no-redef]
@@ -208,7 +216,7 @@ def run_scenario_batch(
         if len(group) >= 2 and batchable(group[0]):
             try:
                 results = _run_batch(group)
-            except Exception:  # noqa: BLE001 - solo is the behavioural oracle
+            except Exception:  # noqa: BLE001 - solo captures each row's error
                 results = None
         if results is None:
             results = [solo(s) for s in group]
@@ -511,152 +519,22 @@ def _engine_schedule(specs: Sequence[ScenarioSpec], block: Any) -> _Schedule:
 # Lockstep machines: the schedule a deterministic machine induces
 # ----------------------------------------------------------------------
 
-#: Named in every ``lockstep_plan`` rejection so callers know what the
-#: fast path *does* admit next to what their machine violated.
-_ADMISSIBLE = (
-    "admissible for lockstep batching: ConstantTime compute (constant per "
-    "processor, every duration an integer multiple of a common base round "
-    "duration), single inner steps without partial publishing / read "
-    "refreshing / think time, and lossless ConstantTime channel latency "
-    "strictly below the fastest compute duration; a machine whose registry "
-    "entry states shared builds one plan per batch; fault injection and "
-    "topology overrides are excluded (fault='none', topology='native')"
-)
-
-
-class _LockstepPlan:
-    """Validated schedule structure of a lockstep-compatible machine."""
-
-    __slots__ = ("P", "components", "computes", "latencies", "n_peers")
-
-    def __init__(
-        self,
-        P: int,
-        components: "list[tuple[int, ...]]",
-        computes: "list[float]",
-        latencies: "dict[tuple[int, int], float]",
-        n_peers: int,
-    ) -> None:
-        self.P = P
-        self.components = components
-        self.computes = computes
-        self.latencies = latencies
-        self.n_peers = n_peers
-
-    @property
-    def compute(self) -> float:
-        """The base round duration (fastest processor's phase length)."""
-        return min(self.computes)
-
-    def matches(self, other: "_LockstepPlan") -> bool:
-        return (
-            self.components == other.components
-            and self.computes == other.computes
-            and self.latencies == other.latencies
-        )
-
-
-def lockstep_plan(processors: "Sequence[Any]", channels: Any) -> _LockstepPlan:
-    """Validate that a machine induces a deterministic lockstep schedule.
-
-    Requirements (each named on failure, alongside the admissible
-    alternatives): every processor computes in :class:`ConstantTime` —
-    durations may differ per processor but must all be integer
-    multiples of the fastest one (the common base period) — with a
-    single inner step and no partial publishing, read refreshing or
-    think time; every channel is lossless :class:`ConstantTime` latency
-    strictly below the base period.  Under these, the event schedule is
-    value- and RNG-independent: commit order, commit times and message
-    arrivals are fixed by the durations alone, so one value-free replay
-    of the event loop (:func:`_lockstep_schedule`) serves every
-    scenario in the batch.
-    """
-    from repro.runtime.simulator.channel import ChannelSpec
-    from repro.runtime.simulator.timing import ConstantTime
-
-    if not processors:
-        raise LockstepIncompatible("lockstep needs at least one processor")
-    computes: list[float] = []
-    for pid, ps in enumerate(processors):
-        if type(ps.compute_time) is not ConstantTime:
-            raise LockstepIncompatible(
-                f"processor {pid} compute_time must be ConstantTime, got "
-                f"{type(ps.compute_time).__name__}; {_ADMISSIBLE}"
-            )
-        computes.append(float(ps.compute_time.value))
-        if ps.inner_steps != 1:
-            raise LockstepIncompatible(
-                f"processor {pid} inner_steps must be 1, got {ps.inner_steps}; "
-                f"{_ADMISSIBLE}"
-            )
-        if ps.publish_partials or ps.refresh_reads:
-            raise LockstepIncompatible(
-                f"processor {pid} uses flexible communication "
-                f"(publish_partials/refresh_reads); {_ADMISSIBLE}"
-            )
-        if ps.think_time is not None:
-            raise LockstepIncompatible(
-                f"processor {pid} has think_time; {_ADMISSIBLE}"
-            )
-    base = min(computes)
-    if base <= 0.0:
-        raise LockstepIncompatible(
-            f"compute durations must be positive, got {base}; {_ADMISSIBLE}"
-        )
-    for pid, c in enumerate(computes):
-        ratio = c / base
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise LockstepIncompatible(
-                f"processor {pid} compute_time {c} is not an integer multiple "
-                f"of the base round duration {base}; {_ADMISSIBLE}"
-            )
-
-    P = len(processors)
-    if isinstance(channels, ChannelSpec) or channels is None:
-        pair_specs = {
-            (s, d): (channels if channels is not None else ChannelSpec())
-            for s in range(P) for d in range(P) if s != d
-        }
-    else:
-        fallback = ChannelSpec()
-        pair_specs = {
-            (s, d): channels.get((s, d), fallback)
-            for s in range(P) for d in range(P) if s != d
-        }
-    latencies: dict[tuple[int, int], float] = {}
-    for pair, cs in pair_specs.items():
-        if type(cs.latency) is not ConstantTime:
-            raise LockstepIncompatible(
-                f"channel {pair} latency must be ConstantTime, got "
-                f"{type(cs.latency).__name__}; {_ADMISSIBLE}"
-            )
-        if cs.drop_prob != 0.0:
-            raise LockstepIncompatible(
-                f"channel {pair} has drop_prob {cs.drop_prob}; {_ADMISSIBLE}"
-            )
-        if not cs.latency.value < base:
-            raise LockstepIncompatible(
-                f"channel {pair} latency {cs.latency.value} must be strictly "
-                f"below the base round duration {base}; {_ADMISSIBLE}"
-            )
-        latencies[pair] = float(cs.latency.value)
-    return _LockstepPlan(
-        P, [tuple(ps.components) for ps in processors], computes, latencies, P - 1
-    )
-
-
 def _lockstep_schedule(
-    plan: _LockstepPlan, max_iterations: int
+    computes: "list[float]",
+    latency: "dict[tuple[int, int], float]",
+    max_iterations: int,
 ) -> "tuple[list[int], np.ndarray, np.ndarray]":
     """Value-free replay of :meth:`DistributedSimulator.run`'s event loop.
 
     Follows the heap mechanics — priming in pid order, ``(t, seq)``
     tie-breaking, identical float time arithmetic (``start +
-    duration``, ``end + latency``) — for a machine admitted by
-    :func:`lockstep_plan`, whose schedule is value-independent.  It
-    pushes one delivery per destination, in ascending-destination order
-    before the next phase start, where the loop pushes one fan-out
-    event for all destinations a burst reaches at one instant.  The two
+    duration``, ``end + latency``) — for a lockstep machine, whose
+    processor ``p`` computes in ``computes[p]`` per phase and whose
+    pair ``(p, q)`` delivers in ``latency[p, q]``, so its schedule is
+    value-independent.  It pushes one delivery per destination, in
+    ascending-destination order before the next phase start, where the
+    loop pushes one fan-out event for all destinations a burst reaches
+    at one instant.  The two
     are equivalent: the per-destination deliveries of one burst share
     that instant and a contiguous window of sequence numbers, so no
     other event pops between them, and they update distinct views, so
@@ -676,7 +554,7 @@ def _lockstep_schedule(
     commit ``j = max_iterations`` (tolerance stops are per scenario and
     earlier; value-independence makes the schedule prefix identical).
     """
-    P = plan.P
+    P = len(computes)
     heap: "list[tuple[float, int, int, int, int]]" = []
     seq = itertools.count()
     heappush = heapq.heappush
@@ -691,7 +569,7 @@ def _lockstep_schedule(
     # of src's phase, otherwise a burst from src carrying its commit.
     def start_phase(pid: int, t: float) -> None:
         held[pid] = view[pid][:]
-        heappush(heap, (t + plan.computes[pid], next(seq), -1, pid, 0))
+        heappush(heap, (t + computes[pid], next(seq), -1, pid, 0))
 
     for pid in range(P):
         start_phase(pid, 0.0)
@@ -709,9 +587,7 @@ def _lockstep_schedule(
         view[pid][pid] = j
         for dst in range(P):
             if dst != pid:
-                heappush(
-                    heap, (t + plan.latencies[(pid, dst)], next(seq), dst, pid, j)
-                )
+                heappush(heap, (t + latency[pid, dst], next(seq), dst, pid, j))
         if j >= max_iterations:
             break
         start_phase(pid, t)
@@ -719,54 +595,56 @@ def _lockstep_schedule(
 
 
 def _machine_schedule(specs: Sequence[ScenarioSpec], block: Any) -> _Schedule:
-    """The schedule a lockstep-compatible machine induces.
+    """The schedule a lockstep machine induces.
+
+    :func:`batchable` admits only machines whose registry entry states
+    ``shared``, which for a machine states one value-free lockstep
+    schedule (see :class:`~repro.scenarios.registry.RegistryEntry`;
+    ``tests/scenarios/test_model_contract.py`` checks each such entry).
+    So the head spec's machine is built once, and its durations, owned
+    components and per-pair latencies are read directly.
 
     Commit ``j`` of :func:`_lockstep_schedule` updates its processor's
     components, Gauss-Seidel, from the labels its phase snapshot held,
     mapped to elements through the component owners.  The history is
     a ring as deep as any commit's longest read-back (see
-    :func:`_ring_depth`).  A machine whose
-    registry entry states ``shared`` is built and planned once for the
-    batch.  Message counts follow ``DistributedSimulator.run`` with the
-    fleet's options: every commit sends one message per owned component
-    to each peer.
+    :func:`_ring_depth`).  Message counts follow
+    ``DistributedSimulator.run`` with the fleet's options: every commit
+    sends one message per owned component to each peer.
     """
+    from repro.runtime.simulator.channel import ChannelSpec
     from repro.scenarios import registry
 
     head = specs[0]
     n = block.n_blocks
-    share_machine = registry.entry("machine", head.machine).shared
-    plans: list[_LockstepPlan] = []
-    for spec in specs:
-        if share_machine and plans:
-            plans.append(plans[0])
-        else:
-            procs, channels = registry.make_machine(
-                spec.machine, n, _spawn_seeds(spec, 4)[3], **spec.machine_params
-            )
-            plans.append(lockstep_plan(procs, channels))
-    plan = plans[0]
-    if not all(pl.matches(plan) for pl in plans[1:]):
-        raise LockstepIncompatible("batch group mixes machine shapes")
-    if sorted(c for comps in plan.components for c in comps) != list(range(n)):
-        raise LockstepIncompatible(
-            f"processor components must partition the {n} components"
-        )
+    procs, channels = registry.make_machine(
+        head.machine, n, _spawn_seeds(head, 4)[3], **head.machine_params
+    )
+    P = len(procs)
+    components = [tuple(p.components) for p in procs]
+    # A single ChannelSpec (or None) serves every pair, as in the loop.
+    default = channels if isinstance(channels, ChannelSpec) else ChannelSpec()
+    pairs = channels if isinstance(channels, Mapping) else {}
+    latency = {
+        (s, d): pairs.get((s, d), default).latency.value
+        for s in range(P) for d in range(P) if s != d
+    }
     comp_owner = np.empty(n, dtype=np.intp)
-    for pid, comps in enumerate(plan.components):
+    for pid, comps in enumerate(components):
         comp_owner[list(comps)] = pid
     owner = comp_owner[_comp_of_elem(block, block.dim)]
 
-    pids, times, labels = _lockstep_schedule(plan, head.max_iterations)
+    pids, times, labels = _lockstep_schedule(
+        [p.compute_time.value for p in procs], latency, head.max_iterations
+    )
     J = len(pids)
     depth = _ring_depth(J, int((np.arange(1, J + 1) - labels.min(axis=1)).max()))
     label_slots = labels % depth
-    components = plan.components
 
     def step(j: int, rows: np.ndarray) -> "tuple[np.ndarray, Any, Any]":
         return label_slots[j - 1][owner][None, :], components[pids[j - 1]], None
 
-    sent = np.array([plan.n_peers * len(c) for c in components], dtype=np.int64)
+    sent = np.array([(P - 1) * len(c) for c in components], dtype=np.int64)
     return _Schedule(
         J, depth, step,
         gauss_seidel=True,
@@ -794,13 +672,9 @@ def _run_batch(specs: Sequence[ScenarioSpec]) -> "list[Any]":
     stops (tolerance or budget) freezes at its own ``j`` while the rest
     continue down the shared schedule.
 
-    Fault-bearing and topology groups are rejected by name before
-    anything is built: injected crashes, limping and message fates
-    perturb the event schedule per scenario, so the whole premise of
-    one shared value-free replay fails.  The rejection is a
-    :class:`LockstepIncompatible` naming the offending spec and the
-    admissible alternative, and :func:`run_scenario_batch` routes the
-    group through the solo event loop — which executes faults exactly.
+    Only :func:`batchable` groups come here.  Whatever raises (a
+    factory rejecting its params, a model breaking its contract)
+    propagates, and :func:`run_scenario_batch` reruns the group solo.
     """
     from repro.runtime.fleet import ScenarioResult
 
@@ -808,20 +682,6 @@ def _run_batch(specs: Sequence[ScenarioSpec]) -> "list[Any]":
     t0 = time.perf_counter()
     B = len(specs)
     head = specs[0]
-    # batch_key puts fault/topology in the group identity, so the head
-    # speaks for every member.
-    if head.fault != "none":
-        raise LockstepIncompatible(
-            f"scenario {head.key!r} injects fault {head.fault!r}: fault "
-            "events (crashes, limping, message fates) make the event "
-            f"schedule scenario-dependent; {_ADMISSIBLE}"
-        )
-    if head.topology != "native":
-        raise LockstepIncompatible(
-            f"scenario {head.key!r} overrides channels with topology "
-            f"{head.topology!r}, which the shared value-free schedule "
-            f"replay does not model; {_ADMISSIBLE}"
-        )
     tol = head.tol
 
     ops = _build_problems(specs)
@@ -829,7 +689,7 @@ def _run_batch(specs: Sequence[ScenarioSpec]) -> "list[Any]":
     dim = ops[0].dim
     for op in ops[1:]:
         if op.dim != dim or op.n_components != n:
-            raise LockstepIncompatible(
+            raise ValueError(
                 "operators in one batch group must share their shape; got "
                 f"dim {op.dim} vs {dim}"
             )

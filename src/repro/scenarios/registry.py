@@ -147,7 +147,14 @@ class RegistryEntry:
     sets, delays, machine timings), so one instance serves every
     scenario of a batch.  It is a fact about the entry, not the class:
     a :class:`BaudetSqrtDelay` is deterministic, but its factory draws
-    the slow set from the seed.
+    the slow set from the seed.  For a machine it states one
+    value-free schedule: every processor computes in a
+    :class:`ConstantTime`, an integer multiple of the fastest, with one
+    inner step and no partial publishing, read refreshing or think
+    time, and every channel is lossless with a :class:`ConstantTime`
+    latency below the fastest phase.  The batched executor admits a
+    simulator group on this statement alone and replays the head
+    spec's machine for all of it.
     """
 
     kind: str
@@ -681,9 +688,10 @@ def _machine_lockstep_tiered(n: int, seed: Any, *, n_processors: int = 4,
     phase — constant per processor, all durations integer multiples of
     the common period ``compute`` — and channels deliver in a constant
     ``latency`` below the fastest phase.  The schedule stays value- and
-    RNG-independent, so the batched engine's relaxed ``lockstep_plan``
-    admits it (see :mod:`repro.runtime.simulator.batched`), yet slow
-    tiers commit genuinely stale reads like a real straggler cluster.
+    RNG-independent, so the entry states ``shared`` and the batched
+    engine replays it (see :mod:`repro.runtime.simulator.batched`), yet
+    slow tiers commit genuinely stale reads like a real straggler
+    cluster.
     """
     if tiers < 1:
         raise ValueError(f"tiers must be >= 1, got {tiers}")

@@ -5,8 +5,9 @@ advanced as ``(N, dim)`` populations by
 :mod:`repro.runtime.simulator.batched` produce results **bit-identical
 per scenario** to solo execution — engine batches against the exact
 backend, simulator batches against both event-loop twins — while
-anything the batch cannot take (stochastic machine timing, mixed
-shapes) falls back to solo without surfacing an error.
+anything :func:`batchable` does not admit (stochastic machine timing,
+faults, topologies) runs solo, and a batch that raises is rerun solo so
+each row carries its own error.
 """
 
 from __future__ import annotations
@@ -17,14 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.runtime.backends import available_backends
 from repro.runtime.fleet import run_fleet, run_scenario
-from repro.runtime.simulator.batched import (
-    LockstepIncompatible,
-    _group,
-    batchable,
-    lockstep_plan,
-    run_scenario_batch,
-)
+from repro.runtime.simulator.batched import _group, batchable, run_scenario_batch
 from repro.scenarios.registry import REGISTRY
 from repro.scenarios.spec import ScenarioSpec
 
@@ -134,7 +130,7 @@ class TestEligibility:
         assert not batchable(spec)
 
     def test_simulator_event_loop_backends_batch(self):
-        for backend in ("vectorized", "reference", "batched-lockstep"):
+        for backend in ("vectorized", "reference"):
             assert batchable(sim_specs(backend=backend, count=1)[0]), backend
 
     def test_shared_memory_stays_solo(self):
@@ -143,8 +139,41 @@ class TestEligibility:
         )
         assert not batchable(spec)
 
+    def test_admitted_simulator_set(self):
+        # Every machine entry, with no fault or one, on its native
+        # channels or one topology, on every machine-kind backend: the
+        # batch takes exactly the lockstep machines on the event loops.
+        admitted = set()
+        for machine in REGISTRY.names("machine"):
+            for fault, fault_params in (("none", {}), ("crash-restart", {})):
+                for topology in ("native", "ring"):
+                    for backend in available_backends("machine"):
+                        spec = ScenarioSpec(
+                            problem="jacobi", kind="simulator", machine=machine,
+                            fault=fault, fault_params=fault_params,
+                            topology=topology, backend=backend,
+                        )
+                        if batchable(spec):
+                            admitted.add((machine, fault, topology, backend))
+        assert admitted == {
+            (machine, "none", "native", backend)
+            for machine in ("lockstep", "lockstep-tiered")
+            for backend in ("vectorized", "reference")
+        }
+        assert {
+            backend for backend in available_backends("model")
+            if batchable(ScenarioSpec(problem="jacobi", backend=backend))
+        } == {"exact"}
 
-#: Batchable base specs (less the seed) for the batch-key tests.
+    def test_unknown_machine_runs_solo(self):
+        # Admission cannot raise: the solo row reports the bad name.
+        spec, = sim_specs(machine="no-such-machine", count=1)
+        assert not batchable(spec)
+        batch = run_scenario_batch([spec, dataclasses.replace(spec, seed=1)])
+        assert all("no-such-machine" in r.error for r in batch)
+
+
+#: Base specs (less the seed) for the batch-key tests.
 KEY_BASES = {
     "engine": dict(
         problem="jacobi", problem_params={"n": 6},
@@ -152,6 +181,13 @@ KEY_BASES = {
         delays="uniform", delay_params={"bound": 3},
         max_iterations=40, tol=1e-6,
     ),
+    "lockstep": dict(
+        problem="jacobi", problem_params={"n": 8}, kind="simulator",
+        machine="lockstep", machine_params={"latency": 0.05},
+        max_iterations=40, tol=1e-6,
+    ),
+    # Not batchable (a fault and a topology): it varies the fault and
+    # topology fields, which no batchable spec sets.
     "simulator": dict(
         problem="jacobi", problem_params={"n": 8}, kind="simulator",
         machine="uniform", machine_params={"latency": 0.05},
@@ -170,13 +206,13 @@ KEY_VARIANTS = {
     "steering_params": ("engine", {"p": 0.5}),
     "delays": ("engine", "out-of-order"),
     "delay_params": ("engine", {"bound": 4}),
-    "machine": ("simulator", "heterogeneous"),
-    "machine_params": ("simulator", {"latency": 0.1}),
+    "machine": ("lockstep", "lockstep-tiered"),
+    "machine_params": ("lockstep", {"latency": 0.1}),
     "fault": ("simulator", "chaos"),
     "fault_params": ("simulator", {"drop_prob": 0.1}),
     "topology": ("simulator", "clique"),
     "topology_params": ("simulator", {"latency": 0.1}),
-    "backend": ("simulator", "reference"),
+    "backend": ("lockstep", "reference"),
     "max_iterations": ("engine", 41),
     "tol": ("engine", 1e-2),
 }
@@ -196,12 +232,19 @@ class TestBatchKey:
         # added to ScenarioSpec without a variant here fails this test.
         fields = {f.name for f in dataclasses.fields(ScenarioSpec)} - {"seed"}
         assert set(KEY_VARIANTS) == fields
+        grouped = set()
         for name, (base, value) in KEY_VARIANTS.items():
             kw = KEY_BASES[base]
             a, b = (ScenarioSpec(**kw, seed=seed) for seed in (1, 2))
             other = ScenarioSpec(**{**kw, name: value}, seed=3)
-            assert batchable(other), name
-            assert _group([a, other, b]) == [[0, 2], [1]], name
+            assert a.batch_key == b.batch_key != other.batch_key, name
+            if batchable(a) and batchable(other):
+                assert _group([a, other, b]) == [[0, 2], [1]], name
+                grouped.add(name)
+        # Every field a batchable spec can vary is also split by _group.
+        assert grouped == set(KEY_VARIANTS) - {
+            "kind", "fault", "fault_params", "topology", "topology_params",
+        }
 
     def test_mixed_tolerances_match_solo(self):
         # The same three seeds at two tolerances: one batch would stop
@@ -308,8 +351,7 @@ class TestEngineBatchBitIdentity:
 
 
 class TestLockstepBatchBitIdentity:
-    @pytest.mark.parametrize("backend", ["vectorized", "reference",
-                                         "batched-lockstep"])
+    @pytest.mark.parametrize("backend", ["vectorized", "reference"])
     def test_event_loop_twins(self, backend):
         assert_batched_identical(sim_specs(backend=backend))
 
@@ -357,8 +399,8 @@ class TestLockstepBatchBitIdentity:
                                    "phases_completed"}
 
     def test_incompatible_machine_falls_back_to_solo(self):
-        # Stochastic timing cannot run as lockstep rounds; the group
-        # must fall back to solo execution and still match it.
+        # Stochastic timing cannot run as lockstep rounds: the group is
+        # not batchable, runs solo and still matches it.
         specs = sim_specs(machine="uniform")
         batch = run_scenario_batch(specs)
         assert all(r.error is None for r in batch)
@@ -366,72 +408,8 @@ class TestLockstepBatchBitIdentity:
 
 
 class TestLockstepPlanValidation:
-    def _procs(self, **overrides):
-        from repro.runtime.simulator import ConstantTime, ProcessorSpec
-
-        kw = dict(components=(0,), compute_time=ConstantTime(1.0))
-        kw.update(overrides)
-        return [ProcessorSpec(**kw), ProcessorSpec(components=(1,),
-                                                   compute_time=ConstantTime(1.0))]
-
-    def test_accepts_lockstep_archetype(self):
-        from repro.scenarios.registry import make_machine
-
-        procs, channels = make_machine("lockstep", 8, seed=0)
-        plan = lockstep_plan(procs, channels)
-        assert plan.P == 4 and plan.compute == 1.0
-
-    def test_rejects_stochastic_compute(self):
-        from repro.runtime.simulator import UniformTime
-
-        procs = self._procs(compute_time=UniformTime(0.5, 1.5))
-        with pytest.raises(LockstepIncompatible, match="processor 0 compute_time"):
-            lockstep_plan(procs, None)
-
-    def test_rejects_incommensurate_round_durations(self):
-        from repro.runtime.simulator import ConstantTime
-
-        procs = self._procs(compute_time=ConstantTime(1.5))
-        with pytest.raises(LockstepIncompatible, match="round duration"):
-            lockstep_plan(procs, None)
-
-    def test_admits_integer_multiple_round_durations(self):
-        from repro.runtime.simulator import ConstantTime
-
-        procs = self._procs(compute_time=ConstantTime(2.0))
-        plan = lockstep_plan(procs, None)
-        assert plan.compute == 1.0 and plan.computes == [2.0, 1.0]
-
-    def test_rejection_names_offender_and_admissible_alternatives(self):
-        from repro.runtime.simulator import ChannelSpec, ConstantTime, UniformTime
-
-        with pytest.raises(LockstepIncompatible) as exc:
-            lockstep_plan(self._procs(compute_time=UniformTime(0.5, 1.5)), None)
-        msg = str(exc.value)
-        assert "processor 0" in msg  # the offender
-        assert "admissible" in msg and "ConstantTime" in msg  # the alternatives
-
-        with pytest.raises(LockstepIncompatible) as exc:
-            lockstep_plan(self._procs(), ChannelSpec(latency=ConstantTime(1.0)))
-        msg = str(exc.value)
-        assert "channel (0, 1)" in msg
-        assert "admissible" in msg and "strictly below" in msg
-
-    def test_rejects_latency_at_or_above_round(self):
-        from repro.runtime.simulator import ChannelSpec, ConstantTime
-
-        with pytest.raises(LockstepIncompatible, match="latency"):
-            lockstep_plan(self._procs(),
-                          ChannelSpec(latency=ConstantTime(1.0)))
-
-    def test_rejects_lossy_channels(self):
-        from repro.runtime.simulator import ChannelSpec, ConstantTime
-
-        with pytest.raises(LockstepIncompatible, match="drop_prob"):
-            lockstep_plan(
-                self._procs(),
-                ChannelSpec(latency=ConstantTime(0.1), drop_prob=0.5),
-            )
+    """The lockstep factory validates its own timing: no code checks a
+    built machine at run time (the registry contract does, in tests)."""
 
     def test_lockstep_archetype_validates_latency(self):
         from repro.scenarios.registry import make_machine
@@ -462,8 +440,9 @@ class TestFleetRouting:
         assert solo.digest() == GOLDEN_DIGEST
 
     def test_crashing_spec_is_isolated(self):
-        # One bad grid point cannot sink its chunk: the group falls
-        # back to solo and the crash is captured per scenario.
+        # One bad grid point cannot sink its chunk: its steering params
+        # and budget put it in a group of its own, which runs solo, and
+        # the crash is captured per scenario.
         good = engine_specs(count=2)
         bad = ScenarioSpec(
             problem="jacobi", problem_params={"n": 6},
@@ -478,6 +457,48 @@ class TestFleetRouting:
 GOLDEN_DIGEST = (
     "e4dc637b7241b9d4a78b62f71aa9456af99027e7fd40c56aad093e126c048035"
 )
+
+
+class TestBatchErrors:
+    """An admitted group whose batch raises is rerun solo: one error
+    row per spec, each equal to the solo row's."""
+
+    CASES = {
+        # The lockstep factory rejects latency >= compute.
+        "lockstep-latency": lambda: sim_specs(
+            machine_params={"latency": 2.0}, count=3
+        ),
+        # The cyclic steering factory takes no `k`.
+        "engine-steering-param": lambda: [
+            dataclasses.replace(s, steering_params={"k": 99})
+            for s in engine_specs(count=3)
+        ],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_error_rows_match_solo(self, case, monkeypatch):
+        from repro.runtime.simulator import batched
+
+        raised = []
+        run_batch = batched._run_batch
+
+        def spy(group):
+            try:
+                return run_batch(group)
+            except Exception as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(batched, "_run_batch", spy)
+        specs = self.CASES[case]()
+        assert _group(specs) == [[0, 1, 2]]
+        want = [run_scenario(s).error for s in specs]
+        assert all(want)
+        assert [r.error for r in run_scenario_batch(specs)] == want
+        fleet = run_fleet(specs, executor="serial")
+        assert [r.error for r in fleet.results] == want
+        # Both calls entered the batch, which raised what solo reports.
+        assert [repr(exc) for exc in raised] == want[:1] * 2
 
 
 class TestWidenedWhitelist:
@@ -510,16 +531,6 @@ class TestWidenedWhitelist:
                       machine_params={"tiers": 3, "latency": 0.02},
                       tol=0.0, max_iterations=33)
         )
-
-    def test_heterogeneous_plan_structure(self):
-        from repro.scenarios.registry import make_machine
-
-        procs, channels = make_machine(
-            "lockstep-tiered", 8, seed=0, tiers=2
-        )
-        plan = lockstep_plan(procs, channels)
-        assert plan.compute == min(plan.computes)
-        assert sorted(set(plan.computes)) == [1.0, 2.0]
 
 
 #: Small instances of the families the differential draws cover.
@@ -555,7 +566,9 @@ class TestDifferential:
 
     @settings(derandomize=True, deadline=None, max_examples=25)
     @given(
-        machine=st.sampled_from(["lockstep", "lockstep-tiered"]),
+        machine=st.sampled_from(
+            [e.name for e in REGISTRY.entries("machine") if e.shared]
+        ),
         n_processors=st.integers(1, 5),
         tiers=st.integers(1, 3),
         latency=st.sampled_from([0.01, 0.3, 0.9]),
@@ -567,7 +580,7 @@ class TestDifferential:
     def test_lockstep_draws(self, machine, n_processors, tiers, latency, problem,
                             max_iterations, tol, seed):
         params = {"n_processors": n_processors, "latency": latency}
-        if machine == "lockstep-tiered":
+        if "tiers" in REGISTRY.get("machine", machine).defaults:
             params["tiers"] = tiers
         assert_batched_identical([
             ScenarioSpec(problem=problem, problem_params=SMALL_PROBLEMS[problem],

@@ -14,9 +14,8 @@ The contracts this file pins:
 4. fault-log counters flow through ``ScenarioResult.info``, survive
    the strict-JSON round-trip and come back out of a packed
    :class:`~repro.runtime.sweep_store.SweepStore`;
-5. the batched lockstep engine rejects fault-bearing groups with a
-   *named* :class:`LockstepIncompatible` and the solo fallback still
-   executes the faults exactly;
+5. fault-bearing and topology groups are not :func:`batchable`: they
+   run solo, which executes their faults and channels exactly;
 6. a fault sweep killed midway and resumed reproduces the
    uninterrupted store digest bit for bit, on every executor.
 """
@@ -41,12 +40,12 @@ from repro.runtime.simulator import (
     CrashRestart,
     DistributedSimulator,
     Limplock,
-    LockstepIncompatible,
     LossyChannel,
     ProcessorSpec,
     ReferenceSimulator,
     ReorderingChannel,
     UniformTime,
+    batchable,
     run_scenario_batch,
 )
 from repro.runtime.simulator.faults import FaultState, max_staleness
@@ -236,7 +235,8 @@ class TestFaultInfoPersistence:
 
 
 class TestBatchedRejection:
-    """Fault-bearing lockstep groups are rejected by name, then run solo."""
+    """Fault-bearing and topology lockstep groups are not batchable: they
+    run solo, bit-identically."""
 
     def _lockstep_specs(self, fault="lossy-channel", n=3):
         return [
@@ -251,32 +251,19 @@ class TestBatchedRejection:
             for s in range(n)
         ]
 
-    def test_named_lockstep_incompatible(self):
-        from repro.runtime.simulator.batched import _run_batch
-
-        specs = self._lockstep_specs()
-        with pytest.raises(LockstepIncompatible) as exc:
-            _run_batch(specs)
-        msg = str(exc.value)
-        assert specs[0].key in msg  # names the offender
-        assert "admissible" in msg  # and the admissible alternatives
-
-    def test_topology_rejected_by_name(self):
-        from repro.runtime.simulator.batched import _run_batch
-
-        specs = [
+    def _ring_specs(self, n=3):
+        # Two hops take 1.2, longer than a phase, so the ring's schedule
+        # differs from the one the lockstep machine's own channels give.
+        return [
             _fault_spec(
                 machine="lockstep", machine_params={"n_processors": 4},
                 fault="none", fault_params={}, topology="ring",
-                topology_params={}, seed=s, max_iterations=120,
+                topology_params={"latency": 0.6}, seed=s, max_iterations=120,
             )
-            for s in range(3)
+            for s in range(n)
         ]
-        with pytest.raises(LockstepIncompatible, match="topology"):
-            _run_batch(specs)
 
-    def test_batch_falls_back_to_solo_bit_identically(self):
-        specs = self._lockstep_specs()
+    def _assert_solo_identical(self, specs):
         batch_results = run_scenario_batch(specs)
         solo_results = [run_scenario(s) for s in specs]
         for got, want in zip(batch_results, solo_results):
@@ -284,6 +271,19 @@ class TestBatchedRejection:
             assert got.iterations == want.iterations
             assert got.final_residual == want.final_residual
             assert got.info == want.info
+
+    def test_named_lockstep_incompatible(self):
+        # The fault name alone keeps a lockstep group out of the batch.
+        assert not any(batchable(s) for s in self._lockstep_specs())
+
+    def test_topology_rejected_by_name(self):
+        assert not any(batchable(s) for s in self._ring_specs())
+
+    def test_batch_falls_back_to_solo_bit_identically(self):
+        self._assert_solo_identical(self._lockstep_specs())
+
+    def test_topology_group_runs_solo_bit_identically(self):
+        self._assert_solo_identical(self._ring_specs())
 
 
 @pytest.mark.parametrize("executor", ("serial", "thread", "process"))

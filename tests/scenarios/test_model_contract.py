@@ -2,10 +2,13 @@
 
 Every steering, delay and machine entry states ``shared``: its factory
 draws nothing and what it builds depends on the iteration index alone,
-so the batched executor builds one instance for a whole batch.  Every
-delay model states ``max_delay(J)``, which sizes the engine batch's
-ring of iterates.  A wrong statement makes batched rows silently wrong,
-so each one is checked here over the whole registry.
+so the batched executor builds one instance for a whole batch.  For a
+machine, ``shared`` is also the batch's admission: the executor replays
+one value-free lockstep schedule for the group without checking the
+machine, so the timing that makes the replay exact is checked here.
+Every delay model states ``max_delay(J)``, which sizes the engine
+batch's ring of iterates.  A wrong statement makes batched rows
+silently wrong, so each one is checked here over the whole registry.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.delays.base import DelayModel
+from repro.runtime.simulator import ChannelSpec, ConstantTime
 from repro.scenarios.registry import REGISTRY
 
 N = 8
@@ -66,6 +70,55 @@ class TestShared:
         for model in durations:
             for k in range(1, self.J + 1):
                 assert model.sample(k, rngs[0]) == model.sample(k, rngs[1])
+
+
+#: Accepted params each shared machine is also checked at, restricted to
+#: the keys the entry takes.
+MACHINE_VARIANTS = (
+    {"n_processors": 1},
+    {"n_processors": 3, "compute": 2.0, "latency": 0.5},
+    {"n_processors": N, "latency": 0.9},
+    {"tiers": 3, "latency": 0.02},
+)
+
+
+def _machine_params(entry) -> list:
+    out = [dict(entry.defaults)]
+    for variant in MACHINE_VARIANTS:
+        params = {k: v for k, v in variant.items() if k in entry.defaults}
+        if params:
+            out.append({**entry.defaults, **params})
+    return out
+
+
+class TestSharedMachineSchedule:
+    """A ``shared`` machine induces one value-free lockstep schedule."""
+
+    @pytest.mark.parametrize("entry", _entries("machine", shared_only=True))
+    def test_lockstep_timing(self, entry):
+        for params in _machine_params(entry):
+            procs, channels = entry.build(N, np.random.SeedSequence(0), **params)
+            owned = sorted(c for p in procs for c in p.components)
+            assert owned == list(range(N)), params
+            for p in procs:
+                assert type(p.compute_time) is ConstantTime, params
+                assert p.inner_steps == 1, params
+                assert not (p.publish_partials or p.refresh_reads), params
+                assert p.think_time is None, params
+            computes = [p.compute_time.value for p in procs]
+            base = min(computes)
+            for c in computes:
+                assert abs(c / base - round(c / base)) <= 1e-9, (params, c)
+            # As the event loop reads channels: one spec for every pair,
+            # or a map whose missing pairs take the default spec.
+            default = channels if isinstance(channels, ChannelSpec) else ChannelSpec()
+            pairs = channels if isinstance(channels, dict) else {}
+            P = len(procs)
+            for pair in [(s, d) for s in range(P) for d in range(P) if s != d]:
+                cs = pairs.get(pair, default)
+                assert type(cs.latency) is ConstantTime, (params, pair)
+                assert cs.drop_prob == 0.0, (params, pair)
+                assert cs.latency.value < base, (params, pair)
 
 
 class TestMaxDelay:
