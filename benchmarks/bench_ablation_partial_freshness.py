@@ -1,6 +1,6 @@
 """ABLATION-PARTIALS — how fresh must partial updates be to pay off?
 
-The flexible engine's :class:`InterpolatedPartials` exposes two knobs:
+The Definition 3 partial model :class:`InterpolatedPartials` has two knobs:
 ``partial_prob`` (how often an exchanged value is a partial rather
 than the labelled iterate) and ``theta_range`` (how far toward fresh
 data the partial has advanced).  This ablation sweeps both on a fixed
@@ -16,7 +16,8 @@ import numpy as np
 
 from benchmarks._common import emit, once
 from repro.analysis.reporting import render_table
-from repro.core.flexible import FlexibleIterationEngine, InterpolatedPartials
+from repro.core.async_iteration import AsyncIterationEngine
+from repro.core.flexible import InterpolatedPartials
 from repro.delays.bounded import UniformRandomDelay
 from repro.operators.prox_gradient import ProxGradientOperator
 from repro.problems import make_lasso, make_regression
@@ -26,7 +27,7 @@ TOL = 1e-9
 
 
 def run_case(op, n, partial_prob, theta):
-    engine = FlexibleIterationEngine(
+    engine = AsyncIterationEngine(
         op,
         PermutationSweeps(n, seed=2),
         UniformRandomDelay(n, 8, seed=3),

@@ -16,7 +16,8 @@ import numpy as np
 
 from benchmarks._common import emit, once
 from repro.analysis.reporting import render_table
-from repro.core.flexible import FlexibleIterationEngine, InterpolatedPartials
+from repro.core.async_iteration import AsyncIterationEngine
+from repro.core.flexible import InterpolatedPartials
 from repro.delays.bounded import UniformRandomDelay
 from repro.operators.gradient import gradient_contraction_factor
 from repro.operators.prox_gradient import ProxGradientOperator
@@ -35,7 +36,7 @@ def run_sweep():
     for frac in (0.1, 0.25, 0.5, 0.75, 1.0, 1.2, 1.6):
         gamma = frac * gmax
         op = ProxGradientOperator(prob, gamma, strict_step=False)
-        engine = FlexibleIterationEngine(
+        engine = AsyncIterationEngine(
             op,
             PermutationSweeps(prob.dim, seed=2),
             UniformRandomDelay(prob.dim, 3, seed=3),

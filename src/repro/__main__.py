@@ -19,6 +19,7 @@ import subprocess
 import sys
 
 from repro import __version__
+from repro.dispatch import EXECUTORS, check_chunk_size
 from repro.experiments import EXPERIMENTS, benchmarks_dir
 
 
@@ -75,17 +76,14 @@ def _shard(value: str) -> tuple[int, int]:
 
 
 def _chunk_size(value: str) -> "int | str":
-    if value == "auto":
-        return "auto"
     try:
-        size = int(value)
+        size: "int | str" = int(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f'chunk size must be "auto" or a positive int, got {value!r}'
-        ) from None
-    if size < 1:
-        raise argparse.ArgumentTypeError(f"chunk size must be >= 1, got {size}")
-    return size
+        size = value  # "auto", or a word the rule refuses by name
+    try:
+        return check_chunk_size(size)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 # ----------------------------------------------------------------------
@@ -488,8 +486,7 @@ def main(argv: list[str] | None = None) -> int:
                             "kind's canonical backend")
     sweep.add_argument("--max-iterations", type=int, default=2000)
     sweep.add_argument("--tol", type=float, default=1e-8)
-    sweep.add_argument("--executor", choices=("auto", "serial", "thread", "process"),
-                       default="auto")
+    sweep.add_argument("--executor", choices=EXECUTORS, default="auto")
     sweep.add_argument("--workers", type=int, default=None, help="pool width cap")
     sweep.add_argument("--chunk-size", type=_chunk_size, default="auto",
                        metavar="N|auto",
@@ -548,7 +545,7 @@ def main(argv: list[str] | None = None) -> int:
                        help="override the config's [store] out directory")
     study.add_argument("--keep-traces", action="store_true",
                        help="override the config to persist realized traces")
-    study.add_argument("--executor", choices=("auto", "serial", "thread", "process"),
+    study.add_argument("--executor", choices=EXECUTORS,
                        default=None, help="override the config's executor")
     study.add_argument("--workers", type=int, default=None,
                        help="override the config's pool width cap")

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any, ClassVar, Mapping
 
 from repro.api.toml_io import dumps_toml, loads_toml
+from repro.dispatch import EXECUTORS, check_chunk_size
 from repro.runtime.fleet import METRIC_FIELDS
 from repro.scenarios import registry
 from repro.scenarios.spec import ScenarioGrid, ScenarioSpec, _canon
@@ -51,7 +52,6 @@ __all__ = [
 ]
 
 _KINDS = ("engine", "simulator")
-_EXECUTORS = ("auto", "serial", "thread", "process")
 
 #: ScenarioSpec fields a report may group by.
 _GROUPABLE = ("problem", "kind", "steering", "delays", "machine", "fault",
@@ -343,15 +343,13 @@ class ExecutionSpec:
     cache_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.executor not in _EXECUTORS:
+        if self.executor not in EXECUTORS:
             raise ValueError(
-                unknown_name_message("executor", self.executor, _EXECUTORS)
+                unknown_name_message("executor", self.executor, EXECUTORS)
             )
         if self.max_workers is not None and self.max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {self.max_workers}")
-        from repro.runtime.fleet import _check_chunk_size
-
-        _check_chunk_size(self.chunk_size)
+        check_chunk_size(self.chunk_size)
         if not isinstance(self.batch, bool):
             raise ValueError(f"batch must be a bool, got {self.batch!r}")
         if self.cache_dir is not None:

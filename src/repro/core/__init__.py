@@ -1,8 +1,10 @@
 """Core asynchronous-iteration machinery (the paper's contribution).
 
-* :mod:`repro.core.async_iteration` — Definition 1 executed exactly;
-* :mod:`repro.core.flexible` — Definition 3 with partial updates and
-  the constraint-(3) audit;
+* :mod:`repro.core.async_iteration` — Definitions 1 and 3 executed
+  exactly (Definition 3 given a partial-update model, with the
+  constraint-(3) audit);
+* :mod:`repro.core.flexible` — the partial-update models of
+  Definition 3;
 * :mod:`repro.core.macro` — Definition 2 macro-iteration sequences;
 * :mod:`repro.core.epochs` — the epoch sequence of [30] for comparison;
 * :mod:`repro.core.convergence` — Theorem 1 certificates;
@@ -22,13 +24,7 @@ from repro.core.convergence import (
     theorem1_certificate,
 )
 from repro.core.epochs import EpochSequence, epoch_sequence
-from repro.core.flexible import (
-    FlexibleIterationEngine,
-    FlexibleRunResult,
-    InterpolatedPartials,
-    LabelledValues,
-    PartialUpdateModel,
-)
+from repro.core.flexible import InterpolatedPartials, LabelledValues, PartialUpdateModel
 from repro.core.history import VectorHistory
 from repro.core.macro import MacroSequence, macro_sequence
 from repro.core.order_intervals import OrderIntervalEngine, OrderIntervalResult
@@ -50,8 +46,6 @@ __all__ = [
     "AsyncIterationEngine",
     "AsyncRunResult",
     "EpochSequence",
-    "FlexibleIterationEngine",
-    "FlexibleRunResult",
     "InterpolatedPartials",
     "IterationTrace",
     "LabelledValues",

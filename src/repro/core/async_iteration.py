@@ -1,4 +1,4 @@
-"""The asynchronous iteration engine — Definition 1 executed exactly.
+"""The asynchronous iteration engine — Definitions 1 and 3 executed exactly.
 
 Given an operator ``F``, an initial vector ``x(0)``, a steering policy
 ``S`` and a delay model ``L``, the engine produces the sequence
@@ -7,11 +7,16 @@ Given an operator ``F``, an initial vector ``x(0)``, a steering policy
     ``x_i(j) = x_i(j-1)                             otherwise``
 
 recording the full ``(S, L)`` trace for macro-iteration/epoch analysis
-and optional error/residual series.  This is the *mathematical* engine:
-global iterations are the serialization points and delays/steering are
-supplied as models.  The hardware-level counterpart that *generates*
-``(S, L)`` from processor and channel timing lives in
-:mod:`repro.runtime.simulator` and produces the same trace type.
+and optional error/residual series.  Given a
+:class:`~repro.core.flexible.PartialUpdateModel` it runs Definition 3
+instead: ``F_i`` reads the exchanged values ``x~_h(j)`` the model
+produces in place of the labelled iterates ``x_h(l_h(j))``, and the
+norm constraint (3) is audited whenever ``x*`` is known.  This is the
+*mathematical* engine: global iterations are the serialization points
+and delays/steering are supplied as models.  The hardware-level
+counterpart that *generates* ``(S, L)`` from processor and channel
+timing lives in :mod:`repro.runtime.simulator` and produces the same
+trace type.
 """
 
 from __future__ import annotations
@@ -21,11 +26,13 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.flexible import PartialUpdateModel
 from repro.core.history import VectorHistory
 from repro.core.trace import IterationTrace, TraceStore, resolve_sink
 from repro.delays.base import DelayModel
 from repro.operators.base import FixedPointOperator
 from repro.steering.base import SteeringPolicy
+from repro.utils.norms import block_euclidean_norms
 from repro.utils.validation import check_vector
 
 __all__ = ["AsyncRunResult", "AsyncIterationEngine"]
@@ -48,6 +55,14 @@ class AsyncRunResult:
         Number of global iterations performed.
     final_residual:
         Fixed-point residual ``||F(x) - x||_u`` at the final iterate.
+    constraint_checks:
+        Number of (iteration, component) pairs checked against (3);
+        zero unless a partial-update model ran with ``x*`` known.
+    constraint_violations:
+        How many checks failed.
+    worst_constraint_ratio:
+        Max observed ``||x~_h - x*_h||_h / (u_h ||x(l(j)) - x*||_u)``
+        (``<= 1`` means the constraint held everywhere).
     """
 
     x: np.ndarray
@@ -55,6 +70,9 @@ class AsyncRunResult:
     converged: bool
     iterations: int
     final_residual: float
+    constraint_checks: int = 0
+    constraint_violations: int = 0
+    worst_constraint_ratio: float = 0.0
 
     def final_error(self) -> float | None:
         """Final ``||x - x*||_u`` when the trace carries an error series."""
@@ -64,7 +82,7 @@ class AsyncRunResult:
 
 
 class AsyncIterationEngine:
-    """Driver for Definition 1 asynchronous iterations.
+    """Driver for Definition 1 and Definition 3 asynchronous iterations.
 
     Parameters
     ----------
@@ -74,6 +92,11 @@ class AsyncIterationEngine:
         Steering policy producing ``S_j``; component count must match.
     delays:
         Delay model producing ``l_i(j)``; component count must match.
+    partials:
+        ``None`` runs Definition 1: ``F`` reads the labelled iterates.
+        A :class:`~repro.core.flexible.PartialUpdateModel` runs
+        Definition 3: ``F`` reads its exchanged values, and the norm
+        constraint (3) is audited whenever ``x*`` is known.
     reference:
         Optional known fixed point ``x*`` for error tracking; defaults
         to ``operator.fixed_point()``.
@@ -87,6 +110,7 @@ class AsyncIterationEngine:
         operator: FixedPointOperator,
         steering: SteeringPolicy,
         delays: DelayModel,
+        partials: PartialUpdateModel | None = None,
         *,
         reference: np.ndarray | None = None,
         residual_every: int = 1,
@@ -105,6 +129,7 @@ class AsyncIterationEngine:
         self.operator = operator
         self.steering = steering
         self.delays = delays
+        self.partials = partials
         self.residual_every = int(residual_every)
         if reference is None:
             reference = operator.fixed_point()
@@ -135,8 +160,11 @@ class AsyncIterationEngine:
         x0 = check_vector(x0, "x0", dim=self.operator.dim)
         if max_iterations < 0:
             raise ValueError(f"max_iterations must be >= 0, got {max_iterations}")
+        partials = self.partials
         self.steering.reset()
         self.delays.reset()
+        if partials is not None:
+            partials.reset()
         norm = self.operator.norm()
         spec = self.operator.block_spec
         hist = VectorHistory(x0, spec)
@@ -144,21 +172,38 @@ class AsyncIterationEngine:
         if meta:
             builder.meta.update(meta)
 
-        err0 = norm(x0 - self.reference) if (track_errors and self.reference is not None) else None
+        track_err = track_errors and self.reference is not None
+        audit = partials is not None and self.reference is not None
+        err0 = norm(x0 - self.reference) if track_err else None
         res0 = self.operator.residual(x0) if track_residuals else None
         builder.record_initial(error=err0, residual=res0)
 
+        checks = violations = 0
+        worst_ratio = 0.0
         converged = False
         last_residual = res0 if res0 is not None else float("inf")
-        track_err = track_errors and self.reference is not None
 
         for j in range(1, max_iterations + 1):
             S = self.steering.active_set(j)
             if len(S) == 0:
                 raise RuntimeError(f"steering produced empty S_{j}")
             labels = self.delays.labels(j)
-            delayed = hist.assemble(labels)
-            updates = {i: self.operator.apply_block(delayed, i) for i in S}
+            if partials is None:
+                exchanged = hist.assemble(labels)
+            else:
+                exchanged = partials.values(hist, labels, j)
+            if audit:
+                # Constraint (3): ||x~_h - x*_h||_h / u_h <= ||x(l(j)) - x*||_u.
+                rhs = norm(hist.assemble(labels) - self.reference)
+                lhs = block_euclidean_norms(exchanged - self.reference, spec) / norm.weights
+                checks += spec.n_blocks
+                if rhs > 0:
+                    ratios = lhs / rhs
+                    worst_ratio = max(worst_ratio, float(np.max(ratios)))
+                    violations += int(np.sum(ratios > 1.0 + 1e-12))
+                else:
+                    violations += int(np.sum(lhs > 1e-12))
+            updates = {i: self.operator.apply_block(exchanged, i) for i in S}
             hist.commit(j, updates)
 
             err = norm(hist.current - self.reference) if track_err else None
@@ -185,4 +230,7 @@ class AsyncIterationEngine:
             converged=converged,
             iterations=hist.latest_label,
             final_residual=final_res,
+            constraint_checks=checks,
+            constraint_violations=violations,
+            worst_constraint_ratio=worst_ratio,
         )

@@ -1,6 +1,6 @@
-"""Asynchronous iterations with flexible communication — Definition 3.
+"""Partial-update models for flexible communication — Definition 3.
 
-The flexible engine generalizes Definition 1: the values fed to the
+Definition 3 generalizes Definition 1: the values fed to the
 approximate operator ``G`` need not be labelled iterates
 ``x_h(l_h(j))`` — they may be *partial updates* ``x~_h(j)`` (the
 hatched arrows of Figure 2), subject to the norm constraint (3):
@@ -11,38 +11,26 @@ In a running system partial updates come from inner iterative
 processes or partially transmitted buffers; at the mathematical level
 we model them as *interpolations between a delayed labelled value and
 a newer labelled value* of the same component — exactly the state a
-partially completed transmission/computation passes through.  The
-engine verifies constraint (3) a posteriori whenever ``x*`` is known
-and reports the violation statistics (contraction makes violations
-rare but they are possible; Theorem 1 assumes the constraint, it does
-not prove it for every partial-update generator).
+partially completed transmission/computation passes through.  Handed
+one of these models,
+:class:`~repro.core.async_iteration.AsyncIterationEngine` runs
+Definition 3 and verifies constraint (3) a posteriori whenever ``x*``
+is known (contraction makes violations rare but they are possible;
+Theorem 1 assumes the constraint, it does not prove it for every
+partial-update generator).
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
-from repro.core.async_iteration import AsyncRunResult
 from repro.core.history import VectorHistory
-from repro.core.trace import TraceStore, resolve_sink
-from repro.delays.base import DelayModel
-from repro.operators.base import FixedPointOperator
-from repro.steering.base import SteeringPolicy
-from repro.utils.norms import block_euclidean_norms
 from repro.utils.rng import as_generator
-from repro.utils.validation import check_probability, check_vector
+from repro.utils.validation import check_probability
 
-__all__ = [
-    "PartialUpdateModel",
-    "LabelledValues",
-    "InterpolatedPartials",
-    "FlexibleRunResult",
-    "FlexibleIterationEngine",
-]
+__all__ = ["PartialUpdateModel", "LabelledValues", "InterpolatedPartials"]
 
 
 class PartialUpdateModel(abc.ABC):
@@ -107,157 +95,3 @@ class InterpolatedPartials(PartialUpdateModel):
             theta = lo if hi == lo else float(self.rng.uniform(lo, hi))
             out[sl] = (1.0 - theta) * base + theta * fresh
         return out
-
-
-@dataclass(frozen=True)
-class FlexibleRunResult(AsyncRunResult):
-    """Async run result extended with constraint-(3) statistics.
-
-    Attributes
-    ----------
-    constraint_checks:
-        Number of (iteration, component) pairs checked against (3).
-    constraint_violations:
-        How many checks failed.
-    worst_constraint_ratio:
-        Max observed ``||x~_h - x*_h||_h / (u_h ||x(l(j)) - x*||_u)``
-        (``<= 1`` means the constraint held everywhere).
-    """
-
-    constraint_checks: int = 0
-    constraint_violations: int = 0
-    worst_constraint_ratio: float = 0.0
-
-
-class FlexibleIterationEngine:
-    """Driver for Definition 3 iterations with flexible communication.
-
-    Mirrors :class:`~repro.core.async_iteration.AsyncIterationEngine`
-    but routes the operator's inputs through a
-    :class:`PartialUpdateModel` and audits the norm constraint (3)
-    whenever a reference solution is available.
-    """
-
-    def __init__(
-        self,
-        operator: FixedPointOperator,
-        steering: SteeringPolicy,
-        delays: DelayModel,
-        partials: PartialUpdateModel | None = None,
-        *,
-        reference: np.ndarray | None = None,
-        residual_every: int = 1,
-    ) -> None:
-        n = operator.n_components
-        if steering.n_components != n:
-            raise ValueError(
-                f"steering has {steering.n_components} components, operator has {n}"
-            )
-        if delays.n_components != n:
-            raise ValueError(
-                f"delay model has {delays.n_components} components, operator has {n}"
-            )
-        if residual_every < 1:
-            raise ValueError(f"residual_every must be >= 1, got {residual_every}")
-        self.operator = operator
-        self.steering = steering
-        self.delays = delays
-        self.partials = partials if partials is not None else InterpolatedPartials()
-        self.residual_every = int(residual_every)
-        if reference is None:
-            reference = operator.fixed_point()
-        self.reference = (
-            None if reference is None else check_vector(reference, "reference", dim=operator.dim)
-        )
-
-    def run(
-        self,
-        x0: np.ndarray,
-        *,
-        max_iterations: int = 10_000,
-        tol: float = 1e-10,
-        track_errors: bool = True,
-        track_residuals: bool = True,
-        check_constraint: bool = True,
-        meta: dict[str, Any] | None = None,
-        sink: TraceStore | None = None,
-    ) -> FlexibleRunResult:
-        """Execute the flexible-communication iteration from ``x0``.
-
-        ``sink`` injects the trace store the run records into (see
-        :func:`repro.core.trace.resolve_sink`).
-        """
-        x0 = check_vector(x0, "x0", dim=self.operator.dim)
-        if max_iterations < 0:
-            raise ValueError(f"max_iterations must be >= 0, got {max_iterations}")
-        self.steering.reset()
-        self.delays.reset()
-        self.partials.reset()
-        norm = self.operator.norm()
-        spec = self.operator.block_spec
-        weights = norm.weights
-        hist = VectorHistory(x0, spec)
-        builder = resolve_sink(sink, spec.n_blocks)
-        if meta:
-            builder.meta.update(meta)
-
-        track_err = track_errors and self.reference is not None
-        audit = check_constraint and self.reference is not None
-        err0 = norm(x0 - self.reference) if track_err else None
-        res0 = self.operator.residual(x0) if track_residuals else None
-        builder.record_initial(error=err0, residual=res0)
-
-        checks = violations = 0
-        worst_ratio = 0.0
-        converged = False
-        last_residual = res0 if res0 is not None else float("inf")
-
-        for j in range(1, max_iterations + 1):
-            S = self.steering.active_set(j)
-            if len(S) == 0:
-                raise RuntimeError(f"steering produced empty S_{j}")
-            labels = self.delays.labels(j)
-            exchanged = self.partials.values(hist, labels, j)
-
-            if audit:
-                labelled = hist.assemble(labels)
-                rhs = norm(labelled - self.reference)
-                lhs = block_euclidean_norms(exchanged - self.reference, spec) / weights
-                checks += spec.n_blocks
-                if rhs > 0:
-                    ratios = lhs / rhs
-                    worst_ratio = max(worst_ratio, float(np.max(ratios)))
-                    violations += int(np.sum(ratios > 1.0 + 1e-12))
-                else:
-                    violations += int(np.sum(lhs > 1e-12))
-
-            updates = {i: self.operator.apply_block(exchanged, i) for i in S}
-            hist.commit(j, updates)
-
-            err = norm(hist.current - self.reference) if track_err else None
-            res: float | None = None
-            if track_residuals:
-                if j % self.residual_every == 0 or j == max_iterations:
-                    res = self.operator.residual(hist.current)
-                    last_residual = res
-                else:
-                    res = last_residual
-            builder.record(S, labels, error=err, residual=res)
-            if track_residuals and last_residual < tol:
-                converged = True
-                break
-
-        x_final = hist.current.copy()
-        final_res = self.operator.residual(x_final)
-        if not track_residuals and final_res < tol:
-            converged = True
-        return FlexibleRunResult(
-            x=x_final,
-            trace=builder.build(),
-            converged=converged,
-            iterations=hist.latest_label,
-            final_residual=final_res,
-            constraint_checks=checks,
-            constraint_violations=violations,
-            worst_constraint_ratio=worst_ratio,
-        )

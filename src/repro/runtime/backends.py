@@ -13,13 +13,12 @@ executed the iterations.
 
 Built-in backends:
 
-``exact``
-    The Definition 1 engine (:class:`~repro.core.async_iteration.AsyncIterationEngine`):
+``exact`` / ``flexible``
+    The mathematical engine
+    (:class:`~repro.core.async_iteration.AsyncIterationEngine`):
     ``S`` and ``L`` are *prescribed* models, global iterations are
-    serialization points.
-``flexible``
-    The Definition 3 engine with partial updates
-    (:class:`~repro.core.flexible.FlexibleIterationEngine`).
+    serialization points.  ``exact`` runs Definition 1; ``flexible``
+    runs Definition 3, handing the engine a partial-update model.
 ``vectorized`` / ``reference``
     The event-driven machine simulators — the production engine and the
     frozen seed oracle — where ``(S, L)`` is *induced* by simulated
@@ -54,7 +53,7 @@ from typing import Any, ClassVar, Mapping, Sequence
 import numpy as np
 
 from repro.core.async_iteration import AsyncIterationEngine
-from repro.core.flexible import FlexibleIterationEngine, InterpolatedPartials
+from repro.core.flexible import InterpolatedPartials, PartialUpdateModel
 from repro.core.replay import TraceReplayDelays, TraceReplaySteering
 from repro.core.trace import IterationTrace, TraceHandle, TraceStore, save_trace
 from repro.delays.base import DelayModel
@@ -372,11 +371,19 @@ def default_backend(kind: str) -> str:
 
 @register_backend
 class ExactBackend(ExecutionBackend):
-    """Definition 1 executed exactly by the mathematical engine."""
+    """Definition 1 executed exactly by the mathematical engine.
+
+    :class:`FlexibleBackend` reuses :meth:`execute` and differs only
+    in the partial-update model it hands the engine (:meth:`_partials`).
+    """
 
     name = "exact"
     kind = "model"
     requires = ("operator", "steering", "delays")
+
+    def _partials(self, request: ExecutionRequest) -> PartialUpdateModel | None:
+        """The engine's partial-update model; ``None`` runs Definition 1."""
+        return None
 
     def execute(self, request: ExecutionRequest) -> BackendRunResult:
         self.validate(request)
@@ -385,6 +392,7 @@ class ExactBackend(ExecutionBackend):
             request.operator,
             request.steering,
             request.delays,
+            self._partials(request),
             reference=request.reference,
             residual_every=int(opts.get("residual_every", 1)),
         )
@@ -399,6 +407,13 @@ class ExactBackend(ExecutionBackend):
             sink=sink,
         )
         trace, handle = _package_trace(request, res.trace, sink)
+        stats: dict[str, Any] = {}
+        if engine.partials is not None:
+            stats = {
+                "constraint_checks": res.constraint_checks,
+                "constraint_violations": res.constraint_violations,
+                "worst_constraint_ratio": res.worst_constraint_ratio,
+            }
         return BackendRunResult(
             x=res.x,
             trace=trace,
@@ -407,59 +422,27 @@ class ExactBackend(ExecutionBackend):
             final_residual=res.final_residual,
             final_time=None,
             trace_handle=handle,
+            stats=stats,
             raw=res,
         )
 
 
 @register_backend
-class FlexibleBackend(ExecutionBackend):
-    """Definition 3 engine: flexible communication with partial updates."""
+class FlexibleBackend(ExactBackend):
+    """Definition 3: the same engine, fed partial updates ``x~(j)``.
+
+    The model is ``options["partials"]``, else interpolated partials
+    drawn from ``request.seed``; the result's ``stats`` carry the
+    constraint-(3) audit.
+    """
 
     name = "flexible"
-    kind = "model"
-    requires = ("operator", "steering", "delays")
 
-    def execute(self, request: ExecutionRequest) -> BackendRunResult:
-        self.validate(request)
-        opts = request.options
-        partials = opts.get("partials")
+    def _partials(self, request: ExecutionRequest) -> PartialUpdateModel:
+        partials = request.options.get("partials")
         if partials is None:
             partials = InterpolatedPartials(seed=as_generator(request.seed))
-        engine = FlexibleIterationEngine(
-            request.operator,
-            request.steering,
-            request.delays,
-            partials,
-            reference=request.reference,
-            residual_every=int(opts.get("residual_every", 1)),
-        )
-        sink = _trace_sink(request)
-        res = engine.run(
-            request.x0,
-            max_iterations=request.max_iterations,
-            tol=request.tol,
-            track_errors=bool(opts.get("track_errors", True)),
-            track_residuals=bool(opts.get("track_residuals", True)),
-            check_constraint=bool(opts.get("check_constraint", True)),
-            meta=opts.get("meta"),
-            sink=sink,
-        )
-        trace, handle = _package_trace(request, res.trace, sink)
-        return BackendRunResult(
-            x=res.x,
-            trace=trace,
-            converged=res.converged,
-            iterations=res.iterations,
-            final_residual=res.final_residual,
-            final_time=None,
-            trace_handle=handle,
-            stats={
-                "constraint_checks": res.constraint_checks,
-                "constraint_violations": res.constraint_violations,
-                "worst_constraint_ratio": res.worst_constraint_ratio,
-            },
-            raw=res,
-        )
+        return partials
 
 
 # ----------------------------------------------------------------------

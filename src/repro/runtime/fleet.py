@@ -57,6 +57,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
+from repro.dispatch import EXECUTORS, check_chunk_size
 from repro.scenarios.spec import ScenarioSpec
 from repro.utils.serialization import json_safe, strict_finite
 
@@ -69,8 +70,6 @@ __all__ = [
     "run_fleet",
     "run_grid",
 ]
-
-_EXECUTORS = ("auto", "serial", "thread", "process")
 
 #: Environment variable naming the default cross-study result cache
 #: directory consulted by :func:`run_grid` when ``cache=`` is unset.
@@ -407,7 +406,7 @@ def run_scenario(
     """
     t0 = time.perf_counter()
     try:
-        result = _run_scenario_inner(
+        summary, _ = execute_scenario(
             spec, trace_dir=trace_dir, spill_dir=spill_dir,
             trace_chunk_size=trace_chunk_size,
         )
@@ -416,20 +415,6 @@ def run_scenario(
             key=spec.key, spec=spec, error=repr(exc),
             wall_time=time.perf_counter() - t0,
         )
-    return result
-
-
-def _run_scenario_inner(
-    spec: ScenarioSpec,
-    *,
-    trace_dir: "str | os.PathLike[str] | None" = None,
-    spill_dir: "str | os.PathLike[str] | None" = None,
-    trace_chunk_size: int | None = None,
-) -> ScenarioResult:
-    summary, _ = execute_scenario(
-        spec, trace_dir=trace_dir, spill_dir=spill_dir,
-        trace_chunk_size=trace_chunk_size,
-    )
     return summary
 
 
@@ -560,8 +545,8 @@ def execute_scenario(
 # ----------------------------------------------------------------------
 
 def _resolve_executor(executor: str, max_workers: int | None) -> tuple[str, int]:
-    if executor not in _EXECUTORS:
-        raise ValueError(f"executor must be one of {_EXECUTORS}, got {executor!r}")
+    if executor not in EXECUTORS:
+        raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
     # Same rule, same message as api.config.ExecutionSpec: a zero or
     # negative pool width is a caller error, not a request for 1.
     if max_workers is not None and max_workers < 1:
@@ -592,16 +577,6 @@ def _worker_init() -> None:
     import repro.analysis.rates  # noqa: F401
     import repro.runtime.backends  # noqa: F401
     import repro.scenarios.registry  # noqa: F401
-
-
-def _check_chunk_size(chunk_size: "int | str") -> "int | str":
-    if chunk_size == "auto":
-        return chunk_size
-    if isinstance(chunk_size, bool) or not isinstance(chunk_size, int):
-        raise ValueError(f'chunk_size must be "auto" or a positive int, got {chunk_size!r}')
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    return chunk_size
 
 
 def _spec_cost(spec: ScenarioSpec) -> float:
@@ -812,7 +787,7 @@ def run_fleet(
     """
     specs = list(scenarios)
     chosen, workers = _resolve_executor(executor, max_workers)
-    chunk_size = _check_chunk_size(chunk_size)
+    chunk_size = check_chunk_size(chunk_size)
     if chosen != "serial" and len(specs) <= 1:
         chosen = "serial"
     t0 = time.perf_counter()
@@ -1001,7 +976,7 @@ def run_grid(
     cache_store: SweepStore | None = _resolve_cache(cache, sweep, resume_store)
 
     chosen, workers = _resolve_executor(executor, max_workers)
-    chunk_size = _check_chunk_size(chunk_size)
+    chunk_size = check_chunk_size(chunk_size)
     t0 = time.perf_counter()
 
     # Lookup order: the resume store first (it is this sweep's own

@@ -296,7 +296,7 @@ class ScenarioSpec:
 
         In order: problem, steering, delays, machine, backend, fault,
         topology.  Stream 4 feeds backend-internal randomness (e.g. the
-        flexible engine's default partial-update model) so no backend
+        ``flexible`` backend's default partial-update model) so no backend
         ever shares a stream with an ingredient factory.  Spawning is
         prefix-stable, so adding the fault/topology children never
         perturbed the first five streams — pre-fault scenarios replay

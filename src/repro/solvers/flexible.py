@@ -1,7 +1,7 @@
 """Flexible-communication solver (Definitions 3/4 front-end, Theorem 1).
 
 Builds the Definition 4 operator ``G`` (prox, then fixed-step gradient)
-for a composite problem and runs the flexible engine with interpolated
+for a composite problem and runs it as Definition 3 with interpolated
 partial updates — the mathematical counterpart of the Figure 2
 schedule.  The result carries the constraint-(3) audit and enough trace
 for a Theorem 1 certificate.

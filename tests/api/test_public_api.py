@@ -45,6 +45,20 @@ class TestLazyExports:
         )
         assert out.stdout.strip() == "CLEAN"
 
+    def test_cli_info_stays_light(self):
+        # The CLI builds its whole parser, executor names and chunk-size
+        # rule included, before `info` runs; none of it may load the library.
+        code = (
+            "import sys; from repro.__main__ import main; main(['info']); "
+            "heavy = [m for m in ('numpy', 'repro.api', 'repro.runtime', 'repro.core', "
+            "'repro.solvers') if m in sys.modules]; "
+            "print(','.join(heavy) or 'CLEAN')"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip().splitlines()[-1] == "CLEAN"
+
     def test_studies_never_import_networkx(self):
         # Only FlowNetwork.is_connected uses networkx; importing the
         # package, resolving the backends and running studies must not

@@ -55,7 +55,7 @@ def count_runs(monkeypatch):
     """Keys of the scenarios actually executed (resume and cache hits skip).
 
     Executions happen through two routes: solo calls (via
-    ``_run_scenario_inner``) and batched groups (via
+    ``execute_scenario``) and batched groups (via
     ``run_scenario_batch``, which never reaches the solo plumbing).
     Both are counted; scenarios a batch hands back to the solo
     fallback are counted once, by the batch wrapper.
@@ -64,7 +64,7 @@ def count_runs(monkeypatch):
     import repro.runtime.simulator.batched as batched_mod
 
     calls: list[str] = []
-    inner = fleet_mod._run_scenario_inner
+    inner = fleet_mod.execute_scenario
     batch = batched_mod.run_scenario_batch
     in_batch = [False]
 
@@ -81,7 +81,7 @@ def count_runs(monkeypatch):
         finally:
             in_batch[0] = False
 
-    monkeypatch.setattr(fleet_mod, "_run_scenario_inner", counting)
+    monkeypatch.setattr(fleet_mod, "execute_scenario", counting)
     monkeypatch.setattr(batched_mod, "run_scenario_batch", counting_batch)
     return calls
 

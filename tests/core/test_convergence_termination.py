@@ -12,7 +12,7 @@ from repro.core.convergence import (
     theorem1_bound,
     theorem1_certificate,
 )
-from repro.core.flexible import FlexibleIterationEngine, InterpolatedPartials
+from repro.core.flexible import InterpolatedPartials
 from repro.core.macro import MacroSequence, macro_sequence
 from repro.core.termination import (
     MacroTerminationDetector,
@@ -67,7 +67,7 @@ class TestTheorem1Certificate:
     def test_bound_holds_on_flexible_run(self, lasso_setup):
         _, op = lasso_setup
         n = op.n_components
-        engine = FlexibleIterationEngine(
+        engine = AsyncIterationEngine(
             op,
             PermutationSweeps(n, seed=3),
             UniformRandomDelay(n, 3, seed=4),
@@ -85,7 +85,7 @@ class TestTheorem1Certificate:
         """The realized per-macro contraction should not be worse than 1-rho."""
         _, op = lasso_setup
         n = op.n_components
-        engine = FlexibleIterationEngine(
+        engine = AsyncIterationEngine(
             op,
             PermutationSweeps(n, seed=6),
             UniformRandomDelay(n, 2, seed=7),

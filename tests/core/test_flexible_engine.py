@@ -1,16 +1,12 @@
-"""Tests for the Definition 3 flexible-communication engine."""
+"""Tests for Definition 3: the engine run with a partial-update model."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.flexible import (
-    FlexibleIterationEngine,
-    InterpolatedPartials,
-    LabelledValues,
-)
 from repro.core.async_iteration import AsyncIterationEngine
+from repro.core.flexible import InterpolatedPartials, LabelledValues
 from repro.core.history import VectorHistory
 from repro.delays.bounded import UniformRandomDelay, ZeroDelay
 from repro.operators.prox_gradient import ProxGradientOperator
@@ -60,9 +56,9 @@ class TestPartialModels:
 
 class TestFlexibleEngine:
     def test_labelled_model_matches_plain_engine(self, small_jacobi):
-        """With LabelledValues the flexible engine IS Definition 1."""
+        """With LabelledValues the Definition 3 path IS Definition 1."""
         n = small_jacobi.n_components
-        flex = FlexibleIterationEngine(
+        flex = AsyncIterationEngine(
             small_jacobi,
             AllComponents(n),
             UniformRandomDelay(n, 3, seed=2),
@@ -77,7 +73,7 @@ class TestFlexibleEngine:
 
     def test_converges_with_partials(self, lasso_op):
         n = lasso_op.n_components
-        engine = FlexibleIterationEngine(
+        engine = AsyncIterationEngine(
             lasso_op,
             PermutationSweeps(n, seed=3),
             UniformRandomDelay(n, 4, seed=4),
@@ -90,7 +86,7 @@ class TestFlexibleEngine:
 
     def test_constraint_audit_counts(self, lasso_op):
         n = lasso_op.n_components
-        engine = FlexibleIterationEngine(
+        engine = AsyncIterationEngine(
             lasso_op,
             PermutationSweeps(n, seed=6),
             UniformRandomDelay(n, 4, seed=7),
@@ -105,7 +101,7 @@ class TestFlexibleEngine:
         """Plain labelled exchange can still 'violate' (3) only via
         per-component vs min-label asymmetry; ratio must stay modest."""
         n = lasso_op.n_components
-        engine = FlexibleIterationEngine(
+        engine = AsyncIterationEngine(
             lasso_op,
             PermutationSweeps(n, seed=9),
             ZeroDelay(n),
@@ -121,13 +117,13 @@ class TestFlexibleEngine:
         plain delayed iterations for the same configuration."""
         n = lasso_op.n_components
         common = dict(max_iterations=100_000, tol=1e-9)
-        plain = FlexibleIterationEngine(
+        plain = AsyncIterationEngine(
             lasso_op,
             PermutationSweeps(n, seed=10),
             UniformRandomDelay(n, 8, seed=11),
             InterpolatedPartials(partial_prob=0.0, seed=12),
         ).run(np.zeros(n), **common)
-        flex = FlexibleIterationEngine(
+        flex = AsyncIterationEngine(
             lasso_op,
             PermutationSweeps(n, seed=10),
             UniformRandomDelay(n, 8, seed=11),
@@ -139,15 +135,15 @@ class TestFlexibleEngine:
     def test_mismatched_components_rejected(self, small_jacobi):
         n = small_jacobi.n_components
         with pytest.raises(ValueError):
-            FlexibleIterationEngine(
-                small_jacobi, AllComponents(n + 1), ZeroDelay(n)
+            AsyncIterationEngine(
+                small_jacobi, AllComponents(n + 1), ZeroDelay(n), LabelledValues()
             )
 
     def test_deterministic(self, lasso_op):
         n = lasso_op.n_components
 
         def run():
-            return FlexibleIterationEngine(
+            return AsyncIterationEngine(
                 lasso_op,
                 RandomSubset(n, 0.5, seed=13),
                 UniformRandomDelay(n, 3, seed=14),

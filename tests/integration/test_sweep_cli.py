@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.__main__ import main
 
 
@@ -118,6 +120,18 @@ class TestSweepCLI:
         assert main(_sweep("--seeds", "0")) == 2
         assert "n_seeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--chunk-size", "0", "chunk_size must be >= 1"),
+        ("--chunk-size", "big", 'chunk_size must be "auto" or a positive int'),
+        ("--chunk-size", "2.5", 'chunk_size must be "auto" or a positive int'),
+        ("--executor", "gpu", "invalid choice"),
+    ])
+    def test_bad_dispatch_flags_exit_2(self, capsys, flag, value, message):
+        with pytest.raises(SystemExit) as exc:
+            main(_sweep(flag, value))
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestSweepStoreCLI:
     """--out / --resume / --keep-traces: the resumable sweep workflow."""
@@ -154,7 +168,7 @@ class TestSweepStoreCLI:
         def boom(spec, **kwargs):  # resume must not execute anything
             raise AssertionError(f"re-ran completed scenario {spec.key}")
 
-        monkeypatch.setattr(fleet_mod, "_run_scenario_inner", boom)
+        monkeypatch.setattr(fleet_mod, "execute_scenario", boom)
         assert main(_sweep("--resume", str(out))) == 0
         out_text = capsys.readouterr().out
         assert "resuming" in out_text and "4/4" in out_text

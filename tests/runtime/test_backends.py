@@ -136,6 +136,7 @@ class TestModelBackends:
         assert res.converged == direct.converged
         assert res.iterations == direct.iterations
         assert res.final_time is None
+        assert res.stats == {}
 
     def test_flexible_reports_constraint_stats(self):
         op = _operator()
@@ -143,6 +144,25 @@ class TestModelBackends:
         assert res.converged
         assert res.stats["constraint_checks"] > 0
         assert "worst_constraint_ratio" in res.stats
+
+    def test_model_backends_differ_only_in_partial_model(self):
+        """Given labelled values, ``flexible`` runs ``exact``'s iteration;
+        ``exact`` ignores a partial model in its options."""
+        from repro.core.flexible import InterpolatedPartials, LabelledValues
+
+        op = _operator()
+        exact = bk.get_backend("exact").execute(self._request(op))
+        flex = bk.get_backend("flexible").execute(
+            self._request(op, partials=LabelledValues())
+        )
+        assert np.array_equal(flex.x, exact.x)
+        assert np.array_equal(flex.trace.labels, exact.trace.labels)
+        assert flex.stats["constraint_violations"] == 0
+        ignored = bk.get_backend("exact").execute(
+            self._request(op, partials=InterpolatedPartials(seed=1))
+        )
+        assert np.array_equal(ignored.x, exact.x)
+        assert ignored.stats == {}
 
 
 class TestMachineBackends:

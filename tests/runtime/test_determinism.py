@@ -17,6 +17,10 @@ layers of protection:
    topologies;
 3. stream equivalence: the batched channel/timing draws the vectorized
    engine relies on consume the RNG exactly like sequential draws.
+
+Beside them, ``FLEX_GOLDEN`` pins the mathematical engine's Definition
+3 path: three ``flexible``-backend runs with partial updates, their
+constraint-(3) audit counters included.
 """
 
 from __future__ import annotations
@@ -457,6 +461,112 @@ class TestCrossBackendReplay:
         assert np.array_equal(rep.trace.labels, res.trace.labels)
         assert rep.trace.active_sets == res.trace.active_sets
         assert _replay_digest(rep) == g["sha256"]
+
+
+# Captured 2026-10-19 from the ``flexible`` backend — Definition 3 with
+# interpolated partial updates — while it still ran an engine of its
+# own, before Definitions 1 and 3 shared one iteration loop (python
+# 3.11, numpy 2.4, linux x86-64).  The digest covers the iterates, both
+# series and the constraint-(3) audit, so it pins the partial model's
+# draw order and the audit's two sides.
+FLEX_AUDIT = ("constraint_checks", "constraint_violations", "worst_constraint_ratio")
+FLEX_GOLDEN = {
+    "jacobi_default_partials": {
+        "sha256": "3f362b45add9220358688b3a6502649ea2ec5457ef18a51c7d66116225740a07",
+        "n_iterations": 400,
+        "converged": False,
+        "x0": 0.466249141551737,
+        "constraint_checks": 3200,
+        "constraint_violations": 3,
+        "worst_constraint_ratio": 1.1205001530392142,
+    },
+    "jacobi_out_of_order": {
+        "sha256": "56203e05b0436f48f81487b925d941cf76773fd60eb7226f902af9fee7c32719",
+        "n_iterations": 400,
+        "converged": False,
+        "x0": 0.4662395623695216,
+        "constraint_checks": 3200,
+        "constraint_violations": 5,
+        "worst_constraint_ratio": 1.314946236113684,
+    },
+    "lasso_blocks": {
+        "sha256": "07ffe84f13ed91d46664306188dc0c1eac7bb899e399ffd6ece76afd1acef28c",
+        "n_iterations": 167,
+        "converged": True,
+        "x0": 0.7805226238037901,
+        "constraint_checks": 668,
+        "constraint_violations": 8,
+        "worst_constraint_ratio": 1.10426922656139,
+    },
+}
+
+
+def _flex_digest(res) -> str:
+    """Digest over x, labels, active sets, both series and the audit counters."""
+    h = hashlib.sha256()
+    t = res.trace
+    h.update(res.x.tobytes())
+    h.update(t.labels.tobytes())
+    h.update(repr(t.active_sets).encode())
+    h.update(t.errors.tobytes())
+    h.update(t.residuals.tobytes())
+    h.update(repr(tuple(res.stats[k] for k in FLEX_AUDIT)).encode())
+    return h.hexdigest()
+
+
+def _flex_request(regime: str):
+    from repro.core.flexible import InterpolatedPartials
+    from repro.delays.bounded import UniformRandomDelay
+    from repro.delays.outoforder import OutOfOrderDelay
+    from repro.operators.prox_gradient import ProxGradientOperator
+    from repro.problems import make_lasso, make_regression
+    from repro.runtime.backends import ExecutionRequest
+    from repro.steering.policies import PermutationSweeps, RandomSubset
+
+    options: dict = {}
+    if regime == "jacobi_default_partials":
+        # No partial model given: the backend seeds its own from ``seed``.
+        op = _make_operator(8)
+        n = op.n_components
+        steering = RandomSubset(n, 0.5, seed=1)
+        delays = UniformRandomDelay(n, 4, seed=2)
+        options["residual_every"] = 3
+    elif regime == "jacobi_out_of_order":
+        op = _make_operator(8)
+        n = op.n_components
+        steering = PermutationSweeps(n, seed=4)
+        delays = OutOfOrderDelay(UniformRandomDelay(n, 6, seed=5), seed=6)
+        options["partials"] = InterpolatedPartials(partial_prob=0.7, seed=7)
+    elif regime == "lasso_blocks":
+        prob = make_lasso(make_regression(60, 12, sparsity=0.4, seed=1), l1=0.05, l2=0.1)
+        op = ProxGradientOperator(prob, prob.smooth.max_step(), BlockSpec.uniform(12, 4))
+        n = op.n_components
+        steering = RandomSubset(n, 0.5, seed=8)
+        delays = UniformRandomDelay(n, 5, seed=9)
+        options["partials"] = InterpolatedPartials(theta_range=(0.5, 1.0), seed=10)
+    else:  # pragma: no cover - parametrization guards this
+        raise ValueError(regime)
+    return ExecutionRequest(
+        operator=op, x0=np.zeros(op.dim), max_iterations=400, tol=1e-12,
+        steering=steering, delays=delays, seed=3, options=options,
+    )
+
+
+class TestFlexibleGolden:
+    """Definition 3 runs replay bit-identically, audit counters included."""
+
+    @pytest.mark.parametrize("regime", sorted(FLEX_GOLDEN))
+    def test_flexible_backend_matches_golden(self, regime):
+        from repro.runtime.backends import get_backend
+
+        res = get_backend("flexible").execute(_flex_request(regime))
+        g = FLEX_GOLDEN[regime]
+        assert res.trace.n_iterations == g["n_iterations"]
+        assert res.converged == g["converged"]
+        assert float(res.x[0]) == g["x0"]
+        for stat in FLEX_AUDIT:
+            assert res.stats[stat] == g[stat], stat
+        assert _flex_digest(res) == g["sha256"]
 
 
 # Captured 2026-08-08 from DistributedSimulator == ReferenceSimulator

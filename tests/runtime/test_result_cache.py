@@ -135,12 +135,12 @@ class TestCacheResolution:
         def boom(spec, **kwargs):
             raise RuntimeError("injected")
 
-        orig = fleet_mod._run_scenario_inner
-        fleet_mod._run_scenario_inner = boom
+        orig = fleet_mod.execute_scenario
+        fleet_mod.execute_scenario = boom
         try:
             fleet = run_grid(specs, cache=cache, executor="serial")
         finally:
-            fleet_mod._run_scenario_inner = orig
+            fleet_mod.execute_scenario = orig
         assert len(fleet.failures()) == len(specs)
         assert SweepStore(cache, create=True).completed() == set()
         # After the failure the cold scenarios really execute and land
