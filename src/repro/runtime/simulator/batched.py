@@ -24,10 +24,10 @@ and applies each block of ``S_j`` as one stacked call over the live rows.
   entry's timing consumes no randomness (per-processor constant
   compute durations sharing a common base period, constant lossless
   channel latency below the fastest phase, single inner steps), so it
-  induces one value-independent event schedule.  A value-free replay
-  of the event loop's heap (:func:`_lockstep_schedule`) transcribes it
-  once per group into per-commit processors, times and snapshot
-  labels; the history is a ring as deep as the longest read-back.
+  induces one value-independent event schedule.  One run of the event
+  loop itself on a value-free operator records it per group
+  (:func:`_machine_schedule`): per-commit update sets, snapshot labels
+  and times; the history is a ring as deep as the longest read-back.
 
 :func:`batchable` states this rule and is the only admission check:
 it reads the spec, so nothing is built to decide.
@@ -91,15 +91,13 @@ throughput but never results.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import time
-from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.operators.base import FixedPointOperator, OperatorStack
-from repro.runtime.simulator.engine import RESIDUAL_EVERY
+from repro.runtime.simulator.engine import RESIDUAL_EVERY, DistributedSimulator
 
 if TYPE_CHECKING:  # registry -> simulator package -> here: keep lazy
     from repro.scenarios.spec import ScenarioSpec
@@ -148,8 +146,9 @@ def _spawn_seeds(spec: ScenarioSpec, count: int) -> "list[Any]":
 # Eligibility and grouping
 # ----------------------------------------------------------------------
 
-#: Simulator backends whose solo semantics the lockstep replay
-#: reproduces (the two event-loop twins).
+#: Simulator backends a lockstep batch serves: the two event-loop twins,
+#: bit-identical to each other, so one run of the vectorized loop gives
+#: the schedule of either.
 _SIM_BACKENDS = ("vectorized", "reference")
 
 
@@ -519,138 +518,109 @@ def _engine_schedule(specs: Sequence[ScenarioSpec], block: Any) -> _Schedule:
 # Lockstep machines: the schedule a deterministic machine induces
 # ----------------------------------------------------------------------
 
-def _lockstep_schedule(
-    computes: "list[float]",
-    latency: "dict[tuple[int, int], float]",
-    max_iterations: int,
-) -> "tuple[list[int], np.ndarray, np.ndarray]":
-    """Value-free replay of :meth:`DistributedSimulator.run`'s event loop.
+class _ValueFree(FixedPointOperator):
+    """The identity on a block structure, with residual 0 and no fixed point.
 
-    Follows the heap mechanics — priming in pid order, ``(t, seq)``
-    tie-breaking, identical float time arithmetic (``start +
-    duration``, ``end + latency``) — for a lockstep machine, whose
-    processor ``p`` computes in ``computes[p]`` per phase and whose
-    pair ``(p, q)`` delivers in ``latency[p, q]``, so its schedule is
-    value-independent.  It pushes one delivery per destination, in
-    ascending-destination order before the next phase start, where the
-    loop pushes one fan-out event for all destinations a burst reaches
-    at one instant.  The two
-    are equivalent: the per-destination deliveries of one burst share
-    that instant and a contiguous window of sequence numbers, so no
-    other event pops between them, and they update distinct views, so
-    their order among themselves does not matter.
-
-    Each delivery carries its sender's commit index.  A processor's
-    view of peer ``q`` is then the last delivered commit of ``q`` (the
-    event loop's latest-label test always passes: labels strictly
-    increase per sender and constant-latency FIFO channels deliver in
-    order), its view of itself is its own previous commit, and ``0``
-    stands for ``x0``.  A phase snapshots the view when it starts.
-    Returns, per commit ``j = 1..J``, the committing processor, its
-    commit time, and (as a ``(J, P)`` array) the labels its snapshot
-    held per processor.
-
-    The replay stops where every solo run has certainly stopped: at
-    commit ``j = max_iterations`` (tolerance stops are per scenario and
-    earlier; value-independence makes the schedule prefix identical).
+    An event loop run on it does no arithmetic and takes no error norm,
+    so all it produces is its machine's schedule.
     """
-    P = len(computes)
-    heap: "list[tuple[float, int, int, int, int]]" = []
-    seq = itertools.count()
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    view = [[0] * P for _ in range(P)]
-    held: "list[list[int]]" = [[] for _ in range(P)]
-    pids: list[int] = []
-    times: list[float] = []
-    labels: "list[list[int]]" = []
 
-    # A heap entry is (t, seq, dst, src, label): dst = -1 marks the end
-    # of src's phase, otherwise a burst from src carrying its commit.
-    def start_phase(pid: int, t: float) -> None:
-        held[pid] = view[pid][:]
-        heappush(heap, (t + computes[pid], next(seq), -1, pid, 0))
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return x
 
-    for pid in range(P):
-        start_phase(pid, 0.0)
+    def gauss_seidel(self, x: np.ndarray, blocks: Sequence[int]) -> None:
+        pass
 
-    j = 0
-    while heap:
-        t, _, dst, pid, label = heappop(heap)
-        if dst >= 0:
-            view[dst][pid] = label
-            continue
-        j += 1
-        pids.append(pid)
-        times.append(t)
-        labels.append(held[pid])
-        view[pid][pid] = j
-        for dst in range(P):
-            if dst != pid:
-                heappush(heap, (t + latency[pid, dst], next(seq), dst, pid, j))
-        if j >= max_iterations:
-            break
-        start_phase(pid, t)
-    return pids, np.array(times), np.array(labels, dtype=np.intp)
+    def residual(self, x: np.ndarray) -> float:
+        return 0.0
+
+
+class _ScheduleSink:
+    """Trace sink that keeps what a lockstep batch reads of a run.
+
+    Preallocated for ``J`` commits: each commit's per-component labels,
+    its time and its active set (the sink interface
+    :func:`~repro.core.trace.resolve_sink` accepts).
+    """
+
+    def __init__(self, n_components: int, J: int) -> None:
+        self.n_components = n_components
+        self.owners = None
+        self.labels = np.empty((J, n_components), dtype=np.int64)
+        self.times = np.empty(J)
+        self.active: "list[tuple[int, ...]]" = []
+
+    def record_initial(self, **series: Any) -> None:
+        pass
+
+    def record(self, active_set: "tuple[int, ...]", labels: np.ndarray,
+               *, time: float, **series: Any) -> None:
+        j = len(self.active)
+        self.labels[j] = labels
+        self.times[j] = time
+        self.active.append(active_set)
+
+    def build(self) -> "_ScheduleSink":
+        return self
 
 
 def _machine_schedule(specs: Sequence[ScenarioSpec], block: Any) -> _Schedule:
-    """The schedule a lockstep machine induces.
+    """The schedule a lockstep machine induces, read from one run of it.
 
     :func:`batchable` admits only machines whose registry entry states
     ``shared``, which for a machine states one value-free lockstep
     schedule (see :class:`~repro.scenarios.registry.RegistryEntry`;
     ``tests/scenarios/test_model_contract.py`` checks each such entry).
-    So the head spec's machine is built once, and its durations, owned
-    components and per-pair latencies are read directly.
+    So the head spec's machine is built once, as
+    :func:`~repro.runtime.fleet.execute_scenario` builds it, and the
+    event loop runs it once on a value-free operator over the whole
+    budget.  Its trace is the group's schedule: commit ``j`` updates
+    ``S_j``, Gauss-Seidel, from the labels its phase snapshot held, at
+    its commit time.  The history is a ring as deep as any commit's
+    longest read-back (see :func:`_ring_depth`).
 
-    Commit ``j`` of :func:`_lockstep_schedule` updates its processor's
-    components, Gauss-Seidel, from the labels its phase snapshot held,
-    mapped to elements through the component owners.  The history is
-    a ring as deep as any commit's longest read-back (see
-    :func:`_ring_depth`).  Message counts follow
-    ``DistributedSimulator.run`` with the fleet's options: every commit
-    sends one message per owned component to each peer.
+    Message counts follow the loop with the fleet's options: every
+    commit sends one message per owned component to each peer.  Rows
+    that stop early read a prefix of these counts, and the run's own
+    total checks them.
     """
-    from repro.runtime.simulator.channel import ChannelSpec
     from repro.scenarios import registry
 
     head = specs[0]
-    n = block.n_blocks
+    seeds = _spawn_seeds(head, 4)
     procs, channels = registry.make_machine(
-        head.machine, n, _spawn_seeds(head, 4)[3], **head.machine_params
+        head.machine, block.n_blocks, seeds[3], **head.machine_params
     )
-    P = len(procs)
-    components = [tuple(p.components) for p in procs]
-    # A single ChannelSpec (or None) serves every pair, as in the loop.
-    default = channels if isinstance(channels, ChannelSpec) else ChannelSpec()
-    pairs = channels if isinstance(channels, Mapping) else {}
-    latency = {
-        (s, d): pairs.get((s, d), default).latency.value
-        for s in range(P) for d in range(P) if s != d
-    }
-    comp_owner = np.empty(n, dtype=np.intp)
-    for pid, comps in enumerate(components):
-        comp_owner[list(comps)] = pid
-    owner = comp_owner[_comp_of_elem(block, block.dim)]
-
-    pids, times, labels = _lockstep_schedule(
-        [p.compute_time.value for p in procs], latency, head.max_iterations
+    sink = _ScheduleSink(block.n_blocks, head.max_iterations)
+    run = DistributedSimulator(
+        _ValueFree(block.dim, block), procs, channels=channels, seed=seeds[1]
+    ).run(
+        np.zeros(block.dim), max_iterations=head.max_iterations, tol=0.0,
+        record_messages=False, sink=sink,
     )
-    J = len(pids)
+    S = sink.active
+    J = len(S)
+    labels = sink.labels[:J]
     depth = _ring_depth(J, int((np.arange(1, J + 1) - labels.min(axis=1)).max()))
-    label_slots = labels % depth
+    labels %= depth  # the labels' history slots, in place
+    comp_map = _comp_of_elem(block, block.dim)
 
     def step(j: int, rows: np.ndarray) -> "tuple[np.ndarray, Any, Any]":
-        return label_slots[j - 1][owner][None, :], components[pids[j - 1]], None
+        return labels[j - 1][comp_map][None, :], S[j - 1], None
 
-    sent = np.array([(P - 1) * len(c) for c in components], dtype=np.int64)
+    sent = (len(procs) - 1) * np.fromiter(map(len, S), dtype=np.int64, count=J)
+    messages = np.concatenate(([0], np.cumsum(sent)))
+    if messages[-1] != run.stats["messages_sent"]:
+        raise RuntimeError(
+            f"lockstep schedule counts {messages[-1]} messages, the run sent "
+            f"{run.stats['messages_sent']:.0f}"
+        )
     return _Schedule(
         J, depth, step,
         gauss_seidel=True,
         residual_every=RESIDUAL_EVERY,
-        times=times,
-        messages=np.concatenate(([0], np.cumsum(sent[pids]))),
+        times=sink.times[:J],
+        messages=messages,
     )
 
 

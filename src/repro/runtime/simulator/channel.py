@@ -83,6 +83,11 @@ class ChannelState:
     def __init__(self, spec: ChannelSpec, rng: np.random.Generator) -> None:
         self.spec = spec
         self.rng = rng
+        self.reset()
+
+    def reset(self) -> None:
+        """Clear the FIFO clock and both counters for a new run; the RNG
+        stream continues."""
         self._sent = 0
         self._dropped = 0
         self._last_delivery_time = -np.inf

@@ -262,6 +262,9 @@ class DistributedSimulator:
             raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
         if residual_every < 1:
             raise ValueError(f"residual_every must be >= 1, got {residual_every}")
+        # Every run starts from empty channels; the RNG streams continue.
+        for chan in self._channels.values():
+            chan.reset()
         norm = self.operator.norm()
         P = len(self.processors)
         n = self.operator.n_components

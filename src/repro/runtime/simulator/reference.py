@@ -12,11 +12,14 @@ against.
 
 Do not optimize this module — its value is that it never changes.
 See ``engine.py`` for the semantics documentation; the two modules
-implement the same contract.  The fault-injection hooks are the one
-sanctioned *semantic extension* since the freeze: they were added to
-both engines in lockstep (the contract itself grew), hide entirely
-behind ``faults=None``, and the pre-fault golden digests still pin the
-fault-free behaviour bit for bit.
+implement the same contract.  Two changes are sanctioned since the
+freeze, each made to both engines in lockstep.  The fault-injection
+hooks are a *semantic extension* (the contract itself grew): they hide
+entirely behind ``faults=None``, and the pre-fault golden digests still
+pin the fault-free behaviour bit for bit.  And every ``run()`` starts
+from empty channels (:meth:`ChannelState.reset`), where a second run
+on one instance used to inherit the first run's FIFO clocks and
+message counters; a first run is unchanged, so every golden holds.
 """
 
 from __future__ import annotations
@@ -182,6 +185,8 @@ class ReferenceSimulator:
             raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
         if residual_every < 1:
             raise ValueError(f"residual_every must be >= 1, got {residual_every}")
+        for chan in self._channels.values():
+            chan.reset()
         spec = self.operator.block_spec
         norm = self.operator.norm()
         P = len(self.processors)

@@ -153,8 +153,10 @@ class RegistryEntry:
     inner step and no partial publishing, read refreshing or think
     time, and every channel is lossless with a :class:`ConstantTime`
     latency below the fastest phase.  The batched executor admits a
-    simulator group on this statement alone and replays the head
-    spec's machine for all of it.
+    simulator group on this statement alone: one value-free run of the
+    head spec's machine gives the whole group its schedule, and the
+    statement supplies what that run's trace does not show (one sweep
+    per phase, no partials, no refreshed reads).
     """
 
     kind: str
@@ -688,8 +690,8 @@ def _machine_lockstep_tiered(n: int, seed: Any, *, n_processors: int = 4,
     phase — constant per processor, all durations integer multiples of
     the common period ``compute`` — and channels deliver in a constant
     ``latency`` below the fastest phase.  The schedule stays value- and
-    RNG-independent, so the entry states ``shared`` and the batched
-    engine replays it (see :mod:`repro.runtime.simulator.batched`), yet
+    RNG-independent, so the entry states ``shared`` and one run of it
+    schedules a whole batch (see :mod:`repro.runtime.simulator.batched`), yet
     slow tiers commit genuinely stale reads like a real straggler
     cluster.
     """

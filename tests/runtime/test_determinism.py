@@ -29,7 +29,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.operators.linear import jacobi_operator
@@ -112,8 +112,9 @@ PARTIAL_REGIMES = ("partials_reordering",)
 #: non-affine operator (the default ``apply_block`` loop), the one-arrival
 #: fan-out on non-FIFO constant latency and on a per-pair map of equal
 #: constant latencies, fan-outs while crashed processors are down, and a
-#: second ``run()`` on one instance, whose channels start from the FIFO
-#: state the first run left.
+#: second ``run()`` on one instance, whose channels start empty again
+#: while every processor and channel RNG stream continues where the
+#: first run left it.
 KERNEL_REGIMES = (
     "block_affine", "lasso_sweep", "nonfifo_constant", "pair_map_constant",
     "crash_fan_out", "second_run",
@@ -689,6 +690,54 @@ class TestRegistryDifferential:
         assert a.info == b.info
 
 
+class TestRegistryReplay:
+    """Seeded draws over registry problems x machines x faults x
+    topologies, with one processor per component: where the machine's
+    phases are Definition 1 updates (one inner step, no partials, no
+    refreshed reads), the exact engine replays the fleet run's trace to
+    the same iterates, labels and active sets."""
+
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    @given(
+        problem=st.sampled_from(sorted(SMALL_SIM_PROBLEMS)),
+        machine=st.sampled_from(REGISTRY.names("machine")),
+        fault=st.sampled_from(REGISTRY.names("fault")),
+        topology=st.sampled_from(REGISTRY.names("topology")),
+        max_iterations=st.integers(1, 80),
+        tol=st.sampled_from([0.0, 1e-3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_exact_replays_the_machine(
+        self, problem, machine, fault, topology, max_iterations, tol, seed
+    ):
+        from dataclasses import replace
+
+        from repro.runtime.backends import replay_trace
+        from repro.runtime.fleet import execute_scenario
+        from repro.scenarios.registry import make_machine
+
+        spec = ScenarioSpec(
+            problem=problem, problem_params=SMALL_SIM_PROBLEMS[problem],
+            kind="simulator", machine=machine, fault=fault, topology=topology,
+            max_iterations=max_iterations, tol=tol, seed=seed,
+        )
+        op = spec.build_problem()
+        n = op.n_components
+        spec = replace(spec, machine_params={"n_processors": n})
+        procs, _ = make_machine(machine, n, spec.spawn_seeds()[3], n_processors=n)
+        assume(all(
+            p.inner_steps == 1 and not (p.publish_partials or p.refresh_reads)
+            for p in procs
+        ))
+        assert all(len(p.components) == 1 for p in procs)
+
+        _, run = execute_scenario(spec)
+        rep = replay_trace(op, run.trace, np.zeros(op.dim))
+        assert np.array_equal(rep.x, run.x)
+        assert np.array_equal(rep.trace.labels, run.trace.labels)
+        assert rep.trace.active_sets == run.trace.active_sets
+
+
 class TestStreamEquivalence:
     """Batched draws consume the RNG exactly like sequential draws."""
 
@@ -740,7 +789,7 @@ class TestStreamEquivalence:
     def test_fan_out_equals_per_channel_calls(self, fifo):
         """One arrival for all of a sender's channels, and every channel's
         count and FIFO state where its own calls would leave them,
-        including a send earlier than the last arrival (a second run)."""
+        including a send earlier than the last arrival."""
         spec = ChannelSpec(latency=ConstantTime(0.05), fifo=fifo)
         fan = [ChannelState(spec, np.random.default_rng(k)) for k in range(3)]
         solo = [ChannelState(spec, np.random.default_rng(k)) for k in range(3)]

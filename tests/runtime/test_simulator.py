@@ -13,6 +13,7 @@ from repro.runtime.simulator import (
     DistributedSimulator,
     LinearGrowthTime,
     ProcessorSpec,
+    ReferenceSimulator,
     UniformTime,
     shared_memory_network,
     two_cluster_grid,
@@ -118,6 +119,29 @@ class TestSimulatorBasics:
         res = sim.run(np.zeros(8), max_iterations=10_000, max_time=10.0, tol=0.0)
         assert res.final_time <= 10.0
         assert all(p.end <= 10.0 + 1e-9 for p in res.phases)
+
+
+class TestRepeatedRuns:
+    """Every ``run()`` starts from empty channels, so on a machine whose
+    timing draws nothing a second run on one instance repeats the first."""
+
+    @pytest.mark.parametrize(
+        "cls", [DistributedSimulator, ReferenceSimulator],
+        ids=["vectorized", "reference"],
+    )
+    def test_second_run_repeats_the_first(self, cls):
+        from repro.scenarios.registry import make_machine, make_problem
+
+        op = make_problem("jacobi", 0, n=8)
+        procs, channels = make_machine("lockstep", op.n_components, 0, n_processors=4)
+        sim = cls(op, procs, channels=channels, seed=1)
+        a, b = (sim.run(np.zeros(op.dim), max_iterations=60) for _ in range(2))
+        np.testing.assert_array_equal(a.x, b.x)
+        np.testing.assert_array_equal(a.trace.labels, b.trace.labels)
+        assert a.trace.active_sets == b.trace.active_sets
+        np.testing.assert_array_equal(a.trace.times, b.trace.times)
+        assert a.final_time == b.final_time
+        assert a.stats["messages_sent"] == b.stats["messages_sent"]
 
 
 class TestLoadImbalance:

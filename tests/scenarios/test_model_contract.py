@@ -3,9 +3,10 @@
 Every steering, delay and machine entry states ``shared``: its factory
 draws nothing and what it builds depends on the iteration index alone,
 so the batched executor builds one instance for a whole batch.  For a
-machine, ``shared`` is also the batch's admission: the executor replays
-one value-free lockstep schedule for the group without checking the
-machine, so the timing that makes the replay exact is checked here.
+machine, ``shared`` is also the batch's admission: the executor reads
+the group's schedule from one value-free run of the head machine
+without checking it, so the timing that makes that one schedule exact
+for every row is checked here.
 Every delay model states ``max_delay(J)``, which sizes the engine
 batch's ring of iterates.  A wrong statement makes batched rows
 silently wrong, so each one is checked here over the whole registry.
