@@ -28,8 +28,9 @@ raw throughput, both measured on the same workload:
   per scenario) vs the plain in-memory ``run_fleet``;
 * **peak trace memory** — ``tracemalloc`` peak while the sweep
   records and persists every scenario's realized trace
-  (``keep_traces``, disk-spilling ``TraceStore``), which must stay
-  bounded instead of scaling with scenario count x trace length.
+  (``keep_traces``: each trace is saved and dropped in its worker),
+  which must stay bounded by one trace instead of scaling with
+  scenario count x trace length.
 
 The sharded execution layer adds a third axis: **dispatch overhead**.
 A separate many-small-scenarios workload (hundreds of engine scenarios

@@ -520,8 +520,8 @@ def main(argv: list[str] | None = None) -> int:
     sweep.add_argument("--keep-traces", action="store_true",
                        help="persist each scenario's realized (S,L) trace as "
                             "traces/<hash>.npz in the sweep store (requires "
-                            "--out/--resume; traces record via a disk-spilling "
-                            "store, so memory stays bounded)")
+                            "--out/--resume; each trace is saved and dropped in "
+                            "its worker, so memory holds one trace per worker)")
     sweep.add_argument("--list-axes", action="store_true",
                        help="print registered axis names, parameters and "
                             "defaults (from registry introspection) and exit")

@@ -5,11 +5,9 @@ these helpers extract the quantities the benchmarks report: fitted
 geometric rates, iterations/time to tolerance, and per-macro-iteration
 contraction factors.
 
-The streaming results layer adds the incremental form:
-:class:`StreamingRateFit` accumulates the same log-linear regression
-chunk by chunk, so metrics can be computed while a
-:class:`~repro.core.trace.TraceStore` is still recording — or over a
-spilled store's chunks without ever materializing the full series
+The incremental form, :class:`StreamingRateFit`, accumulates the same
+log-linear regression chunk by chunk, so a rate can be fitted over any
+in-order sequence of series slices without concatenating them
 (:func:`fit_geometric_rate_streaming`).
 """
 
@@ -101,10 +99,9 @@ class StreamingRateFit:
     Feed :meth:`update` successive slices of an error/residual series
     (in order); :meth:`fit` returns the same log-linear regression
     :func:`fit_geometric_rate` computes on the concatenated series,
-    from O(1) accumulated sums — no chunk is retained.  This is the
-    incremental-metrics primitive of the results layer: it consumes
-    ``TraceStore.iter_series(...)`` output, a live sink mid-run, or a
-    sweep's chunk files, all without materializing the series.
+    from O(1) accumulated sums — no chunk is retained.  Any in-order
+    sequence of slices serves, e.g. a series read block by block or
+    fed as a run records it.
     """
 
     def __init__(self, *, skip: int = 0) -> None:
@@ -183,11 +180,10 @@ def fit_geometric_rate_streaming(
 ) -> RateFit:
     """Fit a geometric decay over a chunked series without concatenating.
 
-    ``chunks`` is any in-order iterable of series slices — typically
-    ``TraceStore.iter_series("residuals")`` — so the fit runs in
-    O(chunk) memory over arbitrarily long (possibly disk-spilled)
-    traces.  Agrees with :func:`fit_geometric_rate` on the
-    concatenated series up to floating-point roundoff.
+    ``chunks`` is any in-order iterable of series slices; the fit
+    keeps O(1) sums, never the series.  Agrees with
+    :func:`fit_geometric_rate` on the concatenated series up to
+    floating-point roundoff.
     """
     acc = StreamingRateFit(skip=skip)
     for chunk in chunks:

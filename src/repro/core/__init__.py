@@ -36,7 +36,6 @@ from repro.core.termination import (
 )
 from repro.core.trace import (
     IterationTrace,
-    TraceHandle,
     TraceStore,
     load_trace,
     save_trace,
@@ -56,7 +55,6 @@ __all__ = [
     "PartialUpdateModel",
     "TerminationReport",
     "TheoremOneReport",
-    "TraceHandle",
     "TraceReplayDelays",
     "TraceReplaySteering",
     "TraceStore",

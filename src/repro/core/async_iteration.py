@@ -153,9 +153,9 @@ class AsyncIterationEngine:
         Stops when the fixed-point residual (checked every
         ``residual_every`` iterations) falls below ``tol`` or the
         iteration budget is exhausted.  ``sink`` injects the
-        :class:`~repro.core.trace.TraceStore` the run records into
-        (e.g. a disk-spilling store); by default the engine uses a
-        fresh in-memory store.
+        :class:`~repro.core.trace.TraceStore` the run records into (or
+        any object with its sink interface); by default the engine uses
+        a fresh one.
         """
         x0 = check_vector(x0, "x0", dim=self.operator.dim)
         if max_iterations < 0:

@@ -9,24 +9,22 @@ what simulated time, and optional residual/error series — everything
 Definition 2 (macro-iterations), the epoch sequence of [30] and the
 Theorem 1 certificate need.
 
-:class:`TraceStore` is the streaming side of the same object: a
+:class:`TraceStore` is the recording side of the same object: a
 chunked *columnar* recorder (labels matrix, flat active-set values +
 per-iteration counts, series columns) that every engine emits into,
-one iteration at a time.  Chunks are frozen once full — optionally
-spilled to disk, so trace length no longer bounds sweep size by RAM —
-and the whole store round-trips through a single ``.npz`` file via
-:meth:`TraceStore.save` / :meth:`TraceStore.load`.
+one iteration at a time, and :meth:`TraceStore.build` finalizes into
+the trace.  :func:`save_trace` and :func:`load_trace` write and read a
+trace as one ``.npz`` file of those columns.
 """
 
 from __future__ import annotations
 
-import io
+import itertools
 import json
 import os
 import pathlib
-import zipfile
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -35,12 +33,16 @@ from repro.utils.serialization import json_safe
 
 __all__ = [
     "IterationTrace",
-    "TraceHandle",
     "TraceStore",
     "resolve_sink",
     "load_trace",
     "save_trace",
 ]
+
+#: Version of the ``.npz`` trace file that :func:`save_trace` writes.
+_FORMAT_VERSION = 1
+#: The column members of a trace file (and of a recorder's chunks).
+_COLUMNS = ("labels", "act_counts", "act_values", "errors", "residuals", "times")
 
 
 @dataclass(frozen=True)
@@ -162,7 +164,7 @@ class IterationTrace:
 
 
 class TraceStore:
-    """Chunked columnar recorder and persistent form of a realized trace.
+    """In-memory columnar recorder of a realized trace.
 
     Engines call :meth:`record` once per global iteration and
     :meth:`build` at the end; series that were never supplied stay
@@ -172,58 +174,32 @@ class TraceStore:
     to an engine's ``sink=`` parameter, and this class is the canonical
     implementation.
 
-    Storage is columnar and chunked: labels rows, flat active-set
-    values with per-iteration counts, and the numeric series live in
-    per-chunk arrays that double up to ``chunk_size`` rows, so
-    recording an iteration is a row assignment (the hot path of the
-    simulator runs through here once per completed phase).  Full
-    chunks are frozen — kept as plain arrays in memory, or written to
-    ``spill_dir`` as ``chunk_NNNNNN.npz`` files so an arbitrarily long
-    trace occupies O(chunk) RAM while recording.
-
-    :meth:`save` writes the whole store (all chunks, owners, JSON-safe
-    meta) into one ``.npz``; :meth:`load` restores it bit-identically,
-    and :func:`load_trace` shortcuts straight to the
-    :class:`IterationTrace` view.
+    Storage is columnar: labels rows, flat active-set values with
+    per-iteration counts, and the numeric series live in per-chunk
+    arrays that double up to ``_CHUNK_ROWS`` rows, so recording an
+    iteration is a row assignment (the hot path of the simulator runs
+    through here once per completed phase).  A full chunk is frozen
+    and a new one starts, so a long run over-allocates by at most one
+    chunk.  :meth:`build` concatenates the chunks into the trace, which
+    :func:`save_trace` persists.
     """
 
     _INITIAL_CAPACITY = 64
-    DEFAULT_CHUNK_SIZE = 4096
-    _FORMAT_VERSION = 1
+    _CHUNK_ROWS = 4096
 
-    def __init__(
-        self,
-        n_components: int,
-        owners: np.ndarray | None = None,
-        *,
-        chunk_size: int | None = None,
-        spill_dir: "str | os.PathLike[str] | None" = None,
-    ) -> None:
+    def __init__(self, n_components: int, owners: np.ndarray | None = None) -> None:
         if n_components < 1:
             raise ValueError(f"n_components must be >= 1, got {n_components}")
-        chunk = self.DEFAULT_CHUNK_SIZE if chunk_size is None else int(chunk_size)
-        if chunk < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk}")
         self.n_components = int(n_components)
         self.owners = owners
         self.meta: dict[str, Any] = {}
-        self.chunk_size = chunk
-        self._spill_dir: pathlib.Path | None = None
-        self._spill_paths: list[pathlib.Path] = []
         self._frozen: list[dict[str, np.ndarray]] = []
-        if spill_dir is not None:
-            self._spill_dir = pathlib.Path(spill_dir)
-            self._spill_dir.mkdir(parents=True, exist_ok=True)
-        self._flushed_rows = 0
-        self._flushed_act = 0
-        self._flushed_err = 0
-        self._flushed_res = 0
-        self._flushed_time = 0
+        self._frozen_rows = 0
         self._reset_chunk()
 
     # -- recording (the sink interface) --------------------------------
     def _reset_chunk(self) -> None:
-        cap = min(self._INITIAL_CAPACITY, self.chunk_size)
+        cap = min(self._INITIAL_CAPACITY, self._CHUNK_ROWS)
         n = self.n_components
         self._labels = np.zeros((cap, n), dtype=np.int64)
         self._act_counts = np.zeros(cap, dtype=np.int64)
@@ -238,7 +214,7 @@ class TraceStore:
         self._n_time = 0
 
     def _grow(self) -> None:
-        cap = min(2 * self._labels.shape[0], self.chunk_size)
+        cap = min(2 * self._labels.shape[0], self._CHUNK_ROWS)
         grow = cap - self._labels.shape[0]
         self._labels = np.concatenate([self._labels, np.zeros((grow, self.n_components), np.int64)])
         self._act_counts = np.concatenate([self._act_counts, np.zeros(grow, np.int64)])
@@ -250,7 +226,7 @@ class TraceStore:
 
     def record_initial(self, error: float | None = None, residual: float | None = None) -> None:
         """Record the label-0 (initial point) series values."""
-        if self._rows or self._flushed_rows:
+        if self._rows or self._frozen_rows:
             raise RuntimeError("record_initial must be called before any record()")
         if error is not None:
             self._errors[self._n_err] = float(error)
@@ -293,44 +269,19 @@ class TraceStore:
             self._times[self._n_time] = float(time)
             self._n_time += 1
         self._rows += 1
-        if self._rows >= self.chunk_size:
-            self._flush()
+        if self._rows >= self._CHUNK_ROWS:
+            self._freeze()
 
-    def _flush(self) -> None:
-        if self._rows == 0:
-            return
-        chunk = {
-            "labels": self._labels[: self._rows].copy(),
-            "act_counts": self._act_counts[: self._rows].copy(),
-            "act_values": self._act_values[: self._n_act].copy(),
-            "errors": self._errors[: self._n_err].copy(),
-            "residuals": self._residuals[: self._n_res].copy(),
-            "times": self._times[: self._n_time].copy(),
-        }
-        if self._spill_dir is not None:
-            path = self._spill_dir / f"chunk_{len(self._spill_paths):06d}.npz"
-            with open(path, "wb") as f:
-                np.savez(f, **chunk)
-            self._spill_paths.append(path)
-        else:
-            self._frozen.append(chunk)
-        self._flushed_rows += self._rows
-        self._flushed_act += self._n_act
-        self._flushed_err += self._n_err
-        self._flushed_res += self._n_res
-        self._flushed_time += self._n_time
+    def _freeze(self) -> None:
+        """Keep the full chunk, trimmed to its rows, and start a new one."""
+        self._frozen.append({k: v.copy() for k, v in self._current_chunk().items()})
+        self._frozen_rows += self._rows
         self._reset_chunk()
 
-    # -- inspection -----------------------------------------------------
     @property
     def n_iterations(self) -> int:
         """Global iterations recorded so far."""
-        return self._flushed_rows + self._rows
-
-    @property
-    def spilled_chunks(self) -> int:
-        """Number of chunk files written to ``spill_dir``."""
-        return len(self._spill_paths)
+        return self._frozen_rows + self._rows
 
     def _current_chunk(self) -> dict[str, np.ndarray]:
         return {
@@ -342,236 +293,57 @@ class TraceStore:
             "times": self._times[: self._n_time],
         }
 
-    def iter_chunks(self) -> Iterator[dict[str, np.ndarray]]:
-        """Yield the frozen chunks then the live tail, as column dicts.
-
-        Each dict carries ``labels`` (rows, n), ``act_counts`` (rows,),
-        flat ``act_values``, and the ``errors``/``residuals``/``times``
-        entries recorded within the chunk.  Spilled chunks are loaded
-        one at a time, so incremental consumers (streaming metrics)
-        never hold the whole trace.
-        """
-        for path in self._spill_paths:
-            with np.load(path) as z:
-                yield {k: z[k] for k in z.files}
-        yield from self._frozen
-        if self._rows or self._n_err or self._n_res:
-            yield self._current_chunk()
-
-    def _iter_column(self, name: str) -> Iterator[np.ndarray]:
-        """One column across all chunks, loading only that npz member.
-
-        ``np.load`` is lazy per member, so a spilled chunk file only
-        decompresses the requested column — the per-column passes of
-        :meth:`save` cost one member read each instead of inflating
-        all six columns of every chunk six times.
-        """
-        for path in self._spill_paths:
-            with np.load(path) as z:
-                yield z[name]
-        for chunk in self._frozen:
-            yield chunk[name]
-        yield self._current_chunk()[name]
-
-    def iter_series(self, name: str) -> Iterator[np.ndarray]:
-        """Yield one series column (``errors``/``residuals``/``times``) chunk by chunk."""
-        if name not in ("errors", "residuals", "times"):
-            raise KeyError(f"unknown series {name!r}")
-        for arr in self._iter_column(name):
-            if arr.size:
-                yield arr
-
-    def series(self, name: str) -> np.ndarray | None:
-        """One full series column, or ``None`` when never recorded."""
-        parts = list(self.iter_series(name))
-        if not parts:
-            return None
-        return np.concatenate(parts)
-
-    def _columns(self) -> dict[str, np.ndarray]:
-        chunks = list(self.iter_chunks())
-        n = self.n_components
-        if not chunks:
-            return {
-                "labels": np.zeros((0, n), np.int64),
-                "act_counts": np.zeros(0, np.int64),
-                "act_values": np.zeros(0, np.int64),
-                "errors": np.zeros(0),
-                "residuals": np.zeros(0),
-                "times": np.zeros(0),
-            }
-        return {
-            key: np.concatenate([c[key] for c in chunks]) for key in chunks[0]
-        }
-
     # -- materialization ------------------------------------------------
     def build(self) -> IterationTrace:
         """Finalize into an immutable :class:`IterationTrace`."""
-        cols = self._columns()
-        J = cols["labels"].shape[0]
+        chunks = [*self._frozen, self._current_chunk()]
+        cols = {name: np.concatenate([c[name] for c in chunks]) for name in _COLUMNS}
+        return _trace_from_columns(self.n_components, cols, self.owners, dict(self.meta))
 
-        def _series(arr: np.ndarray, name: str) -> np.ndarray | None:
-            count = arr.size
-            if count == 0:
-                return None
-            if count != J + 1:
-                raise RuntimeError(
-                    f"series has {count} entries, expected {J + 1} "
-                    "(record_initial + one per iteration)"
-                )
-            return arr
 
-        times = cols["times"] if cols["times"].size == J and J > 0 else None
-        offsets = np.concatenate([[0], np.cumsum(cols["act_counts"])])
-        # .tolist() converts to Python ints at C speed; the per-row
-        # tuple() is the only remaining Python-level loop.
-        values = cols["act_values"].tolist()
-        active_sets = tuple(
-            tuple(values[offsets[r] : offsets[r + 1]]) for r in range(J)
-        )
-        return IterationTrace(
-            n_components=self.n_components,
-            active_sets=active_sets,
-            labels=cols["labels"],
-            errors=_series(cols["errors"], "errors"),
-            residuals=_series(cols["residuals"], "residuals"),
-            times=times,
-            owners=self.owners,
-            meta=dict(self.meta),
-        )
+def _trace_from_columns(
+    n_components: int,
+    cols: dict[str, np.ndarray],
+    owners: np.ndarray | None,
+    meta: dict[str, Any],
+) -> IterationTrace:
+    """The :class:`IterationTrace` that a recorder's or a file's columns hold.
 
-    # -- persistence ----------------------------------------------------
-    def _column_totals(self) -> dict[str, int]:
-        return {
-            "labels": self._flushed_rows + self._rows,
-            "act_counts": self._flushed_rows + self._rows,
-            "act_values": self._flushed_act + self._n_act,
-            "errors": self._flushed_err + self._n_err,
-            "residuals": self._flushed_res + self._n_res,
-            "times": self._flushed_time + self._n_time,
-        }
+    An empty series column means the series was never recorded; a
+    nonempty one must hold ``record_initial`` plus one entry per
+    iteration.
+    """
+    J = cols["labels"].shape[0]
 
-    @staticmethod
-    def _stream_npy(
-        zf: zipfile.ZipFile,
-        name: str,
-        dtype: np.dtype,
-        shape: tuple[int, ...],
-        chunks: Iterator[np.ndarray],
-    ) -> None:
-        """Write one ``.npy`` zip member from chunk arrays, never whole.
-
-        Chunks concatenate along axis 0, so their C-order bytes simply
-        append after a hand-written npy header with the final shape —
-        this is what keeps :meth:`save` at O(chunk) memory for spilled
-        stores instead of concatenating every chunk first.
-        """
-        header = {
-            "descr": np.lib.format.dtype_to_descr(np.dtype(dtype)),
-            "fortran_order": False,
-            "shape": shape,
-        }
-        with zf.open(f"{name}.npy", mode="w") as member:
-            np.lib.format.write_array_header_1_0(member, header)
-            for chunk in chunks:
-                member.write(np.ascontiguousarray(chunk, dtype=dtype).tobytes())
-
-    def save(self, path: "str | os.PathLike[str]") -> pathlib.Path:
-        """Write the whole store into one ``.npz`` file (atomic replace).
-
-        The file holds the raw columns, so ``load(path).build()``
-        reproduces the trace bit-identically (int64 labels/active
-        values, float64 series).  Columns stream into the archive chunk
-        by chunk — spilled chunks are re-read one at a time and never
-        concatenated, so saving keeps the recording-time O(chunk)
-        memory bound.  The spill directory is not touched.
-        """
-        path = pathlib.Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        totals = self._column_totals()
-        small: dict[str, np.ndarray] = {
-            "format_version": np.asarray(self._FORMAT_VERSION, np.int64),
-            "n_components": np.asarray(self.n_components, np.int64),
-            "meta_json": np.asarray(json.dumps(json_safe(self.meta))),
-        }
-        if self.owners is not None:
-            small["owners"] = np.asarray(self.owners, np.int64)
-        tmp = _tmp_sibling(path)
-        with zipfile.ZipFile(tmp, "w", zipfile.ZIP_DEFLATED) as zf:
-            for name, arr in small.items():
-                buf = io.BytesIO()
-                np.save(buf, arr)
-                zf.writestr(f"{name}.npy", buf.getvalue())
-            self._stream_npy(
-                zf, "labels", np.int64, (totals["labels"], self.n_components),
-                self._iter_column("labels"),
+    def _series(name: str) -> np.ndarray | None:
+        arr = cols[name]
+        if arr.size == 0:
+            return None
+        if arr.size != J + 1:
+            raise RuntimeError(
+                f"series has {arr.size} entries, expected {J + 1} "
+                "(record_initial + one per iteration)"
             )
-            for name, dtype in (
-                ("act_counts", np.int64),
-                ("act_values", np.int64),
-                ("errors", np.float64),
-                ("residuals", np.float64),
-                ("times", np.float64),
-            ):
-                self._stream_npy(
-                    zf, name, dtype, (totals[name],), self._iter_column(name)
-                )
-        os.replace(tmp, path)
-        return path
+        return arr
 
-    @classmethod
-    def load(cls, path: "str | os.PathLike[str]") -> "TraceStore":
-        """Restore a store persisted by :meth:`save` (fully in memory)."""
-        with np.load(path, allow_pickle=False) as z:
-            version = int(z["format_version"])
-            if version > cls._FORMAT_VERSION:
-                raise ValueError(
-                    f"trace file {path} has format v{version}; "
-                    f"this build reads up to v{cls._FORMAT_VERSION}"
-                )
-            store = cls(int(z["n_components"]))
-            chunk = {
-                key: np.asarray(z[key])
-                for key in ("labels", "act_counts", "act_values", "errors", "residuals", "times")
-            }
-            if "owners" in z.files:
-                store.owners = np.asarray(z["owners"], np.int64)
-            store.meta = json.loads(str(z["meta_json"]))
-        store._frozen.append(chunk)
-        store._flushed_rows = int(chunk["labels"].shape[0])
-        store._flushed_act = int(chunk["act_values"].size)
-        store._flushed_err = int(chunk["errors"].size)
-        store._flushed_res = int(chunk["residuals"].size)
-        store._flushed_time = int(chunk["times"].size)
-        return store
-
-    @classmethod
-    def from_trace(cls, trace: IterationTrace, **kwargs: Any) -> "TraceStore":
-        """Wrap a materialized :class:`IterationTrace` back into a store."""
-        store = cls(trace.n_components, owners=trace.owners, **kwargs)
-        store.meta = dict(trace.meta)
-        J = trace.n_iterations
-        counts = np.asarray([len(S) for S in trace.active_sets], np.int64)
-        flat = (
-            np.asarray([c for S in trace.active_sets for c in S], np.int64)
-            if J
-            else np.zeros(0, np.int64)
-        )
-        chunk = {
-            "labels": np.asarray(trace.labels, np.int64),
-            "act_counts": counts,
-            "act_values": flat,
-            "errors": np.zeros(0) if trace.errors is None else np.asarray(trace.errors),
-            "residuals": np.zeros(0) if trace.residuals is None else np.asarray(trace.residuals),
-            "times": np.zeros(0) if trace.times is None else np.asarray(trace.times),
-        }
-        store._frozen.append(chunk)
-        store._flushed_rows = J
-        store._flushed_act = int(chunk["act_values"].size)
-        store._flushed_err = int(chunk["errors"].size)
-        store._flushed_res = int(chunk["residuals"].size)
-        store._flushed_time = int(chunk["times"].size)
-        return store
+    times = cols["times"] if cols["times"].size == J and J > 0 else None
+    offsets = np.concatenate([[0], np.cumsum(cols["act_counts"])])
+    # .tolist() converts to Python ints at C speed; the per-row
+    # tuple() is the only remaining Python-level loop.
+    values = cols["act_values"].tolist()
+    active_sets = tuple(
+        tuple(values[offsets[r] : offsets[r + 1]]) for r in range(J)
+    )
+    return IterationTrace(
+        n_components=n_components,
+        active_sets=active_sets,
+        labels=cols["labels"],
+        errors=_series("errors"),
+        residuals=_series("residuals"),
+        times=times,
+        owners=owners,
+        meta=meta,
+    )
 
 
 def _tmp_sibling(path: pathlib.Path) -> pathlib.Path:
@@ -589,10 +361,10 @@ def resolve_sink(
 ) -> TraceStore:
     """The store an engine should record into.
 
-    ``None`` means the engine owns its trace and gets a fresh in-memory
-    store; an injected sink (e.g. a spilling :class:`TraceStore`) is
-    validated against the engine's component count and gains the
-    engine's ``owners`` map when it has none of its own.
+    ``None`` means the engine owns its trace and gets a fresh
+    :class:`TraceStore`; an injected sink (any object with the sink
+    interface) is validated against the engine's component count and
+    gains the engine's ``owners`` map when it has none of its own.
     """
     if sink is None:
         return TraceStore(n_components, owners=owners)
@@ -606,48 +378,58 @@ def resolve_sink(
 
 
 def save_trace(path: "str | os.PathLike[str]", trace: IterationTrace) -> pathlib.Path:
-    """Persist a materialized trace as a :class:`TraceStore` ``.npz``."""
-    return TraceStore.from_trace(trace).save(path)
+    """Write ``trace`` into one compressed ``.npz`` file; returns its path.
+
+    This is the one writer of the trace file (format 1).  Its members
+    are ``format_version``, ``n_components`` and the JSON-safe
+    ``meta_json``; ``owners`` when the trace has them; the int64
+    ``labels``, ``act_counts`` and flat ``act_values`` columns; and the
+    float64 ``errors``, ``residuals`` and ``times`` series, empty when
+    the trace has none.  The file is written under a temp name of its
+    own and ``os.replace``-d onto ``path``, because readers recognise a
+    trace by its file existing.
+    """
+    path = pathlib.Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    members: dict[str, np.ndarray] = {
+        "format_version": np.asarray(_FORMAT_VERSION, np.int64),
+        "n_components": np.asarray(trace.n_components, np.int64),
+        "meta_json": np.asarray(json.dumps(json_safe(trace.meta))),
+    }
+    if trace.owners is not None:
+        members["owners"] = trace.owners
+    sets = trace.active_sets
+    absent = np.zeros(0)
+    members.update(
+        labels=trace.labels,
+        act_counts=np.fromiter(map(len, sets), np.int64, count=len(sets)),
+        act_values=np.fromiter(itertools.chain.from_iterable(sets), np.int64),
+        errors=absent if trace.errors is None else trace.errors,
+        residuals=absent if trace.residuals is None else trace.residuals,
+        times=absent if trace.times is None else trace.times,
+    )
+    tmp = _tmp_sibling(path)
+    with open(tmp, "wb") as f:
+        np.savez_compressed(f, **members)
+    os.replace(tmp, path)
+    return path
 
 
 def load_trace(path: "str | os.PathLike[str]") -> IterationTrace:
-    """Materialize the :class:`IterationTrace` stored in a ``.npz`` file."""
-    return TraceStore.load(path).build()
+    """The :class:`IterationTrace` a :func:`save_trace` file holds, bit for bit.
 
-
-class TraceHandle:
-    """A materializable reference to a realized trace.
-
-    The streaming results layer moves traces out of result objects:
-    a handle names a trace that may live in memory, on disk, or both,
-    and :meth:`materialize` produces the :class:`IterationTrace` view
-    on demand (cached).  Handles are cheap to carry through fleet
-    results and sweep stores — the arrays only load when analysis asks.
+    A file of a newer ``format_version`` than this build writes raises
+    ``ValueError``.
     """
-
-    __slots__ = ("path", "_trace")
-
-    def __init__(
-        self,
-        trace: IterationTrace | None = None,
-        path: "str | os.PathLike[str] | None" = None,
-    ) -> None:
-        if trace is None and path is None:
-            raise ValueError("TraceHandle needs a trace, a path, or both")
-        self.path = None if path is None else pathlib.Path(path)
-        self._trace = trace
-
-    @property
-    def in_memory(self) -> bool:
-        """Whether :meth:`materialize` is free (trace already loaded)."""
-        return self._trace is not None
-
-    def materialize(self) -> IterationTrace:
-        """The trace itself, loading from ``path`` on first access."""
-        if self._trace is None:
-            self._trace = load_trace(self.path)
-        return self._trace
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        where = "memory" if self.in_memory else "disk"
-        return f"<TraceHandle {where} path={self.path}>"
+    with np.load(path, allow_pickle=False) as z:
+        version = int(z["format_version"])
+        if version > _FORMAT_VERSION:
+            raise ValueError(
+                f"trace file {path} has format v{version}; "
+                f"this build reads up to v{_FORMAT_VERSION}"
+            )
+        n = int(z["n_components"])
+        cols = {name: z[name] for name in _COLUMNS}
+        owners = z["owners"] if "owners" in z.files else None
+        meta = json.loads(str(z["meta_json"]))
+    return _trace_from_columns(n, cols, owners, meta)

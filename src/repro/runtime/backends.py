@@ -55,7 +55,7 @@ import numpy as np
 from repro.core.async_iteration import AsyncIterationEngine
 from repro.core.flexible import InterpolatedPartials, PartialUpdateModel
 from repro.core.replay import TraceReplayDelays, TraceReplaySteering
-from repro.core.trace import IterationTrace, TraceHandle, TraceStore, save_trace
+from repro.core.trace import IterationTrace, save_trace
 from repro.delays.base import DelayModel
 from repro.operators.base import FixedPointOperator
 from repro.runtime.shared_memory import SharedMemoryAsyncRunner
@@ -125,13 +125,11 @@ class ExecutionRequest:
     options:
         Backend-specific extras (``residual_every``,
         ``record_messages``, ``partials``, ``n_workers``, ``problem``...).
-        The streaming results layer reads the cross-backend trace
-        options here: ``trace_sink`` (a
-        :class:`~repro.core.trace.TraceStore` to record into),
-        ``trace_spill_dir``/``trace_chunk_size`` (construct a spilling
-        store), ``trace_path`` (persist the realized trace as ``.npz``)
-        and ``materialize_trace`` (keep the in-memory trace on the
-        result; default true).
+        Two trace options hold for every backend that records a trace:
+        ``trace_sink`` hands the engine the sink to record into (a
+        :class:`~repro.core.trace.TraceStore` or any object with its
+        sink interface), and ``trace_path`` saves the returned trace
+        there as one ``.npz`` (:func:`~repro.core.trace.save_trace`).
     """
 
     operator: FixedPointOperator | None
@@ -158,7 +156,8 @@ class BackendRunResult:
         Final iterate.
     trace:
         Realized :class:`~repro.core.trace.IterationTrace` (``None``
-        when the backend cannot produce one).
+        when the backend cannot produce one); also saved to
+        ``options["trace_path"]`` when the request names one.
     converged:
         Whether the stopping tolerance was reached within budget.
     iterations:
@@ -169,13 +168,6 @@ class BackendRunResult:
     final_time:
         Simulated time (simulators), wall-clock seconds (shared
         memory), or ``None`` for pure-math engines.
-    trace_handle:
-        :class:`~repro.core.trace.TraceHandle` naming the realized
-        trace wherever it lives.  With ``options["trace_path"]`` the
-        trace is saved there and — unless
-        ``options["materialize_trace"]`` stays true — ``trace`` is
-        ``None`` and the handle is the only (disk-backed) reference,
-        so fleets of results don't pin every trace in RAM.
     stats:
         Backend-specific counters (message stats, constraint audits,
         per-worker updates...).
@@ -190,7 +182,6 @@ class BackendRunResult:
     iterations: int
     final_residual: float
     final_time: float | None = None
-    trace_handle: TraceHandle | None = None
     stats: dict[str, Any] = field(default_factory=dict)
     raw: Any = None
 
@@ -231,56 +222,12 @@ class ExecutionBackend(abc.ABC):
         return f"<{type(self).__name__} name={self.name!r} kind={self.kind!r}>"
 
 
-# ----------------------------------------------------------------------
-# Trace sinks and handles (the streaming results layer)
-# ----------------------------------------------------------------------
-
-def _trace_sink(request: ExecutionRequest) -> TraceStore | None:
-    """The store a backend should inject into its engine, if any.
-
-    ``options["trace_sink"]`` wins; ``trace_spill_dir`` /
-    ``trace_chunk_size`` construct a (possibly disk-spilling) store;
-    otherwise ``None`` lets the engine allocate its own.
-    """
-    opts = request.options
-    sink = opts.get("trace_sink")
-    if sink is not None:
-        return sink
-    spill = opts.get("trace_spill_dir")
-    chunk = opts.get("trace_chunk_size")
-    if spill is None and chunk is None:
-        return None
-    return TraceStore(
-        request.operator.n_components,
-        spill_dir=spill,
-        chunk_size=None if chunk is None else int(chunk),
-    )
-
-
-def _package_trace(
-    request: ExecutionRequest,
-    trace: IterationTrace | None,
-    sink: TraceStore | None = None,
-) -> tuple[IterationTrace | None, TraceHandle | None]:
-    """Apply the request's trace persistence options to a realized trace.
-
-    Returns the ``(trace, trace_handle)`` pair for the
-    :class:`BackendRunResult`: with ``options["trace_path"]`` the trace
-    is written there (through ``sink`` when one recorded the run, so no
-    second materialization happens) and, unless
-    ``options["materialize_trace"]`` stays true, dropped from memory —
-    the handle is then the only, disk-backed, reference.
-    """
-    if trace is None:
-        return None, None
-    opts = request.options
-    path = opts.get("trace_path")
-    if path is None:
-        return trace, TraceHandle(trace=trace)
-    saved = sink.save(path) if sink is not None else save_trace(path, trace)
-    if bool(opts.get("materialize_trace", True)):
-        return trace, TraceHandle(trace=trace, path=saved)
-    return None, TraceHandle(path=saved)
+def _saved(request: ExecutionRequest, trace: IterationTrace | None) -> IterationTrace | None:
+    """``trace``, first saved to ``options["trace_path"]`` when the request names one."""
+    path = request.options.get("trace_path")
+    if trace is not None and path is not None:
+        save_trace(path, trace)
+    return trace
 
 
 # ----------------------------------------------------------------------
@@ -396,7 +343,6 @@ class ExactBackend(ExecutionBackend):
             reference=request.reference,
             residual_every=int(opts.get("residual_every", 1)),
         )
-        sink = _trace_sink(request)
         res = engine.run(
             request.x0,
             max_iterations=request.max_iterations,
@@ -404,9 +350,8 @@ class ExactBackend(ExecutionBackend):
             track_errors=bool(opts.get("track_errors", True)),
             track_residuals=bool(opts.get("track_residuals", True)),
             meta=opts.get("meta"),
-            sink=sink,
+            sink=opts.get("trace_sink"),
         )
-        trace, handle = _package_trace(request, res.trace, sink)
         stats: dict[str, Any] = {}
         if engine.partials is not None:
             stats = {
@@ -416,12 +361,11 @@ class ExactBackend(ExecutionBackend):
             }
         return BackendRunResult(
             x=res.x,
-            trace=trace,
+            trace=_saved(request, res.trace),
             converged=res.converged,
             iterations=res.iterations,
             final_residual=res.final_residual,
             final_time=None,
-            trace_handle=handle,
             stats=stats,
             raw=res,
         )
@@ -468,7 +412,6 @@ class _SimulatorBackend(ExecutionBackend):
             faults=request.faults,
         )
         record_messages = bool(opts.get("record_messages", True))
-        sink = _trace_sink(request)
         res = sim.run(
             request.x0,
             max_iterations=request.max_iterations,
@@ -476,21 +419,18 @@ class _SimulatorBackend(ExecutionBackend):
             tol=request.tol,
             residual_every=int(opts.get("residual_every", RESIDUAL_EVERY)),
             record_messages=record_messages,
-            sink=sink,
+            sink=opts.get("trace_sink"),
         )
         stats: dict[str, Any] = dict(res.stats)
         if record_messages:
             stats["message_stats"] = res.message_stats()
-        iterations = res.trace.n_iterations
-        trace, handle = _package_trace(request, res.trace, sink)
         return BackendRunResult(
             x=res.x,
-            trace=trace,
+            trace=_saved(request, res.trace),
             converged=res.converged,
-            iterations=iterations,
+            iterations=res.trace.n_iterations,
             final_residual=res.final_residual,
             final_time=res.final_time,
-            trace_handle=handle,
             stats=stats,
             raw=res,
         )
@@ -549,24 +489,21 @@ class SharedMemoryBackend(ExecutionBackend):
             worker_sleep=opts.get("worker_sleep", 0.0),
             monitor_interval=float(opts.get("monitor_interval", 0.005)),
         )
-        sink = _trace_sink(request)
         res = runner.run(
             request.x0,
             max_updates=request.max_iterations,
             tol=request.tol,
             timeout=float(opts.get("timeout", 60.0)),
             record_trace=bool(opts.get("record_trace", True)),
-            sink=sink,
+            sink=opts.get("trace_sink"),
         )
-        trace, handle = _package_trace(request, res.trace, sink)
         return BackendRunResult(
             x=res.x,
-            trace=trace,
+            trace=_saved(request, res.trace),
             converged=res.converged,
             iterations=res.total_updates,
             final_residual=res.final_residual,
             final_time=res.wall_time,
-            trace_handle=handle,
             stats={
                 "total_updates": res.total_updates,
                 "updates_per_worker": dict(res.updates_per_worker),

@@ -43,7 +43,6 @@ import json
 import math
 import os
 import pathlib
-import shutil
 import statistics
 import time
 from concurrent.futures import (
@@ -388,8 +387,6 @@ def run_scenario(
     spec: ScenarioSpec,
     *,
     trace_dir: "str | os.PathLike[str] | None" = None,
-    spill_dir: "str | os.PathLike[str] | None" = None,
-    trace_chunk_size: int | None = None,
 ) -> ScenarioResult:
     """Execute one scenario spec and summarize it as a :class:`ScenarioResult`.
 
@@ -397,19 +394,15 @@ def run_scenario(
     ``result.error`` so one bad grid point cannot sink a fleet.
 
     With ``trace_dir`` the realized trace is saved there as
-    ``<content_hash>.npz`` (recorded through a disk-spilling
-    :class:`~repro.core.trace.TraceStore` rooted at ``spill_dir`` when
-    given, so even very long traces stay within O(chunk) RAM while
-    recording); the summary then carries ``trace_path`` instead of any
-    in-memory trace.  Workers write their own trace files, so nothing
-    trace-sized ever crosses a process-pool boundary.
+    ``<content_hash>.npz`` and then dropped; the summary carries
+    ``trace_path`` instead of any in-memory trace.  Workers write their
+    own trace files, so nothing trace-sized ever crosses a process-pool
+    boundary, and a worker holds one trace at a time: O(J) memory for a
+    run of ``J`` iterations.
     """
     t0 = time.perf_counter()
     try:
-        summary, _ = execute_scenario(
-            spec, trace_dir=trace_dir, spill_dir=spill_dir,
-            trace_chunk_size=trace_chunk_size,
-        )
+        summary, _ = execute_scenario(spec, trace_dir=trace_dir)
     except Exception as exc:  # noqa: BLE001 - captured per scenario by design
         return ScenarioResult(
             key=spec.key, spec=spec, error=repr(exc),
@@ -422,8 +415,6 @@ def execute_scenario(
     spec: ScenarioSpec,
     *,
     trace_dir: "str | os.PathLike[str] | None" = None,
-    spill_dir: "str | os.PathLike[str] | None" = None,
-    trace_chunk_size: int | None = None,
 ) -> "tuple[ScenarioResult, Any]":
     """Run one spec, returning ``(summary, backend_result)``.
 
@@ -483,32 +474,16 @@ def execute_scenario(
         # sweep is persisting traces.
         request.options["record_trace"] = trace_dir is not None
 
-    content_hash = spec.content_hash
-    scenario_spill: pathlib.Path | None = None
     trace_path: str | None = None
     if trace_dir is not None:
-        path = pathlib.Path(trace_dir) / f"{content_hash}.npz"
+        path = pathlib.Path(trace_dir) / f"{spec.content_hash}.npz"
         request.options["trace_path"] = path
-        if spill_dir is not None:
-            scenario_spill = pathlib.Path(spill_dir) / content_hash
-            request.options["trace_spill_dir"] = scenario_spill
-        if trace_chunk_size is not None:
-            request.options["trace_chunk_size"] = int(trace_chunk_size)
-
-    try:
-        res = backend.execute(request)
-    finally:
-        if scenario_spill is not None:
-            # The final .npz has everything; the spill chunks were
-            # only the recording-time working set.
-            shutil.rmtree(scenario_spill, ignore_errors=True)
+    res = backend.execute(request)
     if trace_dir is not None:
         # "" = traces were requested but this backend produced none
         # (e.g. a shared-memory run with zero commits): the row is
         # complete, a re-run could never yield a trace.
-        trace_path = (
-            str(res.trace_handle.path) if res.trace_handle is not None else ""
-        )
+        trace_path = str(path) if res.trace is not None else ""
 
     trace = res.trace
     final_error = (
@@ -782,24 +757,14 @@ def run_fleet(
         the batched engine cannot take falls back to solo execution.
 
     The per-scenario results keep submission order regardless of
-    completion order.  For persistent/resumable sweeps use
-    :func:`run_grid` with a :class:`~repro.runtime.sweep_store.SweepStore`.
+    completion order.  This is :func:`run_grid` without a store and
+    without the result cache (``REPRO_SWEEP_CACHE`` is never read); for
+    persistent/resumable sweeps give :func:`run_grid` a
+    :class:`~repro.runtime.sweep_store.SweepStore`.
     """
-    specs = list(scenarios)
-    chosen, workers = _resolve_executor(executor, max_workers)
-    chunk_size = check_chunk_size(chunk_size)
-    if chosen != "serial" and len(specs) <= 1:
-        chosen = "serial"
-    t0 = time.perf_counter()
-    slots = _execute_specs(
-        list(enumerate(specs)), run_scenario, chosen, workers,
+    return run_grid(
+        scenarios, cache=False, executor=executor, max_workers=max_workers,
         chunk_size=chunk_size, batch=batch,
-    )
-    return FleetResult(
-        results=tuple(slots[i] for i in range(len(specs))),
-        wall_time=time.perf_counter() - t0,
-        executor=chosen,
-        max_workers=workers,
     )
 
 
@@ -861,7 +826,6 @@ def run_grid(
     resume: Any = None,
     cache: Any = None,
     keep_traces: bool = False,
-    trace_chunk_size: int | None = None,
     executor: str = "auto",
     max_workers: int | None = None,
     chunk_size: "int | str" = "auto",
@@ -910,14 +874,10 @@ def run_grid(
         cached too) and are bit-identical to executing: the digest of
         a cached sweep equals the cold one.
     keep_traces:
-        Persist each scenario's realized trace into the store.  Traces
-        record through a disk-spilling trace store and are saved (and
-        dropped) inside the worker, so fleet memory stays bounded
-        regardless of scenario count; the per-worker peak is the one
-        trace each engine still materializes at end of run.
-    trace_chunk_size:
-        Rows per trace chunk for ``keep_traces`` recording (default
-        :attr:`~repro.core.trace.TraceStore.DEFAULT_CHUNK_SIZE`).
+        Persist each scenario's realized trace into the store.  Each
+        trace is saved (and dropped) inside its worker, so fleet memory
+        does not grow with scenario count; the per-worker peak is the
+        one trace in flight, O(J) for a run of ``J`` iterations.
     chunk_size:
         Scenarios per dispatched chunk.  ``"auto"``: cost-balanced
         chunks, about 4 tasks per worker, on a pool; one chunk per
@@ -931,8 +891,8 @@ def run_grid(
         records no traces, and a trace-keeping sweep must get a trace
         file per row.
 
-    Returns the same :class:`FleetResult` a plain :func:`run_fleet`
-    would have produced, with ``trace_path``/``info`` populated.
+    Returns the run's :class:`FleetResult`, in submission order, with
+    ``trace_path``/``info`` populated.
     """
     from repro.runtime.sweep_store import SweepStore
     from repro.scenarios.spec import ScenarioGrid
@@ -1031,12 +991,7 @@ def run_grid(
     if sweep is not None:
         sweep.write_manifest(specs)
         if keep_traces:
-            runner = functools.partial(
-                run_scenario,
-                trace_dir=sweep.traces_dir,
-                spill_dir=sweep.tmp_dir,
-                trace_chunk_size=trace_chunk_size,
-            )
+            runner = functools.partial(run_scenario, trace_dir=sweep.traces_dir)
 
     sinks: list[Callable[[list[ScenarioResult]], None]] = []
     if sweep is not None:

@@ -254,8 +254,13 @@ class DistributedSimulator:
         ``tol`` tests the fixed-point residual of the *global committed
         iterate* every ``residual_every`` completed phases (``0``
         disables the test and runs out the budget).  ``sink`` injects
-        the trace store the run records into (e.g. a disk-spilling
-        :class:`~repro.core.trace.TraceStore`).
+        the trace store the run records into (a
+        :class:`~repro.core.trace.TraceStore` or any object with its
+        sink interface).  ``record_messages`` keeps the physical logs:
+        one :class:`MessageRecord` per message and one
+        :class:`PhaseRecord` per commit.  Without it both lists stay
+        empty; ``stats["phases_completed"]`` counts the commits either
+        way.
         """
         x0 = check_vector(x0, "x0", dim=self.operator.dim)
         if max_iterations < 1:
@@ -586,16 +591,17 @@ class DistributedSimulator:
             global_x[esel] = committed
             own_label[pid] = j
             send_burst(pid, snap, committed, j, end, False)
-            phases.append(
-                PhaseRecord(
-                    processor=pid,
-                    iteration=j,
-                    start=state.start,
-                    end=end,
-                    components=ps.components,
-                    inner_steps=ps.inner_steps,
+            if record_messages:
+                phases.append(
+                    PhaseRecord(
+                        processor=pid,
+                        iteration=j,
+                        start=state.start,
+                        end=end,
+                        components=ps.components,
+                        inner_steps=ps.inner_steps,
+                    )
                 )
-            )
 
             err = norm(global_x - self.reference) if track_err else None
             if j % residual_every == 0 or j >= max_iterations:
@@ -621,7 +627,7 @@ class DistributedSimulator:
             "messages_dropped": float(
                 sum(c.messages_dropped for c in self._channels.values())
             ),
-            "phases_completed": float(len(phases)),
+            "phases_completed": float(iteration),
         }
         trace = builder.build()
         if fstate is not None:

@@ -74,9 +74,11 @@ class SimulationResult:
     trace:
         The mathematical ``(S, L)`` trace (feeds macro/epoch analysis).
     phases:
-        Physical phase records in completion order.
+        Physical phase records in completion order; empty when the run
+        was made with ``record_messages=False`` (``stats``'s
+        ``phases_completed`` still counts them).
     messages:
-        All messages in send order.
+        All messages in send order; empty without ``record_messages``.
     final_time:
         Simulated time at which the run stopped.
     converged:

@@ -12,14 +12,17 @@ against.
 
 Do not optimize this module — its value is that it never changes.
 See ``engine.py`` for the semantics documentation; the two modules
-implement the same contract.  Two changes are sanctioned since the
+implement the same contract.  Three changes are sanctioned since the
 freeze, each made to both engines in lockstep.  The fault-injection
 hooks are a *semantic extension* (the contract itself grew): they hide
 entirely behind ``faults=None``, and the pre-fault golden digests still
-pin the fault-free behaviour bit for bit.  And every ``run()`` starts
+pin the fault-free behaviour bit for bit.  Every ``run()`` starts
 from empty channels (:meth:`ChannelState.reset`), where a second run
 on one instance used to inherit the first run's FIFO clocks and
 message counters; a first run is unchanged, so every golden holds.
+And the phase log, like the message log, is kept only under
+``record_messages``; ``phases_completed`` counts commits either way.
+This moves no iterate, label, time or stat.
 """
 
 from __future__ import annotations
@@ -178,7 +181,9 @@ class ReferenceSimulator:
         ``tol`` tests the fixed-point residual of the *global committed
         iterate* every ``residual_every`` completed phases (``0``
         disables the test and runs out the budget).  ``sink`` injects
-        the trace store the run records into.
+        the trace store the run records into.  ``record_messages``
+        keeps the message and phase logs; without it both stay empty
+        and ``stats["phases_completed"]`` still counts the commits.
         """
         x0 = check_vector(x0, "x0", dim=self.operator.dim)
         if max_iterations < 1:
@@ -386,16 +391,17 @@ class ReferenceSimulator:
                 global_x[sl] = val
                 global_labels[c] = j
                 send_component(pid, c, val, j, end, False)
-            phases.append(
-                PhaseRecord(
-                    processor=pid,
-                    iteration=j,
-                    start=state.start,
-                    end=end,
-                    components=ps.components,
-                    inner_steps=ps.inner_steps,
+            if record_messages:
+                phases.append(
+                    PhaseRecord(
+                        processor=pid,
+                        iteration=j,
+                        start=state.start,
+                        end=end,
+                        components=ps.components,
+                        inner_steps=ps.inner_steps,
+                    )
                 )
-            )
 
             err = norm(global_x - self.reference) if track_err else None
             if j % residual_every == 0 or j >= max_iterations:
@@ -421,7 +427,7 @@ class ReferenceSimulator:
             "messages_dropped": float(
                 sum(c.messages_dropped for c in self._channels.values())
             ),
-            "phases_completed": float(len(phases)),
+            "phases_completed": float(iteration),
         }
         trace = builder.build()
         if fstate is not None:

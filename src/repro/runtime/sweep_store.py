@@ -14,7 +14,6 @@ millions of rows:
       shards/<pp>/batch-<fp>.json# sidecar: key/spec/info/trace_path per row
       shards/<pp>/log/<fp>.json  # append-log: rows written together, not yet sealed
       traces/<hash>.npz          # optional realized traces (keep_traces)
-      tmp/<hash>/chunk_*.npz     # spill working set while a trace records
       merge_log.json             # fingerprints of source units already merged
 
 Every row is keyed by the scenario's canonical
@@ -402,7 +401,6 @@ class SweepStore:
         self.root = pathlib.Path(root)
         self.shards_dir = self.root / "shards"
         self.traces_dir = self.root / "traces"
-        self.tmp_dir = self.root / "tmp"
         self.batch_rows = (
             DEFAULT_BATCH_ROWS if batch_rows is None else int(batch_rows)
         )
@@ -445,7 +443,7 @@ class SweepStore:
                     self.prefix_len = len(name)
                     break
         if create:
-            for d in (self.traces_dir, self.tmp_dir, self.shards_dir):
+            for d in (self.traces_dir, self.shards_dir):
                 d.mkdir(parents=True, exist_ok=True)
 
     def _read_header(self) -> "dict[str, Any] | None":

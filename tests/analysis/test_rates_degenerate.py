@@ -131,18 +131,6 @@ class TestStreamingRateFit:
         assert acc.n_points == 3
         assert acc.fit().rate == pytest.approx(0.5)
 
-    def test_reads_trace_store_chunks(self, tmp_path):
-        from repro.core.trace import TraceStore
-
-        store = TraceStore(2, chunk_size=8, spill_dir=tmp_path / "sp")
-        store.record_initial(residual=1.0)
-        for j in range(1, 41):
-            store.record((j % 2,), np.full(2, j - 1), residual=0.8**j)
-        stream = fit_geometric_rate_streaming(store.iter_series("residuals"))
-        batch = fit_geometric_rate(store.series("residuals"))
-        assert stream.rate == pytest.approx(batch.rate, rel=1e-10)
-        assert stream.rate == pytest.approx(0.8, rel=1e-6)
-
     def test_negative_skip_rejected(self):
         with pytest.raises(ValueError):
             StreamingRateFit(skip=-1)

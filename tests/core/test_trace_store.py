@@ -1,22 +1,23 @@
-"""TraceStore: chunked columnar recording, spill mode, persistence.
+"""TraceStore: chunked columnar recording, the trace file, sink injection.
 
-The contract under test is the streaming results layer's foundation:
-whatever the chunk size, spill mode, or a save/load round-trip, the
+The contract under test is the results layer's foundation: whatever
+the chunk boundaries, and across a save/load round-trip, the
 materialized :class:`~repro.core.trace.IterationTrace` is bit-identical
-to the one the plain in-memory builder produces — pinned all the way to
-``replay_trace`` re-executing a persisted simulator trace exactly.
+to the one the plain in-memory recorder produces — pinned all the way
+to ``replay_trace`` re-executing a persisted simulator trace exactly.
+The trace file's members and dtypes are pinned too, so files written
+by earlier versions keep loading.
 """
 
 from __future__ import annotations
 
-import tracemalloc
+import json
 
 import numpy as np
 import pytest
 
 from repro.core.trace import (
     IterationTrace,
-    TraceHandle,
     TraceStore,
     load_trace,
     save_trace,
@@ -53,66 +54,40 @@ def _assert_traces_equal(a: IterationTrace, b: IterationTrace) -> None:
         assert np.array_equal(a.owners, b.owners)
 
 
+@pytest.fixture
+def chunk_rows(monkeypatch):
+    """Set the recorder's rows per chunk for one test: ``chunk_rows(7)``."""
+
+    def _set(rows: int) -> None:
+        monkeypatch.setattr(TraceStore, "_CHUNK_ROWS", rows)
+
+    return _set
+
+
 class TestChunking:
     @pytest.mark.parametrize("chunk_size", [1, 7, 64, 1000])
-    def test_chunked_equals_monolithic(self, chunk_size):
+    def test_chunked_equals_monolithic(self, chunk_rows, chunk_size):
         base = _record_run(TraceStore(4)).build()
-        chunked = _record_run(TraceStore(4, chunk_size=chunk_size)).build()
+        chunk_rows(chunk_size)
+        chunked = _record_run(TraceStore(4)).build()
         _assert_traces_equal(base, chunked)
 
-    def test_spill_equals_in_memory(self, tmp_path):
-        base = _record_run(TraceStore(4)).build()
-        store = _record_run(TraceStore(4, chunk_size=32, spill_dir=tmp_path / "sp"))
-        assert store.spilled_chunks == 300 // 32
-        assert len(list((tmp_path / "sp").glob("chunk_*.npz"))) == store.spilled_chunks
-        _assert_traces_equal(base, store.build())
-
-    def test_n_iterations_spans_chunks(self):
-        store = _record_run(TraceStore(4, chunk_size=50), J=123)
+    def test_n_iterations_spans_chunks(self, chunk_rows):
+        chunk_rows(50)
+        store = _record_run(TraceStore(4), J=123)
         assert store.n_iterations == 123
-
-    def test_series_column_access(self):
-        store = _record_run(TraceStore(4, chunk_size=32))
-        trace = store.build()
-        assert np.array_equal(store.series("residuals"), trace.residuals)
-        assert np.array_equal(store.series("times"), trace.times)
-        assert TraceStore(2).series("errors") is None
-        with pytest.raises(KeyError):
-            store.series("labels")
-
-    def test_spill_recording_and_save_memory_stays_bounded(self, tmp_path):
-        """Recording AND saving through a spilling store is O(chunk), not O(J)."""
-        n, J, chunk = 16, 20_000, 256
-        tracemalloc.start()
-        store = TraceStore(n, chunk_size=chunk, spill_dir=tmp_path / "sp")
-        labels = np.zeros(n, dtype=np.int64)
-        t = 0.0
-        for j in range(1, J + 1):
-            labels[:] = j - 1
-            t += 0.5
-            store.record((j % n,), labels, residual=1.0 / j, time=t)
-        path = store.save(tmp_path / "big.npz")  # streams chunk by chunk
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        # Full columns would be > n*J*8 = 2.5 MB for labels alone; the
-        # live working set is a couple of chunks, save() included.
-        assert peak < 1_000_000, f"peak recording+save memory {peak} bytes"
-        assert store.n_iterations == J
-        assert store.spilled_chunks == J // chunk
-        loaded = TraceStore.load(path)
-        assert loaded.n_iterations == J
-        assert np.array_equal(loaded.series("residuals"), store.series("residuals"))
 
 
 class TestPersistence:
-    def test_save_load_roundtrip_bit_identical(self, tmp_path):
-        store = _record_run(TraceStore(4, chunk_size=64))
+    def test_save_load_roundtrip_bit_identical(self, tmp_path, chunk_rows):
+        chunk_rows(64)
+        store = _record_run(TraceStore(4))
         store.owners = np.array([0, 0, 1, 1], dtype=np.int64)
         store.meta["problem"] = "synthetic"
         store.meta["seed"] = 7
-        path = store.save(tmp_path / "trace.npz")
-        loaded = TraceStore.load(path)
-        _assert_traces_equal(store.build(), loaded.build())
+        trace = store.build()
+        loaded = load_trace(save_trace(tmp_path / "trace.npz", trace))
+        _assert_traces_equal(trace, loaded)
         assert loaded.meta == {"problem": "synthetic", "seed": 7}
 
     def test_trace_save_load_convenience(self, tmp_path):
@@ -121,32 +96,23 @@ class TestPersistence:
         _assert_traces_equal(trace, IterationTrace.load(path))
         _assert_traces_equal(trace, load_trace(path))
 
-    def test_from_trace_roundtrip(self, tmp_path):
-        trace = _record_run(TraceStore(5, chunk_size=10)).build()
-        again = TraceStore.from_trace(trace).build()
-        _assert_traces_equal(trace, again)
-        path = save_trace(tmp_path / "t.npz", trace)
-        _assert_traces_equal(trace, load_trace(path))
-
     def test_save_without_series(self, tmp_path):
         store = TraceStore(2)
         store.record((0,), np.array([0, 0]))
         store.record((1,), np.array([1, 0]))
-        loaded = TraceStore.load(store.save(tmp_path / "bare.npz"))
-        t = loaded.build()
+        t = load_trace(save_trace(tmp_path / "bare.npz", store.build()))
         assert t.errors is None and t.residuals is None and t.times is None
         assert t.n_iterations == 2
 
     def test_future_format_rejected(self, tmp_path):
-        store = _record_run(TraceStore(2), J=3)
-        path = store.save(tmp_path / "t.npz")
+        path = save_trace(tmp_path / "t.npz", _record_run(TraceStore(2), J=3).build())
         with np.load(path) as z:
             payload = {k: z[k] for k in z.files}
         payload["format_version"] = np.asarray(99, np.int64)
         with open(path, "wb") as f:
             np.savez(f, **payload)
         with pytest.raises(ValueError, match="format"):
-            TraceStore.load(path)
+            load_trace(path)
 
     def test_saved_trace_replays_bit_identically(self, tmp_path):
         """Acceptance: save -> load -> replay_trace on the exact engine.
@@ -189,9 +155,127 @@ class TestPersistence:
         assert rep.trace.active_sets == res.trace.active_sets
 
 
+class TestFileFormat:
+    """Format 1 of the trace file, as stores already on disk hold it.
+
+    The expected file is built by hand with ``np.savez_compressed``
+    from what the run recorded, not through :func:`save_trace`, so a
+    writer or reader that drifts from the format fails here.
+    """
+
+    @staticmethod
+    def _recorded(series: bool) -> "tuple[TraceStore, dict[str, np.ndarray]]":
+        """A recorded run and its format-1 members, built by hand."""
+        n, J = 3, 40
+        rng = np.random.default_rng(5)
+        store = TraceStore(n)
+        sets, rows, errors, residuals, times = [], [], [1.0], [2.0], []
+        if series:
+            store.record_initial(error=1.0, residual=2.0)
+        for j in range(1, J + 1):
+            S = tuple(int(c) for c in rng.choice(n, size=1 + j % n, replace=False))
+            labels = rng.integers(0, j, size=n)
+            sets.append(S)
+            rows.append(labels)
+            errors.append(0.5**j)
+            residuals.append(0.7**j)
+            times.append(0.25 * j)
+            if series:
+                store.record(S, labels, error=errors[-1], residual=residuals[-1],
+                             time=times[-1])
+            else:
+                store.record(S, labels)
+        members = {
+            "format_version": np.asarray(1, np.int64),
+            "n_components": np.asarray(n, np.int64),
+            "meta_json": np.asarray(json.dumps({"problem": "hand-built", "seed": 5})),
+        }
+        if series:
+            store.owners = np.array([0, 1, 1], dtype=np.int64)
+            members["owners"] = store.owners.copy()
+        store.meta.update(problem="hand-built", seed=5)
+        absent = np.zeros(0, np.float64)
+        members.update(
+            labels=np.asarray(rows, np.int64),
+            act_counts=np.asarray([len(S) for S in sets], np.int64),
+            act_values=np.asarray([c for S in sets for c in S], np.int64),
+            errors=np.asarray(errors, np.float64) if series else absent,
+            residuals=np.asarray(residuals, np.float64) if series else absent,
+            times=np.asarray(times, np.float64) if series else absent,
+        )
+        return store, members
+
+    @pytest.mark.parametrize("series", [True, False], ids=["full", "bare"])
+    def test_hand_built_file_loads_bit_identically(self, tmp_path, series):
+        store, members = self._recorded(series)
+        path = tmp_path / "format1.npz"
+        np.savez_compressed(path, **members)
+        loaded = load_trace(path)
+        _assert_traces_equal(store.build(), loaded)
+        assert loaded.meta == {"problem": "hand-built", "seed": 5}
+
+    @pytest.mark.parametrize("series", [True, False], ids=["full", "bare"])
+    def test_writer_writes_exactly_format1(self, tmp_path, series):
+        store, members = self._recorded(series)
+        path = save_trace(tmp_path / "t.npz", store.build())
+        with np.load(path, allow_pickle=False) as z:
+            assert set(z.files) == set(members)
+            for name, want in members.items():
+                got = z[name]
+                if name == "meta_json":
+                    assert got.dtype.kind == "U" and got.shape == ()
+                    assert json.loads(str(got)) == json.loads(str(want))
+                else:
+                    assert got.dtype == want.dtype, name
+                    assert np.array_equal(got, want), name
+
+
+class _CountingStore(TraceStore):
+    """A recorder that counts the ``record`` calls it receives."""
+
+    def __init__(self, n_components: int) -> None:
+        super().__init__(n_components)
+        self.records = 0
+
+    def record(self, *args, **kwargs) -> None:
+        self.records += 1
+        super().record(*args, **kwargs)
+
+
+def _backend_request(kind: str, n: int = 8, **options):
+    """A 200-iteration request on a jacobi n=8 system for one backend kind."""
+    from repro.delays.bounded import UniformRandomDelay
+    from repro.operators.linear import jacobi_operator
+    from repro.problems.linear_system import tridiagonal_system
+    from repro.runtime.backends import ExecutionRequest
+    from repro.runtime.simulator import ChannelSpec, ConstantTime, ProcessorSpec, UniformTime
+    from repro.steering.policies import CyclicSingle
+
+    M, c = tridiagonal_system(n, off_diag=-1.0, diag=2.5, seed=9)
+    op = jacobi_operator(M, c)
+    request = ExecutionRequest(
+        operator=op, x0=np.zeros(op.dim), max_iterations=200, tol=0.0, seed=7,
+        options=options,
+    )
+    if kind == "model":
+        request.steering = CyclicSingle(n)
+        request.delays = UniformRandomDelay(n, bound=3, seed=5)
+    else:
+        request.processors = [
+            ProcessorSpec(components=(i,), compute_time=UniformTime(0.5, 1.5))
+            for i in range(n)
+        ]
+        request.channels = ChannelSpec(latency=ConstantTime(0.05))
+    return request
+
+
 class TestSinkInjection:
-    def test_engine_records_into_spilling_sink(self, tmp_path):
-        """The exact engine emits into an injected store; results agree."""
+    def test_engine_records_into_spilling_sink(self, chunk_rows):
+        """The exact engine emits into an injected store; results agree.
+
+        The injected store crosses chunk boundaries, as a long run's
+        recorder does.
+        """
         from repro.core.async_iteration import AsyncIterationEngine
         from repro.delays.bounded import UniformRandomDelay
         from repro.operators.linear import jacobi_operator
@@ -209,11 +293,12 @@ class TestSinkInjection:
             )
 
         plain = engine().run(np.zeros(op.dim), max_iterations=150, tol=0.0)
-        sink = TraceStore(8, chunk_size=16, spill_dir=tmp_path / "sp")
+        chunk_rows(16)
+        sink = TraceStore(8)
         sunk = engine().run(np.zeros(op.dim), max_iterations=150, tol=0.0, sink=sink)
         assert np.array_equal(plain.x, sunk.x)
         _assert_traces_equal(plain.trace, sunk.trace)
-        assert sink.spilled_chunks > 0
+        assert sink.n_iterations == 150
 
     def test_sink_component_mismatch_rejected(self):
         from repro.core.trace import resolve_sink
@@ -221,77 +306,58 @@ class TestSinkInjection:
         with pytest.raises(ValueError, match="components"):
             resolve_sink(TraceStore(3), 5)
 
+    @pytest.mark.parametrize(
+        "name", ["exact", "flexible", "vectorized", "reference", "shared-memory"]
+    )
+    def test_trace_sink_option_reaches_every_backend(self, name):
+        """``options["trace_sink"]`` gets one ``record`` per commit.
 
-class TestTraceHandle:
-    def test_in_memory_handle(self):
-        trace = _record_run(TraceStore(2), J=5).build()
-        h = TraceHandle(trace=trace)
-        assert h.in_memory
-        assert h.materialize() is trace
+        On the deterministic backends the run is the one a request
+        without a sink makes; real threads do not repeat a run.
+        """
+        from repro.runtime.backends import get_backend
 
-    def test_disk_handle_lazy_load(self, tmp_path):
-        trace = _record_run(TraceStore(2), J=5).build()
-        path = save_trace(tmp_path / "t.npz", trace)
-        h = TraceHandle(path=path)
-        assert not h.in_memory
-        _assert_traces_equal(h.materialize(), trace)
-        assert h.in_memory  # cached
-        assert h.materialize() is h.materialize()
-
-    def test_empty_handle_rejected(self):
-        with pytest.raises(ValueError):
-            TraceHandle()
+        backend = get_backend(name)
+        sink = _CountingStore(8)
+        res = backend.execute(_backend_request(backend.kind, trace_sink=sink))
+        assert res.trace is not None
+        assert sink.records == res.iterations == res.trace.n_iterations > 0
+        if name != "shared-memory":
+            plain = backend.execute(_backend_request(backend.kind))
+            assert np.array_equal(plain.x, res.x)
+            _assert_traces_equal(plain.trace, res.trace)
 
 
 class TestBackendTraceOptions:
     def test_trace_path_option_writes_and_drops(self, tmp_path):
-        """options[trace_path] + materialize_trace=False leaves only disk."""
-        from repro.delays.bounded import UniformRandomDelay
-        from repro.operators.linear import jacobi_operator
-        from repro.problems.linear_system import tridiagonal_system
-        from repro.runtime.backends import ExecutionRequest, get_backend
-        from repro.steering.policies import CyclicSingle
-
-        M, c = tridiagonal_system(6, off_diag=-1.0, diag=2.5, seed=9)
-        op = jacobi_operator(M, c)
-
-        def request(**options):
-            return ExecutionRequest(
-                operator=op,
-                x0=np.zeros(op.dim),
-                max_iterations=80,
-                tol=0.0,
-                steering=CyclicSingle(6),
-                delays=UniformRandomDelay(6, bound=1, seed=2),
-                options=options,
-            )
+        """options[trace_path] saves the trace the backend returns."""
+        from repro.runtime.backends import get_backend
 
         backend = get_backend("exact")
-        baseline = backend.execute(request())
-        assert baseline.trace_handle is not None and baseline.trace_handle.in_memory
+        baseline = backend.execute(_backend_request("model", n=6))
+        assert baseline.trace is not None
 
         path = tmp_path / "run.npz"
-        dropped = backend.execute(
-            request(trace_path=path, materialize_trace=False,
-                    trace_spill_dir=tmp_path / "sp", trace_chunk_size=16)
-        )
-        assert dropped.trace is None
-        assert dropped.trace_handle is not None and not dropped.trace_handle.in_memory
-        _assert_traces_equal(baseline.trace, dropped.trace_handle.materialize())
-        assert np.array_equal(baseline.x, dropped.x)
+        saved = backend.execute(_backend_request("model", n=6, trace_path=path))
+        assert path.is_file()
+        _assert_traces_equal(baseline.trace, saved.trace)
+        _assert_traces_equal(saved.trace, load_trace(path))
+        assert np.array_equal(baseline.x, saved.x)
 
 
 class TestBuilderCompat:
     """TraceStore keeps the historical builder error behavior."""
 
-    def test_record_initial_after_flush_rejected(self):
-        store = TraceStore(1, chunk_size=1)
-        store.record((0,), np.array([0]))  # fills and flushes chunk 0
+    def test_record_initial_after_flush_rejected(self, chunk_rows):
+        chunk_rows(1)
+        store = TraceStore(1)
+        store.record((0,), np.array([0]))  # fills and freezes chunk 0
         with pytest.raises(RuntimeError):
             store.record_initial(error=1.0)
 
-    def test_inconsistent_series_rejected_across_chunks(self):
-        store = TraceStore(1, chunk_size=2)
+    def test_inconsistent_series_rejected_across_chunks(self, chunk_rows):
+        chunk_rows(2)
+        store = TraceStore(1)
         store.record_initial(error=1.0)
         store.record((0,), np.array([0]), error=0.5)
         store.record((0,), np.array([1]), error=0.25)

@@ -302,6 +302,16 @@ class TestEngineEquivalence:
         """As the fleet runs the loop: no message records."""
         self._assert_identical(regime, record_messages=False)
 
+    @pytest.mark.parametrize("cls", [DistributedSimulator, ReferenceSimulator])
+    @pytest.mark.parametrize("regime", ("flexible", "crash_fan_out", "second_run"))
+    def test_phase_log_kept_only_with_message_log(self, regime, cls):
+        """Without ``record_messages`` no phase is logged, but every commit counts."""
+        bare = _run(regime, cls, record_messages=False)
+        assert bare.phases == [] and bare.messages == []
+        assert bare.stats["phases_completed"] == bare.trace.n_iterations
+        full = _run(regime, cls, record_messages=True)
+        assert len(full.phases) == full.stats["phases_completed"] == full.trace.n_iterations
+
     @staticmethod
     def _assert_identical(regime: str, record_messages: bool) -> None:
         a = _run(regime, DistributedSimulator, record_messages)

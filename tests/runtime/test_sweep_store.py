@@ -2,9 +2,9 @@
 
 The acceptance contract: a sweep killed midway and rerun with
 ``resume=store`` executes only the missing scenarios and reproduces the
-uninterrupted sweep's determinism digest exactly; trace recording runs
-under a fixed memory ceiling because traces spill and persist instead
-of accumulating in the fleet.
+uninterrupted sweep's determinism digest exactly; a trace-keeping
+sweep runs under a fixed memory ceiling because each trace is saved
+and dropped inside its worker instead of accumulating in the fleet.
 """
 
 from __future__ import annotations
@@ -227,16 +227,15 @@ class TestRunGrid:
     def test_keep_traces_persists_loadable_traces(self, tmp_path):
         specs = _grid(n_seeds=1).expand()
         store = SweepStore(tmp_path / "s")
-        fleet = run_grid(specs, store=store, keep_traces=True, executor="serial",
-                         trace_chunk_size=16)
+        fleet = run_grid(specs, store=store, keep_traces=True, executor="serial")
         assert not fleet.failures()
         for r in fleet.results:
             assert r.trace_path is not None
             trace = store.load_trace(r.spec)
             assert trace.n_iterations == r.iterations
             assert float(trace.residuals[-1]) == r.final_residual
-        # spill working set is cleaned up after each scenario
-        assert list(store.tmp_dir.iterdir()) == []
+        # traces record in memory: no working directory beside traces/
+        assert not (tmp_path / "s" / "tmp").exists()
 
     def test_keep_traces_without_store_rejected(self):
         with pytest.raises(ValueError, match="store"):
@@ -688,8 +687,7 @@ class TestAcceptance200:
 
         full = SweepStore(tmp_path / "full")
         tracemalloc.start()
-        fleet = run_grid(specs, store=full, keep_traces=True, executor="serial",
-                         trace_chunk_size=64)
+        fleet = run_grid(specs, store=full, keep_traces=True, executor="serial")
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert not fleet.failures()
@@ -698,10 +696,9 @@ class TestAcceptance200:
 
         # Kill at scenario 180/200, then resume.
         partial = SweepStore(tmp_path / "partial")
-        run_grid(specs[:180], store=partial, keep_traces=True, executor="serial",
-                 trace_chunk_size=64)
+        run_grid(specs[:180], store=partial, keep_traces=True, executor="serial")
         resumed = run_grid(specs, resume=partial, keep_traces=True,
-                           executor="serial", trace_chunk_size=64)
+                           executor="serial")
         assert not resumed.failures()
         assert partial.digest() == full.digest()
         for a, b in zip(resumed.results, fleet.results):
