@@ -183,10 +183,9 @@ def _cmd_list_axes() -> int:
         f"{', '.join(_backends.available_backends('machine'))} (--kind simulator)"
     )
     print(
-        "dispatch: --chunk-size auto|N (cost-balanced pool chunks, one "
-        "chunk per batch group when serial), batched lockstep execution "
-        "of homogeneous groups (default; "
-        "--no-batch for one solo call per scenario), "
+        "dispatch: --chunk-size auto|N (each batch group one batched call "
+        "when serial, at most one slice per worker on a pool; other "
+        "scenarios one per unit when serial, cost-balanced pool chunks), "
         "--cache DIR / REPRO_SWEEP_CACHE (cross-study result cache), "
         "study run --shard i/k + store merge (multi-host sweeps)"
     )
@@ -232,7 +231,6 @@ def _sweep_config(args: argparse.Namespace):
             executor=args.executor,
             max_workers=args.workers,
             chunk_size=args.chunk_size,
-            batch=not args.no_batch,
             cache_dir=args.cache,
         ),
     )
@@ -301,7 +299,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
                 args.out, keep_traces=True if args.keep_traces else None
             )
         overrides = (args.executor, args.workers, args.chunk_size, args.cache)
-        if any(v is not None for v in overrides) or args.no_batch:
+        if any(v is not None for v in overrides):
             config = dataclasses.replace(
                 config,
                 execution=ExecutionSpec(
@@ -314,7 +312,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
                         args.chunk_size if args.chunk_size is not None
                         else config.execution.chunk_size
                     ),
-                    batch=False if args.no_batch else config.execution.batch,
                     cache_dir=(
                         args.cache if args.cache is not None
                         else config.execution.cache_dir
@@ -490,13 +487,11 @@ def main(argv: list[str] | None = None) -> int:
     sweep.add_argument("--workers", type=int, default=None, help="pool width cap")
     sweep.add_argument("--chunk-size", type=_chunk_size, default="auto",
                        metavar="N|auto",
-                       help="scenarios per dispatched pool task (default auto: "
-                            "cost-balanced chunks, ~4 tasks per worker; 1 = "
-                            "per-task dispatch)")
-    sweep.add_argument("--no-batch", action="store_true",
-                       help="disable batched lockstep execution of homogeneous "
-                            "chunks (run one solo call per scenario; results "
-                            "are bit-identical either way)")
+                       help="cap on scenarios per dispatched unit (default "
+                            "auto: one batched call per batch group when "
+                            "serial; on a pool, at most one slice per worker "
+                            "and cost-balanced chunks, ~4 tasks per worker; "
+                            "1 = per-task dispatch)")
     sweep.add_argument("--cache", default=None, metavar="DIR",
                        help="cross-study result cache: completed scenarios are "
                             "looked up there by content hash before executing "
@@ -552,10 +547,7 @@ def main(argv: list[str] | None = None) -> int:
     study.add_argument("--chunk-size", type=_chunk_size, default=None,
                        metavar="N|auto",
                        help="override the config's dispatch chunk size "
-                            "(auto: cost-balanced chunks; 1: per-task dispatch)")
-    study.add_argument("--no-batch", action="store_true",
-                       help="override the config to disable batched lockstep "
-                            "execution (one solo call per scenario)")
+                            "(auto: planned per executor; 1: per-task dispatch)")
     study.add_argument("--shard", type=_shard, default=None, metavar="i/k",
                        help="run only shard i of k (1-based, e.g. 2/4): a "
                             "content-hash-stable, seed-preserving slice of the "

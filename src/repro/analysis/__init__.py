@@ -21,9 +21,7 @@ from repro.analysis.fleet import (
 )
 from repro.analysis.rates import (
     RateFit,
-    StreamingRateFit,
     fit_geometric_rate,
-    fit_geometric_rate_streaming,
     iterations_to_tolerance,
     time_to_tolerance,
 )
@@ -34,14 +32,12 @@ __all__ = [
     "MacroEpochComparison",
     "RateFit",
     "SpeedupReport",
-    "StreamingRateFit",
     "ThroughputComparison",
     "backend_comparison_rows",
     "compare_macro_epoch",
     "compare_throughput",
     "fault_intensity_rows",
     "fit_geometric_rate",
-    "fit_geometric_rate_streaming",
     "fleet_from_store",
     "fleet_summary_rows",
     "iterations_to_tolerance",

@@ -4,25 +4,17 @@ Asynchronous runs produce noisy, non-monotone error/residual series;
 these helpers extract the quantities the benchmarks report: fitted
 geometric rates, iterations/time to tolerance, and per-macro-iteration
 contraction factors.
-
-The incremental form, :class:`StreamingRateFit`, accumulates the same
-log-linear regression chunk by chunk, so a rate can be fitted over any
-in-order sequence of series slices without concatenating them
-(:func:`fit_geometric_rate_streaming`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 __all__ = [
     "RateFit",
-    "StreamingRateFit",
     "fit_geometric_rate",
-    "fit_geometric_rate_streaming",
     "iterations_to_tolerance",
     "rates_from_store",
     "time_to_tolerance",
@@ -91,104 +83,6 @@ def fit_geometric_rate(series: np.ndarray, *, skip: int = 0) -> RateFit:
     else:
         r2 = min(1.0, max(0.0, 1.0 - ss_res / ss_tot))
     return RateFit(rate=float(np.exp(slope)), log_intercept=intercept, r_squared=r2, n_points=int(x.size))
-
-
-class StreamingRateFit:
-    """Incremental geometric-rate fit over series chunks.
-
-    Feed :meth:`update` successive slices of an error/residual series
-    (in order); :meth:`fit` returns the same log-linear regression
-    :func:`fit_geometric_rate` computes on the concatenated series,
-    from O(1) accumulated sums — no chunk is retained.  Any in-order
-    sequence of slices serves, e.g. a series read block by block or
-    fed as a run records it.
-    """
-
-    def __init__(self, *, skip: int = 0) -> None:
-        if skip < 0:
-            raise ValueError(f"skip must be >= 0, got {skip}")
-        self.skip = int(skip)
-        self._offset = 0  # global index of the next incoming entry
-        self._n = 0
-        self._sx = 0.0
-        self._sy = 0.0
-        self._sxx = 0.0
-        self._sxy = 0.0
-        self._syy = 0.0
-        self._ymin = float("inf")
-        self._ymax = float("-inf")
-
-    @property
-    def n_points(self) -> int:
-        """Number of (positive, finite) points accumulated so far."""
-        return self._n
-
-    def update(self, chunk: np.ndarray) -> "StreamingRateFit":
-        """Accumulate one contiguous slice of the series (chainable)."""
-        y = np.asarray(chunk, dtype=np.float64)
-        if y.ndim != 1:
-            raise ValueError(f"chunk must be 1-D, got shape {y.shape}")
-        idx = np.arange(self._offset, self._offset + y.size, dtype=np.float64)
-        self._offset += y.size
-        mask = np.isfinite(y) & (y > 0) & (idx >= self.skip)
-        if mask.any():
-            x, ly = idx[mask], np.log(y[mask])
-            self._n += int(x.size)
-            self._sx += float(x.sum())
-            self._sy += float(ly.sum())
-            self._sxx += float((x * x).sum())
-            self._sxy += float((x * ly).sum())
-            self._syy += float((ly * ly).sum())
-            self._ymin = min(self._ymin, float(ly.min()))
-            self._ymax = max(self._ymax, float(ly.max()))
-        return self
-
-    def fit(self) -> RateFit:
-        """The :class:`RateFit` of everything accumulated so far."""
-        n = self._n
-        if n < 2:
-            return RateFit(
-                rate=float("nan"), log_intercept=float("nan"), r_squared=0.0, n_points=n
-            )
-        sxx_c = self._sxx - self._sx * self._sx / n
-        syy_c = self._syy - self._sy * self._sy / n
-        if sxx_c <= 0:  # all points at one index: no slope identifiable
-            return RateFit(
-                rate=float("nan"), log_intercept=float("nan"), r_squared=0.0, n_points=n
-            )
-        sxy_c = self._sxy - self._sx * self._sy / n
-        slope = sxy_c / sxx_c
-        intercept = (self._sy - slope * self._sx) / n
-        ss_res = max(0.0, syy_c - slope * sxy_c)
-        # Same constant-series guard as fit_geometric_rate: a flat
-        # series is a perfect fit, but syy_c is then a roundoff residue
-        # and the ratio below would be garbage.
-        if syy_c <= 0 or self._ymax == self._ymin:
-            r2 = 1.0
-        else:
-            r2 = min(1.0, max(0.0, 1.0 - ss_res / syy_c))
-        return RateFit(
-            rate=float(np.exp(slope)),
-            log_intercept=float(intercept),
-            r_squared=float(r2),
-            n_points=n,
-        )
-
-
-def fit_geometric_rate_streaming(
-    chunks: Iterable[np.ndarray], *, skip: int = 0
-) -> RateFit:
-    """Fit a geometric decay over a chunked series without concatenating.
-
-    ``chunks`` is any in-order iterable of series slices; the fit
-    keeps O(1) sums, never the series.  Agrees with
-    :func:`fit_geometric_rate` on the concatenated series up to
-    floating-point roundoff.
-    """
-    acc = StreamingRateFit(skip=skip)
-    for chunk in chunks:
-        acc.update(chunk)
-    return acc.fit()
 
 
 def rates_from_store(store, *, skip: int = 0) -> "dict[str, RateFit]":

@@ -320,26 +320,26 @@ class ExecutionSpec:
     """Fleet execution knobs: executor, pool width, dispatch, cache.
 
     ``chunk_size`` controls how many scenarios ride in one dispatched
-    chunk (``"auto"``: cost-balanced chunks, ~4 tasks per worker, on a
-    pool; one chunk per batch group on the serial executor, so a killed
-    serial sweep loses at most the group in flight; an int caps every
-    chunk, which bounds that loss; ``1``: per-task dispatch).
-    ``batch`` routes homogeneous spec
-    groups inside each chunk through the scenario-batched lockstep
-    engine (on by default; ``False`` restores one solo call per
-    scenario).  ``cache_dir`` names the cross-study result cache
-    consulted by content hash before any scenario executes (``None``
-    defers to the ``REPRO_SWEEP_CACHE`` environment variable at run
-    time).  All of these change only *how fast* results arrive, never
-    their bits, so none participates in defaults-only documents: they
-    are omitted from :meth:`to_dict` when unset and old study files
-    load unchanged.
+    unit (``"auto"``: each batch group is one unit serially and at most
+    one slice per worker on a pool, other specs run one per unit
+    serially and in cost-balanced chunks, ~4 tasks per worker, on a
+    pool; an int caps every unit, which bounds what a killed sweep
+    loses; ``1``: per-task dispatch).  Homogeneous spec groups always
+    run through the scenario-batched lockstep engine; the solo
+    reference is ``run_fleet(specs, batch=False)``, not a study
+    setting.  ``cache_dir`` names the cross-study result cache consulted
+    by content hash before any scenario executes (``None`` defers to
+    the ``REPRO_SWEEP_CACHE`` environment variable at run time).  All
+    of these change only *how fast* results arrive, never their bits,
+    so none participates in defaults-only documents: they are omitted
+    from :meth:`to_dict` when unset, and old study files load unchanged
+    unless they name ``batch`` (which older versions wrote for an
+    unbatched study): it fails as any unknown ``[execution]`` key does.
     """
 
     executor: str = "auto"
     max_workers: int | None = None
     chunk_size: int | str = "auto"
-    batch: bool = True
     cache_dir: str | None = None
 
     def __post_init__(self) -> None:
@@ -350,8 +350,6 @@ class ExecutionSpec:
         if self.max_workers is not None and self.max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {self.max_workers}")
         check_chunk_size(self.chunk_size)
-        if not isinstance(self.batch, bool):
-            raise ValueError(f"batch must be a bool, got {self.batch!r}")
         if self.cache_dir is not None:
             object.__setattr__(self, "cache_dir", str(self.cache_dir))
 
@@ -361,8 +359,6 @@ class ExecutionSpec:
             doc["max_workers"] = int(self.max_workers)
         if self.chunk_size != "auto":
             doc["chunk_size"] = int(self.chunk_size)
-        if not self.batch:
-            doc["batch"] = False
         if self.cache_dir is not None:
             doc["cache_dir"] = self.cache_dir  # TOML has no null: omit when unset
         return doc

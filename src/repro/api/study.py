@@ -253,7 +253,6 @@ class Study:
         executor: "str | None" = None,
         max_workers: "int | None" = None,
         chunk_size: "int | str | None" = None,
-        batch: "bool | None" = None,
         cache: Any = None,
         shard: "tuple[int, int] | None" = None,
     ) -> "StudyResult":
@@ -273,15 +272,12 @@ class Study:
         ``cache`` overrides the config's ``execution.cache_dir``
         (``False`` disables caching even when the config or the
         ``REPRO_SWEEP_CACHE`` environment variable names one).
-        ``batch`` overrides ``execution.batch``: homogeneous spec
-        groups run through the scenario-batched lockstep engine by
-        default — a pure throughput change, bit-identical results —
-        and ``False`` restores one solo call per scenario.
         ``chunk_size`` overrides ``execution.chunk_size``: under
-        ``"auto"`` a pool gets cost-balanced chunks and the serial
-        executor one chunk per batch group, so a killed serial run
-        loses at most the group in flight; an explicit int caps every
-        chunk, which bounds that loss.
+        ``"auto"`` each batch group is one unit serially and at most
+        one slice per worker on a pool, so a killed serial run loses at
+        most the group or solo row in flight; an explicit int caps
+        every unit, which bounds that loss.  Homogeneous spec groups
+        always run batched, bit-identical to solo runs.
         """
         cfg = self.config
         out = str(out) if out is not None else cfg.store.out
@@ -290,7 +286,6 @@ class Study:
         chosen_executor = executor if executor is not None else cfg.execution.executor
         workers = max_workers if max_workers is not None else cfg.execution.max_workers
         chunks = chunk_size if chunk_size is not None else cfg.execution.chunk_size
-        do_batch = cfg.execution.batch if batch is None else bool(batch)
         if cache is None:
             cache = cfg.execution.cache_dir
 
@@ -314,7 +309,6 @@ class Study:
             executor=chosen_executor,
             max_workers=workers,
             chunk_size=chunks,
-            batch=do_batch,
         )
         return StudyResult(config=cfg, fleet=fleet, store=store)
 
@@ -486,7 +480,6 @@ def sweep(
     executor: str = "auto",
     max_workers: "int | None" = None,
     chunk_size: "int | str" = "auto",
-    batch: bool = True,
     cache: "str | pathlib.Path | None" = None,
 ) -> StudyResult:
     """Build a :class:`StudyConfig` from keywords and run it.
@@ -532,7 +525,6 @@ def sweep(
             executor=executor,
             max_workers=max_workers,
             chunk_size=chunk_size,
-            batch=batch,
             cache_dir=None if cache is None else str(cache),
         ),
     )

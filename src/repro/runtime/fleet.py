@@ -14,19 +14,18 @@ scenario (concurrently when the hardware allows), collects one typed
 :func:`run_grid` is the streaming entry point: given a
 :class:`~repro.runtime.sweep_store.SweepStore` it persists one summary
 row (and optionally the realized trace) per scenario *as each dispatch
-chunk finishes*, keyed by the spec's content hash — so a sweep killed
+unit finishes*, keyed by the spec's content hash — so a sweep killed
 at scenario 180/200 resumes with ``run_grid(..., resume=store)`` and
 only executes the scenarios it lost.
 
-Pool dispatch is *chunked*: specs are packed into per-task chunks
-balanced by expected cost (``chunk_size="auto"`` targets about
+Dispatch is planned once, by one planner for the serial executor and
+pools (:func:`_plan`).  Each homogeneous batch group becomes one
+batched call serially and at most one slice per worker on a pool;
+every other spec runs solo, one unit each serially and packed into
+cost-balanced chunks on a pool (``chunk_size="auto"`` targets about
 ``4 × workers`` tasks), so one pickle/IPC round-trip amortizes over
-many scenarios and a pool ``initializer`` pre-imports the registries
-and backends once per worker instead of once per task.  Grids of many
-small scenarios stop being dominated by dispatch overhead; results
-still stream to the store, chunk by chunk.  The serial executor has no
-workers to balance: under ``"auto"`` it runs one chunk per batch
-group, so each homogeneous group is one batched call.
+many scenarios.  A pool ``initializer`` pre-imports the registries and
+backends once per worker instead of once per task.
 
 Determinism: every spec carries its own integer seed (spawned
 independently by the grid), and results are returned in submission
@@ -529,14 +528,15 @@ def _resolve_executor(executor: str, max_workers: int | None) -> tuple[str, int]
     cpus = os.cpu_count() or 1
     if executor == "auto":
         executor = "process" if cpus > 1 else "serial"
+    if executor == "serial":
+        return executor, 1  # one worker, whatever pool width was asked for
     # An explicit max_workers is honored as given; the default pool
     # width is the core count.
-    workers = cpus if max_workers is None else max_workers
-    return executor, workers
+    return executor, cpus if max_workers is None else max_workers
 
 
-#: ``chunk_size="auto"`` packs the specs into about this many tasks
-#: per pool worker — few enough to amortize pickle/IPC round-trips,
+#: ``chunk_size="auto"`` packs a pool's solo specs into about this many
+#: tasks per worker — few enough to amortize pickle/IPC round-trips,
 #: many enough that one slow chunk cannot idle the rest of the pool.
 _AUTO_CHUNKS_PER_WORKER = 4
 
@@ -610,58 +610,73 @@ def _pack_chunks(
     return [c for c in chunks if c]
 
 
-def _group_chunks(
+def _plan(
     indexed: "list[tuple[int, ScenarioSpec]]",
     chunk_size: "int | str",
     workers: int,
-) -> "list[list[tuple[int, ScenarioSpec]]]":
-    """Serial batched dispatch chunks: every batch group whole.
+    batch: bool,
+    *,
+    serial: bool,
+) -> "list[tuple[bool, list[tuple[int, ScenarioSpec]]]]":
+    """Cut ``(index, spec)`` pairs into dispatch units tagged batched or solo.
 
-    A serial run has no workers to balance, so the cost balance of
-    :func:`_pack_chunks` buys nothing there; what matters is which specs
-    share a chunk (the bin view of the bar-charts packing
-    :func:`_spec_cost` cites).  Each group the batcher takes (two or
-    more specs of one :func:`~repro.runtime.simulator.batched._group`
-    key) is one chunk, hence one batched call and one store write; an
-    explicit ``chunk_size`` cuts it into the fewest slices of at most
-    that many specs.  The specs left over (unbatchable, or alone in
-    their group) are packed by :func:`_pack_chunks` as a pool would pack
-    them.  Chunks run in order of their first submission index.
+    The one planner of the serial executor (``serial``, which runs with
+    one worker) and of pools of ``workers`` workers, one included.  With
+    ``batch``, specs are grouped once by the batcher's own key
+    (:func:`~repro.runtime.simulator.batched._group`), and each group of
+    two or more specs becomes at most ``workers`` slices of at least two
+    specs.  A group shares its budget, so equal counts are equal
+    :func:`_spec_cost`: the bin view of the bar-charts packing that
+    function cites.  Serially a group is one slice: one batched call, one
+    problem build, one schedule run and one store write.  Every other
+    spec is solo: serially a unit of its own, so a killed sweep loses at
+    most one solo row; on a pool of any width it goes into
+    :func:`_pack_chunks`' cost-balanced chunks, which amortize the
+    round-trip to a worker.  An explicit ``chunk_size`` caps every unit,
+    so a group is cut into more slices where the cap needs them; a slice
+    left with one spec is solo.  Only batched units reach the batcher,
+    and units come back in order of their first index.
     """
     from repro.runtime.simulator.batched import _group
 
-    chunks: list[list[tuple[int, ScenarioSpec]]] = []
-    rest: list[tuple[int, ScenarioSpec]] = []
-    for g in _group([spec for _, spec in indexed]):
+    specs = [spec for _, spec in indexed]
+    groups = _group(specs) if batch else [[i] for i in range(len(specs))]
+    units: list[tuple[bool, list[tuple[int, ScenarioSpec]]]] = []
+    solo: list[tuple[int, ScenarioSpec]] = []
+    for g in groups:
         members = [indexed[i] for i in g]
-        if len(members) < 2:
-            rest.extend(members)
-            continue
-        cuts = 1 if chunk_size == "auto" else math.ceil(len(members) / chunk_size)
-        chunks.extend(
-            members[k * len(members) // cuts: (k + 1) * len(members) // cuts]
-            for k in range(cuts)
-        )
-    chunks += _pack_chunks(rest, chunk_size, workers)
-    return sorted(chunks, key=lambda c: c[0][0])
+        cuts = max(1, min(workers, len(members) // 2))
+        if chunk_size != "auto":
+            cuts = max(cuts, math.ceil(len(members) / chunk_size))
+        for k in range(cuts):
+            part = members[k * len(members) // cuts: (k + 1) * len(members) // cuts]
+            if len(part) >= 2:
+                units.append((True, part))
+            else:
+                solo += part
+    if serial:
+        units += [(False, [pair]) for pair in solo]
+    else:
+        units += [(False, chunk) for chunk in _pack_chunks(solo, chunk_size, workers)]
+    return sorted(units, key=lambda unit: unit[1][0][0])
 
 
 def _run_chunk(
     runner: Callable[[ScenarioSpec], ScenarioResult],
     specs: "list[ScenarioSpec]",
-    batch: bool = False,
+    batched: bool = False,
 ) -> "list[ScenarioResult]":
-    """Execute one dispatch chunk inside a worker (top-level: picklable).
+    """Execute one dispatch unit inside a worker (top-level: picklable).
 
-    With ``batch``, homogeneous runs of specs inside the chunk (same
-    problem shape, models, machine kind and iteration budget — see
-    :func:`~repro.runtime.simulator.batched.run_scenario_batch`) advance
-    through one lockstep batched call instead of ``len(specs)`` solo
-    calls; everything unbatchable, and any batch that fails mid-flight,
-    still goes through ``runner`` one spec at a time.  Results are
-    bit-identical either way.
+    A batched unit (two or more specs of one batch key, see
+    :func:`_plan`) advances through one lockstep call of
+    :func:`~repro.runtime.simulator.batched.run_scenario_batch`, which
+    reruns it solo if the batch raises; a solo unit goes through
+    ``runner`` one spec at a time.  Results are bit-identical either
+    way.  The batcher is looked up at call time, so a patched one is
+    the one called.
     """
-    if batch and len(specs) > 1:
+    if batched:
         from repro.runtime.simulator.batched import run_scenario_batch
 
         return run_scenario_batch(specs, solo=runner)
@@ -677,43 +692,33 @@ def _execute_specs(
     chunk_size: "int | str" = "auto",
     batch: bool = False,
 ) -> "dict[int, ScenarioResult]":
-    """Run ``(index, spec)`` pairs, handing each finished chunk to ``on_rows``.
+    """Run ``(index, spec)`` pairs unit by unit, handing each unit's rows to ``on_rows``.
 
-    Pool executors dispatch cost-balanced *chunks* (one future per
-    chunk, see :func:`_pack_chunks`), so per-task pickle/IPC overhead
-    amortizes over many scenarios; ``on_rows`` fires once per finished
-    chunk with that chunk's rows, in completion order of the chunks —
-    rows that complete together are handed over together, so a store
-    lands them together.  The returned mapping restores submission
-    order.  With ``batch``, each chunk routes its homogeneous spec
-    groups through the lockstep batched engine (:func:`_run_chunk`);
-    the serial path then runs one chunk per batch group
-    (:func:`_group_chunks`), so each group is one batched call and the
-    store streams group by group instead of waiting on the whole grid.
-    The unbatched serial path hands over one row at a time.
+    :func:`_plan` cuts the pairs into units once; the serial executor
+    runs them in order in this process, a pool runs one future per
+    unit.  ``on_rows`` fires once per finished unit with
+    that unit's rows, in completion order — rows that complete together
+    are handed over together, so a store lands them together.  The
+    returned mapping restores submission order.
     """
     out: dict[int, ScenarioResult] = {}
+    units = _plan(indexed, chunk_size, workers, batch, serial=chosen == "serial")
 
-    def land(chunk: "list[tuple[int, ScenarioSpec]]", rows: "list[ScenarioResult]") -> None:
-        for (idx, _), r in zip(chunk, rows):
+    def land(unit: "list[tuple[int, ScenarioSpec]]", rows: "list[ScenarioResult]") -> None:
+        for (idx, _), r in zip(unit, rows):
             out[idx] = r
         if on_rows is not None:
             on_rows(rows)
 
-    if chosen == "serial" or len(indexed) <= 1:
-        if batch and len(indexed) > 1:
-            for chunk in _group_chunks(indexed, chunk_size, workers):
-                land(chunk, _run_chunk(runner, [spec for _, spec in chunk], True))
-        else:
-            for idx, spec in indexed:
-                land([(idx, spec)], [runner(spec)])
+    if chosen == "serial":
+        for batched, unit in units:
+            land(unit, _run_chunk(runner, [spec for _, spec in unit], batched))
         return out
     pool_cls = ThreadPoolExecutor if chosen == "thread" else ProcessPoolExecutor
-    chunks = _pack_chunks(indexed, chunk_size, workers)
     with pool_cls(max_workers=workers, initializer=_worker_init) as pool:
         pending = {
-            pool.submit(_run_chunk, runner, [spec for _, spec in chunk], batch): chunk
-            for chunk in chunks
+            pool.submit(_run_chunk, runner, [spec for _, spec in unit], batched): unit
+            for batched, unit in units
         }
         while pending:
             done, _ = wait(pending, return_when=FIRST_COMPLETED)
@@ -743,18 +748,20 @@ def run_fleet(
     max_workers:
         Pool width cap (defaults to ``os.cpu_count()``).
     chunk_size:
-        Scenarios per dispatched chunk.  Under ``"auto"`` (default) a
-        pool gets cost-balanced chunks, about 4 tasks per worker, and
-        the serial executor one chunk per batch group.  An explicit int
-        caps every chunk (``1`` restores per-task dispatch).  Results
-        are bit-identical either way.
+        Scenarios per dispatched unit.  Under ``"auto"`` (default) each
+        batch group is one unit serially and at most one slice per
+        worker on a pool; other specs run one per unit serially and in
+        cost-balanced chunks, about 4 tasks per worker, on a pool.  An
+        explicit int caps every unit (``1`` restores per-task
+        dispatch).  Results are bit-identical either way.
     batch:
-        Route homogeneous spec groups inside each chunk through the
-        scenario-batched lockstep engine
-        (:mod:`repro.runtime.simulator.batched`) instead of one solo
-        call per scenario.  On (default), this changes throughput only:
-        batched results are bit-identical per scenario, and anything
-        the batched engine cannot take falls back to solo execution.
+        Run each homogeneous spec group through the scenario-batched
+        lockstep engine (:mod:`repro.runtime.simulator.batched`)
+        instead of one solo call per scenario.  On (default), this
+        changes throughput only: batched results are bit-identical per
+        scenario.  ``False`` is the solo reference that tests and the
+        benchmark oracle compare against; only :func:`run_fleet` and
+        :func:`run_grid` take it.
 
     The per-scenario results keep submission order regardless of
     completion order.  This is :func:`run_grid` without a store and
@@ -841,7 +848,7 @@ def run_grid(
     store:
         A :class:`~repro.runtime.sweep_store.SweepStore` or directory
         path.  When given, the manifest is written up front and each
-        dispatch chunk's rows land in the store *as the chunk
+        dispatch unit's rows land in the store *as the unit
         finishes*, one append-log file per shard prefix (plus
         ``traces/<content_hash>.npz`` with ``keep_traces``), so a
         killed sweep loses at most the scenarios in flight; logged rows
@@ -879,11 +886,10 @@ def run_grid(
         does not grow with scenario count; the per-worker peak is the
         one trace in flight, O(J) for a run of ``J`` iterations.
     chunk_size:
-        Scenarios per dispatched chunk.  ``"auto"``: cost-balanced
-        chunks, about 4 tasks per worker, on a pool; one chunk per
-        batch group on the serial executor, so a killed serial sweep
-        loses at most the group in flight.  An explicit int caps every
-        chunk, which bounds that loss (``1``: per-task dispatch).
+        Scenarios per dispatched unit (see :func:`run_fleet`).  A
+        killed serial sweep loses at most the batch group or the solo
+        row in flight; a pool loses its units in flight.  An explicit
+        int caps every unit, which bounds that loss on either.
     batch:
         Batch homogeneous spec groups through the lockstep engine (see
         :func:`run_fleet`); bit-identical, throughput only.  Forced off
@@ -1015,7 +1021,7 @@ def run_grid(
 
     on_rows = _fanout if sinks else None
     if chosen != "serial" and len(to_run) <= 1:
-        chosen = "serial"
+        chosen, workers = "serial", 1
     slots.update(
         _execute_specs(
             to_run, runner, chosen, workers, on_rows,

@@ -202,8 +202,9 @@ def run_scenario_batch(
     scenario) to ``[solo(s) for s in specs]``.  Specs that are not
     :func:`batchable` and groups of one run through ``solo`` (default
     :func:`~repro.runtime.fleet.run_scenario`).  A batch that raises
-    is rerun solo, so each row gets its own error.  This is the unit
-    the fleet's chunk dispatch routes through one worker task.
+    is rerun solo, so each row gets its own error.  The fleet hands it
+    only its batched units, one group of two or more specs each (see
+    :func:`~repro.runtime.fleet._plan`).
     """
     if solo is None:
         from repro.runtime.fleet import run_scenario as solo  # type: ignore[no-redef]

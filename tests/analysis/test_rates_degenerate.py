@@ -3,8 +3,7 @@
 Satellite of the streaming-results PR: sweeps now feed whatever series
 a persisted trace holds straight into :mod:`repro.analysis.rates`, so
 empty, constant, single-point and non-monotone inputs are everyday
-inputs, not edge cases.  Also pins the incremental
-:class:`~repro.analysis.rates.StreamingRateFit` against the batch fit.
+inputs, not edge cases.
 """
 
 from __future__ import annotations
@@ -15,9 +14,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.rates import (
-    StreamingRateFit,
     fit_geometric_rate,
-    fit_geometric_rate_streaming,
     iterations_to_tolerance,
     time_to_tolerance,
 )
@@ -104,40 +101,3 @@ class TestToleranceHelpersDegenerate:
     def test_nonpositive_tol_rejected(self):
         with pytest.raises(ValueError):
             iterations_to_tolerance(CONSTANT, 0.0)
-
-
-class TestStreamingRateFit:
-    @pytest.mark.parametrize("chunk", [1, 3, 7, 100])
-    @pytest.mark.parametrize("skip", [0, 2])
-    def test_matches_batch_fit(self, chunk, skip):
-        rng = np.random.default_rng(0)
-        series = 0.9 ** np.arange(60) * np.exp(0.05 * rng.standard_normal(60))
-        batch = fit_geometric_rate(series, skip=skip)
-        chunks = [series[i : i + chunk] for i in range(0, series.size, chunk)]
-        stream = fit_geometric_rate_streaming(chunks, skip=skip)
-        assert stream.n_points == batch.n_points
-        assert stream.rate == pytest.approx(batch.rate, rel=1e-10)
-        assert stream.log_intercept == pytest.approx(batch.log_intercept, rel=1e-10)
-        assert stream.r_squared == pytest.approx(batch.r_squared, rel=1e-9)
-
-    @pytest.mark.parametrize("name", DEGENERATE)
-    def test_degenerate_chunks_never_raise(self, name):
-        fit = fit_geometric_rate_streaming([DEGENERATE[name]])
-        assert fit.n_points >= 0
-
-    def test_incremental_update_is_chainable(self):
-        acc = StreamingRateFit()
-        acc.update(np.array([1.0, 0.5])).update(np.array([0.25]))
-        assert acc.n_points == 3
-        assert acc.fit().rate == pytest.approx(0.5)
-
-    def test_negative_skip_rejected(self):
-        with pytest.raises(ValueError):
-            StreamingRateFit(skip=-1)
-
-    def test_constant_series_matches_batch_guard(self):
-        # Roundoff in the accumulated sums must not poison r² — the
-        # streaming fit shares the batch fit's constant-series guard.
-        fit = fit_geometric_rate_streaming([CONSTANT[:4], CONSTANT[4:]])
-        assert fit.rate == pytest.approx(1.0)
-        assert fit.r_squared == 1.0

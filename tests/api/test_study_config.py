@@ -141,6 +141,7 @@ class TestSpecsValidation:
         ("store", "outt"),
         ("report", "metric"),
         ("execution", "chunk_sise"),
+        ("execution", "batch"),  # batching is not a study setting
     ])
     def test_unknown_section_key_names_it(self, section, key):
         doc = {"problems": ["jacobi"], section: {key: 4}}
@@ -149,7 +150,7 @@ class TestSpecsValidation:
 
     def test_execution_spec_fields(self):
         assert [f.name for f in dataclasses.fields(ExecutionSpec)] == [
-            "executor", "max_workers", "chunk_size", "batch", "cache_dir",
+            "executor", "max_workers", "chunk_size", "cache_dir",
         ]
 
     def test_newer_format_version_rejected(self):

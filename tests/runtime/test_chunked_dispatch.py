@@ -1,11 +1,13 @@
-"""Chunked fleet dispatch: packing, validation, bit-identity.
+"""Planned fleet dispatch: packing, planning, validation, bit-identity.
 
-One pool task now carries a cost-balanced *chunk* of scenarios instead
-of a single pickled spec, so per-task IPC amortizes over grids of many
-small scenarios.  The contract under test: chunk packing covers every
-spec exactly once with balanced expected cost, and the resulting
-``FleetResult`` is bit-identical to serial and to per-task dispatch on
-every executor.
+One planner cuts a grid into dispatch units for the serial executor
+and for pools: batch groups become batched units, everything else runs
+solo, and a pool task carries a cost-balanced *chunk* of solo specs
+instead of a single pickled spec.  The contract under test: the plan
+covers every spec exactly once, only groups of two or more specs of
+one batch key reach the batcher, chunk packing balances expected cost,
+and the resulting ``FleetResult`` is bit-identical to serial and to
+per-task dispatch on every executor.
 """
 
 from __future__ import annotations
@@ -14,12 +16,14 @@ import pytest
 
 from repro.runtime.fleet import (
     _pack_chunks,
+    _plan,
     _run_chunk,
     run_fleet,
     run_grid,
     run_scenario,
 )
-from repro.runtime.sweep_store import SweepStore
+from repro.runtime.simulator.batched import _group, batchable
+from repro.runtime.sweep_store import DIGEST_FIELDS, SweepStore
 from repro.scenarios.spec import ScenarioGrid, ScenarioSpec
 
 
@@ -219,8 +223,35 @@ class TestPackingEdges:
             run_fleet(specs, executor="serial", chunk_size=2.5)
 
 
-class TestSerialGroupChunks:
-    """Serial batched dispatch runs each batch group as one chunk."""
+def _mixed() -> "list[ScenarioSpec]":
+    """Two batch groups, six ``flexible``-backend specs and one lone batchable spec.
+
+    Seeds interleave the four kinds in submission order, so no unit is
+    a contiguous run of the grid.
+    """
+    def spec(seed, **overrides):
+        fields = dict(problem="jacobi", problem_params={"n": 8}, seed=seed,
+                      max_iterations=60, tol=1e-6)
+        return ScenarioSpec(**{**fields, **overrides})
+
+    specs = [spec(s) for s in range(0, 20, 4)]  # group of five
+    specs += [spec(s, problem="tridiagonal", delays="uniform") for s in range(1, 17, 4)]
+    specs += [spec(s, backend="flexible") for s in range(2, 24, 4)]  # not batchable
+    specs.append(spec(3, max_iterations=80))  # batchable, alone in its group
+    return sorted(specs, key=lambda s: s.seed)
+
+
+#: ``(workers, serial)`` pairs the planner is checked under: the serial
+#: executor, and pools of one worker and of three.
+_EXECUTORS = [(1, True), (1, False), (3, False)]
+
+
+def _row_fields(fleet):
+    return [(r.key, *(getattr(r, f) for f in DIGEST_FIELDS)) for r in fleet.results]
+
+
+class TestPlan:
+    """One planner cuts specs into batched and solo units, serial and pooled."""
 
     @staticmethod
     def _specs(**overrides):
@@ -255,10 +286,64 @@ class TestSerialGroupChunks:
                          chunk_size=1, cache=False)
         return SweepStore(tmp_path / "solo", create=False).digest(), fleet.digest()
 
+    @pytest.mark.parametrize("batch", [True, False])
+    @pytest.mark.parametrize("chunk_size", ["auto", 1, 2, 3])
+    @pytest.mark.parametrize("workers,serial", _EXECUTORS)
+    def test_every_index_lands_in_exactly_one_unit(self, workers, serial, chunk_size, batch):
+        specs = _mixed()
+        units = _plan(_indexed(specs), chunk_size, workers, batch, serial=serial)
+        assert sorted(i for _, unit in units for i, _ in unit) == list(range(len(specs)))
+        assert all(unit for _, unit in units)
+        for _, unit in units:
+            assert [i for i, _ in unit] == sorted(i for i, _ in unit)
+        assert [unit[0][0] for _, unit in units] == sorted(unit[0][0] for _, unit in units)
+
+    @pytest.mark.parametrize("chunk_size", ["auto", 1, 2, 3])
+    @pytest.mark.parametrize("workers,serial", _EXECUTORS)
+    def test_batched_units_hold_two_or_more_of_one_batch_key(self, workers, serial, chunk_size):
+        indexed = _indexed(_mixed())
+        for batched, unit in _plan(indexed, chunk_size, workers, True, serial=serial):
+            if batched:
+                assert len(unit) >= 2
+                assert len({spec.batch_key for _, spec in unit}) == 1
+                assert batchable(unit[0][1])
+        unbatched = _plan(indexed, chunk_size, workers, False, serial=serial)
+        assert not any(batched for batched, _ in unbatched)
+
+    def test_serial_auto_is_one_unit_per_group_and_per_solo_spec(self):
+        specs = _mixed()
+        units = _plan(_indexed(specs), "auto", 1, True, serial=True)
+        batched = sorted(sorted(i for i, _ in unit) for b, unit in units if b)
+        assert batched == sorted(sorted(g) for g in _group(specs) if len(g) >= 2)
+        solo = [unit for b, unit in units if not b]
+        assert all(len(unit) == 1 for unit in solo)
+        assert len(solo) == 7  # six flexible-backend specs and the lone one
+        assert len(_plan(_indexed(specs), "auto", 1, False, serial=True)) == len(specs)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 8])
+    def test_pool_cuts_a_group_into_at_most_workers_slices(self, workers):
+        specs = self._specs()
+        units = _plan(_indexed(specs), "auto", workers, True, serial=False)
+        assert all(batched for batched, _ in units)
+        for keys in self._groups(specs).values():
+            slices = [unit for _, unit in units if {s.key for _, s in unit} <= keys]
+            assert len(slices) == min(workers, len(keys) // 2)
+            assert all(len(unit) >= 2 for unit in slices)
+            assert {s.key for unit in slices for _, s in unit} == keys
+
+    @pytest.mark.parametrize("chunk_size", [1, 2, 3, 4])
+    @pytest.mark.parametrize("workers,serial", _EXECUTORS)
+    def test_explicit_chunk_size_caps_every_unit(self, workers, serial, chunk_size):
+        for specs in (self._specs(), _mixed()):
+            units = _plan(_indexed(specs), chunk_size, workers, True, serial=serial)
+            assert max(len(unit) for _, unit in units) <= chunk_size
+
     def test_auto_runs_each_group_as_one_batch(self, tmp_path, monkeypatch):
         specs = self._specs()
         calls = self._record_batches(monkeypatch)
-        fleet = run_grid(specs, store=tmp_path / "s", executor="serial", cache=False)
+        # Serial is planned as one worker, whatever pool width it is given.
+        fleet = run_grid(specs, store=tmp_path / "s", executor="serial",
+                         max_workers=4, cache=False)
         assert len(calls) == 4
         assert sorted(map(set, calls), key=sorted) == sorted(
             self._groups(specs).values(), key=sorted)
@@ -278,7 +363,7 @@ class TestSerialGroupChunks:
         digest = SweepStore(tmp_path / "s", create=False).digest()
         assert (digest, fleet.digest()) == self._solo_digest(specs, tmp_path)
 
-    def test_refused_specs_keep_the_packed_layout(self, tmp_path, monkeypatch):
+    def test_unbatchable_specs_land_as_planned(self, tmp_path, monkeypatch):
         specs = self._specs(backends="flexible")
         calls = self._record_batches(monkeypatch)
         root = tmp_path / "s"
@@ -287,11 +372,72 @@ class TestSerialGroupChunks:
             fleet = run_grid(specs, store=root, executor="serial", max_workers=2,
                              cache=False)
         assert calls == []
+        # Serially every unbatchable spec is its own unit: one log file each.
+        units = _plan(_indexed(specs), "auto", 1, True, serial=True)
+        assert [len(unit) for _, unit in units] == [1] * len(specs)
+        assert len(list((root / "shards").rglob("log/*.json"))) == len(specs)
         store = SweepStore(root, create=False)
-        # What the cost-balanced packing writes: one file per chunk and prefix.
-        packed = sum(
-            len({store._prefix(spec.content_hash) for _, spec in chunk})
-            for chunk in _pack_chunks(_indexed(specs), "auto", workers=2)
-        )
-        assert len(list((root / "shards").rglob("log/*.json"))) <= packed
         assert (store.digest(), fleet.digest()) == self._solo_digest(specs, tmp_path)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_pool_packs_solo_specs_at_any_width(self, monkeypatch, workers):
+        # A pool packs unbatchable specs into cost-balanced chunks even
+        # with one worker: only the serial executor runs them one each.
+        import repro.runtime.fleet as fleet_mod
+
+        handed: list[tuple[bool, list[str]]] = []
+        run_chunk = fleet_mod._run_chunk
+
+        def spy(runner, specs, batched=False):
+            handed.append((batched, [s.key for s in specs]))
+            return run_chunk(runner, specs, batched)
+
+        monkeypatch.setattr(fleet_mod, "_run_chunk", spy)
+        specs = self._specs(backends="flexible")
+        fleet = run_fleet(specs, executor="thread", max_workers=workers)
+        packed = _pack_chunks(_indexed(specs), "auto", workers)
+        assert len(packed) == 4 * workers
+        assert sorted(keys for _, keys in handed) == sorted(
+            [s.key for _, s in chunk] for chunk in packed)
+        assert not any(batched for batched, _ in handed)
+        assert fleet.digest() == run_fleet(specs, executor="serial").digest()
+
+    @pytest.mark.parametrize("executor,workers", [("serial", 1), ("thread", 2)])
+    def test_batcher_gets_only_groups_of_two_or_more(self, monkeypatch, executor, workers):
+        import repro.runtime.simulator.batched as batched_mod
+
+        handed: list[list[ScenarioSpec]] = []
+        run_batch = batched_mod.run_scenario_batch
+
+        def spy(specs, **kwargs):
+            handed.append(list(specs))
+            return run_batch(specs, **kwargs)
+
+        monkeypatch.setattr(batched_mod, "run_scenario_batch", spy)
+        specs = _mixed()
+        fleet = run_fleet(specs, executor=executor, max_workers=workers)
+        assert not fleet.failures()
+        for unit in handed:
+            assert len(unit) >= 2 and all(map(batchable, unit))
+            assert len({s.batch_key for s in unit}) == 1
+        grouped = {specs[i].key for g in _group(specs) if len(g) >= 2 for i in g}
+        assert {s.key for unit in handed for s in unit} == grouped
+
+    @pytest.mark.parametrize("chunk_size", ["auto", 2])
+    def test_thread_pool_mixed_grid_equals_serial(self, chunk_size):
+        specs = _mixed()
+        serial = run_fleet(specs, executor="serial")
+        pooled = run_fleet(specs, executor="thread", max_workers=3, chunk_size=chunk_size)
+        solo = run_fleet(specs, executor="serial", batch=False)
+        assert not serial.failures()
+        assert pooled.digest() == serial.digest() == solo.digest()
+        assert _row_fields(pooled) == _row_fields(serial) == _row_fields(solo)
+
+    @pytest.mark.slow
+    def test_process_pool_mixed_grid_equals_serial(self):
+        specs = _mixed()
+        serial = run_fleet(specs, executor="serial")
+        pooled = run_fleet(specs, executor="process", max_workers=2)
+        assert not serial.failures()
+        assert pooled.digest() == serial.digest()
+        assert _row_fields(pooled) == _row_fields(serial)

@@ -420,6 +420,15 @@ class TestResultsLayerFixes:
             run_fleet(SMALL_ENGINE_GRID.expand()[:1], executor="serial",
                       max_workers=bad)
 
+    def test_serial_run_records_one_worker(self):
+        # The serial executor runs one unit at a time, so its record
+        # must not claim the requested (or the core count's) pool width.
+        specs = SMALL_ENGINE_GRID.expand()
+        serial = run_fleet(specs, executor="serial", max_workers=4)
+        lone = run_fleet(specs[:1], executor="thread", max_workers=4)
+        assert (serial.executor, serial.max_workers) == ("serial", 1)
+        assert (lone.executor, lone.max_workers) == ("serial", 1)
+
     def test_max_workers_message_matches_execution_spec(self):
         from repro.api.config import ExecutionSpec
 

@@ -527,14 +527,13 @@ class TestGroupedLog:
             fleet = run_grid(specs, store=root, executor="serial", chunk_size=8,
                              batch=batch)
         store = SweepStore(root, create=False)
-        if batch:  # the serial batched layout: each batch group in slices of 8
-            chunks = [[spec.content_hash for _, spec in chunk]
-                      for chunk in fleet_mod._group_chunks(list(enumerate(specs)), 8, 1)]
-        else:  # the unbatched serial path hands over one row at a time
-            chunks = [[spec.content_hash] for spec in specs]
+        # The serial plan: each batch group in slices of 8, or one row
+        # per unit unbatched.
+        plan = fleet_mod._plan(list(enumerate(specs)), 8, 1, batch, serial=True)
+        chunks = [[spec.content_hash for _, spec in unit] for _, unit in plan]
         logs = _log_files(root)
-        # At most one file per chunk and prefix; each file is one
-        # chunk's rows of one prefix.
+        # At most one file per unit and prefix; each file is one
+        # unit's rows of one prefix.
         assert len(logs) == sum(len({store._prefix(h) for h in c}) for c in chunks)
         for path in logs:
             rows = _logged_rows(path)
