@@ -74,4 +74,5 @@ examples:
 	$(PP) $(PY) examples/fault_sweep.py
 	rm -rf /tmp/repro-study-example
 	$(PP) $(PY) -m repro study run examples/study.toml --out /tmp/repro-study-example
+	$(PP) $(PY) -m repro study resume examples/study.toml --out /tmp/repro-study-example
 	$(PP) $(PY) -m repro study report examples/study.toml --out /tmp/repro-study-example

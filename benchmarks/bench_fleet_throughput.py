@@ -325,7 +325,6 @@ def run_store_scaling():
         probe.digest()
         _, digest_peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        probe.invalidate_caches()
         tracemalloc.start()
         probe.fleet_view().group_medians(
             by=("problem",), metrics=("iterations", "converged")

@@ -19,7 +19,7 @@ import subprocess
 import sys
 
 from repro import __version__
-from repro.dispatch import EXECUTORS, check_chunk_size
+from repro.dispatch import EXECUTORS
 from repro.experiments import EXPERIMENTS, benchmarks_dir
 
 
@@ -73,17 +73,6 @@ def _shard(value: str) -> tuple[int, int]:
             f"shard needs 1 <= i <= k, got {value!r}"
         )
     return (i - 1, k)
-
-
-def _chunk_size(value: str) -> "int | str":
-    try:
-        size: "int | str" = int(value)
-    except ValueError:
-        size = value  # "auto", or a word the rule refuses by name
-    try:
-        return check_chunk_size(size)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 # ----------------------------------------------------------------------
@@ -183,7 +172,7 @@ def _cmd_list_axes() -> int:
         f"{', '.join(_backends.available_backends('machine'))} (--kind simulator)"
     )
     print(
-        "dispatch: --chunk-size auto|N (each batch group one batched call "
+        "dispatch: planned by the fleet (each batch group one batched call "
         "when serial, at most one slice per worker on a pool; other "
         "scenarios one per unit when serial, cost-balanced pool chunks), "
         "--cache DIR / REPRO_SWEEP_CACHE (cross-study result cache), "
@@ -230,7 +219,6 @@ def _sweep_config(args: argparse.Namespace):
         execution=ExecutionSpec(
             executor=args.executor,
             max_workers=args.workers,
-            chunk_size=args.chunk_size,
             cache_dir=args.cache,
         ),
     )
@@ -241,16 +229,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return _cmd_list_axes()
 
     # Path conflicts are CLI-level mistakes; keep their messages stable.
+    # A --resume directory that holds no store is refused where
+    # _execute_study opens it.
     if args.resume is not None:
         resume_path = pathlib.Path(args.resume)
         if args.out is not None and pathlib.Path(args.out).resolve() != resume_path.resolve():
             print("sweep: --out and --resume point at different stores", file=sys.stderr)
-            return 2
-        if not (resume_path / "manifest.json").is_file():
-            # An unrelated existing directory is as wrong as a missing
-            # one — resuming "into" it would re-run everything and
-            # scatter store files there.
-            print(f"sweep: no sweep store at {args.resume} to resume", file=sys.stderr)
             return 2
     if args.keep_traces and args.out is None and args.resume is None:
         print("sweep: --keep-traces requires --out (or --resume)", file=sys.stderr)
@@ -298,7 +282,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
             config = config.with_store(
                 args.out, keep_traces=True if args.keep_traces else None
             )
-        overrides = (args.executor, args.workers, args.chunk_size, args.cache)
+        overrides = (args.executor, args.workers, args.cache)
         if any(v is not None for v in overrides):
             config = dataclasses.replace(
                 config,
@@ -307,10 +291,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
                     max_workers=(
                         args.workers if args.workers is not None
                         else config.execution.max_workers
-                    ),
-                    chunk_size=(
-                        args.chunk_size if args.chunk_size is not None
-                        else config.execution.chunk_size
                     ),
                     cache_dir=(
                         args.cache if args.cache is not None
@@ -485,13 +465,6 @@ def main(argv: list[str] | None = None) -> int:
     sweep.add_argument("--tol", type=float, default=1e-8)
     sweep.add_argument("--executor", choices=EXECUTORS, default="auto")
     sweep.add_argument("--workers", type=int, default=None, help="pool width cap")
-    sweep.add_argument("--chunk-size", type=_chunk_size, default="auto",
-                       metavar="N|auto",
-                       help="cap on scenarios per dispatched unit (default "
-                            "auto: one batched call per batch group when "
-                            "serial; on a pool, at most one slice per worker "
-                            "and cost-balanced chunks, ~4 tasks per worker; "
-                            "1 = per-task dispatch)")
     sweep.add_argument("--cache", default=None, metavar="DIR",
                        help="cross-study result cache: completed scenarios are "
                             "looked up there by content hash before executing "
@@ -544,10 +517,6 @@ def main(argv: list[str] | None = None) -> int:
                        default=None, help="override the config's executor")
     study.add_argument("--workers", type=int, default=None,
                        help="override the config's pool width cap")
-    study.add_argument("--chunk-size", type=_chunk_size, default=None,
-                       metavar="N|auto",
-                       help="override the config's dispatch chunk size "
-                            "(auto: planned per executor; 1: per-task dispatch)")
     study.add_argument("--shard", type=_shard, default=None, metavar="i/k",
                        help="run only shard i of k (1-based, e.g. 2/4): a "
                             "content-hash-stable, seed-preserving slice of the "

@@ -21,13 +21,9 @@ import pathlib
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-import statistics
-
-import numpy as np
-
 from repro.analysis.reporting import render_table
-from repro.runtime.fleet import FleetResult
-from repro.runtime.sweep_store import SweepStore
+from repro.runtime.fleet import FleetResult, _group_medians
+from repro.runtime.sweep_store import _FAULT_FIELDS, SweepStore
 
 __all__ = [
     "fleet_from_store",
@@ -45,8 +41,9 @@ __all__ = [
 
 #: Fault-log counters that quantify injected-fault intensity; carried
 #: in each row's ``info`` dict by the simulator engines (absent — and
-#: treated as zero — for fault-free rows).
-FAULT_COUNTERS = ("fault_crashes", "fault_drops", "fault_limp_episodes")
+#: treated as zero — for fault-free rows).  The same names are the
+#: store's int64 batch columns.
+FAULT_COUNTERS = _FAULT_FIELDS
 
 
 def fleet_from_store(
@@ -217,10 +214,10 @@ def fault_intensity_rows(
     group by their canonical repr so dict-valued axes work), then
     reports for each group the *measured* fault intensity — the mean of
     each fault-log counter from the rows' ``info`` stats — alongside
-    the usual convergence summary (boolean metrics as rates, numeric
-    ones as medians over non-failed rows).  Rows sort by total mean
-    counter intensity, so the table reads fault-free baseline first,
-    harshest regime last.
+    the convergence summary of :meth:`FleetResult.group_medians`
+    (boolean metrics as rates, numeric ones as medians over non-failed
+    rows).  Rows sort by total mean counter intensity, so the table
+    reads fault-free baseline first, harshest regime last.
     """
 
     def gkey(r: Any) -> tuple[Any, ...]:
@@ -230,38 +227,25 @@ def fault_intensity_rows(
             out.append(repr(dict(sorted(v.items()))) if isinstance(v, dict) else v)
         return tuple(out)
 
-    counts: dict[tuple[Any, ...], int] = {}
-    mvals: dict[tuple[Any, ...], list[list[Any]]] = {}
-    cvals: dict[tuple[Any, ...], list[float]] = {}
-    for r in fleet.results:
-        if r.error is not None:
-            continue
-        g = gkey(r)
-        counts[g] = counts.get(g, 0) + 1
-        if g not in mvals:
-            mvals[g] = [[] for _ in metrics]
-            cvals[g] = [0.0 for _ in counters]
-        for j, m in enumerate(metrics):
-            v = getattr(r, m)
-            if v is not None:
-                mvals[g][j].append(v)
-        info = getattr(r, "info", None) or {}
-        for j, c in enumerate(counters):
-            cvals[g][j] += float(info.get(c, 0))
+    totals: dict[tuple[Any, ...], list[float]] = {}
+
+    def tallied(rows: Any) -> Any:
+        # Sum each row's counters on its way into _group_medians, so the
+        # rows (possibly streamed from a store) are read once.
+        for r in rows:
+            if r.error is None:
+                acc = totals.setdefault(gkey(r), [0.0] * len(counters))
+                info = r.info or {}
+                for j, c in enumerate(counters):
+                    acc[j] += float(info.get(c, 0))
+            yield r
+
+    medians = _group_medians(tallied(fleet.results), gkey, metrics)
     headers = [*group_by, "n", *(f"mean_{c}" for c in counters), *metrics]
     rows: list[list[Any]] = []
-    for g in counts:
-        n = counts[g]
-        means = [tot / n for tot in cvals[g]]
-        row: list[Any] = [*g, n, *means]
-        for j, m in enumerate(metrics):
-            raw = mvals[g][j]
-            if raw and all(isinstance(v, (bool, np.bool_)) for v in raw):
-                row.append(sum(map(bool, raw)) / len(raw))
-                continue
-            vals_f = [float(v) for v in raw if np.isfinite(v)]
-            row.append(statistics.median(vals_f) if vals_f else float("nan"))
-        rows.append(row)
+    for g, agg in medians.items():
+        n = int(agg["count"])
+        rows.append([*g, n, *(tot / n for tot in totals[g]), *(agg[m] for m in metrics)])
     base = len(group_by) + 1
     rows.sort(key=lambda row: (sum(row[base:base + len(counters)]), repr(row[:base])))
     return headers, rows

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any, ClassVar, Mapping
 
 from repro.api.toml_io import dumps_toml, loads_toml
-from repro.dispatch import EXECUTORS, check_chunk_size
+from repro.dispatch import EXECUTORS
 from repro.runtime.fleet import METRIC_FIELDS
 from repro.scenarios import registry
 from repro.scenarios.spec import ScenarioGrid, ScenarioSpec, _canon
@@ -317,29 +317,25 @@ class ReportSpec:
 
 @dataclass(frozen=True)
 class ExecutionSpec:
-    """Fleet execution knobs: executor, pool width, dispatch, cache.
+    """Fleet execution knobs: executor, pool width, cache.
 
-    ``chunk_size`` controls how many scenarios ride in one dispatched
-    unit (``"auto"``: each batch group is one unit serially and at most
-    one slice per worker on a pool, other specs run one per unit
-    serially and in cost-balanced chunks, ~4 tasks per worker, on a
-    pool; an int caps every unit, which bounds what a killed sweep
-    loses; ``1``: per-task dispatch).  Homogeneous spec groups always
-    run through the scenario-batched lockstep engine; the solo
-    reference is ``run_fleet(specs, batch=False)``, not a study
-    setting.  ``cache_dir`` names the cross-study result cache consulted
-    by content hash before any scenario executes (``None`` defers to
-    the ``REPRO_SWEEP_CACHE`` environment variable at run time).  All
-    of these change only *how fast* results arrive, never their bits,
-    so none participates in defaults-only documents: they are omitted
-    from :meth:`to_dict` when unset, and old study files load unchanged
-    unless they name ``batch`` (which older versions wrote for an
-    unbatched study): it fails as any unknown ``[execution]`` key does.
+    The fleet plans dispatch itself: each batch group is one unit
+    serially and at most one slice per worker on a pool, and other
+    specs run one per unit serially and in cost-balanced chunks on a
+    pool.  The unit cap ``chunk_size`` and the solo reference
+    ``batch=False`` are arguments of ``run_fleet``/``run_grid``, not
+    study settings.  ``cache_dir`` names the cross-study result cache
+    consulted by content hash before any scenario executes (``None``
+    defers to the ``REPRO_SWEEP_CACHE`` environment variable at run
+    time).  These change only *how fast* results arrive, never their
+    bits, so unset ones are omitted from :meth:`to_dict`.  Old study
+    files load unchanged unless they name ``batch`` or ``chunk_size``
+    (which older versions wrote): those fail as any unknown
+    ``[execution]`` key does.
     """
 
     executor: str = "auto"
     max_workers: int | None = None
-    chunk_size: int | str = "auto"
     cache_dir: str | None = None
 
     def __post_init__(self) -> None:
@@ -349,7 +345,6 @@ class ExecutionSpec:
             )
         if self.max_workers is not None and self.max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {self.max_workers}")
-        check_chunk_size(self.chunk_size)
         if self.cache_dir is not None:
             object.__setattr__(self, "cache_dir", str(self.cache_dir))
 
@@ -357,8 +352,6 @@ class ExecutionSpec:
         doc: dict[str, Any] = {"executor": self.executor}
         if self.max_workers is not None:
             doc["max_workers"] = int(self.max_workers)
-        if self.chunk_size != "auto":
-            doc["chunk_size"] = int(self.chunk_size)
         if self.cache_dir is not None:
             doc["cache_dir"] = self.cache_dir  # TOML has no null: omit when unset
         return doc

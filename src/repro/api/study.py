@@ -252,7 +252,6 @@ class Study:
         keep_traces: "bool | None" = None,
         executor: "str | None" = None,
         max_workers: "int | None" = None,
-        chunk_size: "int | str | None" = None,
         cache: Any = None,
         shard: "tuple[int, int] | None" = None,
     ) -> "StudyResult":
@@ -262,9 +261,10 @@ class Study:
         sections (``None`` keeps the config's value).  With an ``out``
         directory the run streams into a
         :class:`~repro.runtime.sweep_store.SweepStore` as workers
-        finish; ``resume=True`` additionally requires the store to
-        exist and re-executes only the scenarios it is missing —
-        bit-identical to an uninterrupted run.
+        finish; ``resume=True`` goes straight to
+        :func:`~repro.runtime.fleet.run_grid`, so the store must exist
+        and only the scenarios it is missing re-execute — bit-identical
+        to an uninterrupted run.
 
         ``shard=(index, num_shards)`` runs only that content-hash-stable
         slice of the grid (each host gets its own ``out`` store;
@@ -272,12 +272,11 @@ class Study:
         ``cache`` overrides the config's ``execution.cache_dir``
         (``False`` disables caching even when the config or the
         ``REPRO_SWEEP_CACHE`` environment variable names one).
-        ``chunk_size`` overrides ``execution.chunk_size``: under
-        ``"auto"`` each batch group is one unit serially and at most
-        one slice per worker on a pool, so a killed serial run loses at
-        most the group or solo row in flight; an explicit int caps
-        every unit, which bounds that loss.  Homogeneous spec groups
-        always run batched, bit-identical to solo runs.
+        Dispatch is planned by the fleet: each batch group is one unit
+        serially and at most one slice per worker on a pool, so a
+        killed serial run loses at most the group or solo row in
+        flight; ``chunk_size`` and ``batch`` are set on
+        :func:`~repro.runtime.fleet.run_grid` only.
         """
         cfg = self.config
         out = str(out) if out is not None else cfg.store.out
@@ -285,30 +284,20 @@ class Study:
         keep = cfg.store.keep_traces if keep_traces is None else bool(keep_traces)
         chosen_executor = executor if executor is not None else cfg.execution.executor
         workers = max_workers if max_workers is not None else cfg.execution.max_workers
-        chunks = chunk_size if chunk_size is not None else cfg.execution.chunk_size
         if cache is None:
             cache = cfg.execution.cache_dir
 
         specs = self.shard_specs(shard)
-        store: SweepStore | None = None
-        if out is not None:
-            # Resuming demands an existing store: a typo'd path must
-            # error, not silently re-run the whole study.
-            store = SweepStore(out, create=not do_resume)
-        else:
-            if keep:
-                raise ValueError("keep_traces requires an out directory")
-            if do_resume:
-                raise ValueError("resume requires an out directory")
+        # Opened as run_grid opens a path: a store to resume must exist.
+        store = None if out is None else SweepStore(out, create=not do_resume)
         fleet = run_grid(
             specs,
             store=store,
-            resume=store if do_resume else None,
+            resume=do_resume,
             cache=cache,
             keep_traces=keep,
             executor=chosen_executor,
             max_workers=workers,
-            chunk_size=chunks,
         )
         return StudyResult(config=cfg, fleet=fleet, store=store)
 
@@ -479,7 +468,6 @@ def sweep(
     keep_traces: bool = False,
     executor: str = "auto",
     max_workers: "int | None" = None,
-    chunk_size: "int | str" = "auto",
     cache: "str | pathlib.Path | None" = None,
 ) -> StudyResult:
     """Build a :class:`StudyConfig` from keywords and run it.
@@ -524,7 +512,6 @@ def sweep(
         execution=ExecutionSpec(
             executor=executor,
             max_workers=max_workers,
-            chunk_size=chunk_size,
             cache_dir=None if cache is None else str(cache),
         ),
     )

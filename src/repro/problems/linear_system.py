@@ -21,7 +21,6 @@ __all__ = [
     "tridiagonal_system",
     "make_jacobi_instance",
     "make_jacobi_batch",
-    "make_tridiagonal_batch",
 ]
 
 
@@ -171,27 +170,3 @@ def make_jacobi_batch(
     spec = None if n_blocks is None else BlockSpec.uniform(dim, n_blocks)
     return jacobi_operator_batch(Ms, cs, spec)
 
-
-def make_tridiagonal_batch(
-    dim: int,
-    off_diag: float = -1.0,
-    diag: float = 4.0,
-    *,
-    seeds: "list[int | np.random.Generator | np.random.SeedSequence | None]",
-) -> "list[AffineOperator]":
-    """Batched ``jacobi_operator(*tridiagonal_system(...))`` construction.
-
-    The matrix is deterministic (shared across the batch); only the
-    right-hand side ``c`` is drawn, per scenario, in solo order.
-    Bit-identical per scenario to building each instance alone.
-    """
-    from repro.operators.linear import jacobi_operator_batch
-
-    if dim < 2:
-        raise ValueError("tridiagonal_system needs dim >= 2")
-    M = diag * np.eye(dim) + off_diag * (np.eye(dim, k=1) + np.eye(dim, k=-1))
-    cs = np.empty((len(seeds), dim))
-    for k, seed in enumerate(seeds):
-        cs[k] = as_generator(seed).standard_normal(dim)
-    Ms = np.broadcast_to(M, (len(seeds), dim, dim))
-    return jacobi_operator_batch(Ms, cs, None)

@@ -15,8 +15,8 @@ scenario (concurrently when the hardware allows), collects one typed
 :class:`~repro.runtime.sweep_store.SweepStore` it persists one summary
 row (and optionally the realized trace) per scenario *as each dispatch
 unit finishes*, keyed by the spec's content hash — so a sweep killed
-at scenario 180/200 resumes with ``run_grid(..., resume=store)`` and
-only executes the scenarios it lost.
+at scenario 180/200 resumes with ``run_grid(..., store=store,
+resume=True)`` and only executes the scenarios it lost.
 
 Dispatch is planned once, by one planner for the serial executor and
 pools (:func:`_plan`).  Each homogeneous batch group becomes one
@@ -55,7 +55,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.dispatch import EXECUTORS, check_chunk_size
+from repro.dispatch import EXECUTORS
 from repro.scenarios.spec import ScenarioSpec
 from repro.utils.serialization import json_safe, strict_finite
 
@@ -535,6 +535,17 @@ def _resolve_executor(executor: str, max_workers: int | None) -> tuple[str, int]
     return executor, cpus if max_workers is None else max_workers
 
 
+def check_chunk_size(chunk_size: "int | str") -> "int | str":
+    """``chunk_size`` itself if it is ``"auto"`` or a positive int, else ``ValueError``."""
+    if chunk_size == "auto":
+        return chunk_size
+    if isinstance(chunk_size, bool) or not isinstance(chunk_size, int):
+        raise ValueError(f'chunk_size must be "auto" or a positive int, got {chunk_size!r}')
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    return chunk_size
+
+
 #: ``chunk_size="auto"`` packs a pool's solo specs into about this many
 #: tasks per worker — few enough to amortize pickle/IPC round-trips,
 #: many enough that one slow chunk cannot idle the rest of the pool.
@@ -775,7 +786,7 @@ def run_fleet(
     )
 
 
-def _resolve_cache(cache: Any, sweep: Any, resume_store: Any) -> Any:
+def _resolve_cache(cache: Any, sweep: Any) -> Any:
     """``cache=`` argument -> an open cache store, or ``None``.
 
     ``None`` consults the ``REPRO_SWEEP_CACHE`` environment variable;
@@ -784,9 +795,8 @@ def _resolve_cache(cache: Any, sweep: Any, resume_store: Any) -> Any:
     is an ordinary content-addressed :class:`SweepStore` directory —
     created on first use, never given a manifest — so any finished
     sweep store also works as a cache.  A cache that aliases the run's
-    own store (or resume source) is dropped: those are already
-    consulted, and double-writing rows to the same files would be pure
-    churn.
+    own store is dropped: double-writing rows to the same files would
+    be pure churn.
     """
     from repro.runtime.sweep_store import SweepStore
 
@@ -799,14 +809,13 @@ def _resolve_cache(cache: Any, sweep: Any, resume_store: Any) -> Any:
         cache = env
     if not isinstance(cache, SweepStore):
         cache = SweepStore(cache)
-    for other in (sweep, resume_store):
-        if other is not None and cache.root.resolve() == other.root.resolve():
-            return None
+    if sweep is not None and cache.root.resolve() == sweep.root.resolve():
+        return None
     return cache
 
 
 def _adopt_row(src: Any, sweep: Any, loaded: ScenarioResult) -> ScenarioResult:
-    """Prepare a row completed in ``src`` (resume source, cache, shard) for ``sweep``.
+    """Prepare a row completed in ``src`` (the run's store or its cache) for ``sweep``.
 
     The trace file (when present) is copied — atomically, since stores
     and caches are shared between hosts — and the row's ``trace_path``
@@ -830,7 +839,7 @@ def run_grid(
     grid_or_specs: Any,
     *,
     store: Any = None,
-    resume: Any = None,
+    resume: bool = False,
     cache: Any = None,
     keep_traces: bool = False,
     executor: str = "auto",
@@ -857,24 +866,25 @@ def run_grid(
         time are recorded in the manifest header.  ``None`` degrades to
         a plain in-memory fleet run.
     resume:
-        A store (or path) holding a previous, possibly partial, run of
-        the same scenarios.  Completed scenarios — recognized by
-        content hash — are loaded instead of re-executed; because every
-        spec carries its own independent seed, the resumed
-        :class:`FleetResult` is bit-identical to an uninterrupted one.
-        ``resume=True`` reuses ``store``.  A path that names no
-        existing store raises ``FileNotFoundError`` (a typo must not
-        silently re-run the whole sweep); with ``keep_traces``, rows
-        whose trace file is missing are re-executed so the store ends
-        up complete; resuming into a *different* ``store`` copies rows
-        and traces over.
+        ``True`` loads the scenarios ``store`` already completed —
+        recognized by content hash — instead of re-executing them;
+        because every spec carries its own independent seed, the
+        resumed :class:`FleetResult` is bit-identical to an
+        uninterrupted one.  A ``store`` given as a path then opens with
+        ``create=False``: a directory that holds no store raises
+        ``FileNotFoundError`` (a typo must not silently re-run the
+        whole sweep) and a store of a retired format ``ValueError``.
+        With ``keep_traces``, rows whose trace file is missing are
+        re-executed so the store ends up complete.  Only a bool is
+        accepted; another store's rows come in through ``cache``.
     cache:
         Cross-study result cache: a content-addressed store (path or
         :class:`~repro.runtime.sweep_store.SweepStore`) consulted *by
-        content hash* before any scenario executes — after ``resume``
-        — and written back as scenarios finish, so any scenario ever
-        completed through the same cache resolves instantly in every
-        later study.  ``None`` (default) consults the
+        content hash* before any scenario executes — after the resume
+        lookup — and written back as scenarios finish, so any scenario
+        ever completed through the same cache resolves instantly in
+        every later study.  Rows and kept traces it supplies are copied
+        into ``store``.  ``None`` (default) consults the
         ``REPRO_SWEEP_CACHE`` environment variable; ``False`` disables
         caching.  Cache hits satisfy the same completeness rule as
         resume (a ``keep_traces`` run only accepts rows whose trace is
@@ -903,58 +913,42 @@ def run_grid(
     from repro.runtime.sweep_store import SweepStore
     from repro.scenarios.spec import ScenarioGrid
 
+    if not isinstance(resume, bool):
+        raise TypeError(
+            f"resume must be True or False, got {type(resume).__name__}: "
+            "resume=True reads the run's own store=; pass another store's "
+            "rows as cache="
+        )
+    if resume and store is None:
+        raise ValueError("resume=True requires a store")
+    if keep_traces and store is None:
+        raise ValueError("keep_traces requires a store")
     if isinstance(grid_or_specs, ScenarioGrid):
         specs = list(grid_or_specs.expand())
     else:
         specs = list(grid_or_specs)
-
-    if resume is True:
-        if store is None:
-            raise ValueError("resume=True requires a store")
-        resume = store
-    if resume is not None and not isinstance(resume, SweepStore) and store is not None:
-        # Equivalent paths count as the same store, however spelled.
-        store_root = store.root if isinstance(store, SweepStore) else pathlib.Path(store)
-        if pathlib.Path(resume).resolve() == store_root.resolve():
-            resume = store
-    if resume is not None and not isinstance(resume, SweepStore):
-        # A resume target must already exist: silently creating an
-        # empty store from a typo'd path would re-execute the whole
-        # sweep instead of erroring.
-        resume = SweepStore(resume, create=False)
-    if store is None and resume is not None:
-        store = resume
     sweep: SweepStore | None = None
     if store is not None:
-        sweep = store if isinstance(store, SweepStore) else SweepStore(store)
-    if keep_traces and sweep is None:
-        raise ValueError("keep_traces requires a store")
-    resume_store: SweepStore | None = None
-    if resume is not None:
-        # Usually the same store; resuming *into* a different one is
-        # allowed (completed rows and traces copy over, new rows land
-        # in `store`).
-        if resume is store or resume is sweep:
-            resume_store = sweep
-        else:
-            same = resume.root.resolve() == sweep.root.resolve()
-            resume_store = sweep if same else resume
-    cache_store: SweepStore | None = _resolve_cache(cache, sweep, resume_store)
+        # A resumed store must already exist: silently creating an empty
+        # one from a typo'd path would re-run the whole sweep.
+        sweep = store if isinstance(store, SweepStore) else SweepStore(
+            store, create=not resume
+        )
+    cache_store: SweepStore | None = _resolve_cache(cache, sweep)
 
     chosen, workers = _resolve_executor(executor, max_workers)
     chunk_size = check_chunk_size(chunk_size)
     t0 = time.perf_counter()
 
-    # Lookup order: the resume store first (it is this sweep's own
-    # history), then the cross-study cache.  Both apply the one
-    # completeness rule (load_complete_results), so a keep_traces run
-    # never accepts a traceless cached row.  Each is one bulk read,
-    # shard by shard, so every batch file decodes once whatever order
-    # the specs come in.
+    # Lookup order: the run's own store first (resume), then the
+    # cross-study cache.  Both apply the one completeness rule
+    # (load_complete_results), so a keep_traces run never accepts a
+    # traceless cached row.  Each is one bulk read, shard by shard, so
+    # every batch file decodes once whatever order the specs come in.
     hashes = [spec.content_hash for spec in specs]
     resumed: dict[str, ScenarioResult] = {}
-    if resume_store is not None:
-        resumed = resume_store.load_complete_results(specs, require_trace=keep_traces)
+    if resume:
+        resumed = sweep.load_complete_results(specs, require_trace=keep_traces)
     cache_done: set[str] = set()
     cached: dict[str, ScenarioResult] = {}
     if cache_store is not None:
@@ -969,9 +963,6 @@ def run_grid(
     into_cache: list[ScenarioResult] = []
     for idx, (spec, h) in enumerate(zip(specs, hashes)):
         loaded = resumed.get(h)
-        if loaded is not None and resume_store is not sweep:
-            loaded = _adopt_row(resume_store, sweep, loaded)
-            into_sweep.append(loaded)
         if loaded is None and h in cached:
             loaded = _adopt_row(cache_store, sweep, cached[h])
             into_sweep.append(loaded)
@@ -983,9 +974,7 @@ def run_grid(
             # anywhere" includes completed before the cache existed.
             # Traces ride along (via the same adopt path), so later
             # keep_traces studies can hit these rows as well.
-            into_cache.append(_adopt_row(
-                sweep if sweep is not None else resume_store, cache_store, loaded
-            ))
+            into_cache.append(_adopt_row(sweep, cache_store, loaded))
             cache_done.add(h)
         slots[idx] = loaded
     if sweep is not None:

@@ -385,7 +385,17 @@ class _RowIterable:
 
 
 class SweepStore:
-    """Directory-backed, content-addressed persistence of a sweep."""
+    """Directory-backed, content-addressed persistence of a sweep.
+
+    A handle keeps no copy of its directory: :meth:`completed`,
+    :meth:`load_result`, :meth:`discard_result` and every bulk reader
+    list and read the files on each call, so two handles on one store,
+    in one process or in two, never disagree about its rows.  The one
+    thing a handle remembers is how many unsealed log rows each shard
+    holds, which decides when :meth:`write_result` seals; a count gone
+    stale because another handle sealed that shard only moves this
+    handle's next seal, never what a read returns.
+    """
 
     #: The manifest format every store is read and written in.
     FORMAT_VERSION = 2
@@ -417,14 +427,8 @@ class SweepStore:
             raise FileNotFoundError(
                 f"no sweep store at {self.root} (missing {_MANIFEST})"
             )
-        # Satellite of the scale refactor: the completed-hash set is
-        # consulted once per scenario on the resume hot path, so it is
-        # computed once and maintained by write_result/merge instead of
-        # re-scanning the directory/index per call.
-        self._completed: "set[str] | None" = None
-        # hash -> batch path per shard, for random access.
-        self._shard_maps: "dict[str, dict[str, pathlib.Path]]" = {}
-        # Unsealed log-row counts per shard prefix.
+        # Unsealed log-row counts per shard prefix (see the class
+        # docstring): spares each write a re-read of the shard's log.
         self._pending: "dict[str, int]" = {}
         if header is not None:
             # Shard addressing must match how the store was written,
@@ -480,12 +484,6 @@ class SweepStore:
             f"completed={len(self.completed())}>"
         )
 
-    def invalidate_caches(self) -> None:
-        """Drop in-memory indexes (after out-of-band directory changes)."""
-        self._completed = None
-        self._shard_maps.clear()
-        self._pending.clear()
-
     # -- paths ---------------------------------------------------------
     def trace_path(self, content_hash: str) -> pathlib.Path:
         return self.traces_dir / f"{content_hash}.npz"
@@ -512,7 +510,7 @@ class SweepStore:
             try:
                 keyed.append((p.stat().st_mtime_ns, p.name, p))
             except FileNotFoundError:
-                self._shard_maps.pop(prefix, None)
+                continue
         return [p for _, _, p in sorted(keyed)]
 
     def _batch_paths(self, prefix: str) -> "list[pathlib.Path]":
@@ -638,19 +636,16 @@ class SweepStore:
     def completed(self) -> "set[str]":
         """Content hashes that already have a persisted summary row.
 
-        Computed once (from the batch indexes and log listings) and then
-        maintained in memory by :meth:`write_result`, :meth:`merge` and
-        :meth:`discard_result`; callers receive a copy, so mutating the
-        returned set never corrupts the cache.
+        Read from the directory on every call — each batch's hash member
+        and each shard's log — so two handles on one store never
+        disagree, whichever of them (or another process) wrote last.
         """
-        if self._completed is None:
-            comp: "set[str]" = set()
-            for prefix in self._shard_prefixes():
-                for bp in self._batch_paths(prefix):
-                    comp.update(self._batch_hashes(bp))
-                comp.update(self._log_docs(prefix))
-            self._completed = comp
-        return set(self._completed)
+        comp: "set[str]" = set()
+        for prefix in self._shard_prefixes():
+            for bp in self._batch_paths(prefix):
+                comp.update(self._batch_hashes(bp))
+            comp.update(self._log_docs(prefix))
+        return comp
 
     def write_result(self, *results: "ScenarioResult") -> "list[pathlib.Path]":
         """Atomically persist rows that completed together.
@@ -672,8 +667,6 @@ class SweepStore:
             if prefix not in self._pending:
                 self._pending[prefix] = len(self._log_docs(prefix))
             paths.append(self._write_log(prefix, rows))
-            if self._completed is not None:
-                self._completed.update(rows)
             self._pending[prefix] += len(rows)
             if self._pending[prefix] >= self.batch_rows:
                 self._seal_prefix(prefix)
@@ -789,18 +782,14 @@ class SweepStore:
             json.dumps({"rows": meta_rows}, allow_nan=False),
         )
         _atomic_savez(npz, arrays)
-        self._shard_maps.pop(prefix, None)
         return npz
 
     def _append_batch(
         self, prefix: str, docs: "dict[str, dict[str, Any]]"
     ) -> None:
         """Adopt foreign row documents as one new batch (merge path)."""
-        if not docs:
-            return
-        self._write_batch(prefix, sorted(docs.items()))
-        if self._completed is not None:
-            self._completed.update(docs)
+        if docs:
+            self._write_batch(prefix, sorted(docs.items()))
 
     # -- batch decoding (one read per file, nothing cached) -------------
     @staticmethod
@@ -812,16 +801,6 @@ class SweepStore:
         # Only the hash member decompresses (npz members load lazily).
         with np.load(path) as z:
             return [h.decode() for h in z["hash"]]
-
-    def _shard_map(self, prefix: str) -> "dict[str, pathlib.Path]":
-        m = self._shard_maps.get(prefix)
-        if m is None:
-            m = {}
-            for bp in self._batch_paths(prefix):
-                for h in self._batch_hashes(bp):
-                    m[h] = bp
-            self._shard_maps[prefix] = m
-        return m
 
     def _batch_docs(
         self, path: pathlib.Path, wanted: "set[str] | None" = None
@@ -871,15 +850,13 @@ class SweepStore:
         The one reader of the log; a file holds ``{"rows": {hash:
         doc}}``.  A file that vanished since the listing was sealed by
         another handle on this directory, whose batch landed before the
-        unlink: it is skipped, and the shard's cached batch map dropped
-        so the next lookup finds that batch.
+        unlink: it is skipped, and the next read finds that batch.
         """
         files: "dict[pathlib.Path, dict[str, dict[str, Any]]]" = {}
         for p in self._log_paths(prefix):
             try:
                 doc = json.loads(p.read_text())
             except FileNotFoundError:
-                self._shard_maps.pop(prefix, None)
                 continue
             files[p] = doc["rows"]
         return files
@@ -913,22 +890,13 @@ class SweepStore:
         return self.load_result_by_hash(spec.content_hash)
 
     def load_result_by_hash(self, content_hash: str) -> "ScenarioResult | None":
+        """The persisted row of ``content_hash``, read from its shard."""
         from repro.runtime.fleet import ScenarioResult
 
-        doc = self._load_doc(content_hash)
-        if doc is None:
-            return None
-        return ScenarioResult.from_json_dict(doc)
-
-    def _load_doc(self, content_hash: str) -> "dict[str, Any] | None":
-        prefix = self._prefix(content_hash)
-        doc = self._log_docs(prefix, {content_hash}).get(content_hash)
-        if doc is not None:
-            return doc
-        bp = self._shard_map(prefix).get(content_hash)
-        if bp is None:
-            return None
-        return self._batch_docs(bp, {content_hash})[content_hash]
+        doc = self._shard_docs(
+            self._prefix(content_hash), {content_hash}
+        ).get(content_hash)
+        return None if doc is None else ScenarioResult.from_json_dict(doc)
 
     def load_complete_results(
         self, specs: "Iterable[ScenarioSpec]", *, require_trace: bool = False
@@ -978,9 +946,10 @@ class SweepStore:
         The kill-simulation counterpart of :meth:`write_result`: tests
         and tooling drop a row to force its re-execution.  Every copy
         goes: a row sealed and later logged again is in a batch *and*
-        a log file.  Each file holding it is replaced by one without
-        it (the rest of a log file lands as a new file, a batch is
-        rewritten under its new fingerprint name), and every
+        a log file, and a row sealed twice (re-run, or sealed by two
+        handles) is in two batches.  Each file holding it is replaced
+        by one without it (the rest of a log file lands as a new file,
+        a batch is rewritten under its new fingerprint name), and every
         replacement is written before the file it replaces is
         unlinked, so a crash at any point loses no other row and a
         re-discard completes the job.  The rest of a log file leaves
@@ -999,24 +968,22 @@ class SweepStore:
                 logs[path] = {h: doc for h, doc in rows.items()
                               if h != content_hash and h not in later}
             later.update(rows)
-        bp = self._shard_map(prefix).get(content_hash)
-        if logs or bp is not None:
+        batches = [bp for bp in self._batch_paths(prefix)
+                   if content_hash in self._batch_hashes(bp)]
+        if logs or batches:
             (self.root / _MERGE_LOG).unlink(missing_ok=True)
         for path, rows in logs.items():
             if rows:
                 self._write_log(prefix, rows)
             path.unlink()
             self._pending.pop(prefix, None)  # recounted on the next write
-        if bp is not None:
+        for bp in batches:
             rest = self._batch_docs(bp)
             del rest[content_hash]
             if rest:
                 self._write_batch(prefix, sorted(rest.items()))
             bp.unlink(missing_ok=True)
             bp.with_suffix(".json").unlink(missing_ok=True)
-            self._shard_maps.pop(prefix, None)
-        if self._completed is not None:
-            self._completed.discard(content_hash)
 
     # -- traces --------------------------------------------------------
     def has_trace(self, content_hash: str) -> bool:
@@ -1316,9 +1283,6 @@ class SweepStore:
         else:
             _atomic_copy(bp.with_suffix(".json"), dst.with_suffix(".json"))
         _atomic_copy(bp, dst)
-        self._shard_maps.pop(prefix, None)
-        if self._completed is not None:
-            self._completed.update(bhashes)
 
     def _read_merge_log(self) -> "set[str]":
         path = self.root / _MERGE_LOG

@@ -44,14 +44,13 @@ from repro.delays.unbounded import BaudetSqrtDelay, LogGrowthDelay, PowerGrowthD
 from repro.operators.gradient import GradientStepOperator
 from repro.operators.linear import jacobi_operator
 from repro.operators.prox_gradient import ForwardBackwardOperator
-from repro.operators.proximal import L1Regularizer, ZeroRegularizer
+from repro.operators.proximal import L1Regularizer
 from repro.problems.base import CompositeProblem
 from repro.problems.datasets import make_classification, make_regression
 from repro.problems.least_squares import batch_least_squares, make_lasso, make_ridge
 from repro.problems.linear_system import (
     make_jacobi_batch,
     make_jacobi_instance,
-    make_tridiagonal_batch,
     tridiagonal_system,
 )
 from repro.problems.logistic import batch_logistic, make_logistic
@@ -430,13 +429,6 @@ def _batch_jacobi(seeds: "list[Any]", *, n: int = 24, dominance: float = 0.4) ->
     return make_jacobi_batch(n, dominance, seeds=seeds)
 
 
-@register_batch("tridiagonal")
-def _batch_tridiagonal(seeds: "list[Any]", *, n: int = 24, off_diag: float = -1.0,
-                       diag: float = 2.3) -> list:
-    """Shared deterministic matrix, per-scenario right-hand sides."""
-    return make_tridiagonal_batch(n, off_diag=off_diag, diag=diag, seeds=seeds)
-
-
 @register_batch("lasso")
 def _batch_lasso(seeds: "list[Any]", *, n_samples: int = 120, n_features: int = 32,
                  sparsity: float = 0.5, l1: float = 0.05, l2: float = 0.05) -> list:
@@ -449,20 +441,6 @@ def _batch_lasso(seeds: "list[Any]", *, n_samples: int = 120, n_features: int = 
     return [
         ForwardBackwardOperator(
             CompositeProblem(smooth, L1Regularizer(l1)), smooth.max_step()
-        )
-        for smooth in smooths
-    ]
-
-
-@register_batch("ridge")
-def _batch_ridge(seeds: "list[Any]", *, n_samples: int = 120, n_features: int = 32,
-                 l2: float = 0.1) -> list:
-    """Per-scenario datasets in solo draw order, one stacked Gram eigensolve."""
-    datas = [make_regression(n_samples, n_features, seed=as_generator(s)) for s in seeds]
-    smooths = batch_least_squares(datas, l2=l2)
-    return [
-        ForwardBackwardOperator(
-            CompositeProblem(smooth, ZeroRegularizer()), smooth.max_step()
         )
         for smooth in smooths
     ]

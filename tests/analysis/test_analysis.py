@@ -195,3 +195,79 @@ class TestRendering:
         res = sim.run(np.zeros(2), max_iterations=4, tol=0.0)
         with pytest.raises(ValueError):
             render_schedule(res, width=5)
+
+
+class TestFaultIntensityRows:
+    """The convergence-vs-fault-intensity table, pinned on a hand-built fleet."""
+
+    @staticmethod
+    def _fleet():
+        from repro.runtime.fleet import FleetResult, ScenarioResult
+        from repro.scenarios.spec import ScenarioSpec
+
+        def row(rate, seed, iterations, converged, residual, error, info, failed=False):
+            spec = ScenarioSpec(
+                problem="jacobi", kind="simulator", machine="uniform",
+                fault="none" if rate is None else "crash-restart",
+                fault_params={} if rate is None else {"crash_rate": rate},
+                seed=seed,
+            )
+            return ScenarioResult(
+                key=spec.key, spec=spec, iterations=iterations, converged=converged,
+                final_residual=residual, final_error=error, info=info,
+                error="RuntimeError('crashed')" if failed else None,
+            )
+
+        rows = [
+            # Inserted harshest first, and the 0.02 group before the 0.01
+            # one it ties with, so neither order is insertion order.
+            row(0.05, 1, 70, False, 0.25, 2.0, {"fault_crashes": 4, "fault_drops": 2}),
+            row(0.05, 2, 90, False, 0.75, 4.0, {"fault_crashes": 6}),
+            row(0.05, 3, 80, True, 0.5, 3.0, {"fault_crashes": 5, "fault_drops": 1}),
+            row(0.02, 1, 30, True, 0.125, 1.0, {"fault_crashes": 2}),
+            row(0.02, 2, 30, True, 0.125, 1.0, {"fault_crashes": 3}),
+            row(0.01, 1, 40, True, 0.5, None,
+                {"fault_crashes": 1, "fault_limp_episodes": 1}),
+            row(0.01, 2, 60, False, float("inf"), None, {"fault_crashes": 3}),
+            # A failed row counts nowhere, its counters included.
+            row(0.01, 3, 0, False, float("nan"), None, {"fault_crashes": 100},
+                failed=True),
+            row(None, 1, 10, True, 0.25, 0.5, {}),
+            row(None, 2, 20, True, 0.75, None, {"fault_crashes": 0}),
+        ]
+        return FleetResult(results=tuple(rows), wall_time=1.0, executor="serial",
+                           max_workers=1)
+
+    def test_rows_are_pinned(self):
+        from repro.analysis.fleet import fault_intensity_rows
+        from repro.runtime.sweep_store import _FAULT_FIELDS
+
+        headers, rows = fault_intensity_rows(
+            self._fleet(), group_by=("fault", "fault_params"),
+            metrics=("iterations", "converged", "final_residual", "final_error"),
+        )
+        assert headers == [
+            "fault", "fault_params", "n", "mean_fault_crashes", "mean_fault_drops",
+            "mean_fault_limp_episodes", "iterations", "converged", "final_residual",
+            "final_error",
+        ]
+        nan = "nan"
+        expected = [
+            # Fault-free first; the two groups of equal intensity (2.5)
+            # break the tie on their group key; harshest last.
+            ["none", "{}", 2, 0.0, 0.0, 0.0, 15.0, 1.0, 0.5, 0.5],
+            # A boolean metric is a rate; the inf residual is skipped,
+            # and a metric whose every value is None reads nan.
+            ["crash-restart", "{'crash_rate': 0.01}", 2, 2.0, 0.0, 0.5,
+             50.0, 0.5, 0.5, nan],
+            ["crash-restart", "{'crash_rate': 0.02}", 2, 2.5, 0.0, 0.0,
+             30.0, 1.0, 0.125, 1.0],
+            ["crash-restart", "{'crash_rate': 0.05}", 3, 5.0, 1.0, 0.0,
+             80.0, 1 / 3, 0.5, 3.0],
+        ]
+        got = [[nan if isinstance(v, float) and np.isnan(v) else v for v in r]
+               for r in rows]
+        assert got == expected
+        assert all(type(r[2]) is int for r in rows)
+        # The default counters are the store's fault columns.
+        assert headers[3:6] == [f"mean_{c}" for c in _FAULT_FIELDS]

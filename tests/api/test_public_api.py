@@ -46,8 +46,8 @@ class TestLazyExports:
         assert out.stdout.strip() == "CLEAN"
 
     def test_cli_info_stays_light(self):
-        # The CLI builds its whole parser, executor names and chunk-size
-        # rule included, before `info` runs; none of it may load the library.
+        # The CLI builds its whole parser, executor names included,
+        # before `info` runs; none of it may load the library.
         code = (
             "import sys; from repro.__main__ import main; main(['info']); "
             "heavy = [m for m in ('numpy', 'repro.api', 'repro.runtime', 'repro.core', "

@@ -142,6 +142,7 @@ class TestSpecsValidation:
         ("report", "metric"),
         ("execution", "chunk_sise"),
         ("execution", "batch"),  # batching is not a study setting
+        ("execution", "chunk_size"),  # nor is the dispatch unit cap
     ])
     def test_unknown_section_key_names_it(self, section, key):
         doc = {"problems": ["jacobi"], section: {key: 4}}
@@ -150,7 +151,7 @@ class TestSpecsValidation:
 
     def test_execution_spec_fields(self):
         assert [f.name for f in dataclasses.fields(ExecutionSpec)] == [
-            "executor", "max_workers", "chunk_size", "cache_dir",
+            "executor", "max_workers", "cache_dir",
         ]
 
     def test_newer_format_version_rejected(self):
@@ -232,35 +233,25 @@ class TestCompilation:
 
 
 class TestExecutionSpecSharding:
-    """ISSUE 5: dispatch chunking and the cross-study cache as config."""
+    """The cross-study cache as config."""
 
-    def test_chunk_size_and_cache_dir_round_trip(self, tmp_path):
-        spec = ExecutionSpec(executor="serial", chunk_size=8,
-                             cache_dir=str(tmp_path / "cache"))
+    def test_cache_dir_round_trip(self, tmp_path):
+        spec = ExecutionSpec(executor="serial", cache_dir=str(tmp_path / "cache"))
         doc = spec.to_dict()
-        assert doc["chunk_size"] == 8
         assert doc["cache_dir"] == str(tmp_path / "cache")
         assert ExecutionSpec(**doc) == spec
 
     def test_defaults_are_omitted_from_dict(self):
-        # A config that never mentions chunking/caching must hash
-        # identically to one written before the fields existed.
+        # A config that never mentions the pool width or the cache must
+        # hash identically to one written before the fields existed.
         doc = ExecutionSpec(executor="serial").to_dict()
-        assert "chunk_size" not in doc
-        assert "cache_dir" not in doc
-
-    def test_chunk_size_validation(self):
-        with pytest.raises(ValueError, match="chunk_size"):
-            ExecutionSpec(chunk_size=0)
-        with pytest.raises(ValueError, match="chunk_size"):
-            ExecutionSpec(chunk_size="big")
-        assert ExecutionSpec(chunk_size="auto").chunk_size == "auto"
+        assert doc == {"executor": "serial"}
 
     def test_study_config_round_trips_execution_extras(self, tmp_path):
         cfg = StudyConfig(
             name="sharded",
             problems=("jacobi",),
-            execution=ExecutionSpec(executor="serial", chunk_size=4,
+            execution=ExecutionSpec(executor="serial", max_workers=4,
                                     cache_dir=str(tmp_path / "c")),
         )
         for back in (StudyConfig.from_json(cfg.to_json()),

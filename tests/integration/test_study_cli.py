@@ -83,7 +83,7 @@ class TestStudyRun:
         assert "did you mean 'n_seeds'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section,line,message", [
-        ("execution", "chunk_sise = 4", "did you mean 'chunk_size'"),
+        ("execution", "max_worker = 4", "did you mean 'max_workers'"),
         ("store", "keep_trace = true", "did you mean 'keep_traces'"),
         ("report", "group = []", "unknown report key 'group'"),
         ("solver", "max_iteration = 5", "did you mean 'max_iterations'"),
@@ -295,7 +295,7 @@ class TestCacheFlags:
         assert main([
             "sweep", "--problems", "jacobi", "--delays", "zero",
             "--steering", "cyclic", "--seeds", "1", "--max-iterations", "50",
-            "--executor", "serial", "--chunk-size", "2",
+            "--executor", "serial",
             "--cache", str(tmp_path / "cache"), "--out", str(tmp_path / "s"),
         ]) == 0
         assert "failures=0" in capsys.readouterr().out

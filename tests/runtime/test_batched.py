@@ -661,9 +661,7 @@ class TestBuildBatchGolden:
 
     CASES = [
         ("jacobi", {"n": 7, "dominance": 0.35}),
-        ("tridiagonal", {"n": 6, "off_diag": -0.8}),
         ("lasso", {"n_samples": 12, "n_features": 6, "l1": 0.05}),
-        ("ridge", {"n_samples": 10, "n_features": 5, "l2": 0.2}),
         ("logistic", {"n_samples": 14, "n_features": 5}),
     ]
 
@@ -691,6 +689,30 @@ class TestBuildBatchGolden:
         ]
         ops = build_batch(specs)
         assert ops is not None and len(ops) == count
+        for spec, op in zip(specs, ops):
+            solo = spec.build_problem()
+            assert self._fingerprint(op) == self._fingerprint(solo), spec.key
+
+    @pytest.mark.parametrize("problem,params", [
+        ("tridiagonal", {"n": 6, "off_diag": -0.8}),
+        ("ridge", {"n_samples": 10, "n_features": 5, "l2": 0.2}),
+    ])
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_group_without_a_twin_builds_per_spec(self, problem, params, count):
+        # A batched group of a family with no batched builder builds one
+        # spec at a time, each from its own problem stream.
+        from repro.runtime.simulator.batched import _build_problems
+        from repro.scenarios.registry import build_batch, has_batch_factory
+
+        specs = [
+            ScenarioSpec(problem=problem, problem_params=params,
+                         max_iterations=5, tol=0.0, seed=900 + k)
+            for k in range(count)
+        ]
+        assert not has_batch_factory(problem)
+        assert build_batch(specs) is None
+        ops = _build_problems(specs)
+        assert len(ops) == count
         for spec, op in zip(specs, ops):
             solo = spec.build_problem()
             assert self._fingerprint(op) == self._fingerprint(solo), spec.key

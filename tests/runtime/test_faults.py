@@ -314,5 +314,6 @@ class TestKillResumeDigest:
         run_grid(specs[: len(specs) // 2], store=interrupted,
                  executor=executor, max_workers=2)
         assert interrupted.digest() != full.digest()
-        run_grid(specs, resume=interrupted, executor=executor, max_workers=2)
+        run_grid(specs, store=interrupted, resume=True, executor=executor,
+                 max_workers=2)
         assert interrupted.digest() == full.digest()

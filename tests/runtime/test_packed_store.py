@@ -251,6 +251,24 @@ class TestDiscard:
             assert st.load_result_by_hash(victim.content_hash) is None
             assert st.digest() == expected
 
+    def test_discard_drops_both_copies_of_a_row_sealed_twice(self, tmp_path):
+        # A row re-run and sealed again, or sealed by two handles, sits
+        # in two batches; neither copy may read back after a discard.
+        rows = _synth_rows(6)
+        store = _fill(SweepStore(tmp_path / "p", prefix_len=0), rows)
+        store.flush()
+        victim = rows[2]
+        store.write_result(victim, rows[4])
+        store.flush()
+        assert len(list((tmp_path / "p" / "shards").glob("batch-*.npz"))) == 2
+        store.discard_result(victim.content_hash)
+        survivors = [r for r in rows if r is not victim]
+        expected = digest_rows((r.content_hash, r) for r in survivors)
+        for st in (store, SweepStore(tmp_path / "p", create=False)):
+            assert victim.content_hash not in st.completed()
+            assert st.load_result_by_hash(victim.content_hash) is None
+            assert st.digest() == expected
+
     def test_discard_keeps_a_relogged_mate_at_its_latest_write(self, tmp_path):
         # The victim's log file also holds a row that a later file
         # logged again.  The rest of the victim's file lands as the
@@ -270,29 +288,29 @@ class TestDiscard:
             assert st.digest() == digest_rows([(mate.content_hash, newer)])
 
 
-class TestCompletedCache:
+class TestCompleted:
+    """completed() is a fresh read of the directory, never a cached set."""
+
     def test_completed_returns_a_copy(self, tmp_path):
         store = _fill(SweepStore(tmp_path / "p"), _synth_rows(5))
         got = store.completed()
         got.add("bogus")
         assert "bogus" not in store.completed()
 
-    def test_write_result_updates_cache_without_rescan(self, tmp_path, monkeypatch):
+    def test_every_handle_sees_logged_and_sealed_rows(self, tmp_path):
+        # completed() reads the directory on every call: rows another
+        # handle wrote after this one last looked count, logged or sealed.
         rows = _synth_rows(6)
-        store = SweepStore(tmp_path / "p")
-        store.write_manifest([r.spec for r in rows])
+        a = SweepStore(tmp_path / "p", batch_rows=4, prefix_len=0)
+        b = SweepStore(tmp_path / "p", batch_rows=4, prefix_len=0)
         for r in rows[:3]:
-            store.write_result(r)
-        assert len(store.completed()) == 3  # cache primed here
-        # A full re-scan after this point is a satellite regression
-        # (every completed() rescan starts by listing the shards).
-        monkeypatch.setattr(
-            store, "_shard_prefixes",
-            lambda: pytest.fail("completed() re-scanned the store"),
-        )
+            a.write_result(r)
+        assert a.completed() == b.completed() == {r.content_hash for r in rows[:3]}
         for r in rows[3:]:
-            store.write_result(r)
-            assert r.content_hash in store.completed()
+            b.write_result(r)  # the fourth row seals four, two stay logged
+        assert len(list((tmp_path / "p" / "shards").glob("batch-*.npz"))) == 1
+        assert len(list((tmp_path / "p" / "shards" / "log").glob("*.json"))) == 2
+        assert a.completed() == {r.content_hash for r in rows}
 
 
 class TestMergeEdgeCases:

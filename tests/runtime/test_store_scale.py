@@ -56,7 +56,6 @@ class TestStoreScale:
         for prefix, docs in by_prefix.items():
             store._append_batch(prefix, docs)
         del by_prefix
-        store.invalidate_caches()
         assert len(store.completed()) == N_ROWS
 
         tracemalloc.start()
@@ -67,7 +66,6 @@ class TestStoreScale:
             f"digest peaked at {digest_peak / 1e6:.1f} MB over {N_ROWS} rows"
         )
 
-        store.invalidate_caches()
         tracemalloc.start()
         medians = store.fleet_view().group_medians(
             by=("problem",), metrics=("iterations", "converged")

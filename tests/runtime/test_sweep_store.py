@@ -1,10 +1,11 @@
 """SweepStore + run_grid: content hashing, streaming writes, resume.
 
 The acceptance contract: a sweep killed midway and rerun with
-``resume=store`` executes only the missing scenarios and reproduces the
-uninterrupted sweep's determinism digest exactly; a trace-keeping
-sweep runs under a fixed memory ceiling because each trace is saved
-and dropped inside its worker instead of accumulating in the fleet.
+``store=store, resume=True`` executes only the missing scenarios and
+reproduces the uninterrupted sweep's determinism digest exactly; a
+trace-keeping sweep runs under a fixed memory ceiling because each
+trace is saved and dropped inside its worker instead of accumulating
+in the fleet.
 """
 
 from __future__ import annotations
@@ -206,6 +207,31 @@ class TestSweepStoreBasics:
         assert doc["scenarios"][0]["spec"]["problem"] == "jacobi"
 
 
+class TestHandlesReadTheDisk:
+    """A handle keeps no copy of its directory, so two handles agree."""
+
+    def test_lookups_made_before_a_resume_see_its_rows(self, tmp_path, count_runs):
+        specs = list(_grid(n_seeds=3).expand())
+        assert len(specs) == 6
+        root = tmp_path / "s"
+        run_grid(specs, store=root, executor="serial")
+        handle = SweepStore(root, create=False)
+        victim = specs[0]
+        handle.discard_result(victim.content_hash)
+        # Look the row up and count the rows before the resume ...
+        assert handle.load_result(victim) is None
+        assert len(handle.completed()) == 5
+        count_runs.clear()
+        run_grid(specs, store=root, resume=True, executor="serial")
+        assert count_runs == [victim.key]
+        assert not list(root.glob("shards/*/log/*.json"))  # the row is sealed
+        # ... and read again through the same handle, with no reset.
+        row = handle.load_result(victim)
+        assert row is not None and row.key == victim.key
+        assert len(handle.completed()) == 6
+        assert handle.digest() == run_grid(specs, executor="serial").digest()
+
+
 class TestRunGrid:
     def test_streams_rows_and_aggregate(self, tmp_path):
         specs = _grid().expand()
@@ -270,7 +296,7 @@ class TestResume:
         assert len(count_runs) == 7
         count_runs.clear()
 
-        fleet = run_grid(specs, resume=store, executor="serial")
+        fleet = run_grid(specs, store=store, resume=True, executor="serial")
         assert len(count_runs) == len(specs) - 7
         assert not fleet.failures()
         assert [r.key for r in fleet.results] == [s.key for s in specs]
@@ -283,7 +309,7 @@ class TestResume:
         interrupted = SweepStore(tmp_path / "partial")
         run_grid(specs[:5], store=interrupted, executor="serial")
         assert interrupted.digest() != full.digest()  # partial != complete
-        run_grid(specs, resume=interrupted, executor="serial")
+        run_grid(specs, store=interrupted, resume=True, executor="serial")
         assert interrupted.digest() == full.digest()
 
     def test_resume_true_uses_store(self, tmp_path, count_runs):
@@ -322,25 +348,38 @@ class TestResume:
     def test_resume_from_missing_dir_raises(self, tmp_path):
         """A typo'd resume path must error, not silently re-run the sweep."""
         with pytest.raises(FileNotFoundError):
-            run_grid(_grid().expand(), resume=tmp_path / "typo", executor="serial")
+            run_grid(_grid().expand(), store=tmp_path / "typo", resume=True,
+                     executor="serial")
         assert not (tmp_path / "typo").exists()  # and must not create it
 
-    def test_resume_path_equivalent_to_store_path(self, tmp_path, count_runs):
+    def test_resume_takes_only_a_bool(self, tmp_path, count_runs):
+        """resume reads the run's own store; any other store is a cache."""
         specs = list(_grid().expand())
-        run_grid(specs, store=tmp_path / "s", executor="serial")
+        old = SweepStore(tmp_path / "old")
+        run_grid(specs, store=old, executor="serial")
         count_runs.clear()
-        # Same directory, spelled differently: still "the same store".
-        run_grid(specs, store=tmp_path / "s",
-                 resume=tmp_path / "sub" / ".." / "s", executor="serial")
+        for store, resume in [
+            (None, tmp_path / "old"),
+            (tmp_path / "new", tmp_path / "old"),
+            (tmp_path / "new", str(tmp_path / "old")),
+            (tmp_path / "new", old),
+            (old, old),
+            (tmp_path / "new", None),
+        ]:
+            with pytest.raises(TypeError, match=r"store=.*cache="):
+                run_grid(specs, store=store, resume=resume, executor="serial")
         assert count_runs == []
+        assert not (tmp_path / "new").exists()
 
-    def test_resume_into_different_store_copies_rows_and_traces(self, tmp_path):
+    def test_rows_of_another_store_come_in_through_cache(self, tmp_path, count_runs):
         specs = list(_grid().expand())
         old = SweepStore(tmp_path / "old")
         run_grid(specs, store=old, keep_traces=True, executor="serial")
+        count_runs.clear()
         new = SweepStore(tmp_path / "new")
-        fleet = run_grid(specs, store=new, resume=old, keep_traces=True,
+        fleet = run_grid(specs, store=new, cache=old, keep_traces=True,
                          executor="serial")
+        assert count_runs == []
         assert new.completed() == {s.content_hash for s in specs}
         assert new.digest() == old.digest()
         for r in fleet.results:
@@ -353,7 +392,8 @@ class TestResume:
         store = SweepStore(tmp_path / "s")
         run_grid(specs, store=store, executor="serial")  # rows, no traces
         count_runs.clear()
-        fleet = run_grid(specs, resume=store, keep_traces=True, executor="serial")
+        fleet = run_grid(specs, store=store, resume=True, keep_traces=True,
+                         executor="serial")
         assert len(count_runs) == len(specs)  # all re-run to get traces
         for r in fleet.results:
             assert store.load_trace(r.spec).n_iterations == r.iterations
@@ -371,7 +411,8 @@ class TestResume:
             row = dataclasses.replace(run_scenario(spec), trace_path="")
             store.write_result(row)
         count_runs.clear()
-        fleet = run_grid(specs, resume=store, keep_traces=True, executor="serial")
+        fleet = run_grid(specs, store=store, resume=True, keep_traces=True,
+                         executor="serial")
         assert count_runs == []
         assert all(r.trace_path == "" for r in fleet.results)
 
@@ -446,9 +487,9 @@ class TestResume:
         root = write_retired_store(tmp_path / "flat", live.results)
         before = tree_bytes(root)
         count_runs.clear()
-        for store in (None, root):
+        for store, resume in [(root, True), (str(root), True), (root, False)]:
             with pytest.raises(ValueError, match="manifest.json"):
-                run_grid(specs, store=store, resume=root, executor="serial")
+                run_grid(specs, store=store, resume=resume, executor="serial")
         assert count_runs == []
         assert tree_bytes(root) == before
 
@@ -696,7 +737,7 @@ class TestAcceptance200:
         # Kill at scenario 180/200, then resume.
         partial = SweepStore(tmp_path / "partial")
         run_grid(specs[:180], store=partial, keep_traces=True, executor="serial")
-        resumed = run_grid(specs, resume=partial, keep_traces=True,
+        resumed = run_grid(specs, store=partial, resume=True, keep_traces=True,
                            executor="serial")
         assert not resumed.failures()
         assert partial.digest() == full.digest()
