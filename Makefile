@@ -41,13 +41,15 @@ bench-fleet:
 claims:
 	$(PP) $(PY) -m pytest $(filter-out benchmarks/bench_fleet_throughput.py,$(wildcard benchmarks/bench_*.py)) --benchmark-only -q
 
-## the mutation catalogue: tier-1 must fail under every mutant in
-## tools/mutants.toml, each applied to a temp copy of the tree
+## the mutation catalogue: a test must fail under every mutant in
+## tools/mutants.toml, each applied to a temp copy of the tree; the
+## entry's known killer runs first, tier-1 -x only when it passes
 mutants:
 	$(PY) tools/mutants.py
 
 ## only the catalogue's match check: every entry's old text occurs once
-## in its file (no mutant is run; well under a second)
+## in its file, and every entry that is run names a killed_by test that
+## exists (no mutant is run; well under a second)
 mutants-check:
 	$(PY) -c "import sys; sys.path.insert(0, 'tools'); import mutants; print(len(mutants.load_catalogue()), 'catalogue entries match')"
 

@@ -174,7 +174,7 @@ def infer_kind(backends: "tuple[str, ...]", kind: "str | None" = None) -> str:
 
     All-``model`` backends mean an engine study, all-``machine``
     backends a simulator study; no backends keep the engine default.
-    Mixed or ``algorithm``-kind lists are not sweepable and raise.
+    Mixed lists are not sweepable and raise.
     """
     if kind is not None:
         if kind not in _KINDS:
@@ -189,12 +189,6 @@ def infer_kind(backends: "tuple[str, ...]", kind: "str | None" = None) -> str:
         return "simulator"
     if kinds == {"model"}:
         return "engine"
-    if "algorithm" in kinds:
-        raise ValueError(
-            f"backends {list(backends)} include algorithm-kind comparators, "
-            "which are not sweepable; use model backends (engine studies) or "
-            "machine backends (simulator studies)"
-        )
     raise ValueError(
         f"backends {list(backends)} mix kinds {sorted(kinds)}; "
         "a study needs all-model or all-machine backends"

@@ -67,7 +67,12 @@ class SolveOutcome:
     The scalar summary (``converged``, ``iterations``, ...) delegates
     to the underlying :class:`~repro.runtime.fleet.ScenarioResult`;
     ``x`` is the final iterate and ``trace`` the realized ``(S, L)``
-    iteration trace (when the backend records one).
+    iteration trace.  ``trace`` is ``None`` on the ``shared-memory``
+    backend: the fleet's scenario path turns its per-commit recording
+    off unless traces are persisted, since that recording slows real
+    threads down.  Call the backend directly
+    (:func:`repro.runtime.backends.get_backend`) for a shared-memory
+    trace.
     """
 
     result: ScenarioResult
@@ -113,8 +118,8 @@ class SolveOutcome:
 def _resolve_solve_backend(backend: "str | None") -> tuple[str, "str | None"]:
     """``backend`` -> ``(scenario kind, backend name or None)``.
 
-    Accepts a registered ``model``/``machine`` execution-backend name
-    (kind derived from the registry), a kind alias
+    Accepts a registered execution-backend name (kind derived from the
+    registry), a kind alias
     (``"engine"``/``"simulator"`` meaning "that kind's default
     backend"), or ``None`` (engine default).
     """
@@ -125,14 +130,6 @@ def _resolve_solve_backend(backend: "str | None") -> tuple[str, "str | None"]:
     from repro.runtime import backends as _backends
 
     kind = _backends.backend_kind(backend)  # KeyError with did-you-mean
-    if kind == "algorithm":
-        raise ValueError(
-            f"backend {backend!r} is an algorithm-kind comparator and runs "
-            f"through its solver class (see repro.solvers), not solve(); "
-            f"solve() takes model backends "
-            f"({', '.join(_backends.available_backends('model'))}) or machine "
-            f"backends ({', '.join(_backends.available_backends('machine'))})"
-        )
     return ("engine" if kind == "model" else "simulator"), backend
 
 
@@ -152,11 +149,10 @@ def solve(
 
     ``problem`` is a registry name (``repro.solve("lasso", ...)``);
     extra keyword arguments are passed to its factory.  ``backend`` is
-    a ``model``- or ``machine``-kind execution-backend name
-    (``"exact"``, ``"vectorized"``, ``"shared-memory"``, ...) or the
-    alias ``"engine"``/``"simulator"`` for the kind's default;
-    algorithm-kind comparators (``arock``, ``dave-pg``) run through
-    their solver classes instead.  Engine runs use ``steering``/``delays``;
+    an execution-backend name (``"exact"``, ``"vectorized"``,
+    ``"shared-memory"``, ...) or the alias ``"engine"``/``"simulator"``
+    for the kind's default: changing this one string runs the same
+    problem on another substrate.  Engine runs use ``steering``/``delays``;
     simulator runs use ``machine`` — each accepts a name or a
     ``(name, params)`` pair, validated eagerly with did-you-mean
     suggestions.  Raises on scenario errors (unlike the fleet, which

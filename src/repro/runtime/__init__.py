@@ -1,9 +1,10 @@
 """Runtime substrates: the simulated machine, the real threads, the fleet.
 
 * :mod:`repro.runtime.backends` — the pluggable
-  :class:`ExecutionBackend` registry: one solver definition, every
+  :class:`ExecutionBackend` registry: one iteration scheme, every
   engine (``exact``, ``flexible``, ``vectorized``, ``reference``,
-  ``shared-memory``, plus algorithm plugins);
+  ``shared-memory``).  The runtime sits below :mod:`repro.solvers`
+  and never imports it;
 * :mod:`repro.runtime.simulator` — deterministic discrete-event
   simulation of processors + channels (the hardware substitute);
 * :mod:`repro.runtime.shared_memory` — lock-free Hogwild-style
@@ -45,8 +46,6 @@ from repro.runtime.simulator import (
     ReferenceSimulator,
     SimulationResult,
     UniformTime,
-    shared_memory_network,
-    two_cluster_grid,
     uniform_cluster,
     wide_area_network,
 )
@@ -79,8 +78,6 @@ __all__ = [
     "run_fleet",
     "run_grid",
     "run_scenario",
-    "shared_memory_network",
-    "two_cluster_grid",
     "uniform_cluster",
     "wide_area_network",
 ]

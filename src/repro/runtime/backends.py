@@ -31,17 +31,16 @@ Built-in backends:
     Real Hogwild-style threads on a shared NumPy iterate
     (:class:`~repro.runtime.shared_memory.SharedMemoryAsyncRunner`),
     where ``(S, L)`` is induced by actual hardware scheduling.
-``arock`` / ``dave-pg``
-    Modern comparator algorithms ([32]/[30]) registered as
-    ``algorithm``-kind plugins from their solver modules.
 
 Backends self-describe via ``kind`` (``"model"`` needs steering+delays,
-``"machine"`` runs on a processor/channel description, ``"algorithm"``
-is a bespoke comparator loop) so the scenario layer, the fleet runner
-and the ``python -m repro sweep --backend`` CLI can validate and
-dispatch from one registry — a new engine (processes, GPU, remote
-workers) is a ~50-line :func:`register_backend` plugin instead of a
-fourth fork of the solver stack.
+``"machine"`` runs on a processor/channel description) so the scenario
+layer, :func:`repro.solve`, the fleet runner and the
+``python -m repro sweep --backend`` CLI can validate and dispatch from
+one registry — a new engine (processes, GPU, remote workers) is a
+~50-line :func:`register_backend` plugin instead of a fourth fork of
+the solver stack.  The registry holds only these engines: the modern
+comparators (ARock [32], DAve-PG [30]) run their own loops in
+:mod:`repro.solvers`, which this module never imports.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ from repro.core.trace import IterationTrace, save_trace
 from repro.delays.base import DelayModel
 from repro.operators.base import FixedPointOperator
 from repro.runtime.shared_memory import SharedMemoryAsyncRunner
-from repro.runtime.simulator.engine import RESIDUAL_EVERY, DistributedSimulator
+from repro.runtime.simulator.engine import DistributedSimulator
 from repro.runtime.simulator.reference import ReferenceSimulator
 from repro.steering.base import SteeringPolicy
 from repro.utils.rng import as_generator
@@ -77,9 +76,8 @@ __all__ = [
     "BACKEND_KINDS",
 ]
 
-#: Valid backend kinds: prescribed-(S,L) engines, machine substrates,
-#: and bespoke comparator algorithms.
-BACKEND_KINDS = ("model", "machine", "algorithm")
+#: Valid backend kinds: prescribed-(S,L) engines and machine substrates.
+BACKEND_KINDS = ("model", "machine")
 
 
 @dataclass
@@ -87,17 +85,14 @@ class ExecutionRequest:
     """Everything an execution backend may need for one run.
 
     ``model``-kind backends consume ``steering``/``delays``;
-    ``machine``-kind backends consume ``processors``/``channels``;
-    ``algorithm``-kind backends take their ingredients from
-    ``options`` (typically the :class:`~repro.problems.base.CompositeProblem`).
+    ``machine``-kind backends consume ``processors``/``channels``.
     Unused fields are simply ignored, so one request type serves every
     engine.
 
     Attributes
     ----------
     operator:
-        The fixed-point map ``F`` (may be ``None`` for algorithm
-        backends that work directly on a problem).
+        The fixed-point map ``F``.
     x0:
         Initial iterate.
     max_iterations:
@@ -112,7 +107,7 @@ class ExecutionRequest:
         whatever the simulator constructor accepts.
     seed:
         Entropy for backend-internal randomness (simulator streams,
-        default partial models, algorithm RNGs).
+        default partial models).
     faults:
         Optional :class:`~repro.runtime.simulator.faults.FaultModel`
         injected into simulator backends (``machine`` kind); ``None``
@@ -123,16 +118,18 @@ class ExecutionRequest:
         Known fixed point for error tracking; ``None`` falls back to
         ``operator.fixed_point()`` where supported.
     options:
-        Backend-specific extras (``residual_every``,
-        ``record_messages``, ``partials``, ``n_workers``, ``problem``...).
-        Two trace options hold for every backend that records a trace:
-        ``trace_sink`` hands the engine the sink to record into (a
-        :class:`~repro.core.trace.TraceStore` or any object with its
-        sink interface), and ``trace_path`` saves the returned trace
-        there as one ``.npz`` (:func:`~repro.core.trace.save_trace`).
+        Backend-specific extras: ``residual_every``, ``track_errors``
+        and ``track_residuals`` (model kind), ``partials``
+        (``flexible``), ``record_messages`` (simulators), ``n_workers``
+        and ``record_trace`` (``shared-memory``).  Two trace options
+        hold for every backend: ``trace_sink`` hands the engine the
+        sink to record into (a :class:`~repro.core.trace.TraceStore`
+        or any object with its sink interface), and ``trace_path``
+        saves the returned trace there as one ``.npz``
+        (:func:`~repro.core.trace.save_trace`).
     """
 
-    operator: FixedPointOperator | None
+    operator: FixedPointOperator
     x0: np.ndarray
     max_iterations: int = 10_000
     tol: float = 1e-10
@@ -199,19 +196,13 @@ class ExecutionBackend(abc.ABC):
     name: ClassVar[str]
     kind: ClassVar[str]
     requires: ClassVar[tuple[str, ...]] = ()
-    required_options: ClassVar[tuple[str, ...]] = ()
 
     def validate(self, request: ExecutionRequest) -> None:
-        """Raise ``ValueError`` when the request misses required fields/options."""
+        """Raise ``ValueError`` when the request misses a required field."""
         for field_name in self.requires:
             if getattr(request, field_name) is None:
                 raise ValueError(
                     f"backend {self.name!r} requires {field_name!r} on the request"
-                )
-        for opt in self.required_options:
-            if opt not in request.options:
-                raise ValueError(
-                    f"backend {self.name!r} requires options[{opt!r}] on the request"
                 )
 
     @abc.abstractmethod
@@ -235,7 +226,6 @@ def _saved(request: ExecutionRequest, trace: IterationTrace | None) -> Iteration
 # ----------------------------------------------------------------------
 
 _REGISTRY: dict[str, ExecutionBackend] = {}
-_builtins_loaded = False
 
 
 def register_backend(cls: type[ExecutionBackend]) -> type[ExecutionBackend]:
@@ -258,28 +248,8 @@ def register_backend(cls: type[ExecutionBackend]) -> type[ExecutionBackend]:
     return cls
 
 
-def _ensure_builtins() -> None:
-    """Import the modules that register non-core plugin backends.
-
-    The comparator algorithms ([30]/[32]) live with their solvers and
-    self-register on import; loading them lazily here keeps the
-    runtime layer import-light and cycle-free.
-    """
-    global _builtins_loaded
-    if _builtins_loaded:
-        return
-    import repro.solvers.arock  # noqa: F401  (registers "arock")
-    import repro.solvers.dave_pg  # noqa: F401  (registers "dave-pg")
-
-    # Latched only after the imports succeed, so a transient import
-    # failure stays loudly reproducible instead of silently leaving
-    # the algorithm backends unregistered for the process lifetime.
-    _builtins_loaded = True
-
-
 def get_backend(name: str) -> ExecutionBackend:
     """Look up a registered execution backend by name."""
-    _ensure_builtins()
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -290,7 +260,6 @@ def get_backend(name: str) -> ExecutionBackend:
 
 def available_backends(kind: str | None = None) -> tuple[str, ...]:
     """Registered backend names, optionally filtered by kind."""
-    _ensure_builtins()
     if kind is not None and kind not in BACKEND_KINDS:
         raise KeyError(f"unknown backend kind {kind!r}; choose from {BACKEND_KINDS}")
     return tuple(
@@ -299,13 +268,13 @@ def available_backends(kind: str | None = None) -> tuple[str, ...]:
 
 
 def backend_kind(name: str) -> str:
-    """The kind (``model``/``machine``/``algorithm``) of a registered backend."""
+    """The kind (``model``/``machine``) of a registered backend."""
     return get_backend(name).kind
 
 
 def default_backend(kind: str) -> str:
     """The canonical backend of one kind (``model`` -> exact engine...)."""
-    defaults = {"model": "exact", "machine": "vectorized", "algorithm": "arock"}
+    defaults = {"model": "exact", "machine": "vectorized"}
     try:
         return defaults[kind]
     except KeyError:
@@ -349,7 +318,6 @@ class ExactBackend(ExecutionBackend):
             tol=request.tol,
             track_errors=bool(opts.get("track_errors", True)),
             track_residuals=bool(opts.get("track_residuals", True)),
-            meta=opts.get("meta"),
             sink=opts.get("trace_sink"),
         )
         stats: dict[str, Any] = {}
@@ -415,9 +383,7 @@ class _SimulatorBackend(ExecutionBackend):
         res = sim.run(
             request.x0,
             max_iterations=request.max_iterations,
-            max_time=float(opts.get("max_time", float("inf"))),
             tol=request.tol,
-            residual_every=int(opts.get("residual_every", RESIDUAL_EVERY)),
             record_messages=record_messages,
             sink=opts.get("trace_sink"),
         )
@@ -483,17 +449,11 @@ class SharedMemoryBackend(ExecutionBackend):
         if n_workers is None:
             n_workers = len(request.processors) if request.processors else 4
         n_workers = max(1, min(int(n_workers), request.operator.n_components))
-        runner = SharedMemoryAsyncRunner(
-            request.operator,
-            n_workers=n_workers,
-            worker_sleep=opts.get("worker_sleep", 0.0),
-            monitor_interval=float(opts.get("monitor_interval", 0.005)),
-        )
+        runner = SharedMemoryAsyncRunner(request.operator, n_workers=n_workers)
         res = runner.run(
             request.x0,
             max_updates=request.max_iterations,
             tol=request.tol,
-            timeout=float(opts.get("timeout", 60.0)),
             record_trace=bool(opts.get("record_trace", True)),
             sink=opts.get("trace_sink"),
         )

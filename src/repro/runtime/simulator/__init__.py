@@ -24,12 +24,7 @@ from repro.runtime.simulator.faults import (
     star_topology,
     two_tier_topology,
 )
-from repro.runtime.simulator.network import (
-    shared_memory_network,
-    two_cluster_grid,
-    uniform_cluster,
-    wide_area_network,
-)
+from repro.runtime.simulator.network import uniform_cluster, wide_area_network
 from repro.runtime.simulator.processor import ProcessorSpec
 from repro.runtime.simulator.records import MessageRecord, PhaseRecord, SimulationResult
 from repro.runtime.simulator.reference import ReferenceSimulator
@@ -69,9 +64,7 @@ __all__ = [
     "clique_topology",
     "ring_topology",
     "run_scenario_batch",
-    "shared_memory_network",
     "star_topology",
-    "two_cluster_grid",
     "two_tier_topology",
     "uniform_cluster",
     "wide_area_network",

@@ -63,11 +63,6 @@ class ChannelSpec:
             )
 
     @staticmethod
-    def shared_memory() -> "ChannelSpec":
-        """Near-zero-latency reliable channel (shared-memory writes)."""
-        return ChannelSpec(latency=ConstantTime(1e-9), fifo=True, drop_prob=0.0)
-
-    @staticmethod
     def lossy_reordering(
         latency: DurationModel,
         drop_prob: float = 0.05,

@@ -1,10 +1,10 @@
-"""Network presets: channel maps for common platform archetypes.
+"""Network presets: channel maps for two platform archetypes.
 
-The paper's experimental history spans shared-memory supercomputers
-(Cray T3E SHMEM put/get), clusters (Grid5000 multi-network) and
-planetary-scale grids (PlanetLab, nodes on different continents).
-These helpers build the corresponding ``(src, dst) -> ChannelSpec``
-maps for the simulator.
+The paper's experimental history spans clusters (Grid5000
+multi-network) and planetary-scale grids (PlanetLab, nodes on
+different continents).  These helpers build the corresponding
+``(src, dst) -> ChannelSpec`` maps, from which the machine registry
+(:mod:`repro.scenarios.registry`) builds its archetypes.
 """
 
 from __future__ import annotations
@@ -16,23 +16,7 @@ from repro.runtime.simulator.timing import ConstantTime, ExponentialTime, Unifor
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_positive
 
-__all__ = [
-    "shared_memory_network",
-    "uniform_cluster",
-    "wide_area_network",
-    "two_cluster_grid",
-]
-
-
-def shared_memory_network(n_processors: int) -> dict[tuple[int, int], ChannelSpec]:
-    """All pairs near-zero latency, reliable, FIFO (one-sided put/get)."""
-    spec = ChannelSpec.shared_memory()
-    return {
-        (s, d): spec
-        for s in range(n_processors)
-        for d in range(n_processors)
-        if s != d
-    }
+__all__ = ["uniform_cluster", "wide_area_network"]
 
 
 def uniform_cluster(
@@ -93,33 +77,4 @@ def wide_area_network(
                 drop_prob=drop_prob,
                 apply=apply,
             )
-    return out
-
-
-def two_cluster_grid(
-    n_processors: int,
-    *,
-    intra_latency: float = 0.02,
-    inter_latency: float = 1.0,
-    jitter: float = 0.1,
-) -> dict[tuple[int, int], ChannelSpec]:
-    """Grid5000-style two-site grid: fast intra-site, slow inter-site.
-
-    Processors ``0 .. n/2-1`` form site A, the rest site B; inter-site
-    channels carry the long latency plus exponential jitter (non-FIFO).
-    """
-    check_positive(intra_latency, "intra_latency")
-    check_positive(inter_latency, "inter_latency")
-    half = n_processors // 2
-    fast = ChannelSpec(latency=ConstantTime(intra_latency), fifo=True)
-    slow = ChannelSpec(
-        latency=ExponentialTime(max(jitter, 1e-12), offset=inter_latency), fifo=False
-    )
-    out: dict[tuple[int, int], ChannelSpec] = {}
-    for s in range(n_processors):
-        for d in range(n_processors):
-            if s == d:
-                continue
-            same = (s < half) == (d < half)
-            out[(s, d)] = fast if same else slow
     return out

@@ -2,14 +2,18 @@
 
 * Synchronous baselines (gradient descent, ISTA, FISTA, Jacobi/GS);
 * :class:`AsyncSolver` — totally asynchronous proximal gradient
-  (Definition 1);
+  (Definition 1), on a ``model``-kind backend;
 * :class:`FlexibleAsyncSolver` — flexible communication (Definitions
-  3/4, Theorem 1);
+  3/4, Theorem 1), on a ``model``-kind backend;
 * :class:`ARockSolver` [32] and :class:`DAvePGSolver` [30] — modern
-  asynchronous comparators;
+  asynchronous comparators, each running its own loop;
 * Bellman–Ford (sync + totally async, the Arpanet algorithm);
 * :class:`NetworkFlowRelaxationSolver` ([6], [8]);
 * :class:`AsyncNewtonSolver` ([25]).
+
+This package sits above :mod:`repro.runtime`, which never imports it.
+A registered problem runs on a simulated or real machine through
+``repro.solve(..., backend=...)``.
 """
 
 from repro.solvers.arock import ARockSolver
@@ -24,7 +28,6 @@ from repro.solvers.dave_pg import DAvePGSolver, shard_gradients
 from repro.solvers.flexible import FlexibleAsyncSolver
 from repro.solvers.newton import AsyncNewtonSolver
 from repro.solvers.relaxation import NetworkFlowRelaxationSolver
-from repro.solvers.simulated import SimulatedMachineSolver
 from repro.solvers.synchronous import (
     FISTASolver,
     GradientDescentSolver,
@@ -43,7 +46,6 @@ __all__ = [
     "GradientDescentSolver",
     "ISTASolver",
     "NetworkFlowRelaxationSolver",
-    "SimulatedMachineSolver",
     "SolveResult",
     "Solver",
     "async_bellman_ford",

@@ -13,11 +13,10 @@ the modern comparator the MODERN experiment pits against the paper's
 framework.  Convergence requires the step ``eta`` to shrink with the
 delay bound; we expose it directly.
 
-The update loop is packaged as the ``algorithm``-kind execution
-backend ``"arock"`` (registered on import), so the comparator runs
-through the same :mod:`repro.runtime.backends` registry as the paper's
-own engines; :class:`ARockSolver` is the thin composite-problem
-front-end over it.
+The loop runs inside :meth:`ARockSolver.solve`.  It is a comparator,
+not an execution of Definition 1, so it is no backend of
+:mod:`repro.runtime.backends`: scenario specs, the fleet and
+:func:`repro.solve` never reach it.
 """
 
 from __future__ import annotations
@@ -28,72 +27,10 @@ import numpy as np
 
 from repro.operators.prox_gradient import ForwardBackwardOperator
 from repro.problems.base import CompositeProblem
-from repro.runtime.backends import (
-    BackendRunResult,
-    ExecutionBackend,
-    ExecutionRequest,
-    register_backend,
-)
 from repro.solvers.base import SolveResult, Solver
 from repro.utils.rng import as_generator
 
-__all__ = ["ARockBackend", "ARockSolver"]
-
-
-@register_backend
-class ARockBackend(ExecutionBackend):
-    """KM coordinate corrections with bounded-delay snapshot reads.
-
-    Options: ``problem`` (required, the
-    :class:`~repro.problems.base.CompositeProblem` whose prox-gradient
-    residual is the stopping measure), ``gamma`` (step of the
-    underlying map), ``eta`` (KM step), ``max_delay`` (snapshot
-    staleness bound).  ``request.operator`` is the forward-backward
-    map ``T``.
-    """
-
-    name = "arock"
-    kind = "algorithm"
-    requires = ("operator",)
-    required_options = ("problem", "gamma")
-
-    def execute(self, request: ExecutionRequest) -> BackendRunResult:
-        self.validate(request)
-        opts = request.options
-        problem: CompositeProblem = opts["problem"]
-        gamma = float(opts["gamma"])
-        eta = float(opts.get("eta", 0.9))
-        max_delay = int(opts.get("max_delay", 5))
-        op = request.operator
-        rng = as_generator(request.seed)
-        n = problem.dim
-        x = request.x0.copy()
-        history: deque[np.ndarray] = deque(maxlen=max_delay + 1)
-        history.append(x.copy())
-        converged = False
-        it = 0
-        check_every = max(1, n)
-        for it in range(1, request.max_iterations + 1):
-            stale = int(rng.integers(0, len(history)))
-            x_hat = history[-1 - stale]
-            i = int(rng.integers(0, n))
-            # KM residual of the forward-backward map along coordinate i.
-            ti = op.apply(x_hat)[i]
-            x[i] -= eta * (x_hat[i] - ti)
-            history.append(x.copy())
-            if it % check_every == 0:
-                if problem.prox_gradient_residual(x, gamma) < request.tol:
-                    converged = True
-                    break
-        return BackendRunResult(
-            x=x,
-            trace=None,
-            converged=converged,
-            iterations=it,
-            final_residual=problem.prox_gradient_residual(x, gamma),
-            final_time=None,
-            stats={"eta": eta, "max_delay": max_delay},
-        )
+__all__ = ["ARockSolver"]
 
 
 class ARockSolver(Solver):
@@ -139,25 +76,33 @@ class ARockSolver(Solver):
         max_iterations: int = 200_000,
     ) -> SolveResult:
         gamma = self.gamma if self.gamma is not None else 1.0 / problem.smooth.lipschitz
-        request = ExecutionRequest(
-            operator=ForwardBackwardOperator(problem, gamma),
-            x0=self._initial_point(problem, x0),
-            max_iterations=max_iterations,
-            tol=tol,
-            seed=self.seed,
-            options={
-                "problem": problem,
-                "gamma": gamma,
-                "eta": self.eta,
-                "max_delay": self.max_delay,
-            },
-        )
-        res = self._execute("arock", request, kind="algorithm")
+        op = ForwardBackwardOperator(problem, gamma)
+        eta, max_delay = self.eta, self.max_delay
+        rng = as_generator(self.seed)
+        n = problem.dim
+        x = self._initial_point(problem, x0)
+        history: deque[np.ndarray] = deque(maxlen=max_delay + 1)
+        history.append(x.copy())
+        converged = False
+        it = 0
+        check_every = max(1, n)
+        for it in range(1, max_iterations + 1):
+            stale = int(rng.integers(0, len(history)))
+            x_hat = history[-1 - stale]
+            i = int(rng.integers(0, n))
+            # KM residual of the forward-backward map along coordinate i.
+            ti = op.apply(x_hat)[i]
+            x[i] -= eta * (x_hat[i] - ti)
+            history.append(x.copy())
+            if it % check_every == 0:
+                if problem.prox_gradient_residual(x, gamma) < tol:
+                    converged = True
+                    break
         return SolveResult(
-            x=res.x,
-            converged=res.converged,
-            iterations=res.iterations,
-            final_residual=res.final_residual,
-            objective=problem.objective(res.x),
-            info={"eta": self.eta, "gamma": gamma, "max_delay": self.max_delay},
+            x=x,
+            converged=converged,
+            iterations=it,
+            final_residual=problem.prox_gradient_residual(x, gamma),
+            objective=problem.objective(x),
+            info={"eta": eta, "gamma": gamma, "max_delay": max_delay},
         )

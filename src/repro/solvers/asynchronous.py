@@ -98,7 +98,7 @@ class AsyncSolver(Solver):
             delays=delays,
             seed=rng,
         )
-        result = self._execute(self.backend, request, kind="model")
+        result = self._execute(self.backend, request)
         x = result.x
         return SolveResult(
             x=x,

@@ -1,16 +1,17 @@
 """Solver interfaces and the common result type.
 
-Solvers are thin, opinionated front-ends over the execution backends:
+The paper's solvers are thin front-ends over the execution backends:
 they build the right operator for a
 :class:`~repro.problems.base.CompositeProblem` (or accept a raw
 :class:`~repro.operators.base.FixedPointOperator`), choose
-steering/delay/partial models or a machine, then delegate the actual
-iteration to a registered
+steering/delay/partial models, then delegate the actual iteration to
+a registered ``model``-kind
 :class:`~repro.runtime.backends.ExecutionBackend` via
 :meth:`Solver._execute` and return a :class:`SolveResult` with the
-realized trace attached for analysis.  One solver definition, every
-engine: swapping the ``backend`` name reruns the same mathematical
-problem on a different substrate.
+realized trace attached for analysis.  The comparators (ARock [32],
+DAve-PG [30]) and the synchronous baselines run their own loops.  To
+run a registered problem on a machine, use
+``repro.solve(..., backend=...)``.
 """
 
 from __future__ import annotations
@@ -85,22 +86,22 @@ class Solver(abc.ABC):
         """Minimize ``f + g`` to the requested tolerance."""
 
     @staticmethod
-    def _execute(backend: str, request: Any, *, kind: str | None = None) -> Any:
+    def _execute(backend: str, request: Any) -> Any:
         """Dispatch an :class:`~repro.runtime.backends.ExecutionRequest`.
 
-        Looks the backend up in the runtime registry, optionally
-        enforcing its kind (a solver wired for prescribed ``(S, L)``
-        models cannot run on a machine backend and vice versa), and
-        executes the request.  Imported lazily so the solver layer
-        stays importable without the runtime substrates.
+        Looks the backend up in the runtime registry, requires a
+        ``model`` kind (the solvers prescribe ``(S, L)`` models and
+        cannot run on a machine backend) and executes the request.
+        Imported lazily so the solver layer stays importable without
+        the runtime substrates.
         """
         from repro.runtime import backends as _backends
 
         chosen = _backends.get_backend(backend)
-        if kind is not None and chosen.kind != kind:
+        if chosen.kind != "model":
             raise ValueError(
-                f"backend {backend!r} has kind {chosen.kind!r}, need {kind!r} "
-                f"(choose from {', '.join(_backends.available_backends(kind))})"
+                f"backend {backend!r} has kind {chosen.kind!r}, need 'model' "
+                f"(choose from {', '.join(_backends.available_backends('model'))})"
             )
         return chosen.execute(request)
 

@@ -17,11 +17,10 @@ back to the uniform split ``f_m = f / M`` (documented substitution —
 the delay dynamics, which is what the experiment measures, are
 identical).
 
-The master/worker loop is packaged as the ``algorithm``-kind execution
-backend ``"dave-pg"`` (registered on import), so the comparator runs
-through the same :mod:`repro.runtime.backends` registry as the paper's
-own engines; :class:`DAvePGSolver` is the thin composite-problem
-front-end over it.
+The master/worker loop runs inside :meth:`DAvePGSolver.solve`.  It is
+a comparator, not an execution of Definition 1, so it is no backend of
+:mod:`repro.runtime.backends`: scenario specs, the fleet and
+:func:`repro.solve` never reach it.
 """
 
 from __future__ import annotations
@@ -34,16 +33,10 @@ from repro.core.trace import TraceStore
 from repro.problems.base import CompositeProblem
 from repro.problems.least_squares import LeastSquaresProblem
 from repro.problems.logistic import LogisticProblem
-from repro.runtime.backends import (
-    BackendRunResult,
-    ExecutionBackend,
-    ExecutionRequest,
-    register_backend,
-)
 from repro.solvers.base import SolveResult, Solver
 from repro.utils.rng import as_generator
 
-__all__ = ["DAvePGBackend", "DAvePGSolver", "shard_gradients"]
+__all__ = ["DAvePGSolver", "shard_gradients"]
 
 
 def shard_gradients(
@@ -100,77 +93,6 @@ def shard_gradients(
     return [smooth.gradient for _ in range(n_workers)]
 
 
-@register_backend
-class DAvePGBackend(ExecutionBackend):
-    """Delayed-average proximal gradient with a master point ``z``.
-
-    Options: ``problem`` (required), ``gamma`` (step), ``n_workers``,
-    ``worker_rates`` (normalized activation probabilities, one per
-    worker).  No fixed-point operator is involved — the backend works
-    directly on the composite problem — so ``request.operator`` is
-    unused and may be ``None``.
-    """
-
-    name = "dave-pg"
-    kind = "algorithm"
-    requires = ()
-    required_options = ("problem", "gamma")
-
-    def execute(self, request: ExecutionRequest) -> BackendRunResult:
-        self.validate(request)
-        opts = request.options
-        problem: CompositeProblem = opts["problem"]
-        gamma = float(opts["gamma"])
-        n_workers = int(opts.get("n_workers", 4))
-        worker_rates = opts.get("worker_rates")
-        if worker_rates is None:
-            worker_rates = np.full(n_workers, 1.0 / n_workers)
-        rng = as_generator(request.seed)
-        oracles = shard_gradients(problem, n_workers)
-        alpha = np.full(n_workers, 1.0 / n_workers)
-
-        # Initialize every worker's contribution from the common start.
-        contributions = []
-        x_hat0 = problem.reg.prox(request.x0, gamma)
-        for m in range(n_workers):
-            contributions.append(x_hat0 - gamma * oracles[m](x_hat0))
-        z = np.zeros(problem.dim)
-        for m in range(n_workers):
-            z += alpha[m] * contributions[m]
-
-        builder = TraceStore(n_workers)
-        builder.record_initial(residual=problem.prox_gradient_residual(x_hat0, gamma))
-        converged = False
-        it = 0
-        last_res = float("inf")
-        check_every = max(1, n_workers)
-        for it in range(1, request.max_iterations + 1):
-            m = int(rng.choice(n_workers, p=worker_rates))
-            x_hat = problem.reg.prox(z, gamma)
-            new_contrib = x_hat - gamma * oracles[m](x_hat)
-            z = z + alpha[m] * (new_contrib - contributions[m])
-            contributions[m] = new_contrib
-            if it % check_every == 0:
-                x_cur = problem.reg.prox(z, gamma)
-                last_res = problem.prox_gradient_residual(x_cur, gamma)
-            builder.record(
-                (m,), np.full(n_workers, it - 1, dtype=np.int64), residual=last_res
-            )
-            if last_res < request.tol:
-                converged = True
-                break
-        x = problem.reg.prox(z, gamma)
-        return BackendRunResult(
-            x=x,
-            trace=builder.build(),
-            converged=converged,
-            iterations=it,
-            final_residual=problem.prox_gradient_residual(x, gamma),
-            final_time=None,
-            stats={"n_workers": n_workers},
-        )
-
-
 class DAvePGSolver(Solver):
     """Simulated DAve-PG with heterogeneous worker activation rates.
 
@@ -218,26 +140,48 @@ class DAvePGSolver(Solver):
         max_iterations: int = 200_000,
     ) -> SolveResult:
         gamma = self.gamma if self.gamma is not None else problem.smooth.max_step()
-        request = ExecutionRequest(
-            operator=None,
-            x0=self._initial_point(problem, x0),
-            max_iterations=max_iterations,
-            tol=tol,
-            seed=self.seed,
-            options={
-                "problem": problem,
-                "gamma": gamma,
-                "n_workers": self.n_workers,
-                "worker_rates": self.worker_rates,
-            },
-        )
-        res = self._execute("dave-pg", request, kind="algorithm")
+        n_workers, worker_rates = self.n_workers, self.worker_rates
+        rng = as_generator(self.seed)
+        oracles = shard_gradients(problem, n_workers)
+        alpha = np.full(n_workers, 1.0 / n_workers)
+
+        # Initialize every worker's contribution from the common start.
+        contributions = []
+        x_hat0 = problem.reg.prox(self._initial_point(problem, x0), gamma)
+        for m in range(n_workers):
+            contributions.append(x_hat0 - gamma * oracles[m](x_hat0))
+        z = np.zeros(problem.dim)
+        for m in range(n_workers):
+            z += alpha[m] * contributions[m]
+
+        builder = TraceStore(n_workers)
+        builder.record_initial(residual=problem.prox_gradient_residual(x_hat0, gamma))
+        converged = False
+        it = 0
+        last_res = float("inf")
+        check_every = max(1, n_workers)
+        for it in range(1, max_iterations + 1):
+            m = int(rng.choice(n_workers, p=worker_rates))
+            x_hat = problem.reg.prox(z, gamma)
+            new_contrib = x_hat - gamma * oracles[m](x_hat)
+            z = z + alpha[m] * (new_contrib - contributions[m])
+            contributions[m] = new_contrib
+            if it % check_every == 0:
+                x_cur = problem.reg.prox(z, gamma)
+                last_res = problem.prox_gradient_residual(x_cur, gamma)
+            builder.record(
+                (m,), np.full(n_workers, it - 1, dtype=np.int64), residual=last_res
+            )
+            if last_res < tol:
+                converged = True
+                break
+        x = problem.reg.prox(z, gamma)
         return SolveResult(
-            x=res.x,
-            converged=res.converged,
-            iterations=res.iterations,
-            final_residual=res.final_residual,
-            objective=problem.objective(res.x),
-            trace=res.trace,
-            info={"gamma": gamma, "n_workers": self.n_workers},
+            x=x,
+            converged=converged,
+            iterations=it,
+            final_residual=problem.prox_gradient_residual(x, gamma),
+            objective=problem.objective(x),
+            trace=builder.build(),
+            info={"gamma": gamma, "n_workers": n_workers},
         )

@@ -105,7 +105,7 @@ class FlexibleAsyncSolver(Solver):
             seed=rng,
             options={"partials": partials},
         )
-        result = self._execute(self.backend, request, kind="model")
+        result = self._execute(self.backend, request)
         # The engine iterates in the G-space; map back to the minimizer.
         x = op.minimizer_from_fixed_point(result.x)
         return SolveResult(

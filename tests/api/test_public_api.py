@@ -63,26 +63,37 @@ class TestLazyExports:
         # Only FlowNetwork.is_connected uses networkx; importing the
         # package, resolving the backends and running studies must not
         # load it.
-        code = (
-            "import sys; import repro, repro.api\n"
-            "from repro.runtime import backends\n"
-            "for name in backends.available_backends():\n"
-            "    backends.get_backend(name)\n"
-            "for kind in ('engine', 'simulator'):\n"
-            "    repro.api.sweep(['jacobi'], kind=kind, n_seeds=2,\n"
-            "                    max_iterations=20, executor='serial')\n"
-            "print('networkx' in sys.modules)"
-        )
-        env = {k: v for k, v in os.environ.items() if k != "REPRO_SWEEP_CACHE"}
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            check=True, env=env,
-        )
-        assert out.stdout.strip() == "False"
+        assert _loaded_after_studies("networkx") == "False"
+
+    def test_runtime_never_imports_solvers(self):
+        # The solvers sit above the runtime: they dispatch into the
+        # backend registry, never the other way round.
+        assert _loaded_after_studies("repro.solvers") == "False"
 
     def test_lazy_access_caches(self):
         first = repro.solve
         assert repro.__dict__["solve"] is first  # cached after first access
+
+
+def _loaded_after_studies(module: str) -> str:
+    """Whether ``module`` is loaded after resolving every backend and
+    running one engine and one simulator sweep in a fresh interpreter."""
+    code = (
+        "import sys; import repro, repro.api\n"
+        "from repro.runtime import backends\n"
+        "for name in backends.available_backends():\n"
+        "    backends.get_backend(name)\n"
+        "for kind in ('engine', 'simulator'):\n"
+        "    repro.api.sweep(['jacobi'], kind=kind, n_seeds=2,\n"
+        "                    max_iterations=20, executor='serial')\n"
+        f"print({module!r} in sys.modules)"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "REPRO_SWEEP_CACHE"}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env=env,
+    )
+    return out.stdout.strip()
 
 
 class TestQuickstartDoctest:

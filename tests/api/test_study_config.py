@@ -103,7 +103,7 @@ class TestSolverRef:
         assert infer_kind((), "simulator") == "simulator"
         with pytest.raises(ValueError, match="mix kinds"):
             infer_kind(("exact", "vectorized"))
-        with pytest.raises(ValueError, match="algorithm-kind"):
+        with pytest.raises(KeyError, match="unknown backend"):
             infer_kind(("arock",))
 
 

@@ -14,8 +14,10 @@ from repro.api import (
     solve,
     sweep,
 )
+from repro.core.macro import macro_sequence
 from repro.runtime.fleet import run_grid
 from repro.runtime.sweep_store import SweepStore
+from repro.scenarios.registry import available
 
 
 def _config(**overrides) -> StudyConfig:
@@ -76,9 +78,61 @@ class TestSolve:
         with pytest.raises(ValueError, match="did you mean 'dominance'"):
             solve("jacobi", dominanse=0.5)
 
-    def test_algorithm_backend_gets_solve_specific_error(self):
-        with pytest.raises(ValueError, match="solver class"):
+    def test_comparator_is_an_unknown_backend(self):
+        # ARock and DAve-PG run through their solver classes only.
+        with pytest.raises(KeyError, match="unknown backend"):
             solve("quadratic", backend="arock")
+
+
+class TestSolveOnMachines:
+    """One problem on every simulated machine, switched by one string."""
+
+    @pytest.mark.parametrize("machine", available("machine"))
+    def test_lasso_converges_on_every_machine(self, machine):
+        out = solve("lasso", backend="simulator", machine=machine, seed=1)
+        assert out.converged
+        assert out.final_error < 1e-5
+        assert out.spec.machine == machine
+        assert np.isfinite(out.sim_time) and out.sim_time > 0
+        assert out.trace is not None
+
+    def test_shared_memory_converges_without_a_trace(self):
+        out = solve("lasso", backend="shared-memory", seed=1, tol=1e-6,
+                    max_iterations=50_000)
+        assert out.converged
+        assert out.sim_time > 0  # wall-clock seconds
+        assert out.trace is None  # the fleet skips per-commit recording
+        assert sum(out.stats["updates_per_worker"].values()) == out.iterations
+
+    def test_flexible_machine_publishes_partials(self):
+        # Without partial publishes a phase sends one message per owned
+        # component per peer; with four inner steps it sends four.
+        def per_phase(out):
+            return out.stats["messages_sent"] / out.stats["phases_completed"]
+
+        plain = solve("lasso", backend="simulator", machine="uniform", seed=3)
+        flex = solve("lasso", backend="simulator",
+                     machine=("flexible", {"inner_steps": 4}), seed=3)
+        assert per_phase(plain) == plain.x.size / 4 * 3
+        assert per_phase(flex) > 3 * per_phase(plain)
+
+    def test_heterogeneous_machine_skews_updates(self):
+        out = solve("lasso", backend="simulator",
+                    machine=("heterogeneous", {"imbalance": 6.0}), seed=5)
+        counts = np.bincount(out.trace.owners, weights=out.trace.update_counts())
+        assert np.all(np.diff(counts) < 0)  # geometric speeds, fastest first
+        assert counts[0] > 3 * counts[-1]
+
+    def test_simulator_deterministic(self):
+        a = solve("lasso", backend="simulator", machine="wan", seed=6)
+        b = solve("lasso", backend="simulator", machine="wan", seed=6)
+        np.testing.assert_array_equal(a.x, b.x)
+        assert a.iterations == b.iterations
+        assert a.sim_time == b.sim_time
+
+    def test_trace_supports_macro_analysis(self):
+        out = solve("lasso", backend="simulator", machine="flexible", seed=2)
+        assert macro_sequence(out.trace).count > 0
 
 
 class TestSweepConvenience:

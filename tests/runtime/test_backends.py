@@ -42,14 +42,22 @@ class TestRegistry:
         for name in ("exact", "flexible", "vectorized", "reference", "shared-memory"):
             assert name in names
 
-    def test_algorithm_plugins_registered(self):
-        assert set(bk.available_backends("algorithm")) >= {"arock", "dave-pg"}
+    def test_registry_holds_only_spec_backends(self):
+        assert set(bk.available_backends("model")) == {"exact", "flexible"}
+        assert set(bk.available_backends("machine")) == {
+            "vectorized", "reference", "shared-memory",
+        }
+        with pytest.raises(KeyError, match="unknown backend kind 'algorithm'"):
+            bk.available_backends("algorithm")
 
     def test_kinds(self):
         assert bk.backend_kind("exact") == "model"
         assert bk.backend_kind("vectorized") == "machine"
         assert bk.backend_kind("shared-memory") == "machine"
-        assert bk.backend_kind("arock") == "algorithm"
+        # The comparators run their own loops in repro.solvers.
+        for name in ("arock", "dave-pg"):
+            with pytest.raises(KeyError, match="unknown backend"):
+                bk.backend_kind(name)
 
     def test_defaults(self):
         assert bk.default_backend("model") == "exact"
@@ -100,13 +108,6 @@ class TestRegistry:
             bk.get_backend("exact").execute(req)
         with pytest.raises(ValueError, match="requires"):
             bk.get_backend("vectorized").execute(req)
-
-    def test_missing_required_options(self):
-        req = bk.ExecutionRequest(operator=_operator(), x0=np.zeros(8))
-        with pytest.raises(ValueError, match="options\\['problem'\\]"):
-            bk.get_backend("arock").execute(req)
-        with pytest.raises(ValueError, match="options\\['problem'\\]"):
-            bk.get_backend("dave-pg").execute(req)
 
 
 class TestModelBackends:
@@ -304,35 +305,14 @@ class TestSolverBackendPlumbing:
                 lasso_problem, max_iterations=10
             )
 
-    def test_simulated_solver_rejects_model_backend(self, lasso_problem):
-        from repro.solvers import SimulatedMachineSolver
+    def test_solve_machine_run_identical_on_reference(self):
+        import repro
 
-        with pytest.raises(ValueError, match="kind"):
-            SimulatedMachineSolver(2, backend="exact").solve(
-                lasso_problem, max_iterations=10
-            )
-
-    def test_simulated_solver_reference_backend_identical(self, lasso_problem):
-        from repro.solvers import SimulatedMachineSolver
-
-        a = SimulatedMachineSolver(3, seed=6).solve(lasso_problem, tol=1e-8)
-        b = SimulatedMachineSolver(3, seed=6, backend="reference").solve(
-            lasso_problem, tol=1e-8
-        )
+        a = repro.solve("lasso", backend="vectorized", machine="flexible", seed=3)
+        b = repro.solve("lasso", backend="reference", machine="flexible", seed=3)
         assert np.array_equal(a.x, b.x)
-        assert a.simulated_time == b.simulated_time
-        assert b.info["backend"] == "reference"
-
-    def test_simulated_solver_shared_memory_backend(self, lasso_problem):
-        from repro.solvers import SimulatedMachineSolver
-
-        res = SimulatedMachineSolver(3, seed=6, backend="shared-memory").solve(
-            lasso_problem, tol=1e-6, max_iterations=50_000
-        )
-        assert res.converged
-        assert res.simulated_time > 0  # wall-clock seconds
-        assert res.trace is not None
-        assert sum(res.info["updates_per_processor"].values()) == res.iterations
+        assert a.iterations == b.iterations
+        assert a.sim_time == b.sim_time
 
     def test_fleet_scenario_runs_every_machine_backend(self):
         from repro.runtime.fleet import run_scenario

@@ -15,8 +15,6 @@ from repro.runtime.simulator import (
     ProcessorSpec,
     ReferenceSimulator,
     UniformTime,
-    shared_memory_network,
-    two_cluster_grid,
     uniform_cluster,
     wide_area_network,
 )
@@ -264,10 +262,6 @@ class TestFlexibleCommunication:
 
 
 class TestNetworkPresets:
-    def test_shared_memory_all_pairs(self):
-        net = shared_memory_network(3)
-        assert len(net) == 6
-
     def test_uniform_cluster_jitter_disables_fifo(self):
         net = uniform_cluster(2, latency=0.1, jitter=0.2)
         assert not net[(0, 1)].fifo
@@ -276,10 +270,6 @@ class TestNetworkPresets:
         net = wide_area_network(3, seed=0)
         lats = {pair: spec.latency.mean() for pair, spec in net.items()}
         assert len(set(round(v, 6) for v in lats.values())) > 1
-
-    def test_two_cluster_grid_latency_structure(self):
-        net = two_cluster_grid(4, intra_latency=0.01, inter_latency=1.0)
-        assert net[(0, 1)].latency.mean() < net[(0, 2)].latency.mean()
 
     def test_presets_usable_in_simulator(self, op8):
         sim = DistributedSimulator(

@@ -65,11 +65,6 @@ class TestChannelSpec:
         assert spec.drop_prob == 0.0
         assert spec.apply == "latest_label"
 
-    def test_shared_memory_factory(self):
-        spec = ChannelSpec.shared_memory()
-        assert spec.drop_prob == 0.0
-        assert spec.latency.mean() < 1e-6
-
     def test_lossy_reordering_factory(self):
         spec = ChannelSpec.lossy_reordering(ConstantTime(0.1), drop_prob=0.2)
         assert not spec.fifo

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from repro.problems import (
     make_logistic,
     make_network_flow_dual,
     make_regression,
+    make_sparse_logistic,
     random_flow_network,
 )
 from repro.solvers import (
@@ -95,6 +98,79 @@ class TestDAvePG:
             DAvePGSolver(2, worker_rates=np.array([1.0]))
         with pytest.raises(ValueError):
             DAvePGSolver(2, worker_rates=np.array([1.0, -1.0]))
+
+
+#: Frozen comparator runs: ``(solver, problem) -> (sha256 of x.tobytes(),
+#: iterations, converged, repr(final_residual), sha256 of the trace's
+#: residuals or None)``.  Any change to a loop's arithmetic or to the
+#: order of its RNG draws moves a digest.
+COMPARATOR_GOLDEN = {
+    ("arock-serial", "lasso"): (
+        "42f0e52758f7b9ce0aab110fc6e8b1e61eb9ea35904617074a2c0bc00d5ad0f8",
+        440, True, "9.066546486917959e-08", None,
+    ),
+    ("arock-delayed", "lasso"): (
+        "d4639a7e2cce820798f636286e34b7bc4cb6bbf559b563f6689d86022d1d9c0a",
+        460, True, "6.130798517656957e-08", None,
+    ),
+    ("dave-pg", "lasso"): (
+        "222418c82ecad96dbe2a60a5a3d5244848603171d012f0156e412813211a4218",
+        76, True, "8.491181631143748e-08",
+        "5344cbcaceec0b9bf9ac8e4f930f9fc756cf02be14fc89b6bd2707bc1cd1b4b5",
+    ),
+    ("dave-pg-rates", "lasso"): (
+        "a023bcf7ae1b73ea99ec907c568d3b9ee98d2dcb05315a3c4ba1c2b6fd851c1c",
+        138, True, "5.014735725506736e-08",
+        "e821896aeafbbed209d85af5875e0bc3fbc6e4fd3b09c08791400e1020ae197a",
+    ),
+    ("arock-serial", "sparse-logistic"): (
+        "ef1536017846edc00eebd1c7765b773da507d8d8e533ca1db2c5bc43a45c2114",
+        114, True, "7.649349378837162e-08", None,
+    ),
+    ("arock-delayed", "sparse-logistic"): (
+        "d3d070485d7560b8ee560aae6eda84680466514f4b5d24b2274e74af3ce9feaa",
+        174, True, "6.306368477103684e-08", None,
+    ),
+    ("dave-pg", "sparse-logistic"): (
+        "ad16504be0eca54d3e6b71dcd4427a632d600d88eb87fd94e2709764c162ae5b",
+        44, True, "4.052934624806515e-08",
+        "f6d23d72b749fee82fd4163116be851f0aa13f0cd7489c2be77a5bd04f2249cc",
+    ),
+    ("dave-pg-rates", "sparse-logistic"): (
+        "b891f5fbbc6340caf32181b1bed7b85111d41193c807356e509777563edaec62",
+        75, True, "3.855151802876872e-08",
+        "136066012e30c4c00add0fd04fe8b50dba9bf49044a623389086ecf53aa6e43d",
+    ),
+}
+
+_COMPARATORS = {
+    "arock-serial": lambda: ARockSolver(max_delay=0, seed=1),
+    "arock-delayed": lambda: ARockSolver(max_delay=5, eta=0.8, seed=2),
+    "dave-pg": lambda: DAvePGSolver(4, seed=3),
+    "dave-pg-rates": lambda: DAvePGSolver(3, worker_rates=[1, 2, 4], seed=4),
+}
+
+_GOLDEN_PROBLEMS = {
+    "lasso": lambda: make_lasso(make_regression(80, 10, sparsity=0.3, seed=0), l1=0.05, l2=0.1),
+    "sparse-logistic": lambda: make_sparse_logistic(
+        make_classification(60, 6, seed=5), l1=0.02, l2=0.1
+    ),
+}
+
+
+@pytest.mark.parametrize("solver, problem", sorted(COMPARATOR_GOLDEN))
+def test_comparator_golden(solver, problem):
+    res = _COMPARATORS[solver]().solve(
+        _GOLDEN_PROBLEMS[problem](), tol=1e-7, max_iterations=20_000
+    )
+    trace = None if res.trace is None else _sha256(res.trace.residuals.tobytes())
+    got = (_sha256(res.x.tobytes()), res.iterations, res.converged,
+           repr(res.final_residual), trace)
+    assert got == COMPARATOR_GOLDEN[solver, problem]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 class TestBellmanFord:
