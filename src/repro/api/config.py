@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, ClassVar, Mapping
 
@@ -232,8 +233,8 @@ class SolverRef:
         object.__setattr__(self, "backends", backends)
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.tol < 0:
-            raise ValueError(f"tol must be >= 0, got {self.tol}")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
 
     def to_dict(self) -> dict[str, Any]:
         return {

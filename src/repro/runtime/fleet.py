@@ -173,14 +173,23 @@ class ScenarioResult:
         exact float they encoded; a legacy ``final_residual: null``
         restores as ``nan`` so the field keeps its ``float`` type.
         """
-        record = dict(record)
-        spec = ScenarioSpec(**record.pop("spec"))
-        for f in _NONFINITE_FIELDS:
-            if f in record:
-                record[f] = _decode_nonfinite(record[f])
-        if record.get("final_residual") is None:
-            record["final_residual"] = float("nan")
-        return cls(spec=spec, **record)
+        return _result_from_doc(record, ScenarioSpec(**record["spec"]))
+
+
+def _result_from_doc(record: "dict[str, Any]", spec: ScenarioSpec) -> ScenarioResult:
+    """:meth:`ScenarioResult.from_json_dict` around a given ``spec``.
+
+    The store's resume and cache lookups pass the caller's spec of the
+    record's content hash, so they never rebuild one from the record.
+    """
+    record = dict(record)
+    del record["spec"]
+    for f in _NONFINITE_FIELDS:
+        if f in record:
+            record[f] = _decode_nonfinite(record[f])
+    if record.get("final_residual") is None:
+        record["final_residual"] = float("nan")
+    return ScenarioResult(spec=spec, **record)
 
 
 def _group_medians(
@@ -856,21 +865,26 @@ def run_grid(
         specs.
     store:
         A :class:`~repro.runtime.sweep_store.SweepStore` or directory
-        path.  When given, the manifest is written up front and each
+        path.  When given, the manifest is written before any scenario
+        runs, unless the store's manifest already lists this run's
+        scope (its set of content hashes, whatever the order); each
         dispatch unit's rows land in the store *as the unit
         finishes*, one append-log file per shard prefix (plus
         ``traces/<content_hash>.npz`` with ``keep_traces``), so a
         killed sweep loses at most the scenarios in flight; logged rows
         are sealed into columnar batches as they accumulate and once
-        more at the end of the sweep, and the run's executor and wall
-        time are recorded in the manifest header.  ``None`` degrades to
-        a plain in-memory fleet run.
+        more at the end of the sweep, and, when the run executed a
+        scenario, its executor and wall time are recorded in the
+        manifest header.  So a resume of a complete store writes
+        nothing.  ``None`` degrades to a plain in-memory fleet run.
     resume:
         ``True`` loads the scenarios ``store`` already completed —
         recognized by content hash — instead of re-executing them;
         because every spec carries its own independent seed, the
         resumed :class:`FleetResult` is bit-identical to an
-        uninterrupted one.  A ``store`` given as a path then opens with
+        uninterrupted one.  A loaded row's ``spec`` is the caller's
+        spec object of its content hash, as is a cache hit's.  A
+        ``store`` given as a path then opens with
         ``create=False``: a directory that holds no store raises
         ``FileNotFoundError`` (a typo must not silently re-run the
         whole sweep) and a store of a retired format ``ValueError``.
@@ -984,7 +998,10 @@ def run_grid(
 
     runner: Callable[[ScenarioSpec], ScenarioResult] = run_scenario
     if sweep is not None:
-        sweep.write_manifest(specs)
+        # A manifest that lists this run's scope already stays as it is
+        # (its order too), so a resume that runs nothing writes nothing.
+        if not sweep._has_scope(hashes):
+            sweep.write_manifest(specs)
         if keep_traces:
             runner = functools.partial(run_scenario, trace_dir=sweep.traces_dir)
 
@@ -1031,6 +1048,7 @@ def run_grid(
         executor=chosen,
         max_workers=workers,
     )
-    if sweep is not None:
+    if sweep is not None and to_run:
+        # The run record describes the run that produced the rows.
         sweep.write_fleet(fleet)
     return fleet

@@ -8,7 +8,8 @@ millions of rows:
 .. code-block:: text
 
     <root>/
-      manifest.json              # {format_version, layout, prefix_len, prefixes, run}
+      manifest.json              # {format_version, layout, prefix_len,
+                                 #  scenario_count, prefixes, scope, run}
       shards/<pp>/manifest.json  # the shard's scenario entries (+ global index)
       shards/<pp>/batch-<fp>.npz # columnar summary rows, content-hash order
       shards/<pp>/batch-<fp>.json# sidecar: key/spec/info/trace_path per row
@@ -32,8 +33,16 @@ irregular remainder (key, canonical spec, ``info``, ``trace_path``).
 Killing a sweep between log write and seal loses nothing — logs are
 complete rows, and readers overlay logs over batches — so kill/resume
 stays bit-identical.  Each row is stored once: the manifest header's
-``run`` record keeps only the last run's executor, pool width and wall
-time, and :meth:`SweepStore.fleet_result` stitches the rows.
+``run`` record keeps only the executor, pool width and wall time of
+the last run that executed a scenario, and
+:meth:`SweepStore.fleet_result` stitches the rows.
+
+The header's ``scope`` is the SHA-256 of the manifest's sorted,
+de-duplicated content hashes.  ``run_grid`` rewrites the manifest only
+when a run's scope differs from it (reading the header alone) and
+records its ``run`` only when it executed a scenario, so a resume of a
+complete store writes nothing: a merged store keeps its merge order
+and its ``merge_log.json``.
 
 Reads go *shard by shard*: every bulk reader visits shard prefixes in
 sorted order and decodes each of a shard's batch npz files and
@@ -168,6 +177,15 @@ def digest_rows(pairs: "Iterable[tuple[str, ScenarioResult]]") -> str:
 def _fingerprint(hashes: "Iterable[str]") -> str:
     """File-name fingerprint of a sorted content-hash sequence."""
     return hashlib.sha256("".join(hashes).encode()).hexdigest()[:12]
+
+
+def _scope_of(hashes: "Iterable[str]") -> str:
+    """A manifest's ``scope``: SHA-256 of its sorted, distinct content hashes.
+
+    Order-free, so a merged store (merge order) and the study that
+    resumes it (study order) agree on it.
+    """
+    return hashlib.sha256("\n".join(sorted(set(hashes))).encode()).hexdigest()
 
 
 def _atomic_write(path: pathlib.Path, text: str) -> None:
@@ -534,28 +552,51 @@ class SweepStore:
         """Persist the sweep's scenario list (hashes + canonical specs).
 
         The manifest freezes submission order, which is what makes the
-        store self-describing: :meth:`fleet_result` and :meth:`digest`
-        iterate scenarios in manifest order, so their output matches
-        the live fleet's regardless of completion interleaving.  The
-        entries are sharded by content-hash prefix (one index file per
-        shard plus a small top-level header), so scoped reads never
-        parse the whole scenario list at once.
+        store self-describing: :meth:`fleet_result` stitches rows in
+        manifest order, and :meth:`digest` is scoped to the manifest's
+        scenarios.  The entries are sharded by content-hash prefix (one
+        index file per shard plus a small top-level header), so scoped
+        reads never parse the whole scenario list at once.
+
+        Every call rewrites the manifest, drops the header's ``run``
+        record and unlinks ``merge_log.json``.  ``run_grid`` calls it
+        only when the run's scope differs from the header's (see
+        :meth:`_has_scope`), so a resume keeps all three, and a merged
+        store keeps its merge order.
         """
         entries = [
             {"hash": s.content_hash, "key": s.key, "spec": s.canonical()}
             for s in specs
         ]
-        path = self._write_manifest_entries(entries)
         # A new manifest starts a new sweep: its fresh header drops the
         # previous run's record, and merge fingerprints describe the
         # previous scenario scope, so they reset too.
         (self.root / _MERGE_LOG).unlink(missing_ok=True)
-        return path
+        return self._write_manifest_entries(entries)
+
+    def _has_scope(self, hashes: "Iterable[str]") -> bool:
+        """Whether the manifest lists exactly ``hashes``, as a set.
+
+        Reads only the header's ``scope``, never a shard manifest.  A
+        header without one (a store written before scopes existed, or
+        a manifest rewrite killed midway) matches no scope.
+        """
+        header = self._read_header()
+        return header is not None and header.get("scope") == _scope_of(hashes)
 
     def _write_manifest_entries(
         self, entries: "list[dict[str, Any]]"
     ) -> pathlib.Path:
+        """Write the shard manifests, then the header (the commit point).
+
+        The header's ``scope`` certifies the shard manifests, so it is
+        withdrawn before they change: a rewrite killed midway leaves a
+        header without one, and the next run rewrites the manifest.
+        """
         path = self.root / _MANIFEST
+        header = self._read_header()
+        if header is not None and header.pop("scope", None) is not None:
+            _atomic_write(path, json.dumps(header, indent=2, allow_nan=False))
         by_prefix: "dict[str, list[dict[str, Any]]]" = {}
         for index, entry in enumerate(entries):
             shard_entry = {"index": index, "hash": entry["hash"],
@@ -574,7 +615,7 @@ class SweepStore:
             d.mkdir(parents=True, exist_ok=True)
             _atomic_write(
                 d / _MANIFEST,
-                json.dumps({"scenarios": by_prefix[prefix]}),
+                json.dumps({"scenarios": by_prefix[prefix]}, allow_nan=False),
             )
         doc = {
             "format_version": self.FORMAT_VERSION,
@@ -582,8 +623,9 @@ class SweepStore:
             "prefix_len": self.prefix_len,
             "scenario_count": len(entries),
             "prefixes": sorted(by_prefix),
+            "scope": _scope_of(entry["hash"] for entry in entries),
         }
-        _atomic_write(path, json.dumps(doc, indent=2))
+        _atomic_write(path, json.dumps(doc, indent=2, allow_nan=False))
         return path
 
     def _manifest_entries(self) -> "list[dict[str, Any]]":
@@ -916,13 +958,17 @@ class SweepStore:
 
         One bulk read: shards are visited in sorted prefix order and
         each batch file is decoded at most once, whatever order (or
-        duplicates) ``specs`` comes in.
+        duplicates) ``specs`` comes in.  Each row is built around the
+        caller's spec of its content hash, not a spec rebuilt and
+        re-validated from the stored document, so a resume holds one
+        spec per row.
         """
-        from repro.runtime.fleet import ScenarioResult
+        from repro.runtime.fleet import _result_from_doc
 
+        by_hash = {s.content_hash: s for s in specs}
         out: "dict[str, ScenarioResult]" = {}
-        for h, doc in self.iter_row_docs({s.content_hash for s in specs}):
-            row = ScenarioResult.from_json_dict(doc)
+        for h, doc in self.iter_row_docs(by_hash):
+            row = _result_from_doc(doc, by_hash[h])
             if require_trace and (
                 row.trace_path is None
                 or (row.trace_path and not self.has_trace(h))  # dangling
@@ -1066,9 +1112,12 @@ class SweepStore:
         The header's ``run`` key keeps the run's ``executor``,
         ``max_workers`` and ``wall_time``, which :meth:`fleet_result`
         labels the stitched rows with.  The rows themselves are already
-        in the store, so they are not written again.  A new manifest
+        in the store, so they are not written again.  ``run_grid``
+        calls it only when the run executed a scenario, so the record
+        stays with the run that produced the rows, and a resume that
+        executes nothing leaves it alone.  A new manifest
         (:meth:`write_manifest`, :meth:`merge`) starts without a
-        ``run`` record, so a record never outlives its run.
+        ``run`` record, so a record never outlives its scope.
         """
         header = self._read_header()
         if header is None:
@@ -1095,17 +1144,20 @@ class SweepStore:
     def fleet_result(self) -> "FleetResult":
         """Reassemble the typed :class:`~repro.runtime.fleet.FleetResult`.
 
-        The completed rows are stitched together in manifest order, so
-        partial stores are still fully analyzable; failed scenarios are
-        never persisted, so they are not listed.  The fleet is labelled
-        with the header's ``run`` record (see :meth:`write_fleet`) when
-        the last run finished.  An interrupted or merged sweep has no
-        record: its ``executor`` is ``"store"`` and its ``wall_time``
-        is the *sum* of the rows' wall times — the real cumulative
-        compute the store holds — never a fabricated ``0.0`` (which
-        would make ``scenarios_per_sec`` infinite and its JSON
-        non-standard).  This is the eager path; see :meth:`fleet_view`
-        for the streaming one.
+        The completed rows are stitched together in manifest order (a
+        merged store keeps its merge order, since resumes leave its
+        manifest alone), so partial stores are still fully analyzable;
+        failed scenarios are never persisted, so they are not listed.
+        With no caller's specs to reuse, each row's spec is rebuilt
+        from its stored document.  The fleet is labelled with the
+        header's ``run`` record (see :meth:`write_fleet`) when the last
+        run that executed a scenario finished.  An interrupted or
+        merged sweep has no record: its ``executor`` is ``"store"``
+        and its ``wall_time`` is the *sum* of the rows' wall times —
+        the real cumulative compute the store holds — never a
+        fabricated ``0.0`` (which would make ``scenarios_per_sec``
+        infinite and its JSON non-standard).  This is the eager path;
+        see :meth:`fleet_view` for the streaming one.
         """
         from repro.runtime.fleet import FleetResult, ScenarioResult
 

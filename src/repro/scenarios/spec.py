@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Iterable, Mapping
 
@@ -45,12 +46,17 @@ def _canon(obj: Any) -> Any:
     a spec that round-tripped through JSON (array -> list) hashes
     identically to the live original; values that cannot be
     canonicalized deterministically (callables, arbitrary objects)
-    raise.
+    raise ``TypeError``, and non-finite floats, which strict JSON
+    cannot hold, raise ``ValueError``.
     """
-    if obj is None or isinstance(obj, (bool, int, float, str)):
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"scenario params must be finite, got {obj!r}")
         return obj
     if isinstance(obj, (np.bool_, np.integer, np.floating)):
-        return obj.item()
+        return _canon(obj.item())
     if isinstance(obj, np.ndarray):
         return _canon(obj.tolist())
     if isinstance(obj, (list, tuple)):
@@ -188,8 +194,8 @@ class ScenarioSpec:
             )
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.tol < 0:
-            raise ValueError(f"tol must be >= 0, got {self.tol}")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
 
     @property
     def key(self) -> str:

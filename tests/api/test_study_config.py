@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -95,6 +96,12 @@ class TestSolverRef:
             SolverRef(backends=("gpu",))
         with pytest.raises(ValueError, match="duplicate"):
             SolverRef(backends=("exact", "exact"))
+
+    @pytest.mark.parametrize("tol", [-1e-8, math.nan, math.inf, -math.inf])
+    def test_tol_must_be_finite_and_non_negative(self, tol):
+        # nan < 0 is false, so a sign check alone lets NaN through.
+        with pytest.raises(ValueError, match="tol must be finite"):
+            SolverRef(tol=tol)
 
     def test_infer_kind(self):
         assert infer_kind(()) == "engine"

@@ -12,9 +12,13 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import hashlib
+import itertools
 import json
+import math
 import os
 import pathlib
+import shutil
 import tracemalloc
 
 import numpy as np
@@ -22,6 +26,7 @@ import pytest
 
 import repro.runtime.fleet as fleet_mod
 import repro.runtime.sweep_store as store_mod
+from repro.api import SolverRef, Study, StudyConfig
 from repro.runtime.fleet import FleetResult, run_grid, run_scenario
 from repro.runtime.sweep_store import SweepStore, digest_rows
 from repro.scenarios.spec import ScenarioGrid, ScenarioSpec
@@ -86,6 +91,35 @@ class TestContentHash:
                             problem_params={"fn": lambda x: x})
         with pytest.raises(TypeError, match="canonicalize"):
             _ = spec.content_hash
+
+    @pytest.mark.parametrize("tol", [-1e-8, math.nan, math.inf, -math.inf])
+    def test_tol_must_be_finite_and_non_negative(self, tol):
+        # nan < 0 is false, so a sign check alone lets NaN through; an
+        # inf tol ran, then its stored spec read back as tol=None.
+        with pytest.raises(ValueError, match="tol must be finite"):
+            ScenarioSpec(problem="jacobi", tol=tol)
+
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf, np.float64("nan"), np.float32("inf"),
+        np.array([1.0, np.nan]), [0.0, {"x": -math.inf}],
+    ], ids=["nan", "inf", "-inf", "np.float64", "np.float32", "array", "nested"])
+    def test_non_finite_params_raise(self, value):
+        # Strict JSON holds no NaN or Infinity, so such a spec could be
+        # neither hashed nor stored faithfully.
+        spec = ScenarioSpec(problem="jacobi", seed=1, delay_params={"scale": value})
+        with pytest.raises(ValueError, match="must be finite"):
+            _ = spec.content_hash
+
+    def test_finite_numpy_params_hash_as_python_floats(self):
+        a = ScenarioSpec(problem="jacobi", seed=1, problem_params={"d": np.float32(0.5)})
+        b = ScenarioSpec(problem="jacobi", seed=1, problem_params={"d": 0.5})
+        assert a.content_hash == b.content_hash
+
+    def test_manifest_refuses_non_finite_values(self, tmp_path):
+        store = SweepStore(tmp_path / "s")
+        entry = {"hash": "0" * 16, "key": "k", "spec": {"tol": math.inf}}
+        with pytest.raises(ValueError, match="JSON compliant"):
+            store._write_manifest_entries([entry])
 
     def test_array_params_hash_survives_json_roundtrip(self):
         # Regression: persistence mangled ndarray params (json_safe
@@ -548,6 +582,207 @@ class TestResume:
         assert store.fleet_result().scenario_count == 4  # not the stale 2
 
 
+def _files(root: pathlib.Path) -> "dict[str, tuple[int, str]]":
+    """Every file under ``root``: its inode and the SHA-256 of its bytes.
+
+    Files land by rename, so a rewrite with the same bytes still
+    changes the inode.
+    """
+    return {
+        str(p.relative_to(root)): (p.stat().st_ino, hashlib.sha256(p.read_bytes()).hexdigest())
+        for p in root.rglob("*") if p.is_file()
+    }
+
+
+def _study() -> Study:
+    return Study(StudyConfig(
+        name="resume", problems=(("jacobi", {"n": 8}),),
+        solver=SolverRef(max_iterations=80, tol=1e-6),
+        delays=("zero", "uniform"), n_seeds=6,
+    ))
+
+
+def _complete_store(root: pathlib.Path, study: Study, kind: str) -> "list[SweepStore]":
+    """A complete store of ``study``; the merge's sources for ``merged``.
+
+    ``plain`` is one run; ``merged`` merges two shard stores with
+    :meth:`SweepStore.merge`; ``traced`` keeps every trace.
+    """
+    if kind != "merged":
+        study.run(out=root, keep_traces=kind == "traced", executor="serial")
+        return []
+    sources = [
+        study.run(out=root.parent / f"shard{i}", shard=(i, 2), executor="serial").store
+        for i in range(2)
+    ]
+    SweepStore(root).merge(*sources)
+    assert (root / "merge_log.json").is_file()
+    return sources
+
+
+class TestResumeWritesNothing:
+    """A resume that runs nothing writes nothing; one that runs a row
+    keeps the manifest and records its own run."""
+
+    @pytest.mark.parametrize("path", ["run_grid", "study"])
+    @pytest.mark.parametrize("kind", ["plain", "merged", "traced"])
+    def test_resume_of_a_complete_store_changes_no_file(
+        self, tmp_path, count_runs, kind, path
+    ):
+        study = _study()
+        root = tmp_path / "store"
+        _complete_store(root, study, kind)
+        keep = kind == "traced"
+        if keep:
+            assert all(SweepStore(root, create=False).has_trace(s.content_hash)
+                       for s in study.specs())
+        before = _files(root)
+        count_runs.clear()
+        if path == "run_grid":
+            fleet = run_grid(study.specs(), store=root, resume=True,
+                             keep_traces=keep, executor="serial")
+        else:
+            fleet = study.run(out=root, resume=True, keep_traces=keep,
+                              executor="serial").fleet
+            assert study.name in study.result(root).report()
+        assert count_runs == []
+        assert _files(root) == before
+        assert fleet.digest() == SweepStore(root, create=False).digest()
+
+    def test_a_header_without_scope_is_rewritten_by_the_first_resume_only(self, tmp_path):
+        specs = list(_grid(n_seeds=3).expand())
+        root = tmp_path / "s"
+        run_grid(specs, store=root, executor="serial")
+        header_path = root / "manifest.json"
+        header = json.loads(header_path.read_text())
+        del header["scope"]  # as a store written before scopes existed
+        header_path.write_text(json.dumps(header, indent=2))
+        run_grid(specs, store=root, resume=True, executor="serial")
+        assert json.loads(header_path.read_text())["scope"]
+        before = _files(root)
+        run_grid(specs, store=root, resume=True, executor="serial")
+        assert _files(root) == before
+
+    def test_a_new_scope_rewrites_the_manifest_whatever_the_order(self, tmp_path):
+        specs = list(_grid(n_seeds=3).expand())
+        root = tmp_path / "s"
+        run_grid(specs[:4], store=root, executor="serial")
+        run_grid(specs, store=root, resume=True, executor="serial")
+        assert SweepStore(root).manifest_hashes() == [s.content_hash for s in specs]
+        # The same scope in another order keeps the stored order.
+        before = _files(root)
+        run_grid(specs[::-1], store=root, resume=True, executor="serial")
+        assert _files(root) == before
+        assert SweepStore(root).manifest_hashes() == [s.content_hash for s in specs]
+
+    def test_a_manifest_rewrite_killed_midway_is_redone(self, tmp_path, monkeypatch):
+        """The scope leaves the header before any shard manifest changes.
+
+        A resume of the original scope after a killed rewrite must then
+        rewrite the manifest, or it keeps a mix of the two lists.
+        """
+        specs = list(_grid(n_seeds=3).expand())
+        template = tmp_path / "template"
+        run_grid(specs, store=template, executor="serial")
+        expected = SweepStore(template).read_manifest()
+        digest = SweepStore(template).digest()
+        real = store_mod._atomic_write
+        for k in itertools.count(1):
+            root = tmp_path / f"s{k}"
+            shutil.copytree(template, root)
+            calls: "list[pathlib.Path]" = []
+
+            def write(path, text, calls=calls, k=k):
+                calls.append(path)
+                if len(calls) == k:
+                    raise OSError(f"simulated crash at write {k}")
+                real(path, text)
+
+            with monkeypatch.context() as m:
+                m.setattr(store_mod, "_atomic_write", write)
+                try:  # a new scope: the manifest is rewritten
+                    run_grid(specs[:2], store=root, resume=True, executor="serial")
+                except OSError:
+                    pass
+                else:
+                    break
+            run_grid(specs, store=root, resume=True, executor="serial")
+            store = SweepStore(root, create=False)
+            assert store.read_manifest() == expected, k
+            assert store.digest() == digest, k
+        assert k > 2  # the header, then at least one shard manifest
+
+    def test_a_resume_that_reruns_a_row_keeps_the_manifest(self, tmp_path, count_runs):
+        specs = list(_grid(n_seeds=3).expand())
+        root = tmp_path / "s"
+        run_grid(specs, store=root, executor="serial")
+        SweepStore(root, create=False).discard_result(specs[1].content_hash)
+        shard_manifests = {name: f for name, f in _files(root).items()
+                           if name.endswith("/manifest.json")}
+        assert shard_manifests
+        header = json.loads((root / "manifest.json").read_text())
+        count_runs.clear()
+        fleet = run_grid(specs, store=root, resume=True, executor="serial")
+        assert count_runs == [specs[1].key]
+        after = _files(root)
+        assert {name: after[name] for name in shard_manifests} == shard_manifests
+        new_header = json.loads((root / "manifest.json").read_text())
+        assert new_header.pop("run") == {
+            "executor": fleet.executor, "max_workers": fleet.max_workers,
+            "wall_time": fleet.wall_time,
+        }
+        del header["run"]
+        assert new_header == header
+
+    @pytest.mark.parametrize("merge_log", ["kept", "deleted"])
+    def test_merging_again_after_a_resume_reads_no_source_unit(
+        self, tmp_path, monkeypatch, merge_log
+    ):
+        study = _study()
+        root = tmp_path / "store"
+        sources = _complete_store(root, study, "merged")
+        run_grid(study.specs(), store=root, resume=True, executor="serial")
+        if merge_log == "deleted":
+            # A unit whose rows the destination holds is skipped too.
+            (root / "merge_log.json").unlink(missing_ok=True)
+        digest = SweepStore(root, create=False).digest()
+        for src in sources:
+            monkeypatch.setattr(src, "_shard_docs", lambda *a: pytest.fail(
+                "the merge read rows of a source"))
+        monkeypatch.setattr(SweepStore, "_adopt_batch", lambda *a: pytest.fail(
+            "the merge copied a source batch"))
+        SweepStore(root, create=False).merge(*sources)
+        assert SweepStore(root, create=False).digest() == digest
+
+
+class TestResumedRowsShareSpecs:
+    """A resumed or cached row holds the caller's spec, not a rebuilt one."""
+
+    def test_resumed_rows_are_the_uninterrupted_rows_around_the_callers_specs(
+        self, tmp_path
+    ):
+        first = run_grid(_grid(n_seeds=3).expand(), store=tmp_path / "s",
+                         executor="serial")
+        specs = list(_grid(n_seeds=3).expand())  # new objects, same hashes
+        resumed = run_grid(specs, store=tmp_path / "s", resume=True, executor="serial")
+        for spec, row, old in zip(specs, resumed.results, first.results):
+            assert row.spec is spec
+            assert row == old
+
+    @pytest.mark.parametrize("store", [False, True])
+    def test_cache_hits_hold_the_callers_specs(self, tmp_path, count_runs, store):
+        first = run_grid(_grid(n_seeds=3).expand(), store=tmp_path / "cache",
+                         executor="serial")
+        specs = list(_grid(n_seeds=3).expand())
+        count_runs.clear()
+        hits = run_grid(specs, store=tmp_path / "s" if store else None,
+                        cache=tmp_path / "cache", executor="serial")
+        assert count_runs == []
+        for spec, row, old in zip(specs, hits.results, first.results):
+            assert row.spec is spec
+            assert row == old
+
+
 def _log_files(root: pathlib.Path) -> "list[pathlib.Path]":
     return sorted((root / "shards").rglob("log/*.json"))
 
@@ -842,7 +1077,7 @@ class TestStoreWallTimeAndStrictJson:
         specs = _grid().expand()
         store = SweepStore(tmp_path / "s")
         run_grid(specs, store=store, executor="serial")
-        store.write_manifest(specs)  # drops the run record, as a killed resume does
+        store.write_manifest(specs)  # drops the run record, as a killed run of a new scope does
 
         stitched = store.fleet_result()
         rows_sum = sum(r.wall_time for r in stitched.results)
